@@ -196,32 +196,24 @@ def p1_comparability_constant(mesh):
     """
     if mesh.dimension != 2:
         return 1.0
-    geom = mesh.face_geometry()
+    hat = mesh.face_geometry().hat_gradients
+    l01, l12, l02 = mesh.edge_lengths[mesh.face_edges].T
+    slack = 1 + 1e-12
     best = 0.0
-    for f in range(len(mesh.triangles)):
-        tri = mesh.triangles[f]
-        l01 = mesh._length_of(int(tri[0]), int(tri[1]))
-        l02 = mesh._length_of(int(tri[0]), int(tri[2]))
-        l12 = mesh._length_of(int(tri[1]), int(tri[2]))
-        g1 = geom.hat_gradients[f, 1]
-        g2 = geom.hat_gradients[f, 2]
-        # vertices of {|d1|<=l01, |d2|<=l02, |d2-d1|<=l12}
-        lines = [
-            (np.array([1.0, 0.0]), l01),
-            (np.array([0.0, 1.0]), l02),
-            (np.array([-1.0, 1.0]), l12),
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                for si in (-1.0, 1.0):
-                    for sj in (-1.0, 1.0):
-                        A = np.array([lines[i][0], lines[j][0]])
-                        b = np.array([si * lines[i][1], sj * lines[j][1]])
-                        d = np.linalg.solve(A, b)
-                        ok = all(
-                            abs(line @ d) <= bound * (1 + 1e-12)
-                            for line, bound in lines
-                        )
-                        if ok:
-                            best = max(best, float(np.linalg.norm(d[0] * g1 + d[1] * g2)))
+    # vertices of {|d1|<=l01, |d2|<=l02, |d2-d1|<=l12}: two constraints tight
+    for si in (-1.0, 1.0):
+        for sj in (-1.0, 1.0):
+            for d1, d2 in (
+                (si * l01, sj * l02),
+                (si * l01, si * l01 + sj * l12),
+                (si * l02 - sj * l12, si * l02),
+            ):
+                ok = (
+                    (np.abs(d1) <= l01 * slack)
+                    & (np.abs(d2) <= l02 * slack)
+                    & (np.abs(d2 - d1) <= l12 * slack)
+                )
+                grad = d1[:, None] * hat[:, 1] + d2[:, None] * hat[:, 2]
+                norms = np.linalg.norm(grad[ok], axis=1)
+                best = max(best, float(norms.max(initial=0.0)))
     return best

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, RankUnstable
+from .errors import MeshError
 
 DEFAULT_TOL = 1e-8
 
@@ -43,14 +43,7 @@ def d1(mesh, omega):
     if mesh.dimension != 2:
         raise MeshError("d1 requires a dimension-2 mesh")
     omega = _as_edgeform(mesh, omega)
-    out = np.zeros(len(mesh.triangles))
-    for f in range(len(mesh.triangles)):
-        total = 0.0
-        for u, v in mesh.oriented_face_edges(f):
-            e = mesh.edge_id(u, v)
-            total += omega[e] if u < v else -omega[e]
-        out[f] = total
-    return out
+    return (mesh.face_signs * omega[mesh.face_edges]).sum(axis=1)
 
 
 def spanning_tree(mesh, rng=None):
@@ -150,47 +143,26 @@ def classify(mesh, omega, tol=DEFAULT_TOL):
     return CurrentClass("closed_not_exact", closedness, exactness)
 
 
-def _rank_gaussian(matrix, pivot_tol=1e-9, unstable_band=1e-11):
-    """Rank by floating Gaussian elimination with an ambiguity guard."""
-    a = np.array(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = np.abs(a[r:, c])
-        p = int(np.argmax(col))
-        pivot = col[p]
-        if pivot < unstable_band:
-            continue
-        if pivot < pivot_tol:
-            raise RankUnstable(
-                f"pivot {pivot:.3e} inside [{unstable_band:.0e}, {pivot_tol:.0e})"
-            )
-        if p != 0:
-            a[[r, r + p]] = a[[r + p, r]]
-        a[r] = a[r] / a[r, c]
-        below = a[r + 1 :, c]
-        a[r + 1 :] -= np.outer(below, a[r])
-        r += 1
-    return r
-
-
 def betti1(mesh):
-    """First Betti number: cycles of the edge graph modulo face boundaries."""
-    E = len(mesh.edges)
-    V = mesh.vertex_count
-    cycles = E - V + 1
-    if mesh.dimension == 1 or not len(mesh.triangles):
-        return cycles
-    boundary = np.zeros((E, len(mesh.triangles)))
-    for f in range(len(mesh.triangles)):
-        for u, v in mesh.oriented_face_edges(f):
-            e = mesh.edge_id(u, v)
-            boundary[e, f] += 1.0 if u < v else -1.0
-    return cycles - _rank_gaussian(boundary)
+    """First Betti number: cycles of the edge graph modulo face boundaries.
+
+    The edge graph is connected, so its cycle space has dimension
+    E - V + 1. The face boundaries span F dimensions less one for every
+    closed face component (edge-connected faces with no boundary edge),
+    whose oriented faces sum to a boundary-free 2-cycle.
+    """
+    E, V, F = len(mesh.edges), mesh.vertex_count, len(mesh.triangles)
+    counts = np.bincount(mesh.face_edges.ravel(), minlength=E)
+    open_faces = (counts[mesh.face_edges] == 1).any(axis=1)
+    components = np.unique(mesh.face_components)
+    closed = len(components) - len(np.unique(mesh.face_components[open_faces]))
+    return E - V + 1 - F + closed
+
+
+def _face_edge_vectors(mesh):
+    """Planar vectors v_{i+1} - v_i of the three oriented edges of each face."""
+    layout = mesh.face_geometry().layout
+    return np.roll(layout, -1, axis=1) - layout
 
 
 def oneform_to_edgeform(mesh, f):
@@ -203,20 +175,11 @@ def oneform_to_edgeform(mesh, f):
     if mesh.dimension != 2:
         raise MeshError("conversion requires a dimension-2 mesh")
     f = np.asarray(f, dtype=float)
-    geom = mesh.face_geometry()
-    total = np.zeros(len(mesh.edges))
-    count = np.zeros(len(mesh.edges))
-    for t in range(len(mesh.triangles)):
-        tri = [int(x) for x in mesh.triangles[t]]
-        for i in range(3):
-            j = (i + 1) % 3
-            u, v = tri[i], tri[j]
-            e = mesh.edge_id(u, v)
-            vec = geom.layout[t, j] - geom.layout[t, i]
-            circ = float(f[t] @ vec)
-            total[e] += circ if u < v else -circ
-            count[e] += 1
-    return total / count
+    vec = _face_edge_vectors(mesh)
+    circ = mesh.face_signs * np.einsum("fd,fid->fi", f, vec)
+    E = len(mesh.edges)
+    total = np.bincount(mesh.face_edges.ravel(), circ.ravel(), minlength=E)
+    return total / np.bincount(mesh.face_edges.ravel(), minlength=E)
 
 
 def edgeform_to_oneform(mesh, omega):
@@ -229,20 +192,8 @@ def edgeform_to_oneform(mesh, omega):
     if mesh.dimension != 2:
         raise MeshError("conversion requires a dimension-2 mesh")
     omega = _as_edgeform(mesh, omega)
-    geom = mesh.face_geometry()
-    out = np.zeros((len(mesh.triangles), 2))
-    worst = 0.0
-    for t in range(len(mesh.triangles)):
-        tri = [int(x) for x in mesh.triangles[t]]
-        rows = []
-        rhs = []
-        for i in range(3):
-            j = (i + 1) % 3
-            u, v = tri[i], tri[j]
-            e = mesh.edge_id(u, v)
-            rows.append(geom.layout[t, j] - geom.layout[t, i])
-            rhs.append(omega[e] if u < v else -omega[e])
-        sol, _, _, _ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        out[t] = sol
-        worst = max(worst, float(np.max(np.abs(np.array(rows) @ sol - rhs))))
-    return out, worst
+    rows = _face_edge_vectors(mesh)
+    rhs = mesh.face_signs * omega[mesh.face_edges]
+    out = np.einsum("fij,fj->fi", np.linalg.pinv(rows), rhs)
+    residual = np.einsum("fij,fj->fi", rows, out) - rhs
+    return out, float(np.abs(residual).max())

@@ -44,10 +44,6 @@ class DegenerateFace(FreeflowError):
         super().__init__(f"face {face} has singular metric (cond {cond:.3e})")
 
 
-class RankUnstable(FreeflowError):
-    """A pivot during rank computation fell inside the ambiguous band."""
-
-
 class SolverFailure(FreeflowError):
     """An exact solver failed to terminate with an optimal solution."""
 

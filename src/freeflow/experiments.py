@@ -176,12 +176,14 @@ def extend_by_zero(mesh_n, faces_m, g_m):
 
 def interface_vertices(mesh_n, faces_m):
     """Vertices incident to both a subset face and a complement face."""
-    faces = set(int(f) for f in faces_m)
-    inside, outside = set(), set()
-    for f in range(len(mesh_n.triangles)):
-        target = inside if f in faces else outside
-        target.update(int(v) for v in mesh_n.triangles[f])
-    return inside & outside
+    inside = _face_mask(mesh_n, faces_m)
+    shared = np.intersect1d(mesh_n.triangles[inside], mesh_n.triangles[~inside])
+    return set(shared.tolist())
+
+
+def _face_mask(mesh, faces):
+    """Boolean mask of the listed faces; ids outside the mesh are ignored."""
+    return np.isin(np.arange(len(mesh.triangles)), [int(f) for f in faces])
 
 
 def tangential_subset_field(mesh_n, faces_m, seed_potential=None, rng=None):
@@ -213,38 +215,23 @@ def normal_flux_counterexample(mesh_n, faces_m):
     Returns ``(field_on_m, edge_id)`` with the flux normalized to one.
     """
     faces = sorted(int(f) for f in faces_m)
-    face_set = set(faces)
-    geom = mesh_n.face_geometry()
-    for f in faces:
-        tri = [int(x) for x in mesh_n.triangles[f]]
-        for i in range(3):
-            j = (i + 1) % 3
-            e = mesh_n.edge_id(tri[i], tri[j])
-            others = [
-                t
-                for t in _faces_of_edge(mesh_n, e)
-                if t != f and t not in face_set
-            ]
-            if not others:
-                continue
-            vec = geom.layout[f, j] - geom.layout[f, i]
-            ell = float(np.linalg.norm(vec))
-            normal = np.array([vec[1], -vec[0]]) / ell  # outward of face f
-            g = np.zeros((len(faces), 2))
-            g[faces.index(f)] = normal / ell  # flux = <g, n> * length = 1
-            return g, e
-    raise MeshError("subset has no interior interface edge")
-
-
-def _faces_of_edge(mesh, e):
-    cache = getattr(mesh, "_edge_faces", None)
-    if cache is None:
-        cache = [[] for _ in range(len(mesh.edges))]
-        for f in range(len(mesh.triangles)):
-            for u, v in mesh.oriented_face_edges(f):
-                cache[mesh.edge_id(u, v)].append(f)
-        mesh._edge_faces = cache
-    return cache[e]
+    outside = ~_face_mask(mesh_n, faces)
+    outside_count = np.bincount(
+        mesh_n.face_edges[outside].ravel(), minlength=len(mesh_n.edges)
+    )
+    # first (face, slot) of the subset whose edge also borders the complement
+    hits = np.argwhere(outside_count[mesh_n.face_edges[faces]] > 0)
+    if not len(hits):
+        raise MeshError("subset has no interior interface edge")
+    k, i = (int(x) for x in hits[0])
+    f = faces[k]
+    layout = mesh_n.face_geometry().layout
+    vec = layout[f, (i + 1) % 3] - layout[f, i]
+    ell = float(np.linalg.norm(vec))
+    normal = np.array([vec[1], -vec[0]]) / ell  # outward of face f
+    g = np.zeros((len(faces), 2))
+    g[k] = normal / ell  # flux = <g, n> * length = 1
+    return g, int(mesh_n.face_edges[f, i])
 
 
 def extension_experiment(mesh_n, faces_m, rng=None):

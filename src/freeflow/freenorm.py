@@ -38,11 +38,10 @@ class Molecule:
     atoms: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple((int(v), float(c)) for v, c in self.atoms),
-        )
+        atoms = tuple((int(v), float(c)) for v, c in self.atoms)
+        if not np.all(np.isfinite([c for _, c in atoms])):
+            raise MeshError("molecule has non-finite coefficients")
+        object.__setattr__(self, "atoms", atoms)
 
     def total_mass(self):
         return sum(c for _, c in self.atoms)
@@ -69,12 +68,17 @@ def canonicalize(molecule, base_vertex=0):
     return Molecule(atoms)
 
 
-def molecule_vector(mesh, molecule):
-    """Vertex imbalance of the molecule, base vertex absorbing the total."""
-    b = np.zeros(mesh.vertex_count)
-    for v, c in molecule.atoms:
+def _check_vertices(mesh, molecule):
+    for v, _ in molecule.atoms:
         if not 0 <= v < mesh.vertex_count:
             raise MeshError(f"atom vertex {v} out of range")
+
+
+def molecule_vector(mesh, molecule):
+    """Vertex imbalance of the molecule, base vertex absorbing the total."""
+    _check_vertices(mesh, molecule)
+    b = np.zeros(mesh.vertex_count)
+    for v, c in molecule.atoms:
         b[v] += c
     b[mesh.base_vertex] -= molecule.total_mass()
     return b
@@ -115,6 +119,7 @@ def transport_oracle(mesh, molecule):
     transportation solve. Limited to 12 atoms to keep the instance tiny.
     """
     molecule = canonicalize(molecule, mesh.base_vertex)
+    _check_vertices(mesh, molecule)
     if len(molecule.atoms) > 12:
         raise TooManyAtoms(f"{len(molecule.atoms)} atoms exceed the bound of 12")
     # exact rational masses so the balanced instance balances exactly

@@ -84,10 +84,11 @@ class TriMesh:
     Parameters
     ----------
     triangles : array_like of shape (F, 3)
-        Vertex triples. May be empty for a metric graph. Input orientations
-        are adjusted by a global search so that every interior edge is
-        traversed once in each direction; if no consistent assignment
-        exists the mesh is rejected.
+        Vertex triples. May be empty for a metric graph. Faces are flipped
+        so that every interior edge is traversed once in each direction,
+        the lowest face of each face component keeping its input
+        orientation; if no consistent assignment exists the mesh is
+        rejected.
     edge_lengths : dict
         Map from vertex pairs to positive lengths. Keys may be given in
         either order; the map must cover all triangle edges and may add
@@ -96,13 +97,25 @@ class TriMesh:
         The distinguished vertex used to normalize potentials and absorb
         molecule mass deficits.
 
+    Attributes
+    ----------
+    face_edges : ndarray of shape (F, 3)
+        The signed face->edge index, built once at construction: edge ids
+        of v0->v1, v1->v2 and v2->v0 of every oriented face.
+    face_signs : ndarray of shape (F, 3)
+        +1 where the face traverses the edge along its canonical u < v
+        orientation, -1 against it.
+    face_components : ndarray of shape (F,)
+        The component of each face among faces joined by shared edges,
+        labelled by its lowest face.
+
     Raises
     ------
     TriangleInequalityViolated, NonOrientable, NonManifold, Disconnected
     """
 
     def __init__(self, triangles, edge_lengths, base_vertex=0):
-        triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
 
         lengths = {}
         for (u, v), l in edge_lengths.items():
@@ -118,130 +131,125 @@ class TriMesh:
                 raise MeshError(f"edge {key} given two lengths {prev} and {l}")
             lengths[key] = l
 
-        for tri in triangles:
-            a, b, c = (int(x) for x in tri)
-            if len({a, b, c}) != 3:
-                raise MeshError(f"degenerate triangle {tuple(tri)}")
-            for u, v in ((a, b), (b, c), (a, c)):
-                key = (u, v) if u < v else (v, u)
-                if key not in lengths:
-                    raise MeshError(f"missing length for triangle edge {key}")
+        edges = sorted(lengths)
+        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self.edge_lengths = np.array([lengths[e] for e in edges])
+        if (self.edges < 0).any() or (triangles < 0).any():
+            raise MeshError("negative vertex id")
+        self.vertex_count = 1 + int(
+            max(self.edges.max(initial=0), triangles.max(initial=0))
+        )
+        self._edge_keys = self.edges[:, 0] * self.vertex_count + self.edges[:, 1]
+
+        # the signed face->edge index: edge ids of v0->v1, v1->v2, v2->v0
+        # and +1 where the face runs along the canonical u < v orientation
+        heads = np.roll(triangles, -1, axis=1)
+        face_edges = self._edge_ids(triangles, heads)
+        signs = np.where(triangles < heads, 1.0, -1.0)
+        degenerate = (triangles == heads).any(axis=1)
+        bad = np.flatnonzero(degenerate | (face_edges < 0).any(axis=1))
+        if len(bad):
+            f = int(bad[0])
+            if degenerate[f]:
+                raise MeshError(f"degenerate triangle {tuple(triangles[f])}")
+            k = int(np.argmax(face_edges[f] < 0))
+            key = tuple(sorted((int(triangles[f, k]), int(heads[f, k]))))
+            raise MeshError(f"missing length for triangle edge {key}")
 
         if not lengths:
             raise MeshError("mesh has no edges")
 
         self.dimension = 2 if len(triangles) else 1
-        edges = sorted(lengths)
-        self.edges = np.array(edges, dtype=np.int64)
-        self.edge_lengths = np.array([lengths[e] for e in edges])
-        self.edge_index = {e: i for i, e in enumerate(edges)}
-        self.vertex_count = int(
-            max(
-                self.edges.max(),
-                triangles.max() if len(triangles) else 0,
-            )
-        ) + 1
-
         self.aux = {}  # construction metadata from generators, not serialized
         self._geom = None
         self._adjacency = None
         self._all_dist = None
 
-        self._check_triangle_inequalities(triangles)
-        self.triangles = self._orient(triangles)
+        self._check_triangle_inequalities(triangles, face_edges)
+        (
+            self.triangles,
+            self.face_edges,
+            self.face_signs,
+            self.face_components,
+        ) = self._orient(triangles, face_edges, signs)
         self._check_connected()
 
         if not 0 <= int(base_vertex) < self.vertex_count:
             raise MeshError(f"base vertex {base_vertex} out of range")
         self.base_vertex = int(base_vertex)
 
-        if self.dimension == 2:
-            counts = self._edge_face_counts()
-            self.boundary_edges = frozenset(np.flatnonzero(counts == 1).tolist())
-        else:
-            self.boundary_edges = frozenset()
+        counts = np.bincount(self.face_edges.ravel(), minlength=len(self.edges))
+        self.boundary_edges = frozenset(np.flatnonzero(counts == 1).tolist())
 
-        self.triangles.setflags(write=False)
-        self.edges.setflags(write=False)
-        self.edge_lengths.setflags(write=False)
+        for arr in (self.triangles, self.face_edges, self.face_signs,
+                    self.face_components, self.edges, self.edge_lengths):
+            arr.setflags(write=False)
 
     # -- validation -----------------------------------------------------
 
-    def _check_triangle_inequalities(self, triangles):
-        for f, tri in enumerate(triangles):
-            a, b, c = (int(x) for x in tri)
-            lab = self._length_of(a, b)
-            lbc = self._length_of(b, c)
-            lca = self._length_of(c, a)
-            if (
-                lab + lbc <= lca
-                or lbc + lca <= lab
-                or lca + lab <= lbc
-            ):
-                raise TriangleInequalityViolated(tri, (lab, lbc, lca))
+    def _edge_ids(self, u, v):
+        """Ids of the edges {u, v}, given in either order; -1 where absent."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * self.vertex_count + hi
+        ids = np.searchsorted(self._edge_keys, keys)
+        found = np.append(self._edge_keys, -1)[ids] == keys
+        found &= (lo >= 0) & (hi < self.vertex_count)
+        return np.where(found, ids, -1)
 
-    def _length_of(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        return self.edge_lengths[self.edge_index[key]]
+    def _check_triangle_inequalities(self, triangles, face_edges):
+        lab, lbc, lca = self.edge_lengths[face_edges].T
+        bad = np.flatnonzero(
+            (lab + lbc <= lca) | (lbc + lca <= lab) | (lca + lab <= lbc)
+        )
+        if len(bad):
+            f = int(bad[0])
+            raise TriangleInequalityViolated(
+                triangles[f], (lab[f], lbc[f], lca[f])
+            )
 
-    def _edge_face_counts(self):
-        counts = np.zeros(len(self.edges), dtype=np.int64)
-        for tri in self.triangles:
-            a, b, c = (int(x) for x in tri)
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                counts[self.edge_index[key]] += 1
-        return counts
+    def _orient(self, triangles, face_edges, signs):
+        """Flip faces so that two faces sharing an edge traverse it in
+        opposite directions. Returns the oriented triangles, face->edge
+        index and signs, and the face component label of every face.
 
-    def _orient(self, triangles):
-        """Search for a globally consistent orientation by flipping faces.
-
-        Two faces sharing an edge must traverse it in opposite directions.
-        The constraint graph is bipartite iff the surface is orientable.
+        Node f of a 2F-node graph stands for face f as given and node
+        F + f for face f reversed; each shared edge links the node pairs
+        that traverse it oppositely. The surface is orientable iff no face
+        shares a component with its own reversal. The lowest face of each
+        face component keeps its input orientation and labels the component.
         """
-        if not len(triangles):
-            return triangles
-        # directed traversals per canonical edge: (face, +1 if u->v else -1)
-        incident = {}
-        for f, tri in enumerate(triangles):
-            a, b, c = (int(x) for x in tri)
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                incident.setdefault(key, []).append((f, 1 if u < v else -1))
-        for key, faces in incident.items():
-            if len(faces) > 2:
-                raise NonManifold(f"edge {key} lies in {len(faces)} triangles")
+        flat = face_edges.ravel()
+        counts = np.bincount(flat, minlength=len(self.edges))
+        crowded = counts[flat] > 2
+        if crowded.any():
+            e = flat[np.argmax(crowded)]
+            raise NonManifold(
+                f"edge {tuple(self.edges[e].tolist())} lies in {counts[e]} triangles"
+            )
 
-        nfaces = len(triangles)
-        flip = np.full(nfaces, -1, dtype=np.int64)
-        for start in range(nfaces):
-            if flip[start] >= 0:
-                continue
-            flip[start] = 0
-            stack = [start]
-            while stack:
-                f = stack.pop()
-                a, b, c = (int(x) for x in triangles[f])
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (u, v) if u < v else (v, u)
-                    for g, gdir in incident[key]:
-                        if g == f:
-                            continue
-                        fdir = 1 if u < v else -1
-                        # opposite traversal: fdir*(-1)^flip f != gdir*(-1)^flip g
-                        need = 0 if fdir != gdir else 1
-                        want = flip[f] ^ need
-                        if flip[g] < 0:
-                            flip[g] = want
-                            stack.append(g)
-                        elif flip[g] != want:
-                            raise NonOrientable(
-                                "no consistent orientation assignment exists"
-                            )
-        oriented = triangles.copy()
-        flipped = flip == 1
-        oriented[flipped] = oriented[flipped][:, ::-1]
-        return oriented
+        F = len(triangles)
+        order = np.argsort(flat, kind="stable")
+        shared = np.flatnonzero(np.diff(flat[order]) == 0)
+        p, q = order[shared], order[shared + 1]  # the two slots of a shared edge
+        g = np.where(signs.ravel()[p] != signs.ravel()[q], q // 3, q // 3 + F)
+        rows = np.concatenate([p // 3, p // 3 + F])
+        cols = np.concatenate([g, (g + F) % (2 * F)])
+        graph = csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(2 * F, 2 * F)
+        )
+        n, labels = connected_components(graph, directed=False)
+        if np.any(labels[:F] == labels[F:]):
+            raise NonOrientable("no consistent orientation assignment exists")
+        lowest = np.full(n, F)
+        np.minimum.at(lowest, labels, np.tile(np.arange(F), 2))
+        components = lowest[labels[:F]]
+        flip = labels[:F] != labels[components]
+
+        # face (c, b, a) runs c->b, b->a, a->c: edge slots 1, 0, 2 reversed
+        triangles[flip] = triangles[flip][:, ::-1]
+        face_edges[flip] = face_edges[flip][:, [1, 0, 2]]
+        signs[flip] = -signs[flip][:, [1, 0, 2]]
+        return triangles, face_edges, signs, components
 
     def _check_connected(self):
         n, _ = connected_components(self.adjacency(), directed=False)
@@ -275,11 +283,8 @@ class TriMesh:
         if self.dimension != 2:
             raise MeshError("face geometry requires a dimension-2 mesh")
         if self._geom is None:
-            tris = self.triangles
-            F = len(tris)
-            l01 = np.array([self._length_of(t[0], t[1]) for t in tris])
-            l02 = np.array([self._length_of(t[0], t[2]) for t in tris])
-            l12 = np.array([self._length_of(t[1], t[2]) for t in tris])
+            F = len(self.triangles)
+            l01, l12, l02 = self.edge_lengths[self.face_edges].T
 
             x = (l01**2 + l02**2 - l12**2) / (2.0 * l01)
             y = np.sqrt(np.maximum(l02**2 - x**2, 0.0))
@@ -331,14 +336,9 @@ class TriMesh:
         """Vertices on the boundary: endpoints of boundary edges for
         surfaces, degree-1 vertices for graphs."""
         if self.dimension == 2:
-            out = set()
-            for e in self.boundary_edges:
-                out.update(int(x) for x in self.edges[e])
-            return frozenset(out)
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+            ends = self.edges[sorted(self.boundary_edges)]
+            return frozenset(np.unique(ends).tolist())
+        deg = np.bincount(self.edges.ravel(), minlength=self.vertex_count)
         return frozenset(np.flatnonzero(deg == 1).tolist())
 
     def oriented_face_edges(self, f):
@@ -347,8 +347,10 @@ class TriMesh:
         return ((a, b), (b, c), (c, a))
 
     def edge_id(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        return self.edge_index[key]
+        e = int(self._edge_ids(u, v))
+        if e < 0:
+            raise KeyError((min(u, v), max(u, v)))
+        return e
 
 
 def _sym2x2_cond(m):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from freeflow.currents import (
-    _rank_gaussian,
     betti1,
     classify,
     d0,
@@ -15,7 +14,6 @@ from freeflow.currents import (
     spanning_tree,
 )
 from freeflow.calculus import gradient
-from freeflow.errors import RankUnstable
 from freeflow.mesh import build_mesh
 from freeflow.primitives import generate_primitive
 
@@ -49,6 +47,26 @@ def torus_generator(mesh, axis=0):
     return omega
 
 
+def edge_length_map(mesh):
+    return dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_lengths))
+
+
+def two_icospheres(sphere, pinched):
+    """Two copies of a closed surface, sharing vertex 0 when ``pinched``,
+    otherwise joined by one graph edge between their vertex 0."""
+    n = sphere.vertex_count
+    shift = np.arange(n) + (n - 1 if pinched else n)
+    if pinched:
+        shift[0] = 0
+    lengths = edge_length_map(sphere)
+    for (u, v), l in edge_length_map(sphere).items():
+        lengths[(int(shift[u]), int(shift[v]))] = l
+    if not pinched:
+        lengths[(0, n)] = 1.0
+    triangles = np.concatenate([sphere.triangles, shift[sphere.triangles]])
+    return build_mesh(triangles, lengths)
+
+
 def d1_matrix(mesh):
     mat = np.zeros((len(mesh.triangles), len(mesh.edges)))
     for f in range(len(mesh.triangles)):
@@ -71,6 +89,17 @@ class TestDifferentials:
         for _ in range(50):
             f = rng.normal(size=ico1.vertex_count)
             assert np.abs(d1(ico1, d0(ico1, f))).max() <= 1e-12
+
+    def test_d1_matches_face_loop(self, annulus, torus):
+        rng = np.random.default_rng(20)
+        for mesh in (annulus, torus):
+            omega = rng.normal(size=len(mesh.edges))
+            loop = [
+                sum(omega[mesh.edge_id(u, v)] * (1.0 if u < v else -1.0)
+                    for u, v in mesh.oriented_face_edges(f))
+                for f in range(len(mesh.triangles))
+            ]
+            assert np.array_equal(d1(mesh, omega), loop)
 
     def test_single_face_uniform_circulation(self):
         m = build_mesh([(0, 1, 2)], UNIT)
@@ -198,14 +227,17 @@ class TestBetti:
             chi = mesh.vertex_count - len(mesh.edges) + len(mesh.triangles)
             assert betti1(mesh) == 1 + b2 - chi
 
-    def test_rank_unstable_band(self):
-        matrix = np.array([[1e-10, 0.0], [0.0, 0.0]])
-        with pytest.raises(RankUnstable):
-            _rank_gaussian(matrix)
+    def test_icospheres_joined_by_a_graph_edge(self, ico1):
+        assert betti1(two_icospheres(ico1, pinched=False)) == 0
 
-    def test_rank_thresholds(self):
-        assert _rank_gaussian(np.array([[1e-12, 0.0], [0.0, 0.0]])) == 0
-        assert _rank_gaussian(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+    def test_icospheres_pinched_at_a_vertex(self, ico1):
+        assert betti1(two_icospheres(ico1, pinched=True)) == 0
+
+    def test_disk_with_a_dangling_graph_edge(self):
+        disk = generate_primitive("flat_rect", nx=3)
+        lengths = edge_length_map(disk)
+        lengths[(disk.vertex_count - 1, disk.vertex_count)] = 0.25
+        assert betti1(build_mesh(disk.triangles, lengths)) == 0
 
 
 class TestConversions:

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -17,6 +18,7 @@ from freeflow.freenorm import (
     molecule_vector,
     transport_oracle,
 )
+from freeflow.io import molecule_from_dict
 from freeflow.mesh import geodesic_distances
 from freeflow.primitives import generate_primitive
 
@@ -149,6 +151,24 @@ class TestTransportOracle:
                 assert transport_oracle(mesh, mu) == pytest.approx(
                     expected, abs=1e-9
                 )
+
+
+class TestAtomValidation:
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_molecule_rejects_non_finite_coefficients(self, coeff):
+        with pytest.raises(MeshError, match="non-finite"):
+            Molecule(((3, 1.0), (7, coeff)))
+
+    def test_molecule_json_rejects_nan(self):
+        data = json.loads('{"atoms": [[3, 1.0], [7, NaN]]}')
+        with pytest.raises(MeshError, match="non-finite"):
+            molecule_from_dict(data)
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_transport_oracle_checks_vertex_range(self, flat4, offset):
+        vertex = offset if offset < 0 else flat4.vertex_count
+        with pytest.raises(MeshError, match="out of range"):
+            transport_oracle(flat4, Molecule(((3, 1.0), (vertex, -1.0))))
 
 
 class TestBeckmannGraph:

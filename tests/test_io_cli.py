@@ -92,6 +92,20 @@ class TestCli:
         report = json.loads(r1.read_text())
         assert abs(report["duality_gap"]) <= 1e-6
 
+    def test_non_finite_atom_error_envelope(self, tmp_path, capsys):
+        mesh_path = tmp_path / "m.json"
+        main(["gen-mesh", "--kind", "flat_rect", "--nx", "4", "--out",
+              str(mesh_path)])
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text('{"atoms": [[7, 1.0], [19, NaN]]}')
+        capsys.readouterr()
+        code = main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), "--method", "all"])
+        assert code == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "MeshError"
+        assert "non-finite" in envelope["error"]["message"]
+
     def test_check_currents_on_annulus_generator(self, tmp_path, capsys, annulus):
         mesh_path = tmp_path / "ann.json"
         ffio.write_json(mesh_path, ffio.mesh_to_dict(annulus))

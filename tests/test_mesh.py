@@ -16,6 +16,7 @@ from freeflow.mesh import (
     geodesic_distances,
 )
 from freeflow.calculus import l1_norm
+from freeflow.io import mesh_hash
 from freeflow.primitives import generate_primitive
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
@@ -101,6 +102,64 @@ class TestBuildMesh:
             for key, dirs in traversals.items():
                 if len(dirs) == 2:
                     assert dirs[0] != dirs[1], f"edge {key} traversed twice same way"
+
+    def test_face_edge_index_matches_oriented_edges(
+        self, flat4, ico1, annulus, torus
+    ):
+        for m in (flat4, ico1, annulus, torus):
+            for f in range(len(m.triangles)):
+                pairs = m.oriented_face_edges(f)
+                ids = [m.edge_id(u, v) for u, v in pairs]
+                signs = [1.0 if u < v else -1.0 for u, v in pairs]
+                assert m.face_edges[f].tolist() == ids
+                assert m.face_signs[f].tolist() == signs
+
+    @pytest.mark.parametrize(
+        "fixture, primitive_hash, scrambled_hash",
+        [
+            (
+                "flat4",
+                "f144ffbffef0c788bd7dc07d4ebc587e292942daa1300823f489d584a51ebe65",
+                "7693458d1bdc371b305ef0097ad3190c8fb15c8f337e5e3c8597a134795d9f70",
+            ),
+            (
+                "ico1",
+                "fd6a8680e32d46fa7412b117419a41e5bdf4a556fd4d95cbd5fde78c8aad71c2",
+                "c85df5d10090d1ebc11805baa44a88bfd6a0c0dde304bc9f3c7a431552d5f067",
+            ),
+            (
+                "annulus",
+                "3f0c78fe14765e257415fcd7fcb8c7c6f486eb0cc64af13ffde1293a1061be5f",
+                "d04b28e75d9d461d69f9f79a00325b54a577a512165d6ca0e6a9eb2d8fa1f683",
+            ),
+            (
+                "torus",
+                "8f1e690129148780db7d997d394651ef44a43d35cba623195dd3f27dfdb8dc76",
+                "2f6d7f747c0e1b1ee5a5118034c30c143e6abd9dfcad4917520ed2bbd113f769",
+            ),
+            (
+                "poincare",
+                "2b10318a848272ecab4f8d8513cf19eb45bd917f5c93e1f1e0a8cb2c8ded0588",
+                "e003abd7c59e771f4e1e50d1a91673abf64c2425f121714b7e749eb4c3d3b6c9",
+            ),
+        ],
+        ids=["flat4", "ico1", "annulus", "torus", "poincare"],
+    )
+    def test_orientation_of_scrambled_input_is_pinned(
+        self, request, fixture, primitive_hash, scrambled_hash
+    ):
+        # a seeded random half of the faces reversed; the lowest face of the
+        # component keeps its input order, so the result is fully determined
+        mesh = request.getfixturevalue(fixture)
+        assert mesh_hash(mesh) == primitive_hash
+        rng = np.random.default_rng(7)
+        F = len(mesh.triangles)
+        flip = rng.choice(F, size=F // 2, replace=False)
+        triangles = np.array(mesh.triangles)
+        triangles[flip] = triangles[flip, ::-1]
+        lengths = dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_lengths))
+        rebuilt = build_mesh(triangles, lengths, mesh.base_vertex)
+        assert mesh_hash(rebuilt) == scrambled_hash
 
 
 class TestPrimitives:

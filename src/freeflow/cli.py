@@ -11,10 +11,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -385,23 +383,15 @@ def cmd_batch(args):
     manifest = ffio.read_json(args.manifest)
     entries = manifest.get("entries", [])
     mesh_cache = {}
-    threads = max(1, int(os.environ.get("FREEFLOW_THREADS", "1")))
-
-    def work(indexed):
-        index, entry = indexed
+    results = []
+    for index, entry in enumerate(entries):
         start = time.perf_counter()
         try:
             status, detail = _run_batch_entry(entry, mesh_cache)
         except Exception as exc:  # entry errors recorded, batch continues
             status, detail = "error", f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        return index, entry.get("command", "?"), status, detail, elapsed
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, enumerate(entries)))
-    else:
-        results = [work(item) for item in enumerate(entries)]
+        results.append((index, entry.get("command", "?"), status, detail, elapsed))
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .errors import MeshError
 
@@ -47,26 +49,22 @@ def d1(mesh, omega):
 
 
 def spanning_tree(mesh, rng=None):
-    """Edge ids of a spanning tree, deterministic unless ``rng`` is given."""
-    order = np.arange(len(mesh.edges))
+    """Edge ids of a spanning tree, deterministic unless ``rng`` is given.
+
+    Kruskal's tree for the identity edge order, or for a random
+    permutation of it: the minimum spanning tree under weights equal to
+    each edge's rank in that order, listed by rank.
+    """
+    E = len(mesh.edges)
+    order = np.arange(E)
     if rng is not None:
         order = rng.permutation(order)
-    parent = list(range(mesh.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for e in order:
-        u, v = (int(x) for x in mesh.edges[e])
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append(int(e))
-    return tree
+    rank = np.empty(E)
+    rank[order] = np.arange(1, E + 1)  # positive: a zero weight is no edge
+    u, v = mesh.edges[:, 0], mesh.edges[:, 1]
+    V = mesh.vertex_count
+    tree = minimum_spanning_tree(coo_matrix((rank, (u, v)), shape=(V, V)))
+    return order[np.sort(tree.data).astype(np.int64) - 1].tolist()
 
 
 def solve_potential(mesh, omega, tree=None):
@@ -80,34 +78,28 @@ def solve_potential(mesh, omega, tree=None):
     omega = _as_edgeform(mesh, omega)
     if tree is None:
         tree = spanning_tree(mesh)
-    tree_set = set(tree)
-    adj = [[] for _ in range(mesh.vertex_count)]
-    for e in tree:
-        u, v = (int(x) for x in mesh.edges[e])
-        adj[u].append((v, e, 1.0))
-        adj[v].append((u, e, -1.0))
-
-    g = np.zeros(mesh.vertex_count)
-    seen = np.zeros(mesh.vertex_count, dtype=bool)
-    seen[mesh.base_vertex] = True
-    stack = [mesh.base_vertex]
-    while stack:
-        u = stack.pop()
-        for v, e, sign in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                g[v] = g[u] + sign * omega[e]
-                stack.append(v)
-    if not seen.all():
+    tree = np.asarray(tree, dtype=np.int64)
+    V = mesh.vertex_count
+    u, v = mesh.edges[tree, 0], mesh.edges[tree, 1]
+    graph = coo_matrix((np.ones(len(tree)), (u, v)), shape=(V, V)).tocsr()
+    order, pred = breadth_first_order(
+        graph, mesh.base_vertex, directed=False, return_predecessors=True
+    )
+    if len(order) != V:
         raise MeshError("spanning tree does not span the mesh")
 
-    residual = 0.0
-    for e in range(len(mesh.edges)):
-        if e in tree_set:
-            continue
-        u, v = (int(x) for x in mesh.edges[e])
-        residual = max(residual, abs(g[v] - g[u] - omega[e]))
-    return g, residual
+    heads = order[1:]
+    tails = pred[heads]
+    steps = np.where(tails < heads, 1.0, -1.0) * omega[mesh.edge_ids(tails, heads)]
+    g = [0.0] * V
+    for head, tail, step in zip(heads.tolist(), tails.tolist(), steps.tolist()):
+        g[head] = g[tail] + step
+    g = np.array(g)
+
+    off_tree = np.ones(len(mesh.edges), dtype=bool)
+    off_tree[tree] = False
+    mismatch = np.abs(d0(mesh, g) - omega)[off_tree]
+    return g, float(mismatch.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,8 @@ def oneform_to_edgeform(mesh, f):
 
     Interior edges average the two incident faces; the conversion is
     lossy in general (a piecewise constant covector field need not have
-    matching tangential traces).
+    matching tangential traces). Edges in no face, such as graph edges
+    attached to a surface, get 0.0: the face field vanishes off the faces.
     """
     if mesh.dimension != 2:
         raise MeshError("conversion requires a dimension-2 mesh")
@@ -179,7 +172,8 @@ def oneform_to_edgeform(mesh, f):
     circ = mesh.face_signs * np.einsum("fd,fid->fi", f, vec)
     E = len(mesh.edges)
     total = np.bincount(mesh.face_edges.ravel(), circ.ravel(), minlength=E)
-    return total / np.bincount(mesh.face_edges.ravel(), minlength=E)
+    counts = np.bincount(mesh.face_edges.ravel(), minlength=E)
+    return np.divide(total, counts, out=np.zeros(E), where=counts > 0)
 
 
 def edgeform_to_oneform(mesh, omega):

@@ -131,12 +131,10 @@ def transport_oracle(mesh, molecule):
     sinks = [(v, -c) for v, c in sorted(weights.items()) if c < 0]
     if not sources:
         return 0.0
-    adjacency = mesh.adjacency()
-    sink_ids = [v for v, _ in sinks]
-    cost = []
-    for v, _ in sources:
-        dist = dijkstra(adjacency, directed=False, indices=v)
-        cost.append([float(dist[w]) for w in sink_ids])
+    dist = dijkstra(
+        mesh.adjacency(), directed=False, indices=[v for v, _ in sources]
+    )
+    cost = dist[:, [v for v, _ in sinks]].tolist()
     value = solve_transportation(
         [c for _, c in sources], [c for _, c in sinks], cost
     )

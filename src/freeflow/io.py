@@ -20,10 +20,10 @@ from .mesh import TriMesh
 def mesh_to_dict(mesh):
     return {
         "dimension": mesh.dimension,
-        "triangles": [[int(v) for v in tri] for tri in mesh.triangles],
+        "triangles": mesh.triangles.tolist(),
         "edges": [
-            [int(u), int(v), float(l)]
-            for (u, v), l in zip(mesh.edges, mesh.edge_lengths)
+            [u, v, l]
+            for (u, v), l in zip(mesh.edges.tolist(), mesh.edge_lengths.tolist())
         ],
         "base_vertex": mesh.base_vertex,
     }

@@ -144,7 +144,7 @@ class TriMesh:
         # the signed face->edge index: edge ids of v0->v1, v1->v2, v2->v0
         # and +1 where the face runs along the canonical u < v orientation
         heads = np.roll(triangles, -1, axis=1)
-        face_edges = self._edge_ids(triangles, heads)
+        face_edges = self.edge_ids(triangles, heads)
         signs = np.where(triangles < heads, 1.0, -1.0)
         degenerate = (triangles == heads).any(axis=1)
         bad = np.flatnonzero(degenerate | (face_edges < 0).any(axis=1))
@@ -187,10 +187,11 @@ class TriMesh:
 
     # -- validation -----------------------------------------------------
 
-    def _edge_ids(self, u, v):
+    def edge_ids(self, u, v):
         """Ids of the edges {u, v}, given in either order; -1 where absent."""
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = lo * self.vertex_count + hi
+        # int64: csgraph returns int32 vertex ids, whose product can wrap
+        keys = np.asarray(lo, dtype=np.int64) * self.vertex_count + hi
         ids = np.searchsorted(self._edge_keys, keys)
         found = np.append(self._edge_keys, -1)[ids] == keys
         found &= (lo >= 0) & (hi < self.vertex_count)
@@ -347,7 +348,7 @@ class TriMesh:
         return ((a, b), (b, c), (c, a))
 
     def edge_id(self, u, v):
-        e = int(self._edge_ids(u, v))
+        e = int(self.edge_ids(u, v))
         if e < 0:
             raise KeyError((min(u, v), max(u, v)))
         return e

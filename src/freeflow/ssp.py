@@ -2,17 +2,18 @@
 
 Solves  min sum_e length_e * |phi_e|  subject to  incidence @ phi = b
 (uncapacitated, both traversal directions cost the edge length) by
-augmenting along shortest residual paths with Dijkstra over reduced
-costs. The accumulated node potentials are an optimal solution of the
-dual problem: they maximize sum_v b[v] * f[v] over all vertex fields
-with |f[u] - f[v]| <= length(u, v) on every edge.
+augmenting along shortest residual paths, found by
+``scipy.sparse.csgraph.dijkstra`` over reduced costs. The accumulated
+node potentials are an optimal solution of the dual problem: they
+maximize sum_v b[v] * f[v] over all vertex fields with
+|f[u] - f[v]| <= length(u, v) on every edge.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import SolverFailure
 
@@ -32,21 +33,19 @@ def min_cost_flow(mesh, b):
     if abs(b.sum()) > 1e-9 * max(1.0, np.abs(b).max()):
         raise SolverFailure(f"imbalance does not sum to zero: {b.sum()}")
 
-    edges = mesh.edges
-    lengths = mesh.edge_lengths
-    # neighbor[u] = list of (v, edge id, +1 if u->v matches canonical)
-    neighbor = [[] for _ in range(V)]
-    for e, (u, v) in enumerate(edges):
-        neighbor[int(u)].append((int(v), e, 1.0))
-        neighbor[int(v)].append((int(u), e, -1.0))
+    E = len(mesh.edges)
+    # arc a runs u->v along edge a for a < E, and v->u along edge a - E
+    tails = np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1]])
+    heads = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
+    arc_lengths = np.tile(mesh.edge_lengths, 2)
 
-    flow = np.zeros(len(edges))
+    flow = np.zeros(E)
     pi = np.zeros(V)
     remaining = b.copy()
     # roundoff in the balanced imbalance leaves crumbs below this scale
     settled = 1e-12 * max(1.0, float(np.abs(b).max(initial=0.0)))
 
-    max_rounds = 10 * (V + len(edges)) + 100
+    max_rounds = 10 * (V + E) + 100
     rounds = 0
     while True:
         sinks = np.flatnonzero(remaining > settled)
@@ -59,52 +58,34 @@ def min_cost_flow(mesh, b):
         if rounds > max_rounds:
             raise SolverFailure("augmentation cap exceeded")
 
-        dist = np.full(V, np.inf)
-        parent = np.full(V, -1, dtype=np.int64)
-        parent_edge = np.full(V, -1, dtype=np.int64)
-        parent_sign = np.zeros(V)
-        heap = []
-        for s in sources:
-            dist[s] = 0.0
-            heapq.heappush(heap, (0.0, int(s)))
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, e, sign in neighbor[u]:
-                # traversing against existing flow refunds the edge cost
-                cost = -lengths[e] if flow[e] * sign < 0 else lengths[e]
-                rc = cost + pi[u] - pi[v]
-                if rc < 0.0:
-                    rc = 0.0  # clamp float noise on tight arcs
-                nd = d + rc
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    parent_edge[v] = e
-                    parent_sign[v] = sign
-                    heapq.heappush(heap, (nd, v))
+        # traversing against existing flow refunds the edge cost; tight
+        # arcs clamp to an explicit 0.0, which COO->CSR keeps as an arc
+        against = np.concatenate([flow < 0, flow > 0])
+        cost = np.where(against, -arc_lengths, arc_lengths)
+        reduced = np.maximum(cost + pi[tails] - pi[heads], 0.0)
+        graph = coo_matrix((reduced, (tails, heads)), shape=(V, V)).tocsr()
+        dist, pred, _ = dijkstra(
+            graph, indices=sources, min_only=True, return_predecessors=True
+        )
 
         t = int(sinks[np.argmin(dist[sinks])])
         if not np.isfinite(dist[t]):
             raise SolverFailure("sink unreachable in residual network")
 
-        # walk back to the source, collecting the bottleneck over
-        # cancellation arcs (their capacity is the opposing flow)
-        path = []
-        node = t
-        while parent[node] >= 0:
-            e, sign = int(parent_edge[node]), parent_sign[node]
-            path.append((e, sign))
-            node = int(parent[node])
-        s = node
+        path = [t]
+        while pred[path[-1]] >= 0:
+            path.append(int(pred[path[-1]]))
+        s = path[-1]
+        step_heads, step_tails = np.array(path[:-1]), np.array(path[1:])
+        edge = mesh.edge_ids(step_tails, step_heads)
+        sign = np.where(step_tails < step_heads, 1.0, -1.0)
 
-        delta = min(-remaining[s], remaining[t])
-        for e, sign in path:
-            if flow[e] * sign < 0:
-                delta = min(delta, abs(flow[e]))
-        for e, sign in path:
-            flow[e] += delta * sign
+        # the bottleneck over cancellation arcs is their opposing flow
+        cancels = flow[edge] * sign < 0
+        delta = np.abs(flow[edge[cancels]]).min(
+            initial=min(-remaining[s], remaining[t])
+        )
+        flow[edge] += delta * sign
         remaining[s] += delta
         remaining[t] -= delta
 

@@ -67,6 +67,50 @@ def two_icospheres(sphere, pinched):
     return build_mesh(triangles, lengths)
 
 
+def disk_with_dangling_edge():
+    """``flat_rect nx=3`` plus one graph edge from its last vertex to a
+    new vertex; the new edge sorts last."""
+    disk = generate_primitive("flat_rect", nx=3)
+    lengths = edge_length_map(disk)
+    lengths[(disk.vertex_count - 1, disk.vertex_count)] = 0.25
+    return build_mesh(disk.triangles, lengths)
+
+
+def kruskal_tree(mesh, order):
+    """Union-find reference: the edges of ``order`` that join two trees."""
+    parent = list(range(mesh.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree = []
+    for e in order:
+        ru, rv = (find(x) for x in mesh.edges[e].tolist())
+        if ru != rv:
+            parent[ru] = rv
+            tree.append(int(e))
+    return tree
+
+
+def integrate_along_tree(mesh, omega, tree):
+    """Loop reference of ``solve_potential`` on the same tree."""
+    g = {mesh.base_vertex: 0.0}
+    while len(g) < mesh.vertex_count:
+        for e in tree:
+            u, v = mesh.edges[e].tolist()
+            if u in g and v not in g:
+                g[v] = g[u] + omega[e]
+            elif v in g and u not in g:
+                g[u] = g[v] - omega[e]
+    residual = 0.0
+    for e, (u, v) in enumerate(mesh.edges.tolist()):
+        if e not in tree:
+            residual = max(residual, abs(g[v] - g[u] - omega[e]))
+    return np.array([g[x] for x in range(mesh.vertex_count)]), residual
+
+
 def d1_matrix(mesh):
     mat = np.zeros((len(mesh.triangles), len(mesh.edges)))
     for f in range(len(mesh.triangles)):
@@ -109,6 +153,27 @@ class TestDifferentials:
 
 
 class TestSolvePotential:
+    @pytest.mark.parametrize(
+        "fixture",
+        ["flat4", "ico1", "annulus", "torus", "poincare", "circle32", "interval10"],
+    )
+    def test_matches_kruskal_and_loop_integration(self, request, fixture):
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(21)
+        omega = rng.normal(size=len(mesh.edges))
+        E = len(mesh.edges)
+        for seed in (None, 1, 2):
+            if seed is None:
+                tree, order = spanning_tree(mesh), np.arange(E)
+            else:
+                tree = spanning_tree(mesh, rng=np.random.default_rng(seed))
+                order = np.random.default_rng(seed).permutation(E)
+            assert tree == kruskal_tree(mesh, order)
+            g, residual = solve_potential(mesh, omega, tree=tree)
+            g_ref, residual_ref = integrate_along_tree(mesh, omega, tree)
+            assert np.array_equal(g, g_ref)
+            assert residual == residual_ref
+
     def test_recovers_potential_of_exact_form(self, flat4):
         rng = np.random.default_rng(22)
         f = rng.normal(size=flat4.vertex_count)
@@ -234,10 +299,7 @@ class TestBetti:
         assert betti1(two_icospheres(ico1, pinched=True)) == 0
 
     def test_disk_with_a_dangling_graph_edge(self):
-        disk = generate_primitive("flat_rect", nx=3)
-        lengths = edge_length_map(disk)
-        lengths[(disk.vertex_count - 1, disk.vertex_count)] = 0.25
-        assert betti1(build_mesh(disk.triangles, lengths)) == 0
+        assert betti1(disk_with_dangling_edge()) == 0
 
 
 class TestConversions:
@@ -246,6 +308,15 @@ class TestConversions:
         f = rng.normal(size=flat4.vertex_count)
         omega = oneform_to_edgeform(flat4, gradient(flat4, f))
         assert np.abs(omega - d0(flat4, f)).max() <= 1e-12
+
+    def test_edge_in_no_face_gets_zero(self):
+        mesh = disk_with_dangling_edge()
+        disk = generate_primitive("flat_rect", nx=3)
+        rng = np.random.default_rng(31)
+        f = rng.normal(size=(len(mesh.triangles), 2))
+        omega = oneform_to_edgeform(mesh, f)
+        assert omega[-1] == 0.0
+        assert np.array_equal(omega[:-1], oneform_to_edgeform(disk, f))
 
     def test_roundtrip_on_exact_forms(self, flat4):
         rng = np.random.default_rng(29)

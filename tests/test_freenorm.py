@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from freeflow import netsimplex, ssp
 from freeflow.errors import MeshError, TooManyAtoms
@@ -19,7 +22,7 @@ from freeflow.freenorm import (
     transport_oracle,
 )
 from freeflow.io import molecule_from_dict
-from freeflow.mesh import geodesic_distances
+from freeflow.mesh import build_mesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
 from conftest import random_molecule
@@ -117,6 +120,36 @@ class TestDualLP:
             assert slopes.max() <= 1.0 + 1e-9
             objective = sum(c * f[x] for x, c in mu.atoms)
             assert objective == pytest.approx(value, abs=1e-12)
+
+
+class TestRouteAgreement:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_perturbed_lengths(self, flat4, ico1, data):
+        """Dual, graph primal and oracle agree, at the acceptance
+        tolerances, on random edge-length perturbations of up to 5%."""
+        base = data.draw(st.sampled_from([flat4, ico1]))
+        factors = data.draw(
+            arrays(float, len(base.edges), elements=st.floats(0.95, 1.05))
+        )
+        mesh = build_mesh(
+            base.triangles,
+            dict(zip(map(tuple, base.edges.tolist()), base.edge_lengths * factors)),
+        )
+        atom = st.tuples(
+            st.integers(0, mesh.vertex_count - 1),
+            st.floats(0.1, 3.0),
+            st.sampled_from([-1.0, 1.0]),
+        )
+        atoms = data.draw(st.lists(atom, min_size=1, max_size=8))
+        mu = Molecule(tuple((v, sign * c) for v, c, sign in atoms))
+
+        dual, f = dual_lp(mesh, mu)
+        graph, _ = beckmann_graph(mesh, mu)
+        assert graph - dual <= 1e-6 * max(1.0, abs(dual))
+        assert abs(dual - transport_oracle(mesh, mu)) <= 1e-9
+        u, v = mesh.edges[:, 0], mesh.edges[:, 1]
+        assert (np.abs(f[v] - f[u]) / mesh.edge_lengths).max() <= 1.0 + 1e-9
 
 
 class TestTransportOracle:

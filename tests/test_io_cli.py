@@ -216,8 +216,7 @@ class TestCli:
 
 
 class TestBatch:
-    def test_threaded_batch_preserves_row_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FREEFLOW_THREADS", "3")
+    def test_batch_preserves_row_order(self, tmp_path):
         mesh_path = tmp_path / "m.json"
         main(["gen-mesh", "--kind", "flat_rect", "--nx", "3", "--out",
               str(mesh_path)])

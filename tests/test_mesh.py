@@ -114,6 +114,14 @@ class TestBuildMesh:
                 assert m.face_edges[f].tolist() == ids
                 assert m.face_signs[f].tolist() == signs
 
+    def test_edge_ids_of_int32_vertex_ids(self):
+        # scipy.sparse.csgraph returns int32 vertex ids; the edge key
+        # lo * V + hi leaves the int32 range once V > 46341
+        m = generate_primitive("interval_graph", n=50000)
+        tails = np.array([0, 49998, 49999], dtype=np.int32)
+        heads = np.array([1, 49999, 49998], dtype=np.int32)
+        assert m.edge_ids(tails, heads).tolist() == [0, 49998, 49998]
+
     @pytest.mark.parametrize(
         "fixture, primitive_hash, scrambled_hash",
         [

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError
+
+# float64 entries per row block of the pairwise Lipschitz ratio (2 MB each)
+_PAIRWISE_BLOCK_ELEMENTS = 1 << 18
 
 
 def _as_scalar(mesh, f):
@@ -74,11 +78,12 @@ def divergence_matrix(mesh):
 
     Row v holds -area_T * (gradient of hat_v on T) over incident faces, so
     that ``divergence_matrix(mesh) @ g.ravel()`` is the negative-adjoint
-    divergence of g.
+    divergence of g. Built once per mesh (``TriMesh.div_matrix``).
     """
-    cached = getattr(mesh, "_div_matrix", None)
-    if cached is not None:
-        return cached
+    return mesh.div_matrix
+
+
+def _assemble_divergence_matrix(mesh):
     if mesh.dimension == 2:
         geom = mesh.face_geometry()
         F = len(mesh.triangles)
@@ -88,20 +93,15 @@ def divergence_matrix(mesh):
             + np.arange(2)[None, None, :]
         ).ravel()
         vals = (-geom.areas[:, None, None] * geom.hat_gradients).ravel()
-        mat = coo_matrix(
+        return coo_matrix(
             (vals, (rows, cols)), shape=(mesh.vertex_count, 2 * F)
         ).tocsr()
-    else:
-        u, v = mesh.edges[:, 0], mesh.edges[:, 1]
-        E = len(mesh.edges)
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([np.arange(E), np.arange(E)])
-        vals = np.concatenate([np.ones(E), -np.ones(E)])
-        mat = coo_matrix(
-            (vals, (rows, cols)), shape=(mesh.vertex_count, E)
-        ).tocsr()
-    mesh._div_matrix = mat
-    return mat
+    u, v = mesh.edges[:, 0], mesh.edges[:, 1]
+    E = len(mesh.edges)
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([np.arange(E), np.arange(E)])
+    vals = np.concatenate([np.ones(E), -np.ones(E)])
+    return coo_matrix((vals, (rows, cols)), shape=(mesh.vertex_count, E)).tocsr()
 
 
 def divergence(mesh, g):
@@ -116,11 +116,12 @@ def divergence_normal_solver(mesh):
     A is the divergence matrix; its normal matrix is singular exactly on
     constants, so pinning one vertex makes the reduced system definite.
     Valid for right-hand sides summing to zero (the range of A). The
-    factorization is cached on the mesh.
+    factorization is built once per mesh (``TriMesh.normal_solver``).
     """
-    cached = getattr(mesh, "_normal_solver", None)
-    if cached is not None:
-        return cached
+    return mesh.normal_solver
+
+
+def _factor_normal_matrix(mesh):
     A = divergence_matrix(mesh)
     mask = np.ones(mesh.vertex_count, dtype=bool)
     mask[mesh.base_vertex] = False
@@ -131,7 +132,6 @@ def divergence_normal_solver(mesh):
         y[mask] = lu.solve(np.asarray(r, dtype=float)[mask])
         return y
 
-    mesh._normal_solver = solve
     return solve
 
 
@@ -179,11 +179,18 @@ def lip_constant(mesh, f, mode="edgewise"):
         u, v = mesh.edges[:, 0], mesh.edges[:, 1]
         return float(np.max(np.abs(f[v] - f[u]) / mesh.edge_lengths))
     if mode == "pairwise_geodesic":
-        d = mesh.all_pairs_distances()
-        diff = np.abs(f[:, None] - f[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, diff / d, 0.0)
-        return float(np.max(ratio))
+        # row blocks of the distance matrix, so memory stays bounded in V
+        graph, V = mesh.adjacency(), mesh.vertex_count
+        rows = max(1, _PAIRWISE_BLOCK_ELEMENTS // V)
+        best = 0.0
+        for start in range(0, V, rows):
+            block = np.arange(start, min(start + rows, V))
+            d = dijkstra(graph, directed=False, indices=block)
+            diff = np.abs(f[block, None] - f[None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(d > 0, diff / d, 0.0)
+            best = max(best, float(np.max(ratio)))
+        return best
     raise ValueError(f"unknown mode {mode!r}")
 
 

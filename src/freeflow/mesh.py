@@ -10,11 +10,13 @@ meshes are metric graphs (no triangles).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from . import calculus
 from .errors import (
     DegenerateFace,
     Disconnected,
@@ -323,6 +325,17 @@ class TriMesh:
                 arr.setflags(write=False)
             self._geom = _FaceGeometry(layout, areas, grads, metrics)
         return self._geom
+
+    @cached_property
+    def div_matrix(self):
+        """Sparse divergence matrix; see ``calculus.divergence_matrix``."""
+        return calculus._assemble_divergence_matrix(self)
+
+    @cached_property
+    def normal_solver(self):
+        """Factorized normal-matrix solve; see
+        ``calculus.divergence_normal_solver``."""
+        return calculus._factor_normal_matrix(self)
 
     def all_pairs_distances(self):
         """Dense (V, V) matrix of graph geodesic distances, cached."""

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from freeflow import calculus
 from freeflow.calculus import (
     divergence,
+    divergence_matrix,
+    divergence_normal_solver,
     dist_pairing,
     gradient,
     l1_norm,
@@ -115,6 +118,10 @@ class TestDivergence:
         rhs = 0.5 * divergence(flat4, g1) + 2.0 * divergence(flat4, g2)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
+    def test_operators_are_built_once_per_mesh(self, flat6):
+        assert divergence_matrix(flat6) is divergence_matrix(flat6)
+        assert divergence_normal_solver(flat6) is divergence_normal_solver(flat6)
+
 
 class TestPairingAndNorms:
     def test_zero_one_form_pairs_to_zero(self, flat4):
@@ -206,6 +213,18 @@ class TestLipschitzConstant:
                 edge = lip_constant(mesh, f, "edgewise")
                 pair = lip_constant(mesh, f, "pairwise_geodesic")
                 assert abs(edge - pair) <= 1e-12 * max(1.0, edge)
+
+    def test_pairwise_row_blocks_match_the_dense_ratio(self, ico1, monkeypatch):
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=ico1.vertex_count)
+        d = ico1.all_pairs_distances()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dense = np.where(d > 0, np.abs(f[:, None] - f[None, :]) / d, 0.0)
+        # five rows per block, so the last of the nine blocks is short
+        monkeypatch.setattr(
+            calculus, "_PAIRWISE_BLOCK_ELEMENTS", 5 * ico1.vertex_count
+        )
+        assert lip_constant(ico1, f, "pairwise_geodesic") == float(dense.max())
 
     def test_gradient_bounded_by_comparability_constant(self, flat4, ico1):
         rng = np.random.default_rng(12)

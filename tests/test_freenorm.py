@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -229,6 +230,78 @@ class TestBeckmannGraph:
             b = molecule_vector(torus8, mu)
             assert np.abs(incidence_apply(torus8, flow) - b).max() <= 1e-9
 
+    @pytest.mark.parametrize(
+        "fixture, pins",
+        [
+            (
+                "flat4",
+                (
+                    "92716c12dd4d4c8503765b3e98365d77db828a403fef358b34dc0551056b5fd1",
+                    "ec747b3fe2c61a915f3303462ff49b84d10cb576ef8578458e4bc5eaa8f7e273",
+                    "c58a2bcf7174f761d946d12ad987ea185d7e5702139f6863e5d1aff87796c768",
+                ),
+            ),
+            (
+                "ico1",
+                (
+                    "46ddd622777d873158a04d2a6b47a1ef38b97a882a4f145cd3748b40022072de",
+                    "fe6799ba2499a644e4cb5c25260bab7e56900de3ea7b3577639a62d4781ecd26",
+                    "b19e9dd1bd04f57ca14e5d4558665ba947b821bcb2fc76b787166da42f7c4a15",
+                ),
+            ),
+            (
+                "annulus",
+                (
+                    "419cc2f528d6cbcb9488c609b7dccc1f6d20b97001e99387f7f0216033f0b34d",
+                    "0b2355c32c5f52bf343dc0d2ffaa6a9b0951f9ee9a47fc8d4d5f8c93abdcd08c",
+                    "18c62e0d1c606ec972a3ea0d862d51f31e0414f69135d19364d4f585da631525",
+                ),
+            ),
+            (
+                "torus",
+                (
+                    "1dd68d9361fa2fa894c5b7e429b24ecc9c6bf859f38c8d4844af1cf810d22c7f",
+                    "070c029317cca1f40ba371013cc2727ae77db13443bbf7a40f4eafc02644e3d2",
+                    "a76e02782ccc68cf44c0b7921b30e6781c68cf115d65483950723772d1b72963",
+                ),
+            ),
+            (
+                "poincare",
+                (
+                    "f3a1f01f631991032cfc5a9a63e042f49ee5f79e525b1aeb3b707e6152a588d9",
+                    "3b36d4021b0984300f0ddd9d3d6e825ba028e36e1420b6d14fd3635aa65664a2",
+                    "4bea4332275ba5a1779c3629c778dfbebc4a2a899d943018b0439301fa5d9c87",
+                ),
+            ),
+            (
+                "circle32",
+                (
+                    "c6c89e619249bec70d3e62dc7de41fadd6766d24562bbce9ad8bbed4133d5afc",
+                    "17eeedd6efd8caf0b1c66ec5e2f27565939bcb5ced45292587c4503767075150",
+                    "55e0c9d8d128353401abcbe79978ca9d5cf8b40b7d12111230c3072bd1c3cbc1",
+                ),
+            ),
+            (
+                "interval10",
+                (
+                    "d67d344e3ac3d2e528692de1305941f785a53460d2146bb9141513e4dbe8ac19",
+                    "5d3d203c30936576f4c54ad400a848a22757a17bf835a982c24f4923ebd092c7",
+                    "ce01575cd3ee2e553cd20556d084b27814bc45a9ebb71f70dfa3101cd732e4a8",
+                ),
+            ),
+        ],
+    )
+    def test_flows_and_values_are_pinned(self, request, fixture, pins):
+        # sha256 of the flow bytes and the value's repr, so any change to
+        # the pivot sequence or to the potentials' rounding shows
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(41)
+        for pin in pins:
+            mu = random_molecule(mesh, rng, max_atoms=min(12, mesh.vertex_count - 1))
+            value, flow = beckmann_graph(mesh, mu)
+            payload = flow.tobytes() + repr(value).encode()
+            assert hashlib.sha256(payload).hexdigest() == pin
+
     def test_weak_duality_always(self, annulus):
         rng = np.random.default_rng(35)
         for _ in range(10):
@@ -295,6 +368,21 @@ class TestSolverRobustness:
         dual, _ = dual_lp(mesh, mu)
         graph, _ = beckmann_graph(mesh, mu)
         assert abs(dual - graph) <= 1e-9 * max(1.0, abs(dual))
+
+    def test_graph_primal_runtime_budget_on_four_thousand_vertices(self):
+        mesh = generate_primitive("flat_rect", nx=64)
+        assert mesh.vertex_count == 4225
+        rng = np.random.default_rng(52)
+        verts = rng.choice(np.arange(1, mesh.vertex_count), size=50, replace=False)
+        mu = canonicalize(
+            Molecule(tuple((int(v), c) for v, c in zip(verts, rng.uniform(-3, 3, 50)))),
+            mesh.base_vertex,
+        )
+        start = time.monotonic()
+        graph, _ = beckmann_graph(mesh, mu)
+        assert time.monotonic() - start < 10.0
+        dual, _ = dual_lp(mesh, mu)
+        assert abs(dual - graph) <= 1e-6 * max(1.0, abs(dual))
 
     def test_torus_dipole_field_matches_wraparound_euclid(self):
         # diagonal dipole: graph, field, and flat-torus distance coincide

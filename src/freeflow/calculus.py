@@ -3,22 +3,26 @@
 Field carriers are plain numpy arrays:
 
 * ScalarField -- shape (V,), one value per vertex (piecewise affine).
-* VectorField / OneForm -- shape (F, 2) in the per-face orthonormal frame
-  coordinates for surfaces, shape (E,) per canonical oriented edge for
-  metric graphs. Frame coordinates make the pointwise Euclidean norm the
-  Riemannian norm, and index raising the identity.
+* VectorField / OneForm -- shape ``TriMesh.field_shape``: (F, 2) in the
+  per-face orthonormal frame coordinates for surfaces, (E,) per canonical
+  oriented edge for metric graphs; each face or edge is one cell, of
+  measure ``TriMesh.cell_weights``. Frame coordinates make the pointwise
+  Euclidean norm the Riemannian norm, and index raising the identity.
 * ScalarDistribution -- shape (V,), coefficients of vertex deltas tested
   against the hat basis.
 
-The divergence is defined as the negative adjoint of the gradient under
-the area-weighted pairing, so the discrete integration-by-parts identity
+One sparse matrix A per mesh gives both operators: the divergence is
+``A @ g``, and the gradient ``-(A^T f)`` divided by the cell weights is
+its negative adjoint under the cell-weighted pairing, so the identity
 
     pairing(gradient(f), g) + sum_v f[v] * divergence(g)[v] == 0
 
-holds exactly (up to roundoff) for every scalar field f.
+holds by construction (up to roundoff) for every scalar field f.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -43,42 +47,32 @@ def _as_scalar(mesh, f):
 
 
 def _as_field(mesh, g):
+    """The checked field as one row per cell (face or edge)."""
     g = np.asarray(g, dtype=float)
-    expected = (
-        (len(mesh.triangles), 2) if mesh.dimension == 2 else (len(mesh.edges),)
-    )
-    if g.shape != expected:
-        raise MeshError(f"field has shape {g.shape}, expected {expected}")
+    if g.shape != mesh.field_shape:
+        raise MeshError(f"field has shape {g.shape}, expected {mesh.field_shape}")
     if not np.all(np.isfinite(g)):
         raise MeshError("field has non-finite entries")
-    return g
-
-
-def zero_field(mesh):
-    if mesh.dimension == 2:
-        return np.zeros((len(mesh.triangles), 2))
-    return np.zeros(len(mesh.edges))
+    return g.reshape(len(mesh.cell_weights), -1)
 
 
 def gradient(mesh, f):
-    """Per-face differential of the affine interpolant of ``f``.
-
-    For graphs, the per-edge slope along the canonical orientation.
-    """
+    """Per-face differential of the affine interpolant of ``f``; for
+    graphs, the per-edge slope along the canonical orientation. Both are
+    -(A^T f) divided by the cell weights: the negative weighted adjoint of
+    the divergence."""
     f = _as_scalar(mesh, f)
-    if mesh.dimension == 2:
-        geom = mesh.face_geometry()
-        return np.einsum("fi,fij->fj", f[mesh.triangles], geom.hat_gradients)
-    u, v = mesh.edges[:, 0], mesh.edges[:, 1]
-    return (f[v] - f[u]) / mesh.edge_lengths
+    rows = -(divergence_matrix(mesh).T @ f).reshape(len(mesh.cell_weights), -1)
+    return (rows / mesh.cell_weights[:, None]).reshape(mesh.field_shape)
 
 
 def divergence_matrix(mesh):
     """Sparse map from field coordinates to the divergence distribution.
 
-    Row v holds -area_T * (gradient of hat_v on T) over incident faces, so
-    that ``divergence_matrix(mesh) @ g.ravel()`` is the negative-adjoint
-    divergence of g. Built once per mesh (``TriMesh.div_matrix``).
+    Row v holds -area_T * (gradient of hat_v on T) over incident faces on
+    surfaces, +1 / -1 at the tail / head of each incident edge on graphs.
+    Built once per mesh (``TriMesh.div_matrix``); its assembly is the only
+    calculus code that knows the per-dimension geometry.
     """
     return mesh.div_matrix
 
@@ -88,26 +82,20 @@ def _assemble_divergence_matrix(mesh):
         geom = mesh.face_geometry()
         F = len(mesh.triangles)
         rows = np.repeat(mesh.triangles.ravel(), 2)
-        cols = (
-            np.repeat(np.arange(F), 6).reshape(F, 3, 2) * 2
-            + np.arange(2)[None, None, :]
-        ).ravel()
+        cols = np.tile(np.arange(2 * F).reshape(F, 1, 2), (1, 3, 1)).ravel()
         vals = (-geom.areas[:, None, None] * geom.hat_gradients).ravel()
-        return coo_matrix(
-            (vals, (rows, cols)), shape=(mesh.vertex_count, 2 * F)
-        ).tocsr()
-    u, v = mesh.edges[:, 0], mesh.edges[:, 1]
-    E = len(mesh.edges)
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([np.arange(E), np.arange(E)])
-    vals = np.concatenate([np.ones(E), -np.ones(E)])
-    return coo_matrix((vals, (rows, cols)), shape=(mesh.vertex_count, E)).tocsr()
+    else:
+        E = len(mesh.edges)
+        rows = mesh.edges.T.ravel()
+        cols = np.tile(np.arange(E), 2)
+        vals = np.repeat([1.0, -1.0], E)
+    shape = (mesh.vertex_count, math.prod(mesh.field_shape))
+    return coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def divergence(mesh, g):
     """Distributional divergence of a field: the negative gradient adjoint."""
-    g = _as_field(mesh, g)
-    return divergence_matrix(mesh) @ g.ravel()
+    return divergence_matrix(mesh) @ _as_field(mesh, g).ravel()
 
 
 def divergence_normal_solver(mesh):
@@ -135,14 +123,23 @@ def _factor_normal_matrix(mesh):
     return solve
 
 
+def divergence_projection(mesh, b=0.0):
+    """Orthogonal projection of flat field coordinates onto {g : A g = b}:
+    ``g - A^T y`` with (A A^T) y = A g - b. ``b`` must sum to zero (the
+    range of A); it defaults to zero, the kernel of the divergence."""
+    A = divergence_matrix(mesh)
+    solve = divergence_normal_solver(mesh)
+
+    def project(g):
+        return g - A.T @ solve(A @ g - b)
+
+    return project
+
+
 def pairing(mesh, f, g):
     """Volume-weighted dual pairing of a one-form against a vector field."""
-    f = _as_field(mesh, f)
-    g = _as_field(mesh, g)
-    if mesh.dimension == 2:
-        areas = mesh.face_geometry().areas
-        return float(np.sum(areas * np.sum(f * g, axis=1)))
-    return float(np.sum(mesh.edge_lengths * f * g))
+    f, g = _as_field(mesh, f), _as_field(mesh, g)
+    return float(np.sum(mesh.cell_weights * np.sum(f * g, axis=1)))
 
 
 def dist_pairing(mesh, f, dist):
@@ -153,18 +150,11 @@ def dist_pairing(mesh, f, dist):
 
 
 def l1_norm(mesh, g):
-    g = _as_field(mesh, g)
-    if mesh.dimension == 2:
-        areas = mesh.face_geometry().areas
-        return float(np.sum(areas * np.linalg.norm(g, axis=1)))
-    return float(np.sum(mesh.edge_lengths * np.abs(g)))
+    return float(np.sum(mesh.cell_weights * np.linalg.norm(_as_field(mesh, g), axis=1)))
 
 
 def linf_norm(mesh, f):
-    f = _as_field(mesh, f)
-    if mesh.dimension == 2:
-        return float(np.max(np.linalg.norm(f, axis=1)))
-    return float(np.max(np.abs(f)))
+    return float(np.max(np.linalg.norm(_as_field(mesh, f), axis=1)))
 
 
 def lip_constant(mesh, f, mode="edgewise"):
@@ -180,7 +170,7 @@ def lip_constant(mesh, f, mode="edgewise"):
         return float(np.max(np.abs(f[v] - f[u]) / mesh.edge_lengths))
     if mode == "pairwise_geodesic":
         # row blocks of the distance matrix, so memory stays bounded in V
-        graph, V = mesh.adjacency(), mesh.vertex_count
+        graph, V = mesh.adjacency, mesh.vertex_count
         rows = max(1, _PAIRWISE_BLOCK_ELEMENTS // V)
         best = 0.0
         for start in range(0, V, rows):

@@ -108,7 +108,6 @@ def _build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--field-max-iter", type=int, default=5000)
     p.add_argument("--field-tol", type=float, default=1e-6)
-    p.add_argument("--field-step", type=float, default=1.0)
     p.set_defaults(func=cmd_free_norm)
 
     p = sub.add_parser("experiment", help="run a scripted experiment")
@@ -206,13 +205,11 @@ def cmd_check_currents(args):
 
 
 def cmd_free_norm(args):
-    if args.field_tol <= 0 or args.field_step <= 0 or args.field_max_iter <= 0:
+    if args.field_tol <= 0 or args.field_max_iter <= 0:
         raise ParseError("field solver parameters must be positive")
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
     molecule = ffio.molecule_from_dict(ffio.read_json(args.molecule))
-    params = FieldSolveParams(
-        max_iter=args.field_max_iter, step=args.field_step, tol=args.field_tol
-    )
+    params = FieldSolveParams(max_iter=args.field_max_iter, tol=args.field_tol)
     report = free_norm(mesh, molecule, method=args.method, field_params=params)
     payload = report.to_dict()
     payload["method"] = args.method
@@ -260,10 +257,13 @@ def run_experiment(kind, config):
             nx=int(config.get("nx", 160)),
             ny=int(config.get("ny", 8)),
         )
+        ks = config.get("ks", [1, 2, 4, 8])
+        if not ks:
+            raise ParseError("cutoff config has no scales in 'ks'")
         dist = geodesic_distances(mesh, mesh.base_vertex).dist
         decay = float(config.get("decay", 4.0))
         g = divergence_free_field(mesh, potential=np.exp(-dist / decay))
-        return cutoff_decay(mesh, g, dist, ks=config.get("ks", [1, 2, 4, 8]))
+        return cutoff_decay(mesh, g, dist, ks=ks)
     if kind == "extension":
         mesh = generate_primitive("flat_rect", nx=int(config.get("nx", 20)))
         center = np.asarray(config.get("center", [0.5, 0.5]), dtype=float)
@@ -298,6 +298,9 @@ def run_experiment(kind, config):
         report.passed = report.passed and all(per_row)
         return report
     if kind == "refine":
+        missing = [k for k in ("primitive", "levels", "atoms") if not config.get(k)]
+        if missing:
+            raise ParseError(f"refine config lacks or leaves empty {missing}")
         params = None
         if "field_max_iter" in config or "field_tol" in config:
             params = FieldSolveParams(

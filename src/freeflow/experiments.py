@@ -17,7 +17,7 @@ import numpy as np
 from .calculus import (
     divergence,
     divergence_matrix,
-    divergence_normal_solver,
+    divergence_projection,
     gradient,
     l1_norm,
     lip_constant,
@@ -102,11 +102,8 @@ def divergence_free_field(mesh, potential=None, rng=None):
 
 def project_divergence_free(mesh, g):
     """Orthogonal projection of a field onto ker(divergence)."""
-    A = divergence_matrix(mesh)
     g = np.asarray(g, dtype=float).ravel()
-    solve = divergence_normal_solver(mesh)
-    y = solve(A @ g)
-    return (g - A.T @ y).reshape(-1, 2)
+    return divergence_projection(mesh)(g).reshape(mesh.field_shape)
 
 
 def cutoff_decay(mesh, g, f, ks, spec_center=None):

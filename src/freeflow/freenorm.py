@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import divergence_matrix, divergence_normal_solver, l1_norm
+from .calculus import divergence_matrix, divergence_projection, l1_norm
 from .errors import MeshError, NotConverged, TooManyAtoms
 from .transport import solve_transportation
 
@@ -132,7 +132,7 @@ def transport_oracle(mesh, molecule):
     if not sources:
         return 0.0
     dist = dijkstra(
-        mesh.adjacency(), directed=False, indices=[v for v, _ in sources]
+        mesh.adjacency, directed=False, indices=[v for v, _ in sources]
     )
     cost = dist[:, [v for v, _ in sinks]].tolist()
     value = solve_transportation(
@@ -144,7 +144,6 @@ def transport_oracle(mesh, molecule):
 @dataclass
 class FieldSolveParams:
     max_iter: int = 5000
-    step: float = 1.0  # initial splitting penalty, adapted while running
     tol: float = 1e-6  # divergence feasibility tolerance
 
 
@@ -163,17 +162,13 @@ def beckmann_field(mesh, molecule, params=None):
     b = molecule_vector(mesh, molecule)
 
     A = divergence_matrix(mesh)
-    solve_normal = divergence_normal_solver(mesh)
-    areas = mesh.face_geometry().areas
-    F = len(mesh.triangles)
+    project_onto_constraint = divergence_projection(mesh, b)
+    weights = mesh.cell_weights
+    shape = mesh.field_shape
 
-    # projection onto {A g = b}: g = w - A^T y with the base row pinned
-    def project_onto_constraint(w):
-        return w - A.T @ solve_normal((A @ w) - b)
-
-    rho = float(params.step)
-    z = np.zeros(2 * F)
-    u = np.zeros(2 * F)
+    rho = 1.0  # initial splitting penalty, adapted by residual balancing
+    z = np.zeros(A.shape[1])
+    u = np.zeros(A.shape[1])
     best_value = np.inf
     best_g = None
     best_div = np.inf
@@ -183,17 +178,17 @@ def beckmann_field(mesh, molecule, params=None):
     for it in range(1, params.max_iter + 1):
         iterations = it
         g = project_onto_constraint(z - u)
-        w = (g + u).reshape(F, 2)
+        w = (g + u).reshape(shape)
         norms = np.linalg.norm(w, axis=1)
-        shrink = np.maximum(1.0 - (areas / rho) / np.maximum(norms, 1e-300), 0.0)
+        shrink = np.maximum(1.0 - (weights / rho) / np.maximum(norms, 1e-300), 0.0)
         z_new = (w * shrink[:, None]).ravel()
         u += g - z_new
 
-        value = l1_norm(mesh, g.reshape(F, 2))
+        value = l1_norm(mesh, g.reshape(shape))
         div_res = float(np.max(np.abs(A @ g - b)))
         if div_res <= params.tol and value < best_value:
             best_value = value
-            best_g = g.reshape(F, 2).copy()
+            best_g = g.reshape(shape).copy()
             best_div = div_res
 
         split = float(np.max(np.abs(g - z_new)))

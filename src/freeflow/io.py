@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -29,11 +30,20 @@ def mesh_to_dict(mesh):
     }
 
 
+def _vertex(x):
+    """A vertex id given as a JSON integer; floats and booleans are not ids."""
+    if type(x) is not int:
+        raise ParseError(f"vertex id {x!r} is not an integer")
+    return x
+
+
 def mesh_from_dict(data):
     try:
         triangles = data.get("triangles", [])
-        edges = {(int(u), int(v)): float(l) for u, v, l in data["edges"]}
-        base = int(data.get("base_vertex", 0))
+        if set(map(type, chain.from_iterable(triangles))) - {int}:
+            raise ParseError("triangle vertex ids must be integers")
+        edges = {(_vertex(u), _vertex(v)): float(l) for u, v, l in data["edges"]}
+        base = _vertex(data.get("base_vertex", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad mesh JSON: {exc}") from exc
     mesh = TriMesh(triangles, edges, base_vertex=base)
@@ -93,7 +103,7 @@ def molecule_to_dict(molecule):
 
 def molecule_from_dict(data):
     try:
-        return Molecule(tuple((int(v), float(c)) for v, c in data["atoms"]))
+        return Molecule(tuple((_vertex(v), float(c)) for v, c in data["atoms"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad molecule JSON: {exc}") from exc
 
@@ -105,10 +115,12 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """Load a JSON input file; every input schema is a JSON object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            data = json.load(fh)
+    except (json.JSONDecodeError, OSError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object, found {type(data).__name__}")
+    return data

@@ -163,9 +163,6 @@ class TriMesh:
 
         self.dimension = 2 if len(triangles) else 1
         self.aux = {}  # construction metadata from generators, not serialized
-        self._geom = None
-        self._adjacency = None
-        self._all_dist = None
 
         self._check_triangle_inequalities(triangles, face_edges)
         (
@@ -255,25 +252,21 @@ class TriMesh:
         return triangles, face_edges, signs, components
 
     def _check_connected(self):
-        n, _ = connected_components(self.adjacency(), directed=False)
+        n, _ = connected_components(self.adjacency, directed=False)
         if n != 1:
             raise Disconnected(f"edge graph has {n} components")
 
     # -- derived geometry -------------------------------------------------
 
+    @cached_property
     def adjacency(self):
         """Symmetric sparse matrix of edge lengths."""
-        if self._adjacency is None:
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            w = self.edge_lengths
-            self._adjacency = csr_matrix(
-                (
-                    np.concatenate([w, w]),
-                    (np.concatenate([u, v]), np.concatenate([v, u])),
-                ),
-                shape=(self.vertex_count, self.vertex_count),
-            )
-        return self._adjacency
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        w = self.edge_lengths
+        return csr_matrix(
+            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(self.vertex_count, self.vertex_count),
+        )
 
     def face_geometry(self):
         """Planar layouts, areas, hat gradients and chart metrics per face.
@@ -285,46 +278,59 @@ class TriMesh:
         """
         if self.dimension != 2:
             raise MeshError("face geometry requires a dimension-2 mesh")
-        if self._geom is None:
-            F = len(self.triangles)
-            l01, l12, l02 = self.edge_lengths[self.face_edges].T
+        return self._face_geometry
 
-            x = (l01**2 + l02**2 - l12**2) / (2.0 * l01)
-            y = np.sqrt(np.maximum(l02**2 - x**2, 0.0))
+    @cached_property
+    def _face_geometry(self):
+        F = len(self.triangles)
+        l01, l12, l02 = self.edge_lengths[self.face_edges].T
 
-            dots = (l01**2 + l02**2 - l12**2) / 2.0
-            metrics = np.empty((F, 2, 2))
-            metrics[:, 0, 0] = l01**2
-            metrics[:, 0, 1] = metrics[:, 1, 0] = dots
-            metrics[:, 1, 1] = l02**2
-            conds = _sym2x2_cond(metrics)
-            bad = np.flatnonzero(conds > _COND_LIMIT)
-            if len(bad):
-                f = int(bad[0])
-                raise DegenerateFace(f, float(conds[f]))
+        x = (l01**2 + l02**2 - l12**2) / (2.0 * l01)
+        y = np.sqrt(np.maximum(l02**2 - x**2, 0.0))
 
-            layout = np.zeros((F, 3, 2))
-            layout[:, 1, 0] = l01
-            layout[:, 2, 0] = x
-            layout[:, 2, 1] = y
+        dots = (l01**2 + l02**2 - l12**2) / 2.0
+        metrics = np.empty((F, 2, 2))
+        metrics[:, 0, 0] = l01**2
+        metrics[:, 0, 1] = metrics[:, 1, 0] = dots
+        metrics[:, 1, 1] = l02**2
+        conds = _sym2x2_cond(metrics)
+        bad = np.flatnonzero(conds > _COND_LIMIT)
+        if len(bad):
+            f = int(bad[0])
+            raise DegenerateFace(f, float(conds[f]))
 
-            # Heron, guarded by the validated strict triangle inequality
-            s = (l01 + l02 + l12) / 2.0
-            areas = np.sqrt(s * (s - l01) * (s - l02) * (s - l12))
+        layout = np.zeros((F, 3, 2))
+        layout[:, 1, 0] = l01
+        layout[:, 2, 0] = x
+        layout[:, 2, 1] = y
 
-            grads = np.empty((F, 3, 2))
-            for i in (1, 2):
-                opp = layout[:, (i + 2) % 3, :] - layout[:, (i + 1) % 3, :]
-                grads[:, i, 0] = -opp[:, 1]
-                grads[:, i, 1] = opp[:, 0]
-            grads[:, 1:] /= (2.0 * areas)[:, None, None]
-            # hats sum to one, so their gradients sum to zero exactly
-            grads[:, 0] = -(grads[:, 1] + grads[:, 2])
+        # Heron, guarded by the validated strict triangle inequality
+        s = (l01 + l02 + l12) / 2.0
+        areas = np.sqrt(s * (s - l01) * (s - l02) * (s - l12))
 
-            for arr in (layout, areas, grads, metrics):
-                arr.setflags(write=False)
-            self._geom = _FaceGeometry(layout, areas, grads, metrics)
-        return self._geom
+        grads = np.empty((F, 3, 2))
+        for i in (1, 2):
+            opp = layout[:, (i + 2) % 3, :] - layout[:, (i + 1) % 3, :]
+            grads[:, i, 0] = -opp[:, 1]
+            grads[:, i, 1] = opp[:, 0]
+        grads[:, 1:] /= (2.0 * areas)[:, None, None]
+        # hats sum to one, so their gradients sum to zero exactly
+        grads[:, 0] = -(grads[:, 1] + grads[:, 2])
+
+        for arr in (layout, areas, grads, metrics):
+            arr.setflags(write=False)
+        return _FaceGeometry(layout, areas, grads, metrics)
+
+    @cached_property
+    def field_shape(self):
+        """Shape of a vector field: (F, 2) frame coordinates per face on
+        surfaces, (E,) values per canonical oriented edge on graphs."""
+        return (len(self.triangles), 2) if self.dimension == 2 else (len(self.edges),)
+
+    @cached_property
+    def cell_weights(self):
+        """Measure of each field cell: face areas or edge lengths."""
+        return self.face_geometry().areas if self.dimension == 2 else self.edge_lengths
 
     @cached_property
     def div_matrix(self):
@@ -338,12 +344,8 @@ class TriMesh:
         return calculus._factor_normal_matrix(self)
 
     def all_pairs_distances(self):
-        """Dense (V, V) matrix of graph geodesic distances, cached."""
-        if self._all_dist is None:
-            d = dijkstra(self.adjacency(), directed=False)
-            d.setflags(write=False)
-            self._all_dist = d
-        return self._all_dist
+        """Dense (V, V) matrix of graph geodesic distances."""
+        return dijkstra(self.adjacency, directed=False)
 
     @property
     def boundary_vertices(self):
@@ -389,7 +391,7 @@ def geodesic_distances(mesh, source):
     """Shortest-path distances from ``source`` in the weighted edge graph."""
     if not 0 <= source < mesh.vertex_count:
         raise MeshError(f"source vertex {source} out of range")
-    dist = dijkstra(mesh.adjacency(), directed=False, indices=source)
+    dist = dijkstra(mesh.adjacency, directed=False, indices=source)
     dist.setflags(write=False)
     return GeodesicTable(source=int(source), dist=dist)
 

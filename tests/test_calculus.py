@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestDivergence:
         lhs = divergence(flat4, 0.5 * g1 + 2.0 * g2)
         rhs = 0.5 * divergence(flat4, g1) + 2.0 * divergence(flat4, g2)
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "fixture, pin",
+        [
+            ("flat4", "783971e0d2fd84047048d73cbad9a989fac41dcdab731f4311227bc913f38555"),
+            ("ico1", "f3af033bc78c29d9e7e87001bf9252cc0b2596615738f9af284e469627d24a01"),
+            ("annulus", "c7c2cbb1796389ceeac46772384e874dd001825c60eca8a68e9054b938fd1ef5"),
+            ("torus", "d41335232719a73d464b523c9b5260555821dfdaef1df74d124e946951401e2e"),
+            ("poincare", "f868a1163c22ef34653e6936495ccecd3c7e9e0f952f8ab3c00f2b6e2f64e338"),
+            ("circle32", "9c9edcbeec6b39041225c28103cfdb6c1f539fdce3ee9c065e7953a7c01f1403"),
+            ("interval10", "470f196d7d79e47b28ef25a25e9db8eecae464fac9609fe31b055702d29ce489"),
+        ],
+    )
+    def test_matrix_bytes_are_pinned(self, request, fixture, pin):
+        # sha256 of the CSR arrays, so any change to the assembly's
+        # entries, their order or their rounding shows
+        A = divergence_matrix(request.getfixturevalue(fixture))
+        payload = A.indptr.tobytes() + A.indices.tobytes() + A.data.tobytes()
+        assert hashlib.sha256(payload).hexdigest() == pin
 
     def test_operators_are_built_once_per_mesh(self, flat6):
         assert divergence_matrix(flat6) is divergence_matrix(flat6)

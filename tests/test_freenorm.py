@@ -49,7 +49,7 @@ def brute_force_norm(mesh, molecule):
     weights[mesh.base_vertex] = weights.get(mesh.base_vertex, 0.0) - total
     sources = [(v, c) for v, c in weights.items() if c > 1e-15]
     sinks = [(v, -c) for v, c in weights.items() if c < -1e-15]
-    d = mesh.all_pairs_distances()
+    d = {v: geodesic_distances(mesh, v).dist for v, _ in sources}
 
     def rec(srcs, snks):
         if not srcs or not snks:
@@ -57,7 +57,7 @@ def brute_force_norm(mesh, molecule):
         best = math.inf
         for i, (pv, pm) in enumerate(srcs):
             for j, (qv, qm) in enumerate(snks):
-                cost = d[pv, qv]
+                cost = d[pv][qv]
                 if pm <= qm + 1e-15:
                     rest_snks = [
                         (v, m) if k != j else (v, qm - pm)
@@ -419,6 +419,26 @@ class TestBeckmannField:
         # face flows may cut corners, never beat the straight line
         d_euclid = np.linalg.norm(flat4.aux["positions"][24])
         assert d_euclid - 1e-6 <= value <= graph_value + 1e-6
+
+    @pytest.mark.parametrize(
+        "fixture, pin",
+        [
+            ("flat4", "d1c64ec5396adb9f7cf400333e8c6664346f5697df0fdf5d1acbaffa3f30db26"),
+            ("ico1", "91b8ba7aafb81af4b4ea73f99f3ef59b1ed9908bda40338a6f747c1c6211b425"),
+            ("annulus", "631cc9f6a49024209df689abf716d8524cab544b77ca6046c0728eb8bb68b1f0"),
+            ("torus", "d571c866e58b0632cea8bcc84d42c430e6445dd562cee0b0781654e35e3b5b13"),
+            ("poincare", "ccd8b3d337571773f437d5c044516bd7661f61418ed6ce83f87414755414c70a"),
+        ],
+    )
+    def test_iterates_are_pinned(self, request, fixture, pin):
+        # sha256 of the field bytes, the value's repr and the iteration
+        # count after 200 iterations, so any change to the projection,
+        # the shrinkage or the penalty schedule shows
+        mesh = request.getfixturevalue(fixture)
+        mu = random_molecule(mesh, np.random.default_rng(47))
+        value, g, diag = beckmann_field(mesh, mu, FieldSolveParams(max_iter=200))
+        payload = g.tobytes() + repr(value).encode() + repr(diag["iterations"]).encode()
+        assert hashlib.sha256(payload).hexdigest() == pin
 
     def test_divergence_feasibility(self, flat4):
         mu = Molecule(((18, 1.5), (7, -0.5)))

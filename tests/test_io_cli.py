@@ -54,6 +54,32 @@ class TestJsonRoundTrips:
         with pytest.raises(ParseError):
             ffio.mesh_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "atoms", [[[3.7, 1.0]], [[True, -1.0]], [[3.0, 1.0]], [["3", 1.0]]]
+    )
+    def test_atom_vertex_must_be_an_integer(self, atoms):
+        # 3.7 used to become vertex 3 and true vertex 1
+        with pytest.raises(ParseError):
+            ffio.molecule_from_dict({"atoms": atoms})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"edges": [[0, 1.9, 1.0], [1, 2, 1.0], [0, 2, 1.0]]},
+            {"edges": [[False, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]},
+            {"triangles": [[0, 1, 2.5]]},
+            {"triangles": [[0, True, 2]]},
+            {"base_vertex": 1.0},
+            {"base_vertex": True},
+        ],
+    )
+    def test_mesh_vertex_ids_must_be_integers(self, change):
+        data = {"triangles": [[0, 1, 2]],
+                "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
+        ffio.mesh_from_dict(data)  # the unchanged mesh is valid
+        with pytest.raises(ParseError):
+            ffio.mesh_from_dict({**data, **change})
+
 
 class TestCli:
     def test_gen_and_validate(self, tmp_path, capsys):
@@ -202,6 +228,48 @@ class TestCli:
         code = main(["experiment", "cutoff", "--config", str(config),
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("cutoff", {"ks": []}),
+            ("refine", {"primitive": "flat_rect", "levels": [],
+                        "atoms": [[[0.5, 0.5], 1.0]]}),
+            ("refine", {"levels": [4], "atoms": [[[0.5, 0.5], 1.0]]}),
+            ("refine", {"primitive": "flat_rect", "atoms": [[[0.5, 0.5], 1.0]]}),
+            ("refine", {"primitive": "flat_rect", "levels": [4]}),
+        ],
+    )
+    def test_experiment_config_without_rows_rejected(self, tmp_path, capsys,
+                                                     kind, config):
+        # empty scales or levels used to pass with zero rows, and a missing
+        # refine key escaped as a KeyError traceback
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"kind": kind, **config}))
+        code = main(["experiment", kind, "--config", str(path)])
+        assert code == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("command", ["experiment", "batch", "calc", "check-currents"])
+    @pytest.mark.parametrize("document", [[1, 2], "text", 3, None])
+    def test_non_object_json_rejected(self, tmp_path, capsys, flat4, command,
+                                      document):
+        # each used to escape as an AttributeError traceback
+        mesh_path = tmp_path / "m.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        argv = {
+            "experiment": ["experiment", "cutoff", "--config", str(path)],
+            "batch": ["batch", str(path), "--out", str(tmp_path / "s.csv")],
+            "calc": ["calc", "norms", "--mesh", str(mesh_path), "--field", str(path)],
+            "check-currents": ["check-currents", "--mesh", str(mesh_path),
+                               "--form", str(path)],
+        }[command]
+        assert main(argv) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
 
     def test_experiment_csv_output(self, tmp_path):
         config = tmp_path / "exp.json"

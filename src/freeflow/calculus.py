@@ -128,10 +128,11 @@ def divergence_projection(mesh, b=0.0):
     ``g - A^T y`` with (A A^T) y = A g - b. ``b`` must sum to zero (the
     range of A); it defaults to zero, the kernel of the divergence."""
     A = divergence_matrix(mesh)
+    AT = A.T.tocsr()  # transposed once, not on every call
     solve = divergence_normal_solver(mesh)
 
     def project(g):
-        return g - A.T @ solve(A @ g - b)
+        return g - AT @ solve(A @ g - b)
 
     return project
 

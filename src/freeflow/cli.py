@@ -107,7 +107,14 @@ def _build_parser():
     p.add_argument("--method", default="all", choices=("dual", "graph", "field", "all"))
     p.add_argument("--out", default=None)
     p.add_argument("--field-max-iter", type=int, default=5000)
-    p.add_argument("--field-tol", type=float, default=1e-6)
+    p.add_argument(
+        "--field-tol",
+        type=float,
+        default=1e-6,
+        help="field solver tolerance: bounds the divergence residual of the "
+        "returned field and its certified gap upper - lower, relative to "
+        "max(1, upper)",
+    )
     p.set_defaults(func=cmd_free_norm)
 
     p = sub.add_parser("experiment", help="run a scripted experiment")
@@ -385,6 +392,8 @@ def _cached_mesh(path, cache):
 def cmd_batch(args):
     manifest = ffio.read_json(args.manifest)
     entries = manifest.get("entries", [])
+    if type(entries) is not list or any(type(e) is not dict for e in entries):
+        raise ParseError("batch manifest 'entries' must be a list of JSON objects")
     mesh_cache = {}
     results = []
     for index, entry in enumerate(entries):

@@ -45,7 +45,12 @@ class DegenerateFace(FreeflowError):
 
 
 class SolverFailure(FreeflowError):
-    """An exact solver failed to terminate with an optimal solution."""
+    """A solver failed to terminate with an optimal solution, or two
+    routes returned values that contradict each other."""
+
+    def __init__(self, message, diagnostics=None):
+        self.diagnostics = diagnostics or {}
+        super().__init__(message)
 
 
 class TooManyAtoms(FreeflowError):

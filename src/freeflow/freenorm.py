@@ -26,8 +26,8 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import divergence_matrix, divergence_projection, l1_norm
-from .errors import MeshError, NotConverged, TooManyAtoms
+from .calculus import divergence_matrix, divergence_projection
+from .errors import MeshError, NotConverged, SolverFailure, TooManyAtoms
 from .transport import solve_transportation
 
 
@@ -144,7 +144,32 @@ def transport_oracle(mesh, molecule):
 @dataclass
 class FieldSolveParams:
     max_iter: int = 5000
-    tol: float = 1e-6  # divergence feasibility tolerance
+    # bounds both the divergence residual of the returned field and the
+    # certified gap upper - lower, relative to max(1, upper)
+    tol: float = 1e-6
+
+
+_CERTIFY_EVERY = 25  # iterations between lower bounds from the multiplier
+
+
+def _row_norms(rows):
+    """``np.linalg.norm(rows, axis=1)`` for two-column rows, with the same
+    bits at a third of the cost."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _potential_lower_bound(mesh, b, flux):
+    """Weak-duality lower bound from the P1 potential fitted to ``flux``.
+
+    y solves (A A^T) y = A flux. For every field g with A g = b,
+    b.y = g.A^T y <= max_T(|(A^T y)_T| / w_T) * sum_T w_T |g_T|, and
+    |(A^T y)_T| / w_T is the slope of y on face T, so |b.y| over the
+    steepest slope bounds the optimum from below for either sign of y.
+    """
+    y = mesh.normal_solver(mesh.div_matrix @ flux)
+    rows = (mesh.div_matrix.T @ y).reshape(mesh.field_shape)
+    steepest = float(np.max(_row_norms(rows) / mesh.cell_weights))
+    return abs(float(b @ y)) / steepest if steepest > 0.0 else 0.0
 
 
 def beckmann_field(mesh, molecule, params=None):
@@ -152,8 +177,12 @@ def beckmann_field(mesh, molecule, params=None):
 
     Alternates an exact projection onto the divergence constraint with
     per-face vector shrinkage. Every iterate is feasible (the projection
-    is a direct sparse solve), so the running value bounds the optimum
-    from above; the best iterate is returned.
+    is a direct sparse solve), so the best value is an upper bound on the
+    optimum; the potential fitted to the splitting multiplier gives a
+    lower bound every few iterations. The solve stops once upper - lower
+    is at most ``params.tol * max(1, upper)``, or when the splitting has
+    converged, and returns the best iterate with the bracket in its
+    diagnostics.
     """
     if mesh.dimension != 2:
         raise MeshError("field solver requires a dimension-2 mesh")
@@ -166,35 +195,49 @@ def beckmann_field(mesh, molecule, params=None):
     weights = mesh.cell_weights
     shape = mesh.field_shape
 
-    rho = 1.0  # initial splitting penalty, adapted by residual balancing
     z = np.zeros(A.shape[1])
     u = np.zeros(A.shape[1])
     best_value = np.inf
     best_g = None
     best_div = np.inf
+    lower = 0.0
     split = np.inf
     iterations = 0
 
     for it in range(1, params.max_iter + 1):
         iterations = it
         g = project_onto_constraint(z - u)
+        norms = _row_norms(g.reshape(shape))
+        if it == 1:
+            # least-squares fit of the shrink threshold weights / rho to the
+            # first field, so rho scales as 1/c when the molecule does as c
+            square = float(norms @ norms)
+            rho = float(weights @ norms) / square if square > 0.0 else 1.0
         w = (g + u).reshape(shape)
-        norms = np.linalg.norm(w, axis=1)
-        shrink = np.maximum(1.0 - (weights / rho) / np.maximum(norms, 1e-300), 0.0)
+        shrink = np.maximum(1.0 - (weights / rho) / np.maximum(_row_norms(w), 1e-300), 0.0)
         z_new = (w * shrink[:, None]).ravel()
-        u += g - z_new
+        step = g - z_new
+        u += step
 
-        value = l1_norm(mesh, g.reshape(shape))
-        div_res = float(np.max(np.abs(A @ g - b)))
-        if div_res <= params.tol and value < best_value:
-            best_value = value
-            best_g = g.reshape(shape).copy()
-            best_div = div_res
+        value = float(np.sum(weights * norms))
+        if value < best_value:
+            div_res = float(np.max(np.abs(A @ g - b)))
+            if div_res <= params.tol:
+                best_value = value
+                best_g = g.reshape(shape).copy()
+                best_div = div_res
 
-        split = float(np.max(np.abs(g - z_new)))
+        split = float(np.max(np.abs(step)))
         dual_res = rho * float(np.max(np.abs(z_new - z)))
         z = z_new
-        if split <= 1e-9 * max(1.0, float(np.abs(g).max())):
+        split_converged = split <= 1e-9 * max(1.0, float(np.abs(g).max()))
+        if split_converged or it % _CERTIFY_EVERY == 0 or it == params.max_iter:
+            lower = max(lower, _potential_lower_bound(mesh, b, rho * u))
+            if best_g is not None and best_value - lower <= params.tol * max(
+                1.0, best_value
+            ):
+                break
+        if split_converged:
             break
         # residual balancing keeps the splitting penalty well scaled
         if it % 50 == 0:
@@ -215,6 +258,9 @@ def beckmann_field(mesh, molecule, params=None):
         "split_residual": split,
         "divergence_residual": best_div,
         "rho": rho,
+        "lower": lower,
+        "upper": best_value,
+        "gap": best_value - lower,
     }
     return best_value, best_g, diagnostics
 
@@ -256,6 +302,8 @@ def free_norm(mesh, molecule, method="all", field_params=None):
 
     ``method`` is one of dual, graph, field, all ("all" runs the field
     solver only on surfaces). The duality gap is primal_graph - dual.
+    When the dual and field routes both run, a field lower bound above
+    the dual value raises :class:`SolverFailure`.
     """
     if method not in ("dual", "graph", "field", "all"):
         raise ValueError(f"unknown method {method!r}")
@@ -279,4 +327,13 @@ def free_norm(mesh, molecule, method="all", field_params=None):
         report.diagnostics["field"] = diag
     if report.dual_value is not None and report.primal_graph_value is not None:
         report.duality_gap = report.primal_graph_value - report.dual_value
+    if report.dual_value is not None and report.primal_field_value is not None:
+        # a P1 potential with slope at most one on every face is edgewise
+        # 1-Lipschitz, so no field lower bound may exceed the graph norm
+        lower, dual = report.diagnostics["field"]["lower"], report.dual_value
+        if lower > dual + 1e-6 * max(1.0, dual):
+            raise SolverFailure(
+                f"field lower bound {lower!r} exceeds the graph norm {dual!r}",
+                diagnostics={"field_lower": lower, "dual_value": dual},
+            )
     return report

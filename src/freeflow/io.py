@@ -40,6 +40,8 @@ def _vertex(x):
 def mesh_from_dict(data):
     try:
         triangles = data.get("triangles", [])
+        if any(type(t) is not list or len(t) != 3 for t in triangles):
+            raise ParseError("every triangle must be a list of three vertex ids")
         if set(map(type, chain.from_iterable(triangles))) - {int}:
             raise ParseError("triangle vertex ids must be integers")
         edges = {(_vertex(u), _vertex(v)): float(l) for u, v, l in data["edges"]}

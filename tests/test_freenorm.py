@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from freeflow import netsimplex, ssp
-from freeflow.errors import MeshError, TooManyAtoms
+from freeflow import freenorm, netsimplex, ssp
+from freeflow.errors import MeshError, SolverFailure, TooManyAtoms
 from freeflow.freenorm import (
     FieldSolveParams,
     Molecule,
@@ -402,9 +403,12 @@ class TestSolverRobustness:
 
 class TestBeckmannField:
     def test_empty_molecule_zero_field(self, flat4):
-        value, g, diag = beckmann_field(flat4, Molecule(()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the bound must not divide 0 by 0
+            value, g, diag = beckmann_field(flat4, Molecule(()))
         assert value == 0.0
         assert np.abs(g).max() == 0.0
+        assert diag["lower"] == diag["upper"] == 0.0
 
     def test_requires_surface(self, interval10):
         with pytest.raises(MeshError):
@@ -423,22 +427,43 @@ class TestBeckmannField:
     @pytest.mark.parametrize(
         "fixture, pin",
         [
-            ("flat4", "d1c64ec5396adb9f7cf400333e8c6664346f5697df0fdf5d1acbaffa3f30db26"),
-            ("ico1", "91b8ba7aafb81af4b4ea73f99f3ef59b1ed9908bda40338a6f747c1c6211b425"),
-            ("annulus", "631cc9f6a49024209df689abf716d8524cab544b77ca6046c0728eb8bb68b1f0"),
-            ("torus", "d571c866e58b0632cea8bcc84d42c430e6445dd562cee0b0781654e35e3b5b13"),
-            ("poincare", "ccd8b3d337571773f437d5c044516bd7661f61418ed6ce83f87414755414c70a"),
+            pytest.param(fixture, pin, id=fixture)
+            for fixture, pin in (
+                ("flat4", "d1251e02bab821adb0c6007111cfff23c2dba7f6d2e74a88bf078fa1f7bb9b75"),
+                ("ico1", "47afd0e4404c41979dd1c14f41def04f6897a831725b958e48087882bb0461d7"),
+                ("annulus", "1c425350b993ada198b951396604db7f471bd36362076d9e99a4e1fdd5cafa1f"),
+                ("torus", "5b14ba022ad2bf9bc9a7a6f7fb6f1c1ab8c680143597386a9054882fcf53aa98"),
+                ("poincare", "ab2e5d213424b65cd913c75e510bf8fab496d9ff18923691a8a07bdedf17af00"),
+            )
         ],
     )
     def test_iterates_are_pinned(self, request, fixture, pin):
         # sha256 of the field bytes, the value's repr and the iteration
-        # count after 200 iterations, so any change to the projection,
-        # the shrinkage or the penalty schedule shows
+        # count after at most 200 iterations, so any change to the
+        # projection, the shrinkage, the penalty schedule or the stop rule
+        # shows
         mesh = request.getfixturevalue(fixture)
         mu = random_molecule(mesh, np.random.default_rng(47))
         value, g, diag = beckmann_field(mesh, mu, FieldSolveParams(max_iter=200))
         payload = g.tobytes() + repr(value).encode() + repr(diag["iterations"]).encode()
         assert hashlib.sha256(payload).hexdigest() == pin
+
+    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus", "poincare"])
+    def test_certified_bracket(self, request, fixture):
+        # weak duality: the lower bound never passes the value or the graph
+        # norm, and a solve that stops before the cap has closed the gap
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(61)
+        params = FieldSolveParams()
+        for _ in range(2):
+            mu = random_molecule(mesh, rng)
+            value, _, diag = beckmann_field(mesh, mu, params=params)
+            dual, _ = dual_lp(mesh, mu)
+            assert diag["upper"] == value
+            assert diag["lower"] <= value
+            assert diag["lower"] <= dual + 1e-6 * max(1.0, dual)
+            if diag["iterations"] < params.max_iter:
+                assert value - diag["lower"] <= params.tol * max(1.0, value)
 
     def test_divergence_feasibility(self, flat4):
         mu = Molecule(((18, 1.5), (7, -0.5)))
@@ -468,6 +493,35 @@ class TestFreeNormReport:
         # the field value sits below the graph distance but near it
         assert report.primal_field_value <= report.primal_graph_value + 1e-6
         assert report.primal_field_value == pytest.approx(d[25], rel=0.10)
+
+    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "torus"])
+    def test_field_lower_bound_below_graph_norm(self, request, fixture):
+        mesh = request.getfixturevalue(fixture)
+        mu = random_molecule(mesh, np.random.default_rng(62))
+        report = free_norm(mesh, mu)
+        lower = report.diagnostics["field"]["lower"]
+        assert 0.0 < lower <= report.primal_field_value
+        assert lower <= report.dual_value + 1e-6 * max(1.0, report.dual_value)
+
+    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "torus"])
+    def test_field_lower_bound_above_graph_norm_fails(self, request, monkeypatch,
+                                                      fixture):
+        mesh = request.getfixturevalue(fixture)
+        mu = random_molecule(mesh, np.random.default_rng(62))
+        dual, _ = dual_lp(mesh, mu)
+        solve = freenorm.beckmann_field
+
+        def overshooting(*args, **kwargs):
+            value, g, diag = solve(*args, **kwargs)
+            return value, g, {**diag, "lower": dual * 1.01 + 1e-3}
+
+        monkeypatch.setattr(freenorm, "beckmann_field", overshooting)
+        with pytest.raises(SolverFailure) as info:
+            free_norm(mesh, mu)
+        assert info.value.diagnostics == {
+            "field_lower": dual * 1.01 + 1e-3,
+            "dual_value": dual,
+        }
 
     def test_dual_only(self, circle32):
         report = free_norm(circle32, Molecule(((5, 1.0),)), method="dual")

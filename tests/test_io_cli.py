@@ -81,6 +81,26 @@ class TestJsonRoundTrips:
             ffio.mesh_from_dict({**data, **change})
 
 
+    @pytest.mark.parametrize(
+        "triangles",
+        [
+            [[0, 1], [2, 0], [1, 2]],  # reshaped into two copies of one face
+            [[0, 1, 2], [0, 1]],  # ragged: a numpy ValueError
+            [[0, 1, 2, 0]],
+        ],
+    )
+    def test_triangles_need_three_vertex_ids(self, tmp_path, capsys, triangles):
+        data = {"triangles": triangles,
+                "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]}
+        with pytest.raises(ParseError):
+            ffio.mesh_from_dict(data)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-mesh", str(path)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
+
 class TestCli:
     def test_gen_and_validate(self, tmp_path, capsys):
         out = tmp_path / "mesh.json"
@@ -313,6 +333,19 @@ class TestBatch:
         code = main(["check-currents", "--mesh", str(mesh_path), "--form",
                      str(form_path), "--tol=-1e-8"])
         assert code == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [{"entries": 5}, {"entries": {"command": "validate-mesh"}},
+         {"entries": [{"command": "validate-mesh", "mesh": "m.json"}, 3]}],
+    )
+    def test_entries_must_be_a_list_of_objects(self, tmp_path, capsys, manifest):
+        # each used to escape as a TypeError or AttributeError traceback
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["batch", str(path), "--out", str(tmp_path / "s.csv")]) == 1
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
 

@@ -1,15 +1,6 @@
 """Free-space norms of finitely supported measures on metric meshes."""
 
-from .mesh import (
-    FaceFrame,
-    GeodesicTable,
-    Patchwork,
-    TriMesh,
-    build_mesh,
-    build_patchwork,
-    face_area,
-    geodesic_distances,
-)
+from .mesh import TriMesh, geodesic_distances
 from .primitives import generate_primitive
 from .calculus import (
     divergence,
@@ -45,12 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TriMesh",
-    "FaceFrame",
-    "Patchwork",
-    "GeodesicTable",
-    "build_mesh",
-    "build_patchwork",
-    "face_area",
     "geodesic_distances",
     "generate_primitive",
     "gradient",

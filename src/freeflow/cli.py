@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import functools
 import json
+import math
 import sys
 import time
 
@@ -106,11 +107,11 @@ def _build_parser():
     p.add_argument("--molecule", required=True)
     p.add_argument("--method", default="all", choices=("dual", "graph", "field", "all"))
     p.add_argument("--out", default=None)
-    p.add_argument("--field-max-iter", type=int, default=5000)
+    p.add_argument("--field-max-iter", type=int, default=FieldSolveParams.max_iter)
     p.add_argument(
         "--field-tol",
         type=float,
-        default=1e-6,
+        default=FieldSolveParams.tol,
         help="field solver tolerance: bounds the divergence residual of the "
         "returned field and its certified gap upper - lower, relative to "
         "max(1, upper)",
@@ -152,7 +153,13 @@ def cmd_gen_mesh(args):
 
 def cmd_validate_mesh(args):
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
-    summary = {
+    print(json.dumps(_validate_mesh_payload(mesh), indent=2))
+    return 0
+
+
+def _validate_mesh_payload(mesh):
+    """The summary ``validate-mesh`` prints; also run by batch entries."""
+    return {
         "dimension": mesh.dimension,
         "vertices": mesh.vertex_count,
         "edges": len(mesh.edges),
@@ -161,8 +168,6 @@ def cmd_validate_mesh(args):
         "base_vertex": mesh.base_vertex,
         "mesh_hash": ffio.mesh_hash(mesh),
     }
-    print(json.dumps(summary, indent=2))
-    return 0
 
 
 def cmd_calc(args):
@@ -199,8 +204,8 @@ def cmd_calc(args):
 
 
 def cmd_check_currents(args):
-    if args.tol <= 0:
-        raise ParseError(f"tolerance must be positive, got {args.tol}")
+    if not 0.0 < args.tol < math.inf:
+        raise ParseError(f"tolerance must be finite and positive, got {args.tol}")
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
     _, omega = ffio.field_from_dict(mesh, ffio.read_json(args.form), expect="edges")
     result = classify(mesh, omega, tol=args.tol)
@@ -212,83 +217,118 @@ def cmd_check_currents(args):
 
 
 def cmd_free_norm(args):
-    if args.field_tol <= 0 or args.field_max_iter <= 0:
-        raise ParseError("field solver parameters must be positive")
+    params = FieldSolveParams(max_iter=args.field_max_iter, tol=args.field_tol)
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
     molecule = ffio.molecule_from_dict(ffio.read_json(args.molecule))
-    params = FieldSolveParams(max_iter=args.field_max_iter, tol=args.field_tol)
-    report = free_norm(mesh, molecule, method=args.method, field_params=params)
-    payload = report.to_dict()
-    payload["method"] = args.method
-    payload["mesh_hash"] = ffio.mesh_hash(mesh)
-    _emit(payload, args.out)
+    _emit(_free_norm_payload(mesh, molecule, args.method, params), args.out)
     return 0
 
 
+def _free_norm_payload(mesh, molecule, method="all", field_params=None):
+    """The report ``free-norm`` writes; also run by batch entries."""
+    report = free_norm(mesh, molecule, method=method, field_params=field_params)
+    payload = report.to_dict()
+    payload["method"] = method
+    payload["mesh_hash"] = ffio.mesh_hash(mesh)
+    return payload
+
+
 _EXPERIMENT_KEYS = {
-    "cutoff": {
-        "kind", "width", "height", "nx", "ny", "ks", "decay", "seed",
-    },
-    "extension": {
-        "kind", "nx", "center", "r_inner", "r_outer", "seed",
-    },
-    "weakstar": {
-        "kind", "mesh_kind", "n", "total_length", "steps", "seed",
-    },
-    "refine": {
-        "kind", "primitive", "levels", "atoms", "include_field",
-        "field_max_iter", "field_tol", "seed",
-    },
+    "cutoff": {"kind", "width", "height", "nx", "ny", "ks", "decay", "seed"},
+    "extension": {"kind", "nx", "center", "r_inner", "r_outer", "seed"},
+    "weakstar": {"kind", "mesh_kind", "n", "total_length", "steps", "seed"},
+    "refine": {"kind", "primitive", "levels", "atoms", "include_field",
+               "field_max_iter", "field_tol", "seed"},
 }
 
 
-def _check_config(config, kind):
+def _integer(x):
+    if type(x) is not int or x < 0:
+        raise ValueError("not a non-negative JSON integer")
+    return x
+
+
+def _number(x):
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError("not a finite JSON number")
+    return x
+
+
+def _list_of(convert):
+    def converted(x):
+        if type(x) is not list:
+            raise ValueError("not a JSON list")
+        return [convert(item) for item in x]
+
+    return converted
+
+
+def _pair(first, second):
+    def converted(x):
+        if type(x) is not list or len(x) != 2:
+            raise ValueError("not a JSON list of two items")
+        return first(x[0]), second(x[1])
+
+    return converted
+
+
+_POINT = _pair(_number, _number)
+
+
+def _setting(config, key, default, convert):
+    """``config[key]``, or ``default``, passed through ``convert``."""
+    value = config.get(key, default)
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ParseError(f"config {key!r}: {value!r} is {exc}") from None
+
+
+def run_experiment(kind, config):
     declared = config.get("kind", kind)
     if declared != kind:
         raise ParseError(f"config kind {declared!r} does not match {kind!r}")
     unknown = set(config) - _EXPERIMENT_KEYS[kind]
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
-    seed = int(config.get("seed", 42))
-    return seed
-
-
-def run_experiment(kind, config):
-    seed = _check_config(config, kind)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_setting(config, "seed", 42, _integer))
     if kind == "cutoff":
         mesh = generate_primitive(
             "flat_rect",
-            width=float(config.get("width", 32.0)),
-            height=float(config.get("height", 1.0)),
-            nx=int(config.get("nx", 160)),
-            ny=int(config.get("ny", 8)),
+            width=_setting(config, "width", 32.0, _number),
+            height=_setting(config, "height", 1.0, _number),
+            nx=_setting(config, "nx", 160, _integer),
+            ny=_setting(config, "ny", 8, _integer),
         )
-        ks = config.get("ks", [1, 2, 4, 8])
+        ks = _setting(config, "ks", [1, 2, 4, 8], _list_of(_number))
         if not ks:
             raise ParseError("cutoff config has no scales in 'ks'")
-        dist = geodesic_distances(mesh, mesh.base_vertex).dist
-        decay = float(config.get("decay", 4.0))
+        decay = _setting(config, "decay", 4.0, _number)
+        if decay <= 0:
+            raise ParseError(f"cutoff 'decay' must be positive, got {decay}")
+        dist = geodesic_distances(mesh, mesh.base_vertex)
         g = divergence_free_field(mesh, potential=np.exp(-dist / decay))
         return cutoff_decay(mesh, g, dist, ks=ks)
     if kind == "extension":
-        mesh = generate_primitive("flat_rect", nx=int(config.get("nx", 20)))
-        center = np.asarray(config.get("center", [0.5, 0.5]), dtype=float)
+        mesh = generate_primitive("flat_rect", nx=_setting(config, "nx", 20, _integer))
+        center = np.array(_setting(config, "center", [0.5, 0.5], _POINT), dtype=float)
         bary = mesh.aux["positions"][mesh.triangles].mean(axis=1)
         r = np.linalg.norm(bary - center[None, :], axis=1)
         faces = np.flatnonzero(
-            (r >= float(config.get("r_inner", 0.15)))
-            & (r <= float(config.get("r_outer", 0.35)))
+            (r >= _setting(config, "r_inner", 0.15, _number))
+            & (r <= _setting(config, "r_outer", 0.35, _number))
         )
         return extension_experiment(mesh, faces, rng=rng)
     if kind == "weakstar":
         mesh_kind = config.get("mesh_kind", "circle_graph")
-        params = {"n": int(config.get("n", 32))}
+        params = {"n": _setting(config, "n", 32, _integer)}
         if "total_length" in config:
-            params["total_length"] = float(config["total_length"])
+            params["total_length"] = _setting(config, "total_length", None, _number)
         mesh = generate_primitive(mesh_kind, **params)
-        dist = geodesic_distances(mesh, mesh.base_vertex).dist
-        steps = int(config.get("steps", 16))
+        dist = geodesic_distances(mesh, mesh.base_vertex)
+        steps = _setting(config, "steps", 16, _integer)
+        if steps < 1:
+            raise ParseError(f"weakstar 'steps' must be >= 1, got {steps}")
         g = rng.normal(size=len(mesh.edges))
         f_lim = np.zeros(mesh.vertex_count)
         seq = [f_lim + dist / k for k in range(1, steps + 1)]
@@ -308,20 +348,14 @@ def run_experiment(kind, config):
         missing = [k for k in ("primitive", "levels", "atoms") if not config.get(k)]
         if missing:
             raise ParseError(f"refine config lacks or leaves empty {missing}")
-        params = None
-        if "field_max_iter" in config or "field_tol" in config:
-            params = FieldSolveParams(
-                max_iter=int(config.get("field_max_iter", 5000)),
-                tol=float(config.get("field_tol", 1e-6)),
-            )
-        atoms = [
-            (np.asarray(target, dtype=float), float(coeff))
-            for target, coeff in config["atoms"]
-        ]
+        params = FieldSolveParams(
+            max_iter=_setting(config, "field_max_iter", FieldSolveParams.max_iter, _integer),
+            tol=_setting(config, "field_tol", FieldSolveParams.tol, _number),
+        )
         return refinement_study(
             config["primitive"],
-            config["levels"],
-            atoms,
+            _setting(config, "levels", None, _list_of(_integer)),
+            _setting(config, "atoms", None, _list_of(_pair(_POINT, _number))),
             include_field=bool(config.get("include_field", False)),
             field_params=params,
         )
@@ -353,21 +387,21 @@ def _rows_to_csv(path, rows):
         writer.writerows(rows)
 
 
-def _run_batch_entry(entry, mesh_cache):
+def _run_batch_entry(entry, load_mesh):
+    """Run one manifest entry through its command's payload function.
+
+    Returns ``(status, detail)``: "pass" when the command succeeded,
+    "fail" when an experiment criterion failed; an entry that raises is
+    recorded as "error" by the caller.
+    """
     command = entry.get("command")
     if command == "free-norm":
-        mesh = _cached_mesh(entry["mesh"], mesh_cache)
+        mesh = load_mesh(entry["mesh"])
         molecule = ffio.molecule_from_dict(ffio.read_json(entry["molecule"]))
-        report = free_norm(mesh, molecule, method=entry.get("method", "all"))
-        gap = report.duality_gap
-        status = "pass"
-        if gap is not None and abs(gap) > 1e-6 * max(
-            1.0, abs(report.dual_value or 0.0)
-        ):
-            status = "fail"
+        payload = _free_norm_payload(mesh, molecule, entry.get("method", "all"))
         if entry.get("out"):
-            ffio.write_json(entry["out"], report.to_dict())
-        return status, f"gap={gap!r}"
+            ffio.write_json(entry["out"], payload)
+        return "pass", f"gap={payload['duality_gap']!r}"
     if command == "experiment":
         kind = entry["experiment"]
         report = run_experiment(kind, entry.get("config", {"kind": kind}))
@@ -375,18 +409,9 @@ def _run_batch_entry(entry, mesh_cache):
             ffio.write_json(entry["out"], report.to_dict())
         return ("pass" if report.passed else "fail"), f"kind={kind}"
     if command == "validate-mesh":
-        mesh = _cached_mesh(entry["mesh"], mesh_cache)
-        return "pass", f"vertices={mesh.vertex_count}"
+        payload = _validate_mesh_payload(load_mesh(entry["mesh"]))
+        return "pass", f"vertices={payload['vertices']}"
     raise ParseError(f"unsupported batch command {command!r}")
-
-
-def _cached_mesh(path, cache):
-    data = ffio.read_json(path)
-    key = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(key.encode()).hexdigest()
-    if digest not in cache:
-        cache[digest] = ffio.mesh_from_dict(data)
-    return cache[digest]
 
 
 def cmd_batch(args):
@@ -394,12 +419,13 @@ def cmd_batch(args):
     entries = manifest.get("entries", [])
     if type(entries) is not list or any(type(e) is not dict for e in entries):
         raise ParseError("batch manifest 'entries' must be a list of JSON objects")
-    mesh_cache = {}
+    # each mesh path is read and parsed once per run
+    load_mesh = functools.cache(lambda path: ffio.mesh_from_dict(ffio.read_json(path)))
     results = []
     for index, entry in enumerate(entries):
         start = time.perf_counter()
         try:
-            status, detail = _run_batch_entry(entry, mesh_cache)
+            status, detail = _run_batch_entry(entry, load_mesh)
         except Exception as exc:  # entry errors recorded, batch continues
             status, detail = "error", f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

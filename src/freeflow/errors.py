@@ -11,8 +11,8 @@ class MeshError(FreeflowError):
 
 class TriangleInequalityViolated(MeshError):
     def __init__(self, face, lengths):
-        self.face = tuple(face)
-        self.lengths = tuple(lengths)
+        self.face = tuple(int(v) for v in face)
+        self.lengths = tuple(float(l) for l in lengths)
         super().__init__(
             f"face {self.face} violates the strict triangle inequality: "
             f"lengths {self.lengths}"
@@ -74,4 +74,5 @@ class UnboundedSequence(FreeflowError):
 
 
 class ParseError(FreeflowError):
-    """Malformed JSON input file."""
+    """Malformed input: a JSON file, or a command-line, config or solver
+    parameter value out of its range."""

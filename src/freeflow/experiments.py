@@ -24,7 +24,9 @@ from .calculus import (
     pairing,
 )
 from .errors import InvalidParams, MeshError, PreconditionViolated, UnboundedSequence
+from .freenorm import AGREEMENT_TOL, Molecule, beckmann_field, beckmann_graph, dual_lp
 from .mesh import geodesic_distances
+from .primitives import generate_primitive
 
 CUTOFF_DERIVATIVE_BOUND = 2.0
 TAIL_BOUND_FACTOR = 4.0 * math.sqrt(2.0)  # surface case of the tail estimate
@@ -83,7 +85,7 @@ class ExperimentReport:
 def cutoff_field(mesh, spec):
     """Vertex values of the scaled cutoff around the spec center."""
     center = mesh.base_vertex if spec.center is None else spec.center
-    dist = geodesic_distances(mesh, center).dist
+    dist = geodesic_distances(mesh, center)
     return smoothstep_profile(dist / spec.scale - 1.0)
 
 
@@ -124,7 +126,7 @@ def cutoff_decay(mesh, g, f, ks, spec_center=None):
     lip = lip_constant(mesh, f, "edgewise")
     grad_f = gradient(mesh, f)
     center = mesh.base_vertex if spec_center is None else spec_center
-    dist = geodesic_distances(mesh, center).dist
+    dist = geodesic_distances(mesh, center)
     areas = mesh.face_geometry().areas
     face_norm = np.linalg.norm(g, axis=1)
     face_max_dist = dist[mesh.triangles].max(axis=1)
@@ -310,18 +312,16 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
 
     ``atoms`` is a list of (target_point, coefficient); targets snap to
     the nearest vertex at every level. Passes when the graph-dual gap
-    stays within 1e-6 everywhere and, if the field solver runs, its
-    finest value lands within 5% of the finest dual value.
+    stays within ``AGREEMENT_TOL * max(1, |dual|)`` everywhere and, if
+    the field solver runs, its finest value lands within 5% of the finest
+    dual value.
     """
-    from .freenorm import Molecule, beckmann_field, beckmann_graph, dual_lp
-    from .primitives import generate_primitive
-
     report = ExperimentReport(kind="refinement")
     report.details = {"kind": kind, "levels": list(levels)}
     last_dual = None
     last_field = None
     for level in levels:
-        mesh = _primitive_at_level(kind, level, generate_primitive)
+        mesh = _primitive_at_level(kind, level)
         positions = mesh.aux["positions"]
         atom_list = []
         for target, coeff in atoms:
@@ -340,7 +340,7 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
             "graph": graph,
             "gap": graph - dual,
         }
-        if abs(graph - dual) > 1e-6 * max(1.0, abs(dual)):
+        if abs(graph - dual) > AGREEMENT_TOL * max(1.0, abs(dual)):
             report.passed = False
         if include_field and mesh.dimension == 2:
             value, _, diag = beckmann_field(mesh, mu, params=field_params)
@@ -357,14 +357,14 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     return report
 
 
-def _primitive_at_level(kind, level, generate):
+def _primitive_at_level(kind, level):
     level = int(level)
     if kind == "flat_rect":
-        return generate("flat_rect", nx=level)
+        return generate_primitive("flat_rect", nx=level)
     if kind == "icosphere":
-        return generate("icosphere", level=level)
+        return generate_primitive("icosphere", level=level)
     if kind == "torus":
-        return generate("torus", nx=level)
+        return generate_primitive("torus", nx=level)
     if kind == "annulus":
-        return generate("annulus", n_angular=4 * level, n_radial=level)
+        return generate_primitive("annulus", n_angular=4 * level, n_radial=level)
     raise InvalidParams(f"refinement study does not support kind {kind!r}")

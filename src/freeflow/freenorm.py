@@ -19,6 +19,7 @@ to the continuum norm under mesh refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,8 +28,12 @@ from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
 from .calculus import divergence_matrix, divergence_projection
-from .errors import MeshError, NotConverged, SolverFailure, TooManyAtoms
+from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from .transport import solve_transportation
+
+# two routes contradict each other when they differ by more than this
+# fraction of max(1, |dual value|)
+AGREEMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,12 @@ class FieldSolveParams:
     # bounds both the divergence residual of the returned field and the
     # certified gap upper - lower, relative to max(1, upper)
     tol: float = 1e-6
+
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ParseError(f"field max_iter must be >= 1, got {self.max_iter}")
+        if not 0.0 < self.tol < math.inf:
+            raise ParseError(f"field tol must be finite and positive, got {self.tol}")
 
 
 _CERTIFY_EVERY = 25  # iterations between lower bounds from the multiplier
@@ -302,8 +313,10 @@ def free_norm(mesh, molecule, method="all", field_params=None):
 
     ``method`` is one of dual, graph, field, all ("all" runs the field
     solver only on surfaces). The duality gap is primal_graph - dual.
-    When the dual and field routes both run, a field lower bound above
-    the dual value raises :class:`SolverFailure`.
+    :class:`SolverFailure` is raised when the dual and graph routes both
+    run and their gap exceeds ``AGREEMENT_TOL * max(1, |dual|)``, or when
+    the dual and field routes both run and the field lower bound exceeds
+    the dual value by as much.
     """
     if method not in ("dual", "graph", "field", "all"):
         raise ValueError(f"unknown method {method!r}")
@@ -316,22 +329,29 @@ def free_norm(mesh, molecule, method="all", field_params=None):
         value, potential = dual_lp(mesh, molecule)
         report.dual_value = value
         report.optimal_potential = potential
+    dual = report.dual_value
     if method in ("graph", "all"):
         value, flow = beckmann_graph(mesh, molecule)
         report.primal_graph_value = value
         report.optimal_flow = flow
+    if dual is not None and report.primal_graph_value is not None:
+        gap = report.duality_gap = report.primal_graph_value - dual
+        if abs(gap) > AGREEMENT_TOL * max(1.0, abs(dual)):
+            raise SolverFailure(
+                f"duality gap {gap!r} between the graph routes exceeds "
+                f"{AGREEMENT_TOL} of the dual value {dual!r}",
+                diagnostics={"duality_gap": gap, "dual_value": dual},
+            )
     if method == "field" or (method == "all" and mesh.dimension == 2):
         value, g, diag = beckmann_field(mesh, molecule, params=field_params)
         report.primal_field_value = value
         report.optimal_field = g
         report.diagnostics["field"] = diag
-    if report.dual_value is not None and report.primal_graph_value is not None:
-        report.duality_gap = report.primal_graph_value - report.dual_value
-    if report.dual_value is not None and report.primal_field_value is not None:
+    if dual is not None and report.primal_field_value is not None:
         # a P1 potential with slope at most one on every face is edgewise
         # 1-Lipschitz, so no field lower bound may exceed the graph norm
-        lower, dual = report.diagnostics["field"]["lower"], report.dual_value
-        if lower > dual + 1e-6 * max(1.0, dual):
+        lower = report.diagnostics["field"]["lower"]
+        if lower > dual + AGREEMENT_TOL * max(1.0, dual):
             raise SolverFailure(
                 f"field lower bound {lower!r} exceeds the graph norm {dual!r}",
                 diagnostics={"field_lower": lower, "dual_value": dual},

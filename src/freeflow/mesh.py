@@ -2,8 +2,8 @@
 
 A mesh is purely intrinsic: combinatorics plus one positive length per
 edge. No vertex embedding is required; every derived quantity (face
-metric, orthonormal frames, areas, geodesic distances) is computed from
-edge lengths alone. Dimension 2 meshes are triangle surfaces, dimension 1
+layouts, which are the orthonormal frames, areas, geodesic distances) is
+computed from edge lengths alone. Dimension 2 meshes are triangle surfaces, dimension 1
 meshes are metric graphs (no triangles).
 """
 
@@ -29,55 +29,11 @@ from .errors import (
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class GeodesicTable:
-    """Shortest-path distances from one source vertex.
-
-    Satisfies d[source] == 0 and the edge relaxation inequality
-    |d[u] - d[v]| <= length(u, v) for every edge.
-    """
-
-    source: int
-    dist: np.ndarray
-
-
-@dataclass(frozen=True)
-class FaceFrame:
-    """Orthonormal tangent frame of one face.
-
-    ``basis_coeffs`` holds the two frame vectors as columns, expressed in
-    the face's chart basis (the edge vectors e1 = v1 - v0, e2 = v2 - v0
-    laid out in the plane from the edge lengths). The Gram matrix of the
-    frame under the face metric is the identity and the frame is
-    positively oriented with respect to the face orientation.
-    """
-
-    face: int
-    basis_coeffs: np.ndarray  # 2x2, columns = frame vectors in chart basis
-    gram: np.ndarray  # 2x2, frame Gram matrix under the face metric
-
-
-@dataclass(frozen=True)
-class Patchwork:
-    """Disjoint chart domains covering the surface up to the edge skeleton.
-
-    One patch per face: the face interiors are pairwise disjoint and
-    their union is the whole face list; the shared edges form the skipped
-    null set.
-    """
-
-    patches: tuple  # tuple of (face_ids tuple, FaceFrame)
-
-    def face_sets(self):
-        return [set(faces) for faces, _ in self.patches]
-
-
 @dataclass
 class _FaceGeometry:
     layout: np.ndarray  # (F, 3, 2) planar vertex positions per face
     areas: np.ndarray  # (F,)
     hat_gradients: np.ndarray  # (F, 3, 2) gradient of each corner hat
-    metrics: np.ndarray  # (F, 2, 2) chart-basis Gram matrices
 
 
 class TriMesh:
@@ -269,12 +225,14 @@ class TriMesh:
         )
 
     def face_geometry(self):
-        """Planar layouts, areas, hat gradients and chart metrics per face.
+        """Planar layouts, areas and hat gradients per face.
 
         Each face is laid out in the plane from its edge lengths with
-        v0 at the origin and v1 on the positive x axis; these layout
-        coordinates are exactly the orthonormal frame coordinates produced
-        by Gram-Schmidt on the chart edge basis.
+        v0 at the origin, v1 on the positive x axis and v2 above it;
+        these layout coordinates are the face's positively oriented
+        orthonormal frame, the one Gram-Schmidt gives on the chart edge
+        basis. Raises :class:`DegenerateFace` when a chart metric has
+        condition number above 1e12.
         """
         if self.dimension != 2:
             raise MeshError("face geometry requires a dimension-2 mesh")
@@ -285,15 +243,12 @@ class TriMesh:
         F = len(self.triangles)
         l01, l12, l02 = self.edge_lengths[self.face_edges].T
 
-        x = (l01**2 + l02**2 - l12**2) / (2.0 * l01)
+        dots = (l01**2 + l02**2 - l12**2) / 2.0
+        x = dots / l01
         y = np.sqrt(np.maximum(l02**2 - x**2, 0.0))
 
-        dots = (l01**2 + l02**2 - l12**2) / 2.0
-        metrics = np.empty((F, 2, 2))
-        metrics[:, 0, 0] = l01**2
-        metrics[:, 0, 1] = metrics[:, 1, 0] = dots
-        metrics[:, 1, 1] = l02**2
-        conds = _sym2x2_cond(metrics)
+        # the chart metric of the edge basis is [[l01^2, dots], [dots, l02^2]]
+        conds = _sym2x2_cond(l01**2, dots, l02**2)
         bad = np.flatnonzero(conds > _COND_LIMIT)
         if len(bad):
             f = int(bad[0])
@@ -317,9 +272,9 @@ class TriMesh:
         # hats sum to one, so their gradients sum to zero exactly
         grads[:, 0] = -(grads[:, 1] + grads[:, 2])
 
-        for arr in (layout, areas, grads, metrics):
+        for arr in (layout, areas, grads):
             arr.setflags(write=False)
-        return _FaceGeometry(layout, areas, grads, metrics)
+        return _FaceGeometry(layout, areas, grads)
 
     @cached_property
     def field_shape(self):
@@ -357,34 +312,16 @@ class TriMesh:
         deg = np.bincount(self.edges.ravel(), minlength=self.vertex_count)
         return frozenset(np.flatnonzero(deg == 1).tolist())
 
-    def oriented_face_edges(self, f):
-        """The three (tail, head) pairs of face f in face orientation."""
-        a, b, c = (int(x) for x in self.triangles[f])
-        return ((a, b), (b, c), (c, a))
 
-    def edge_id(self, u, v):
-        e = int(self.edge_ids(u, v))
-        if e < 0:
-            raise KeyError((min(u, v), max(u, v)))
-        return e
-
-
-def _sym2x2_cond(m):
-    tr = m[:, 0, 0] + m[:, 1, 1]
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+def _sym2x2_cond(a, b, c):
+    """Condition numbers of the symmetric matrices [[a, b], [b, c]]."""
+    tr = a + c
+    det = a * c - b * b
     disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
     lo = tr / 2.0 - disc
     hi = tr / 2.0 + disc
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(lo > 0, hi / lo, np.inf)
-
-
-def build_mesh(triangles, edge_lengths, base_vertex=0):
-    """Validate and orient a mesh from triangles and symmetric edge lengths.
-
-    See :class:`TriMesh` for the accepted inputs and raised errors.
-    """
-    return TriMesh(triangles, edge_lengths, base_vertex=base_vertex)
 
 
 def geodesic_distances(mesh, source):
@@ -393,39 +330,4 @@ def geodesic_distances(mesh, source):
         raise MeshError(f"source vertex {source} out of range")
     dist = dijkstra(mesh.adjacency, directed=False, indices=source)
     dist.setflags(write=False)
-    return GeodesicTable(source=int(source), dist=dist)
-
-
-def face_area(mesh, f):
-    """Heron area of face ``f`` from its three edge lengths."""
-    return float(mesh.face_geometry().areas[f])
-
-
-def _face_frame(mesh, f):
-    geom = mesh.face_geometry()
-    g = geom.metrics[f]
-    # Gram-Schmidt on the chart basis (e1, e2) under the face metric g.
-    c1 = np.array([1.0, 0.0])
-    n1 = np.sqrt(c1 @ g @ c1)
-    c1 = c1 / n1
-    c2 = np.array([0.0, 1.0])
-    c2 = c2 - (c2 @ g @ c1) * c1
-    c2 = c2 / np.sqrt(c2 @ g @ c2)
-    coeffs = np.column_stack([c1, c2])
-    gram = coeffs.T @ g @ coeffs
-    return FaceFrame(face=f, basis_coeffs=coeffs, gram=gram)
-
-
-def build_patchwork(mesh):
-    """One patch per face, each with its Gram-Schmidt orthonormal frame.
-
-    Face interiors are pairwise disjoint and cover the surface up to the
-    edge skeleton, which is the null set skipped by the patchwork.
-    """
-    if mesh.dimension != 2:
-        raise MeshError("patchwork requires a dimension-2 mesh")
-    mesh.face_geometry()  # raises DegenerateFace before any patch is built
-    patches = tuple(
-        ((f,), _face_frame(mesh, f)) for f in range(len(mesh.triangles))
-    )
-    return Patchwork(patches=patches)
+    return dist

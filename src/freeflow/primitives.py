@@ -7,6 +7,7 @@ experiments that need to snap target points to vertices).
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -39,10 +40,13 @@ def generate_primitive(kind, base_vertex=0, **params):
     circle_graph(n, total_length) / interval_graph(n, total_length) --
         dimension-1 metric graphs.
     """
+    if kind not in KINDS:  # also an unhashable kind from a JSON config
+        raise InvalidParams(f"unknown primitive kind {kind!r}")
+    builder = _BUILDERS[kind]
     try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise InvalidParams(f"unknown primitive kind {kind!r}") from None
+        inspect.signature(builder).bind(base_vertex=base_vertex, **params)
+    except TypeError as exc:
+        raise InvalidParams(f"{kind}: {exc}") from None
     return builder(base_vertex=base_vertex, **params)
 
 

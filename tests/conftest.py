@@ -61,3 +61,15 @@ def random_molecule(mesh, rng, max_atoms=6, scale=3.0):
     verts = rng.choice(np.arange(1, mesh.vertex_count), size=k, replace=False)
     coeffs = rng.uniform(0.1, scale, size=k) * rng.choice([-1.0, 1.0], size=k)
     return canonicalize(Molecule(tuple(zip(verts, coeffs))), mesh.base_vertex)
+
+
+def face_edge_pairs(mesh, f):
+    """The three (tail, head) pairs of face f in face orientation."""
+    a, b, c = mesh.triangles[f].tolist()
+    return ((a, b), (b, c), (c, a))
+
+
+def edge_index(mesh):
+    """Map from canonical (u, v) pairs to edge ids, built from
+    ``mesh.edges`` alone as a reference for ``TriMesh.edge_ids``."""
+    return {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}

@@ -86,7 +86,7 @@ def test_criterion_03_lipschitz_gradient_isometry(
         pair = lip_constant(mesh, f, "pairwise_geodesic")
         assert abs(edge - pair) <= 1e-12
     for mesh in meshes:
-        f = geodesic_distances(mesh, mesh.base_vertex).dist
+        f = geodesic_distances(mesh, mesh.base_vertex)
         assert abs(lip_constant(mesh, f, "edgewise") - 1.0) <= 1e-12
         assert abs(lip_constant(mesh, f, "pairwise_geodesic") - 1.0) <= 1e-12
     _report(3, "100 random fields, 5 meshes, modes agree to 1e-12; "
@@ -133,7 +133,7 @@ def test_criterion_06_cutoff_decay():
     start = time.monotonic()
     strip = generate_primitive("flat_rect", width=32.0, height=1.0, nx=160, ny=8)
     assert len(strip.triangles) >= 2000
-    dist = geodesic_distances(strip, strip.base_vertex).dist
+    dist = geodesic_distances(strip, strip.base_vertex)
     g = divergence_free_field(strip, potential=np.exp(-dist / 4.0))
     report = cutoff_decay(strip, g, dist, ks=[1, 2, 4, 8])
     measured = [row["measured"] for row in report.rows]
@@ -191,7 +191,7 @@ def test_criterion_09_weakstar_shift_sequence(circle32):
     for mesh in (circle32, interval16):
         g = rng.normal(size=len(mesh.edges))
         l1g = l1_norm(mesh, g)
-        dist = geodesic_distances(mesh, mesh.base_vertex).dist
+        dist = geodesic_distances(mesh, mesh.base_vertex)
         grad_dist = gradient(mesh, dist)
         for k in range(1, 17):
             deviation = abs(pairing(mesh, grad_dist / k, g))

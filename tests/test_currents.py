@@ -14,8 +14,10 @@ from freeflow.currents import (
     spanning_tree,
 )
 from freeflow.calculus import gradient
-from freeflow.mesh import build_mesh
+from freeflow.mesh import TriMesh
 from freeflow.primitives import generate_primitive
+
+from conftest import edge_index, face_edge_pairs
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 
@@ -64,7 +66,7 @@ def two_icospheres(sphere, pinched):
     if not pinched:
         lengths[(0, n)] = 1.0
     triangles = np.concatenate([sphere.triangles, shift[sphere.triangles]])
-    return build_mesh(triangles, lengths)
+    return TriMesh(triangles, lengths)
 
 
 def disk_with_dangling_edge():
@@ -73,7 +75,7 @@ def disk_with_dangling_edge():
     disk = generate_primitive("flat_rect", nx=3)
     lengths = edge_length_map(disk)
     lengths[(disk.vertex_count - 1, disk.vertex_count)] = 0.25
-    return build_mesh(disk.triangles, lengths)
+    return TriMesh(disk.triangles, lengths)
 
 
 def kruskal_tree(mesh, order):
@@ -113,9 +115,10 @@ def integrate_along_tree(mesh, omega, tree):
 
 def d1_matrix(mesh):
     mat = np.zeros((len(mesh.triangles), len(mesh.edges)))
+    edge_id = edge_index(mesh)
     for f in range(len(mesh.triangles)):
-        for u, v in mesh.oriented_face_edges(f):
-            mat[f, mesh.edge_id(u, v)] += 1.0 if u < v else -1.0
+        for u, v in face_edge_pairs(mesh, f):
+            mat[f, edge_id[min(u, v), max(u, v)]] += 1.0 if u < v else -1.0
     return mat
 
 
@@ -138,15 +141,16 @@ class TestDifferentials:
         rng = np.random.default_rng(20)
         for mesh in (annulus, torus):
             omega = rng.normal(size=len(mesh.edges))
+            edge_id = edge_index(mesh)
             loop = [
-                sum(omega[mesh.edge_id(u, v)] * (1.0 if u < v else -1.0)
-                    for u, v in mesh.oriented_face_edges(f))
+                sum(omega[edge_id[min(u, v), max(u, v)]] * (1.0 if u < v else -1.0)
+                    for u, v in face_edge_pairs(mesh, f))
                 for f in range(len(mesh.triangles))
             ]
             assert np.array_equal(d1(mesh, omega), loop)
 
     def test_single_face_uniform_circulation(self):
-        m = build_mesh([(0, 1, 2)], UNIT)
+        m = TriMesh([(0, 1, 2)], UNIT)
         omega = np.array([1.0, -1.0, 1.0])  # edges (0,1), (0,2), (1,2)
         # face traversal 0->1->2->0 hits (0,2) against canonical
         assert d1(m, omega)[0] == pytest.approx(3.0)
@@ -186,8 +190,9 @@ class TestSolvePotential:
         m = generate_primitive("circle_graph", n=4, total_length=2 * math.pi)
         omega = np.zeros(4)
         cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        edge_id = edge_index(m)
         for u, v in cycle:
-            e = m.edge_id(u, v)
+            e = edge_id[min(u, v), max(u, v)]
             omega[e] = math.pi / 2 if u < v else -math.pi / 2
         _, residual = solve_potential(m, omega)
         assert residual == pytest.approx(2.0 * math.pi, abs=1e-12)

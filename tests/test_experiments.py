@@ -33,7 +33,7 @@ def strip():
 
 @pytest.fixture(scope="module")
 def strip_field(strip):
-    dist = geodesic_distances(strip, strip.base_vertex).dist
+    dist = geodesic_distances(strip, strip.base_vertex)
     g = divergence_free_field(strip, potential=np.exp(-dist / 4.0))
     return dist, g
 
@@ -74,7 +74,7 @@ class TestCutoffField:
 
     def test_plateaus_match_balls(self, strip):
         k = 3.0
-        dist = geodesic_distances(strip, strip.base_vertex).dist
+        dist = geodesic_distances(strip, strip.base_vertex)
         values = cutoff_field(strip, CutoffSpec(scale=k))
         assert np.all(values[dist <= k] == 1.0)
         assert np.all(values[dist >= 2 * k] == 0.0)
@@ -88,14 +88,14 @@ class TestCutoffField:
 
 class TestCutoffDecay:
     def test_zero_field_rows(self, strip):
-        dist = geodesic_distances(strip, strip.base_vertex).dist
+        dist = geodesic_distances(strip, strip.base_vertex)
         g = np.zeros((len(strip.triangles), 2))
         report = cutoff_decay(strip, g, dist, ks=[1, 2])
         assert all(row["measured"] == 0.0 for row in report.rows)
         assert all(row["bound"] == 0.0 for row in report.rows)
 
     def test_requires_divergence_free(self, strip):
-        dist = geodesic_distances(strip, strip.base_vertex).dist
+        dist = geodesic_distances(strip, strip.base_vertex)
         g = np.ones((len(strip.triangles), 2))
         with pytest.raises(PreconditionViolated):
             cutoff_decay(strip, g, dist, ks=[1])
@@ -172,7 +172,7 @@ class TestExtension:
 class TestWeakstarProbe:
     def test_constant_sequence_is_zero(self, ico1):
         g = divergence_free_field(ico1, rng=np.random.default_rng(43))
-        f = geodesic_distances(ico1, 0).dist
+        f = geodesic_distances(ico1, 0)
         report = weakstar_probe(ico1, [f, f, f], f, g, lip_bound=1.0)
         assert report.passed
         assert all(row["deviation"] == 0.0 for row in report.rows)
@@ -192,7 +192,7 @@ class TestWeakstarProbe:
     def test_shift_sequence_hoelder_bound(self, circle32):
         rng = np.random.default_rng(45)
         g = rng.normal(size=len(circle32.edges))
-        dist = geodesic_distances(circle32, 0).dist
+        dist = geodesic_distances(circle32, 0)
         f_lim = np.zeros(circle32.vertex_count)
         seq = [dist / k for k in range(1, 17)]
         report = weakstar_probe(circle32, seq, f_lim, g, lip_bound=1.0)
@@ -202,7 +202,7 @@ class TestWeakstarProbe:
 
     def test_unbounded_sequence_rejected(self, circle32):
         g = np.ones(len(circle32.edges))
-        f = geodesic_distances(circle32, 0).dist
+        f = geodesic_distances(circle32, 0)
         with pytest.raises(UnboundedSequence):
             weakstar_probe(circle32, [3.0 * f], np.zeros_like(f), g, lip_bound=1.0)
 

@@ -24,7 +24,7 @@ from freeflow.freenorm import (
     transport_oracle,
 )
 from freeflow.io import molecule_from_dict
-from freeflow.mesh import build_mesh, geodesic_distances
+from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
 from conftest import random_molecule
@@ -50,7 +50,7 @@ def brute_force_norm(mesh, molecule):
     weights[mesh.base_vertex] = weights.get(mesh.base_vertex, 0.0) - total
     sources = [(v, c) for v, c in weights.items() if c > 1e-15]
     sinks = [(v, -c) for v, c in weights.items() if c < -1e-15]
-    d = {v: geodesic_distances(mesh, v).dist for v, _ in sources}
+    d = {v: geodesic_distances(mesh, v) for v, _ in sources}
 
     def rec(srcs, snks):
         if not srcs or not snks:
@@ -100,7 +100,7 @@ class TestDualLP:
         assert np.abs(potential).max() == 0.0
 
     def test_single_atom_is_distance_to_base(self, ico1):
-        d = geodesic_distances(ico1, ico1.base_vertex).dist
+        d = geodesic_distances(ico1, ico1.base_vertex)
         for x in (5, 17, 40):
             value, _ = dual_lp(ico1, Molecule(((x, 1.0),)))
             assert value == pytest.approx(d[x], abs=1e-12)
@@ -134,7 +134,7 @@ class TestRouteAgreement:
         factors = data.draw(
             arrays(float, len(base.edges), elements=st.floats(0.95, 1.05))
         )
-        mesh = build_mesh(
+        mesh = TriMesh(
             base.triangles,
             dict(zip(map(tuple, base.edges.tolist()), base.edge_lengths * factors)),
         )
@@ -156,12 +156,12 @@ class TestRouteAgreement:
 
 class TestTransportOracle:
     def test_two_positive_atoms(self, flat4):
-        d = geodesic_distances(flat4, 0).dist
+        d = geodesic_distances(flat4, 0)
         value = transport_oracle(flat4, Molecule(((7, 1.0), (22, 1.0))))
         assert value == pytest.approx(d[7] + d[22], abs=1e-12)
 
     def test_homogeneity(self, flat4):
-        d = geodesic_distances(flat4, 0).dist
+        d = geodesic_distances(flat4, 0)
         value = transport_oracle(flat4, Molecule(((13, 2.0),)))
         assert value == pytest.approx(2.0 * d[13], abs=1e-12)
 
@@ -485,7 +485,7 @@ class TestFreeNormReport:
         assert report.diagnostics["flow_non_unique"] is True
 
     def test_single_atom_report_on_icosphere(self, ico1):
-        d = geodesic_distances(ico1, ico1.base_vertex).dist
+        d = geodesic_distances(ico1, ico1.base_vertex)
         report = free_norm(ico1, Molecule(((25, 1.0),)))
         assert report.dual_value == pytest.approx(d[25], abs=1e-9)
         assert report.primal_graph_value == pytest.approx(d[25], abs=1e-9)

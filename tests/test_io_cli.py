@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from freeflow import freenorm
 from freeflow import io as ffio
 from freeflow.cli import main
-from freeflow.errors import ParseError
+from freeflow.currents import d0
+from freeflow.errors import InvalidParams, ParseError
 from freeflow.freenorm import Molecule
+from freeflow.primitives import generate_primitive
 
 from test_currents import annulus_generator
 
@@ -152,6 +155,86 @@ class TestCli:
         assert envelope["error"]["type"] == "MeshError"
         assert "non-finite" in envelope["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["check-currents", "free-norm"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, flat4,
+                                                   command, value):
+        # --tol nan used to classify an exact form as closed_not_exact and
+        # exit 0; --field-tol nan ended in NotConverged
+        mesh_path = tmp_path / "m.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        form_path = tmp_path / "w.json"
+        form = np.arange(flat4.vertex_count, dtype=float)
+        ffio.write_json(form_path, ffio.edge_values_to_dict(flat4, d0(flat4, form)))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0]]}))
+        argv = {
+            "check-currents": ["check-currents", "--mesh", str(mesh_path),
+                               "--form", str(form_path), f"--tol={value}"],
+            "free-norm": ["free-norm", "--mesh", str(mesh_path), "--molecule",
+                          str(mu_path), "--method", "field",
+                          f"--field-tol={value}"],
+        }[command]
+        assert main(argv) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_field_max_iter_must_be_positive(self, tmp_path, capsys, flat4, value):
+        mesh_path = tmp_path / "m.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0]]}))
+        assert main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), f"--field-max-iter={value}"]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
+    def test_duality_gap_fails_free_norm(self, tmp_path, capsys, monkeypatch):
+        mesh_path = tmp_path / "m.json"
+        main(["gen-mesh", "--kind", "flat_rect", "--nx", "4", "--out",
+              str(mesh_path)])
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0], [19, -2.0]]}))
+        graph = freenorm.beckmann_graph
+
+        def gapped(mesh, molecule):
+            value, flow = graph(mesh, molecule)
+            return value + 1e-3, flow
+
+        monkeypatch.setattr(freenorm, "beckmann_graph", gapped)
+        capsys.readouterr()
+        # --method all used to exit 0 whatever the gap
+        assert main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), "--method", "all"]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "SolverFailure"
+        assert "duality gap" in envelope["error"]["message"]
+
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"command": "free-norm", "mesh": str(mesh_path),
+             "molecule": str(mu_path), "method": "all"},
+        ]}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 2
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert row[2] == "error"
+        assert row[3].startswith("SolverFailure: duality gap")
+
+    def test_gen_mesh_rejects_flags_of_another_kind(self, tmp_path, capsys):
+        # used to escape as a TypeError traceback
+        with pytest.raises(InvalidParams):
+            generate_primitive("icosphere", radius=1.0)
+        with pytest.raises(InvalidParams):  # e.g. a JSON list as weakstar mesh_kind
+            generate_primitive(["icosphere"])
+        assert main(["gen-mesh", "--kind", "icosphere", "--radius", "1",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "InvalidParams"
+        assert "radius" in envelope["error"]["message"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_check_currents_on_annulus_generator(self, tmp_path, capsys, annulus):
         mesh_path = tmp_path / "ann.json"
         ffio.write_json(mesh_path, ffio.mesh_to_dict(annulus))
@@ -172,7 +255,7 @@ class TestCli:
         field_path = tmp_path / "f.json"
         from freeflow.mesh import geodesic_distances
 
-        f = geodesic_distances(flat4, 0).dist
+        f = geodesic_distances(flat4, 0)
         ffio.write_json(field_path, ffio.scalar_field_to_dict(flat4, f))
         code = main(["calc", "norms", "--mesh", str(mesh_path), "--field",
                      str(field_path)])
@@ -291,6 +374,29 @@ class TestCli:
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("cutoff", {"seed": "x"}),  # was a ValueError traceback
+            ("cutoff", {"ks": 5}),  # was a TypeError traceback
+            ("refine", {"primitive": "flat_rect", "levels": [4],
+                        "atoms": [[0.5, 1.0]]}),  # was an IndexError traceback
+            ("weakstar", {"steps": 0}),  # was a ZeroDivisionError traceback
+            # were broadcast against 2-D positions, and the run exited 0
+            ("refine", {"primitive": "flat_rect", "levels": [4],
+                        "atoms": [[[0.5], 1.0]]}),
+            ("extension", {"center": [0.5]}),
+        ],
+    )
+    def test_malformed_experiment_config_rejected(self, tmp_path, capsys,
+                                                  kind, config):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"kind": kind, **config}))
+        code = main(["experiment", kind, "--config", str(path)])
+        assert code == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
     def test_experiment_csv_output(self, tmp_path):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"kind": "weakstar", "steps": 4}))
@@ -321,6 +427,47 @@ class TestBatch:
         assert main(["batch", str(manifest), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+    def test_free_norm_entry_writes_the_free_norm_report(self, tmp_path):
+        mesh_path = tmp_path / "m.json"
+        main(["gen-mesh", "--kind", "flat_rect", "--nx", "4", "--out",
+              str(mesh_path)])
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0], [19, -2.0]]}))
+        direct, batched = tmp_path / "direct.json", tmp_path / "batched.json"
+        assert main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), "--method", "all", "--out", str(direct)]) == 0
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"command": "free-norm", "mesh": str(mesh_path),
+             "molecule": str(mu_path), "method": "all", "out": str(batched)},
+        ]}))
+        assert main(["batch", str(manifest), "--out",
+                     str(tmp_path / "summary.csv")]) == 0
+        assert batched.read_bytes() == direct.read_bytes()
+
+    def test_each_mesh_path_is_parsed_once(self, tmp_path, monkeypatch):
+        mesh_path = tmp_path / "m.json"
+        main(["gen-mesh", "--kind", "flat_rect", "--nx", "3", "--out",
+              str(mesh_path)])
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[5, 1.0]]}))
+        parsed = []
+        mesh_from_dict = ffio.mesh_from_dict
+        monkeypatch.setattr(
+            ffio, "mesh_from_dict", lambda data: parsed.append(1) or mesh_from_dict(data)
+        )
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"command": "free-norm", "mesh": str(mesh_path),
+             "molecule": str(mu_path), "method": "dual"},
+            {"command": "validate-mesh", "mesh": str(mesh_path)},
+        ]}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 0
+        assert len(parsed) == 1
+        statuses = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert statuses == ["pass", "pass"]
 
     def test_negative_tolerance_rejected(self, tmp_path, capsys, flat4):
         mesh_path = tmp_path / "m.json"

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from freeflow.errors import (
+    DegenerateFace,
     Disconnected,
     InvalidParams,
     NonManifold,
     TriangleInequalityViolated,
 )
-from freeflow.mesh import (
-    build_mesh,
-    build_patchwork,
-    face_area,
-    geodesic_distances,
-)
+from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.calculus import l1_norm
 from freeflow.io import mesh_hash
 from freeflow.primitives import generate_primitive
+
+from conftest import edge_index, face_edge_pairs
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 
@@ -35,7 +33,7 @@ def floyd_warshall(mesh):
 
 class TestBuildMesh:
     def test_single_triangle(self):
-        m = build_mesh([(0, 1, 2)], UNIT)
+        m = TriMesh([(0, 1, 2)], UNIT)
         assert m.vertex_count == 3
         assert m.dimension == 2
         assert len(m.boundary_edges) == 3
@@ -45,33 +43,38 @@ class TestBuildMesh:
         lengths = dict(UNIT)
         lengths[(1, 3)] = 1.0
         lengths[(2, 3)] = 1.0
-        m = build_mesh([(0, 1, 2), (1, 2, 3)], lengths)
+        m = TriMesh([(0, 1, 2), (1, 2, 3)], lengths)
         traversals = {}
         for f in range(2):
-            for u, v in m.oriented_face_edges(f):
+            for u, v in face_edge_pairs(m, f):
                 key = (min(u, v), max(u, v))
                 traversals.setdefault(key, []).append(u < v)
         assert traversals[(1, 2)][0] != traversals[(1, 2)][1]
 
     def test_triangle_inequality_violation(self):
-        with pytest.raises(TriangleInequalityViolated):
-            build_mesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
+        with pytest.raises(TriangleInequalityViolated) as info:
+            TriMesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
+        # plain ints and floats, not numpy reprs such as np.int64(0)
+        assert str(info.value) == (
+            "face (0, 1, 2) violates the strict triangle inequality: "
+            "lengths (1.0, 1.0, 3.0)"
+        )
 
     def test_disconnected(self):
         lengths = dict(UNIT)
         lengths.update({(3, 4): 1.0, (4, 5): 1.0, (3, 5): 1.0})
         with pytest.raises(Disconnected):
-            build_mesh([(0, 1, 2), (3, 4, 5)], lengths)
+            TriMesh([(0, 1, 2), (3, 4, 5)], lengths)
 
     def test_nonmanifold_edge(self):
         lengths = dict(UNIT)
         lengths.update({(0, 3): 1.0, (1, 3): 1.0, (0, 4): 1.0, (1, 4): 1.0})
         with pytest.raises(NonManifold):
-            build_mesh([(0, 1, 2), (0, 1, 3), (0, 1, 4)], lengths)
+            TriMesh([(0, 1, 2), (0, 1, 3), (0, 1, 4)], lengths)
 
     def test_missing_length(self):
         with pytest.raises(Exception):
-            build_mesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0})
+            TriMesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0})
 
     def test_moebius_band_is_nonorientable(self):
         import itertools
@@ -81,22 +84,20 @@ class TestBuildMesh:
         faces = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
         lengths = {e: 1.0 for e in itertools.combinations(range(5), 2)}
         with pytest.raises(NonOrientable):
-            build_mesh(faces, lengths)
+            TriMesh(faces, lengths)
 
     def test_sliver_face_is_degenerate(self):
-        from freeflow.errors import DegenerateFace
-
-        m = build_mesh(
+        m = TriMesh(
             [(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0 - 1e-14}
         )
         with pytest.raises(DegenerateFace):
-            build_patchwork(m)
+            m.face_geometry()
 
     def test_orientation_consistency_on_primitives(self, ico1, torus):
         for m in (ico1, torus):
             traversals = {}
             for f in range(len(m.triangles)):
-                for u, v in m.oriented_face_edges(f):
+                for u, v in face_edge_pairs(m, f):
                     key = (min(u, v), max(u, v))
                     traversals.setdefault(key, []).append(u < v)
             for key, dirs in traversals.items():
@@ -107,9 +108,10 @@ class TestBuildMesh:
         self, flat4, ico1, annulus, torus
     ):
         for m in (flat4, ico1, annulus, torus):
+            edge_id = edge_index(m)
             for f in range(len(m.triangles)):
-                pairs = m.oriented_face_edges(f)
-                ids = [m.edge_id(u, v) for u, v in pairs]
+                pairs = face_edge_pairs(m, f)
+                ids = [edge_id[min(u, v), max(u, v)] for u, v in pairs]
                 signs = [1.0 if u < v else -1.0 for u, v in pairs]
                 assert m.face_edges[f].tolist() == ids
                 assert m.face_signs[f].tolist() == signs
@@ -166,7 +168,7 @@ class TestBuildMesh:
         triangles = np.array(mesh.triangles)
         triangles[flip] = triangles[flip, ::-1]
         lengths = dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_lengths))
-        rebuilt = build_mesh(triangles, lengths, mesh.base_vertex)
+        rebuilt = TriMesh(triangles, lengths, mesh.base_vertex)
         assert mesh_hash(rebuilt) == scrambled_hash
 
 
@@ -228,36 +230,37 @@ class TestPrimitives:
 class TestGeodesics:
     def test_interval_distances(self):
         m = generate_primitive("interval_graph", n=2, total_length=2.0)
-        table = geodesic_distances(m, 0)
-        assert np.allclose(table.dist, [0.0, 1.0, 2.0])
+        dist = geodesic_distances(m, 0)
+        assert np.allclose(dist, [0.0, 1.0, 2.0])
 
     def test_circle_antipode(self):
         m = generate_primitive("circle_graph", n=4, total_length=2 * math.pi)
-        table = geodesic_distances(m, 0)
-        assert table.dist[2] == pytest.approx(math.pi, abs=1e-12)
+        dist = geodesic_distances(m, 0)
+        assert dist[2] == pytest.approx(math.pi, abs=1e-12)
 
     def test_against_floyd_warshall(self, flat4):
         oracle = floyd_warshall(flat4)
         for source in (0, 7, 12):
-            table = geodesic_distances(flat4, source)
-            assert np.allclose(table.dist, oracle[source], atol=1e-12)
+            dist = geodesic_distances(flat4, source)
+            assert np.allclose(dist, oracle[source], atol=1e-12)
 
     def test_corner_to_corner_overestimates_euclid(self):
         m = generate_primitive("flat_rect", nx=8)
-        table = geodesic_distances(m, 0)
+        dist = geodesic_distances(m, 0)
         far_corner = m.vertex_count - 1
-        d = table.dist[far_corner]
+        d = dist[far_corner]
         assert math.sqrt(2.0) - 1e-12 <= d <= 2.0
         # the anti-diagonal pair has no aligned diagonals to ride
         other_corner = 8  # (1, 0)
-        table2 = geodesic_distances(m, other_corner)
-        assert table2.dist[m.vertex_count - 1 - 8] <= 2.0 + 1e-12
+        dist2 = geodesic_distances(m, other_corner)
+        assert dist2[m.vertex_count - 1 - 8] <= 2.0 + 1e-12
 
     def test_edge_relaxation_and_source(self, ico1):
-        table = geodesic_distances(ico1, 3)
-        assert table.dist[3] == 0.0
+        dist = geodesic_distances(ico1, 3)
+        assert dist[3] == 0.0
+        assert not dist.flags.writeable
         u, v = ico1.edges[:, 0], ico1.edges[:, 1]
-        slack = np.abs(table.dist[u] - table.dist[v]) - ico1.edge_lengths
+        slack = np.abs(dist[u] - dist[v]) - ico1.edge_lengths
         assert slack.max() <= 1e-12
 
     def test_triangle_inequality_sampled(self, annulus):
@@ -268,62 +271,56 @@ class TestGeodesics:
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-12
 
 
+def area(mesh, f):
+    return float(mesh.face_geometry().areas[f])
+
+
 class TestAreasAndFrames:
     def test_equilateral_area(self):
-        m = build_mesh([(0, 1, 2)], UNIT)
-        assert face_area(m, 0) == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
+        m = TriMesh([(0, 1, 2)], UNIT)
+        assert area(m, 0) == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
 
     def test_half_unit_right_triangle(self):
         m = generate_primitive("flat_rect", nx=2)
-        assert face_area(m, 0) == pytest.approx(0.125, abs=1e-15)
+        assert area(m, 0) == pytest.approx(0.125, abs=1e-15)
 
     def test_3_4_5_right_triangle(self):
-        m = build_mesh([(0, 1, 2)], {(0, 1): 3.0, (1, 2): 4.0, (0, 2): 5.0})
-        assert face_area(m, 0) == pytest.approx(6.0, abs=1e-12)
+        m = TriMesh([(0, 1, 2)], {(0, 1): 3.0, (1, 2): 4.0, (0, 2): 5.0})
+        assert area(m, 0) == pytest.approx(6.0, abs=1e-12)
 
     @pytest.mark.parametrize("nx", [1, 2, 5, 9])
     def test_total_area_additivity(self, nx):
         m = generate_primitive("flat_rect", nx=nx)
-        total = sum(face_area(m, f) for f in range(len(m.triangles)))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_patchwork_partitions_faces(self, ico1):
-        pw = build_patchwork(ico1)
-        seen = []
-        for faces, _ in pw.patches:
-            seen.extend(faces)
-        assert sorted(seen) == list(range(len(ico1.triangles)))
-        sets = pw.face_sets()
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                assert not (sets[i] & sets[j])
+        assert m.cell_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_frame_gram_identity_and_orientation(self, poincare, ico1):
+        # the layout is each face's orthonormal frame: it reproduces the
+        # three edge lengths, and v2 lies on the positive side of v0 -> v1
         for mesh in (poincare, ico1):
-            pw = build_patchwork(mesh)
-            geom = mesh.face_geometry()
-            for (face_ids, frame) in pw.patches:
-                f = face_ids[0]
-                assert np.abs(frame.gram - np.eye(2)).max() <= 1e-12
-                det = np.linalg.det(frame.basis_coeffs)
-                g = geom.metrics[f]
-                assert det * math.sqrt(np.linalg.det(g)) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+            layout = mesh.face_geometry().layout
+            sides = np.linalg.norm(layout - np.roll(layout, -1, axis=1), axis=2)
+            lengths = mesh.edge_lengths[mesh.face_edges]
+            assert np.abs(sides - lengths).max() <= 1e-12
+            assert (layout[:, 2, 1] > 0).all()
 
     def test_anisotropic_frame_normalization(self):
-        # chart Gram diag(4, 1): frame is (e1/2, e2)
-        m = build_mesh([(0, 1, 2)], {(0, 1): 2.0, (0, 2): 1.0, (1, 2): math.sqrt(5)})
-        pw = build_patchwork(m)
-        _, frame = pw.patches[0]
-        assert np.allclose(frame.basis_coeffs[:, 0], [0.5, 0.0], atol=1e-14)
-        assert np.allclose(frame.basis_coeffs[:, 1], [0.0, 1.0], atol=1e-14)
+        # chart Gram diag(4, 1): the frame is (e1/2, e2)
+        m = TriMesh([(0, 1, 2)], {(0, 1): 2.0, (0, 2): 1.0, (1, 2): math.sqrt(5)})
+        assert np.allclose(
+            m.face_geometry().layout[0], [[0, 0], [2, 0], [0, 1]], atol=1e-14
+        )
 
     def test_gram_schmidt_of_any_basis_gives_identity(self):
-        m = build_mesh([(0, 1, 2)], {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.3})
-        pw = build_patchwork(m)
-        _, frame = pw.patches[0]
-        assert np.abs(frame.gram - np.eye(2)).max() <= 1e-12
+        # the chart edge basis in layout coordinates is E; the frame in chart
+        # coordinates is E^-1, whose Gram matrix under the chart metric built
+        # from the lengths must be the identity
+        m = TriMesh([(0, 1, 2)], {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.3})
+        layout = m.face_geometry().layout[0]
+        E = np.column_stack([layout[1] - layout[0], layout[2] - layout[0]])
+        dot = (1.0 + 1.0 - 1.3**2) / 2.0
+        metric = np.array([[1.0, dot], [dot, 1.0]])
+        frame = np.linalg.inv(E)
+        assert np.abs(frame.T @ metric @ frame - np.eye(2)).max() <= 1e-12
 
 
 class TestChartIndependence:
@@ -335,8 +332,7 @@ class TestChartIndependence:
         c = generate_primitive("flat_rect", nx=3, ny=7)
         values = []
         for m in (a, b, c):
-            total = sum(face_area(m, f) for f in range(len(m.triangles)))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            assert m.cell_weights.sum() == pytest.approx(1.0, abs=1e-12)
             const = np.tile([1.0, 0.0], (len(m.triangles), 1))
             values.append(l1_norm(m, const))
         assert max(values) - min(values) <= 1e-9

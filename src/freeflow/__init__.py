@@ -23,7 +23,6 @@ from .freenorm import (
     transport_oracle,
 )
 from .experiments import (
-    CutoffSpec,
     ExperimentReport,
     cutoff_decay,
     cutoff_field,
@@ -59,7 +58,6 @@ __all__ = [
     "free_norm",
     "FreeNormReport",
     "FieldSolveParams",
-    "CutoffSpec",
     "ExperimentReport",
     "cutoff_field",
     "cutoff_decay",

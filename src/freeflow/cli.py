@@ -248,6 +248,12 @@ def _integer(x):
     return x
 
 
+def _boolean(x):
+    if type(x) is not bool:
+        raise ValueError("not a JSON boolean")
+    return x
+
+
 def _number(x):
     if type(x) not in (int, float) or not math.isfinite(x):
         raise ValueError("not a finite JSON number")
@@ -285,6 +291,12 @@ def _setting(config, key, default, convert):
 
 
 def run_experiment(kind, config):
+    if type(kind) is not str or kind not in _EXPERIMENT_KEYS:
+        raise ParseError(f"unknown experiment kind {kind!r}")
+    if type(config) is not dict:
+        raise ParseError(
+            f"experiment config must be a JSON object, found {type(config).__name__}"
+        )
     declared = config.get("kind", kind)
     if declared != kind:
         raise ParseError(f"config kind {declared!r} does not match {kind!r}")
@@ -293,6 +305,12 @@ def run_experiment(kind, config):
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     rng = np.random.default_rng(_setting(config, "seed", 42, _integer))
     if kind == "cutoff":
+        ks = _setting(config, "ks", [1, 2, 4, 8], _list_of(_number))
+        if not ks:
+            raise ParseError("cutoff config has no scales in 'ks'")
+        decay = _setting(config, "decay", 4.0, _number)
+        if decay <= 0:
+            raise ParseError(f"cutoff 'decay' must be positive, got {decay}")
         mesh = generate_primitive(
             "flat_rect",
             width=_setting(config, "width", 32.0, _number),
@@ -300,35 +318,29 @@ def run_experiment(kind, config):
             nx=_setting(config, "nx", 160, _integer),
             ny=_setting(config, "ny", 8, _integer),
         )
-        ks = _setting(config, "ks", [1, 2, 4, 8], _list_of(_number))
-        if not ks:
-            raise ParseError("cutoff config has no scales in 'ks'")
-        decay = _setting(config, "decay", 4.0, _number)
-        if decay <= 0:
-            raise ParseError(f"cutoff 'decay' must be positive, got {decay}")
         dist = geodesic_distances(mesh, mesh.base_vertex)
         g = divergence_free_field(mesh, potential=np.exp(-dist / decay))
         return cutoff_decay(mesh, g, dist, ks=ks)
     if kind == "extension":
-        mesh = generate_primitive("flat_rect", nx=_setting(config, "nx", 20, _integer))
+        nx = _setting(config, "nx", 20, _integer)
         center = np.array(_setting(config, "center", [0.5, 0.5], _POINT), dtype=float)
+        r_inner = _setting(config, "r_inner", 0.15, _number)
+        r_outer = _setting(config, "r_outer", 0.35, _number)
+        mesh = generate_primitive("flat_rect", nx=nx)
         bary = mesh.aux["positions"][mesh.triangles].mean(axis=1)
         r = np.linalg.norm(bary - center[None, :], axis=1)
-        faces = np.flatnonzero(
-            (r >= _setting(config, "r_inner", 0.15, _number))
-            & (r <= _setting(config, "r_outer", 0.35, _number))
-        )
+        faces = np.flatnonzero((r >= r_inner) & (r <= r_outer))
         return extension_experiment(mesh, faces, rng=rng)
     if kind == "weakstar":
         mesh_kind = config.get("mesh_kind", "circle_graph")
         params = {"n": _setting(config, "n", 32, _integer)}
         if "total_length" in config:
             params["total_length"] = _setting(config, "total_length", None, _number)
-        mesh = generate_primitive(mesh_kind, **params)
-        dist = geodesic_distances(mesh, mesh.base_vertex)
         steps = _setting(config, "steps", 16, _integer)
         if steps < 1:
             raise ParseError(f"weakstar 'steps' must be >= 1, got {steps}")
+        mesh = generate_primitive(mesh_kind, **params)
+        dist = geodesic_distances(mesh, mesh.base_vertex)
         g = rng.normal(size=len(mesh.edges))
         f_lim = np.zeros(mesh.vertex_count)
         seq = [f_lim + dist / k for k in range(1, steps + 1)]
@@ -344,22 +356,21 @@ def run_experiment(kind, config):
         report.details["per_step_bound_holds"] = all(per_row)
         report.passed = report.passed and all(per_row)
         return report
-    if kind == "refine":
-        missing = [k for k in ("primitive", "levels", "atoms") if not config.get(k)]
-        if missing:
-            raise ParseError(f"refine config lacks or leaves empty {missing}")
-        params = FieldSolveParams(
-            max_iter=_setting(config, "field_max_iter", FieldSolveParams.max_iter, _integer),
-            tol=_setting(config, "field_tol", FieldSolveParams.tol, _number),
-        )
-        return refinement_study(
-            config["primitive"],
-            _setting(config, "levels", None, _list_of(_integer)),
-            _setting(config, "atoms", None, _list_of(_pair(_POINT, _number))),
-            include_field=bool(config.get("include_field", False)),
-            field_params=params,
-        )
-    raise ParseError(f"unknown experiment kind {kind!r}")
+    # kind == "refine"
+    missing = [k for k in ("primitive", "levels", "atoms") if not config.get(k)]
+    if missing:
+        raise ParseError(f"refine config lacks or leaves empty {missing}")
+    params = FieldSolveParams(
+        max_iter=_setting(config, "field_max_iter", FieldSolveParams.max_iter, _integer),
+        tol=_setting(config, "field_tol", FieldSolveParams.tol, _number),
+    )
+    return refinement_study(
+        config["primitive"],
+        _setting(config, "levels", None, _list_of(_integer)),
+        _setting(config, "atoms", None, _list_of(_pair(_POINT, _number))),
+        include_field=_setting(config, "include_field", False, _boolean),
+        field_params=params,
+    )
 
 
 def cmd_experiment(args):
@@ -403,7 +414,7 @@ def _run_batch_entry(entry, load_mesh):
             ffio.write_json(entry["out"], payload)
         return "pass", f"gap={payload['duality_gap']!r}"
     if command == "experiment":
-        kind = entry["experiment"]
+        kind = entry.get("experiment")
         report = run_experiment(kind, entry.get("config", {"kind": kind}))
         if entry.get("out"):
             ffio.write_json(entry["out"], report.to_dict())

@@ -28,7 +28,6 @@ from .freenorm import AGREEMENT_TOL, Molecule, beckmann_field, beckmann_graph, d
 from .mesh import geodesic_distances
 from .primitives import generate_primitive
 
-CUTOFF_DERIVATIVE_BOUND = 2.0
 TAIL_BOUND_FACTOR = 4.0 * math.sqrt(2.0)  # surface case of the tail estimate
 
 
@@ -37,33 +36,6 @@ def smoothstep_profile(t):
     t = np.asarray(t, dtype=float)
     s = np.clip(t, 0.0, 1.0)
     return 1.0 - (6.0 * s**5 - 15.0 * s**4 + 10.0 * s**3)
-
-
-def _smoothstep_slope(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    s = np.where(inside, t, 0.5)
-    return np.where(inside, -(30.0 * s**4 - 60.0 * s**3 + 30.0 * s**2), 0.0)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Scaled bump h(d(center, x)/scale - 1): one on the scale ball,
-    zero beyond twice the scale."""
-
-    scale: float
-    center: int | None = None  # defaults to the mesh base vertex
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise InvalidParams(f"cutoff scale must be positive, got {self.scale}")
-        samples = np.linspace(-0.5, 1.5, 1000)
-        values = smoothstep_profile(samples)
-        slopes = _smoothstep_slope(samples)
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise InvalidParams("cutoff profile leaves [0, 1]")
-        if np.abs(slopes).max() > CUTOFF_DERIVATIVE_BOUND:
-            raise InvalidParams("cutoff profile slope exceeds 2")
 
 
 @dataclass
@@ -82,11 +54,12 @@ class ExperimentReport:
         }
 
 
-def cutoff_field(mesh, spec):
-    """Vertex values of the scaled cutoff around the spec center."""
-    center = mesh.base_vertex if spec.center is None else spec.center
-    dist = geodesic_distances(mesh, center)
-    return smoothstep_profile(dist / spec.scale - 1.0)
+def cutoff_field(dist, scale):
+    """Scaled bump h(dist / scale - 1) over a distance field: one on the
+    scale ball, zero beyond twice the scale, slope at most 2 / scale."""
+    if not scale > 0:
+        raise InvalidParams(f"cutoff scale must be positive, got {scale}")
+    return smoothstep_profile(dist / scale - 1.0)
 
 
 def divergence_free_field(mesh, potential=None, rng=None):
@@ -108,7 +81,7 @@ def project_divergence_free(mesh, g):
     return divergence_projection(mesh)(g).reshape(mesh.field_shape)
 
 
-def cutoff_decay(mesh, g, f, ks, spec_center=None):
+def cutoff_decay(mesh, g, f, ks):
     """Pairings of df against the cutoff-localized field, with the tail
     bound 4*sqrt(2)*Lip(f)*tail-L1(g) per scale.
 
@@ -125,8 +98,7 @@ def cutoff_decay(mesh, g, f, ks, spec_center=None):
     f = np.asarray(f, dtype=float)
     lip = lip_constant(mesh, f, "edgewise")
     grad_f = gradient(mesh, f)
-    center = mesh.base_vertex if spec_center is None else spec_center
-    dist = geodesic_distances(mesh, center)
+    dist = geodesic_distances(mesh, mesh.base_vertex)
     areas = mesh.face_geometry().areas
     face_norm = np.linalg.norm(g, axis=1)
     face_max_dist = dist[mesh.triangles].max(axis=1)
@@ -139,8 +111,7 @@ def cutoff_decay(mesh, g, f, ks, spec_center=None):
     }
     measured_col = []
     for k in ks:
-        spec = CutoffSpec(scale=float(k), center=center)
-        hk = cutoff_field(mesh, spec)
+        hk = cutoff_field(dist, float(k))
         face_scale = hk[mesh.triangles].mean(axis=1)
         localized = g * face_scale[:, None]
         measured = abs(pairing(mesh, grad_f, localized))
@@ -185,7 +156,7 @@ def _face_mask(mesh, faces):
     return np.isin(np.arange(len(mesh.triangles)), [int(f) for f in faces])
 
 
-def tangential_subset_field(mesh_n, faces_m, seed_potential=None, rng=None):
+def tangential_subset_field(mesh_n, faces_m, rng=None):
     """Field supported on the subset faces, divergence-free on the whole
     mesh: the discrete membership certificate for extension by zero.
 
@@ -193,10 +164,8 @@ def tangential_subset_field(mesh_n, faces_m, seed_potential=None, rng=None):
     divergence restricted to the subset columns.
     """
     faces = sorted(int(f) for f in faces_m)
-    if seed_potential is None:
-        rng = rng or np.random.default_rng(0)
-        seed_potential = rng.normal(size=mesh_n.vertex_count)
-    grad = gradient(mesh_n, np.asarray(seed_potential, dtype=float))
+    rng = rng or np.random.default_rng(0)
+    grad = gradient(mesh_n, rng.normal(size=mesh_n.vertex_count))
     rotated = np.column_stack([-grad[:, 1], grad[:, 0]])
     g0 = rotated[faces].ravel()
 

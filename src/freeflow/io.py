@@ -44,7 +44,8 @@ def mesh_from_dict(data):
             raise ParseError("every triangle must be a list of three vertex ids")
         if set(map(type, chain.from_iterable(triangles))) - {int}:
             raise ParseError("triangle vertex ids must be integers")
-        edges = {(_vertex(u), _vertex(v)): float(l) for u, v, l in data["edges"]}
+        # pairs, not a dict: TriMesh rejects a pair repeated with another length
+        edges = [((_vertex(u), _vertex(v)), float(l)) for u, v, l in data["edges"]]
         base = _vertex(data.get("base_vertex", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad mesh JSON: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -47,10 +48,10 @@ class TriMesh:
         the lowest face of each face component keeping its input
         orientation; if no consistent assignment exists the mesh is
         rejected.
-    edge_lengths : dict
-        Map from vertex pairs to positive lengths. Keys may be given in
-        either order; the map must cover all triangle edges and may add
-        extra graph edges.
+    edge_lengths : dict or iterable of ((u, v), length) pairs
+        Finite positive lengths of vertex pairs. Pairs may be given in
+        either order, and a pair given twice must repeat its length; the
+        pairs must cover all triangle edges and may add extra graph edges.
     base_vertex : int
         The distinguished vertex used to normalize potentials and absorb
         molecule mass deficits.
@@ -75,15 +76,17 @@ class TriMesh:
     def __init__(self, triangles, edge_lengths, base_vertex=0):
         triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
 
+        if isinstance(edge_lengths, dict):
+            edge_lengths = edge_lengths.items()
         lengths = {}
-        for (u, v), l in edge_lengths.items():
+        for (u, v), l in edge_lengths:
             u, v = int(u), int(v)
             if u == v:
                 raise MeshError(f"self-loop edge ({u}, {v})")
             key = (u, v) if u < v else (v, u)
             l = float(l)
-            if not l > 0.0:
-                raise MeshError(f"edge {key} has non-positive length {l}")
+            if not 0.0 < l < inf:
+                raise MeshError(f"edge {key} length {l} is not finite and positive")
             prev = lengths.get(key)
             if prev is not None and prev != l:
                 raise MeshError(f"edge {key} given two lengths {prev} and {l}")

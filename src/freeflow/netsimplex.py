@@ -31,7 +31,7 @@ import numpy as np
 from .errors import SolverFailure
 
 
-def min_cost_flow(mesh, b, pivot_tol=None):
+def min_cost_flow(mesh, b):
     """Optimal signed edge flow for the vertex imbalance ``b``.
 
     Returns ``(flow, value)``: flow is signed along canonical edge
@@ -83,8 +83,7 @@ def min_cost_flow(mesh, b, pivot_tol=None):
     pi[:V] = np.where(supply, big, -big)
     tail_of, head_of, cost_of = tails.tolist(), heads.tolist(), costs.tolist()
 
-    if pivot_tol is None:
-        pivot_tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
+    tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
 
     block = max(64, int(math.ceil(math.sqrt(n_arcs))))
     max_pivots = 200 * n_arcs + 1000
@@ -100,7 +99,7 @@ def min_cost_flow(mesh, b, pivot_tol=None):
             rc = costs[idx] + pi[tails[idx]] - pi[heads[idx]]
             rc[in_tree[idx]] = 0.0
             k = int(np.argmin(rc))
-            if rc[k] < -pivot_tol:
+            if rc[k] < -tol:
                 entering = int(idx[k])
                 cursor = hi % n_arcs
                 break

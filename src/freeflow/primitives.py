@@ -245,9 +245,7 @@ def _circle_graph(n=4, total_length=2.0 * math.pi, base_vertex=0):
     total_length = _positive("total_length", total_length)
     step = total_length / n
     lengths = {(i, (i + 1) % n): step for i in range(n)}
-    mesh = TriMesh([], lengths, base_vertex=base_vertex)
-    mesh.aux["arc"] = np.arange(n) * step
-    return mesh
+    return TriMesh([], lengths, base_vertex=base_vertex)
 
 
 def _interval_graph(n=2, total_length=2.0, base_vertex=0):
@@ -255,9 +253,7 @@ def _interval_graph(n=2, total_length=2.0, base_vertex=0):
     total_length = _positive("total_length", total_length)
     step = total_length / n
     lengths = {(i, i + 1): step for i in range(n)}
-    mesh = TriMesh([], lengths, base_vertex=base_vertex)
-    mesh.aux["arc"] = np.arange(n + 1) * step
-    return mesh
+    return TriMesh([], lengths, base_vertex=base_vertex)
 
 
 _BUILDERS = {

@@ -8,7 +8,6 @@ from freeflow.errors import (
     UnboundedSequence,
 )
 from freeflow.experiments import (
-    CutoffSpec,
     cutoff_decay,
     cutoff_field,
     divergence_free_field,
@@ -32,10 +31,14 @@ def strip():
 
 
 @pytest.fixture(scope="module")
-def strip_field(strip):
-    dist = geodesic_distances(strip, strip.base_vertex)
-    g = divergence_free_field(strip, potential=np.exp(-dist / 4.0))
-    return dist, g
+def strip_dist(strip):
+    return geodesic_distances(strip, strip.base_vertex)
+
+
+@pytest.fixture(scope="module")
+def strip_field(strip, strip_dist):
+    g = divergence_free_field(strip, potential=np.exp(-strip_dist / 4.0))
+    return strip_dist, g
 
 
 def disk_with_annular_subset(nx=20, r_inner=0.15, r_outer=0.35):
@@ -62,27 +65,27 @@ class TestCutoffProfile:
         # the quintic's steepest point is 15/8, within the allowed 2
         assert np.abs(slopes).max() == pytest.approx(15.0 / 8.0, abs=1e-2)
 
-    def test_invalid_scale(self):
-        with pytest.raises(InvalidParams):
-            CutoffSpec(scale=0.0)
+    def test_invalid_scale(self, strip_dist):
+        for scale in (0.0, -1.0, float("nan")):  # NaN used to be accepted
+            with pytest.raises(InvalidParams):
+                cutoff_field(strip_dist, scale)
 
 
 class TestCutoffField:
-    def test_center_value_one(self, strip):
-        values = cutoff_field(strip, CutoffSpec(scale=2.0))
+    def test_center_value_one(self, strip, strip_dist):
+        values = cutoff_field(strip_dist, 2.0)
         assert values[strip.base_vertex] == 1.0
 
-    def test_plateaus_match_balls(self, strip):
+    def test_plateaus_match_balls(self, strip_dist):
         k = 3.0
-        dist = geodesic_distances(strip, strip.base_vertex)
-        values = cutoff_field(strip, CutoffSpec(scale=k))
-        assert np.all(values[dist <= k] == 1.0)
-        assert np.all(values[dist >= 2 * k] == 0.0)
+        values = cutoff_field(strip_dist, k)
+        assert np.all(values[strip_dist <= k] == 1.0)
+        assert np.all(values[strip_dist >= 2 * k] == 0.0)
         assert values.min() >= 0.0 and values.max() <= 1.0
 
-    def test_lipschitz_bound(self, strip):
+    def test_lipschitz_bound(self, strip, strip_dist):
         for k in (1.0, 2.0, 4.0):
-            values = cutoff_field(strip, CutoffSpec(scale=k))
+            values = cutoff_field(strip_dist, k)
             assert lip_constant(strip, values, "edgewise") <= 2.0 / k * (1 + 1e-12)
 
 

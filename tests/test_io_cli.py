@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from freeflow import freenorm
+from freeflow import cli, experiments, freenorm
 from freeflow import io as ffio
 from freeflow.cli import main
 from freeflow.currents import d0
@@ -102,6 +103,36 @@ class TestJsonRoundTrips:
         assert main(["validate-mesh", str(path)]) == 1
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("repeat", [[0, 1, 1.5], [1, 0, 1.5]])
+    def test_edge_given_two_lengths_rejected(self, tmp_path, capsys, repeat):
+        # the same pair in the same order used to keep its last length
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"triangles": [[0, 1, 2]], "edges": [
+            [0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0], repeat]}))
+        assert main(["validate-mesh", str(path)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"] == {
+            "type": "MeshError",
+            "message": "edge (0, 1) given two lengths 1.0 and 1.5",
+        }
+
+    def test_edge_repeated_with_its_length_accepted(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"triangles": [[0, 1, 2]], "edges": [
+            [0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0], [0, 1, 1.0], [1, 0, 1.0]]}))
+        assert main(["validate-mesh", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["edges"] == 3
+
+    @pytest.mark.parametrize("length", [float("inf"), -float("inf"), float("nan"), 0.0])
+    def test_edge_length_must_be_finite_and_positive(self, tmp_path, capsys, length):
+        # Infinity used to pass validate-mesh and fail later in the solvers
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"triangles": [], "edges": [
+            [0, 1, 1.0], [1, 2, length]]}))
+        assert main(["validate-mesh", str(path)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "MeshError"
 
 
 class TestCli:
@@ -307,6 +338,24 @@ class TestCli:
         assert report["passed"] is True
         assert len(report["rows"]) == 4
 
+    def test_experiment_cutoff_runs_two_distance_searches(self, tmp_path,
+                                                           monkeypatch):
+        # one in the config run and one in cutoff_decay; cutoff_field used
+        # to run one more per scale
+        calls = []
+        for module in (cli, experiments):
+            search = module.geodesic_distances
+            monkeypatch.setattr(
+                module, "geodesic_distances",
+                lambda mesh, source, search=search: calls.append(source)
+                or search(mesh, source),
+            )
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"kind": "cutoff"}))
+        assert main(["experiment", "cutoff", "--config", str(config),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 2
+
     def test_experiment_refine_with_field(self, tmp_path):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({
@@ -386,6 +435,9 @@ class TestCli:
             ("refine", {"primitive": "flat_rect", "levels": [4],
                         "atoms": [[[0.5], 1.0]]}),
             ("extension", {"center": [0.5]}),
+            # the string "false" used to run the field solver
+            ("refine", {"primitive": "flat_rect", "levels": [4],
+                        "atoms": [[[0.5, 0.5], 1.0]], "include_field": "false"}),
         ],
     )
     def test_malformed_experiment_config_rejected(self, tmp_path, capsys,
@@ -396,6 +448,31 @@ class TestCli:
         assert code == 1
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            # each used to build its mesh before the value was checked
+            ("cutoff", {"ks": [1, "2"]}),
+            ("cutoff", {"decay": -1.0}),
+            ("weakstar", {"steps": 0}),
+            ("extension", {"r_outer": "0.35"}),
+            ("refine", {"primitive": "flat_rect", "levels": [4],
+                        "atoms": [[[0.5, 0.5], 1.0]], "include_field": 1}),
+        ],
+    )
+    def test_config_is_checked_before_any_mesh_is_built(self, tmp_path, capsys,
+                                                         monkeypatch, kind, config):
+        built = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "generate_primitive",
+                                lambda *a, **k: built.append(a))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"kind": kind, **config}))
+        assert main(["experiment", kind, "--config", str(path)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+        assert built == []
 
     def test_experiment_csv_output(self, tmp_path):
         config = tmp_path / "exp.json"
@@ -495,6 +572,24 @@ class TestBatch:
         assert main(["batch", str(path), "--out", str(tmp_path / "s.csv")]) == 1
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"command": "experiment", "experiment": "bogus"},  # was a KeyError
+            {"command": "experiment"},
+            # was an AttributeError
+            {"command": "experiment", "experiment": "cutoff", "config": [1]},
+        ],
+    )
+    def test_malformed_experiment_entry_is_a_parse_error(self, tmp_path, entry):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [entry]}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 2
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        assert row["status"] == "error"
+        assert row["detail"].startswith("ParseError:")
 
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "batch.json"

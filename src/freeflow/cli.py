@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -398,6 +397,14 @@ def _rows_to_csv(path, rows):
         writer.writerows(rows)
 
 
+def _entry_path(entry, key):
+    """``entry[key]`` as a JSON string; an integer would open a descriptor."""
+    path = entry.get(key)
+    if type(path) is not str:
+        raise ParseError(f"batch entry {key!r}: {path!r} is not a JSON string path")
+    return path
+
+
 def _run_batch_entry(entry, load_mesh):
     """Run one manifest entry through its command's payload function.
 
@@ -406,21 +413,22 @@ def _run_batch_entry(entry, load_mesh):
     recorded as "error" by the caller.
     """
     command = entry.get("command")
+    out = _entry_path(entry, "out") if "out" in entry else None
     if command == "free-norm":
-        mesh = load_mesh(entry["mesh"])
-        molecule = ffio.molecule_from_dict(ffio.read_json(entry["molecule"]))
+        mesh = load_mesh(_entry_path(entry, "mesh"))
+        molecule = ffio.molecule_from_dict(ffio.read_json(_entry_path(entry, "molecule")))
         payload = _free_norm_payload(mesh, molecule, entry.get("method", "all"))
-        if entry.get("out"):
-            ffio.write_json(entry["out"], payload)
+        if out:
+            ffio.write_json(out, payload)
         return "pass", f"gap={payload['duality_gap']!r}"
     if command == "experiment":
         kind = entry.get("experiment")
         report = run_experiment(kind, entry.get("config", {"kind": kind}))
-        if entry.get("out"):
-            ffio.write_json(entry["out"], report.to_dict())
+        if out:
+            ffio.write_json(out, report.to_dict())
         return ("pass" if report.passed else "fail"), f"kind={kind}"
     if command == "validate-mesh":
-        payload = _validate_mesh_payload(load_mesh(entry["mesh"]))
+        payload = _validate_mesh_payload(load_mesh(_entry_path(entry, "mesh")))
         return "pass", f"vertices={payload['vertices']}"
     raise ParseError(f"unsupported batch command {command!r}")
 
@@ -432,21 +440,19 @@ def cmd_batch(args):
         raise ParseError("batch manifest 'entries' must be a list of JSON objects")
     # each mesh path is read and parsed once per run
     load_mesh = functools.cache(lambda path: ffio.mesh_from_dict(ffio.read_json(path)))
+    # the summary holds no wall times, so identical runs give identical bytes
     results = []
     for index, entry in enumerate(entries):
-        start = time.perf_counter()
         try:
             status, detail = _run_batch_entry(entry, load_mesh)
         except Exception as exc:  # entry errors recorded, batch continues
             status, detail = "error", f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        results.append((index, entry.get("command", "?"), status, detail, elapsed))
+        results.append((index, entry.get("command", "?"), status, detail))
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "command", "status", "detail", "wall_time_s"])
-        for index, command, status, detail, elapsed in results:
-            writer.writerow([index, command, status, detail, f"{elapsed:.6f}"])
+        writer.writerow(["index", "command", "status", "detail"])
+        writer.writerows(results)
 
     return 0 if all(r[2] == "pass" for r in results) else 2
 

@@ -12,9 +12,10 @@ A molecule sum_i a_i * delta(x_i) is normed by
                        (operator-splitting iteration).
 
 The molecule need not balance: the base vertex absorbs the deficit,
-which realizes delta(base) = 0. The dual and graph-primal values agree
-exactly (up to float tolerance) by LP duality; the field value converges
-to the continuum norm under mesh refinement.
+which realizes delta(base) = 0. Each graph route certifies its solver's
+flow and potential against each other, and the two values agree by LP
+duality; the field value converges to the continuum norm under mesh
+refinement.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .transport import solve_transportation
 # two routes contradict each other when they differ by more than this
 # fraction of max(1, |dual value|)
 AGREEMENT_TOL = 1e-6
+
+# largest relative residual, slack or gap a certified graph answer may show
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,38 @@ def molecule_vector(mesh, molecule):
     return b
 
 
+def certify_graph_optimum(mesh, b, flow, potential):
+    """Optimality certificate of an edge flow and a vertex potential.
+
+    By LP duality the pair is optimal when the flow routes ``b``, the
+    potential p is edgewise 1-Lipschitz and the flow's length-weighted
+    mass equals b . p. Returns the three relative defects:
+
+    * residual -- max |incidence @ flow - b| / max(1, max |b|);
+    * slack    -- max_e |p change along e| / length_e - 1;
+    * gap      -- (sum length * |flow| - b . p) / max(1, |b . p|).
+
+    Raises :class:`SolverFailure` with the three in its diagnostics when
+    the residual, the slack or |gap| exceeds ``CERTIFICATE_TOL``.
+    """
+    tails, heads = mesh.edges.T
+    inflow = np.bincount(heads, flow, len(b)) - np.bincount(tails, flow, len(b))
+    residual = float(np.abs(inflow - b).max()) / max(1.0, float(np.abs(b).max()))
+    steepest = np.abs(potential[heads] - potential[tails]) / mesh.edge_lengths
+    slack = float(steepest.max()) - 1.0
+    # elementwise sums: a BLAS dot of this length may wake its thread pool
+    dual = float(np.sum(b * potential))
+    gap = (float(np.sum(mesh.edge_lengths * np.abs(flow))) - dual) / max(1.0, abs(dual))
+    numbers = {"residual": residual, "slack": slack, "gap": gap}
+    if max(residual, slack, abs(gap)) > CERTIFICATE_TOL:
+        raise SolverFailure(
+            f"graph solution fails its certificate (tolerance {CERTIFICATE_TOL}): "
+            f"residual {residual!r}, slack {slack!r}, gap {gap!r}",
+            diagnostics=numbers,
+        )
+    return numbers
+
+
 def dual_lp(mesh, molecule):
     """Maximal molecule evaluation over edgewise 1-Lipschitz potentials.
 
@@ -97,7 +133,8 @@ def dual_lp(mesh, molecule):
     """
     molecule = canonicalize(molecule, mesh.base_vertex)
     b = molecule_vector(mesh, molecule)
-    _, potential = ssp.min_cost_flow(mesh, b)
+    flow, potential = ssp.min_cost_flow(mesh, b)
+    certify_graph_optimum(mesh, b, flow, potential)
     value = float(sum(c * potential[v] for v, c in molecule.atoms))
     return value, potential
 
@@ -112,7 +149,9 @@ def beckmann_graph(mesh, molecule):
     """
     molecule = canonicalize(molecule, mesh.base_vertex)
     b = molecule_vector(mesh, molecule)
-    flow, value = netsimplex.min_cost_flow(mesh, b)
+    flow, potential = netsimplex.min_cost_flow(mesh, b)
+    certify_graph_optimum(mesh, b, flow, potential)
+    value = float(np.sum(mesh.edge_lengths * np.abs(flow)))
     return value, flow
 
 
@@ -313,13 +352,14 @@ def free_norm(mesh, molecule, method="all", field_params=None):
 
     ``method`` is one of dual, graph, field, all ("all" runs the field
     solver only on surfaces). The duality gap is primal_graph - dual.
-    :class:`SolverFailure` is raised when the dual and graph routes both
-    run and their gap exceeds ``AGREEMENT_TOL * max(1, |dual|)``, or when
-    the dual and field routes both run and the field lower bound exceeds
-    the dual value by as much.
+    An unknown method is a :class:`ParseError`. :class:`SolverFailure`
+    is raised when a graph route fails its certificate, when the dual
+    and graph routes both run and their gap exceeds
+    ``AGREEMENT_TOL * max(1, |dual|)``, or when the dual and field routes
+    both run and the field lower bound exceeds the dual value by as much.
     """
     if method not in ("dual", "graph", "field", "all"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ParseError(f"unknown method {method!r}")
     molecule = canonicalize(molecule, mesh.base_vertex)
     report = FreeNormReport()
     report.diagnostics["atoms"] = len(molecule.atoms)

@@ -92,5 +92,4 @@ def min_cost_flow(mesh, b):
         finite = np.isfinite(dist)
         pi[finite] += dist[finite]
 
-    potential = pi - pi[mesh.base_vertex]
-    return flow, potential
+    return flow, pi - pi[mesh.base_vertex]

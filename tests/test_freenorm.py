@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from freeflow import freenorm, netsimplex, ssp
 from freeflow.errors import MeshError, SolverFailure, TooManyAtoms
 from freeflow.freenorm import (
+    CERTIFICATE_TOL,
     FieldSolveParams,
     Molecule,
     beckmann_field,
@@ -322,6 +323,50 @@ class TestBeckmannGraph:
             flow_ssp, _ = ssp.min_cost_flow(flat4, b)
             diff = incidence_apply(flat4, flow_ns - flow_ssp)
             assert np.abs(diff).max() <= 1e-9
+
+
+def _bump_one_flow_entry(flow, potential):
+    flow = flow.copy()
+    flow[3] += 1e-3
+    return flow, potential
+
+
+class TestGraphCertificate:
+    @pytest.mark.parametrize(
+        "fixture", ["flat4", "ico1", "annulus", "torus8", "circle32", "interval10"]
+    )
+    def test_solver_pairs_are_certified(self, request, fixture):
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(45)
+        for _ in range(5):
+            b = molecule_vector(mesh, random_molecule(mesh, rng))
+            for solver in (ssp, netsimplex):
+                numbers = freenorm.certify_graph_optimum(
+                    mesh, b, *solver.min_cost_flow(mesh, b)
+                )
+                worst = max(numbers["residual"], numbers["slack"], abs(numbers["gap"]))
+                assert worst <= CERTIFICATE_TOL / 100
+
+    @pytest.mark.parametrize(
+        "route, solver", [(dual_lp, "ssp"), (beckmann_graph, "netsimplex")]
+    )
+    @pytest.mark.parametrize(
+        "defect, spoil",
+        [
+            ("residual", _bump_one_flow_entry),
+            ("slack", lambda flow, potential: (flow, 1.01 * potential)),
+            # feasible on both sides, but the zero potential attains nothing
+            ("gap", lambda flow, potential: (flow, np.zeros_like(potential))),
+        ],
+    )
+    def test_spoiled_solution_fails(self, flat4, monkeypatch, route, solver, defect,
+                                    spoil):
+        module = getattr(freenorm, solver)
+        solve = module.min_cost_flow
+        monkeypatch.setattr(module, "min_cost_flow", lambda mesh, b: spoil(*solve(mesh, b)))
+        with pytest.raises(SolverFailure, match="certificate") as info:
+            route(flat4, Molecule(((7, 1.0), (19, -2.0))))
+        assert abs(info.value.diagnostics[defect]) > CERTIFICATE_TOL
 
 
 class TestNormAxioms:

@@ -253,6 +253,26 @@ class TestCli:
         assert row[2] == "error"
         assert row[3].startswith("SolverFailure: duality gap")
 
+    def test_uncertified_dual_fails_free_norm(self, tmp_path, capsys, monkeypatch,
+                                              flat4):
+        mesh_path = tmp_path / "m.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0], [19, -2.0]]}))
+        solve = freenorm.ssp.min_cost_flow
+
+        def steep(mesh, b):
+            flow, potential = solve(mesh, b)
+            return flow, 1.01 * potential
+
+        monkeypatch.setattr(freenorm.ssp, "min_cost_flow", steep)
+        # --method dual used to exit 0 on an infeasible potential
+        assert main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), "--method", "dual"]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "SolverFailure"
+        assert "certificate" in envelope["error"]["message"]
+
     def test_gen_mesh_rejects_flags_of_another_kind(self, tmp_path, capsys):
         # used to escape as a TypeError traceback
         with pytest.raises(InvalidParams):
@@ -591,6 +611,37 @@ class TestBatch:
         assert row["status"] == "error"
         assert row["detail"].startswith("ParseError:")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"out": 7}, "not a JSON string path"),  # was written to descriptor 7
+            ({"mesh": 5}, "not a JSON string path"),  # was read from descriptor 5
+            ({"molecule": ["x"]}, "not a JSON string path"),  # was a TypeError
+            ({"mesh": None}, "not a JSON string path"),  # was a KeyError
+            ({"method": "bogus"}, "unknown method"),  # was a ValueError
+            ({"command": "validate-mesh", "mesh": None}, "not a JSON string path"),
+            ({"command": "validate-mesh", "mesh": 5}, "not a JSON string path"),
+        ],
+    )
+    def test_malformed_path_or_method_entry_is_a_parse_error(self, tmp_path, flat4,
+                                                               change, message):
+        mesh_path = tmp_path / "m.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0]]}))
+        entry = {"command": "free-norm", "mesh": str(mesh_path),
+                 "molecule": str(mu_path), **change}
+        # a None value stands for a missing key
+        entry = {key: value for key, value in entry.items() if value is not None}
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [entry]}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 2
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        assert row["status"] == "error"
+        assert row["detail"].startswith("ParseError:")
+        assert message in row["detail"]
+
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "batch.json"
         manifest.write_text(json.dumps({"entries": []}))
@@ -598,7 +649,25 @@ class TestBatch:
         assert main(["batch", str(manifest), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
-        assert lines[0] == "index,command,status,detail,wall_time_s"
+        assert lines[0] == "index,command,status,detail"
+
+    def test_summary_is_byte_identical_across_runs(self, tmp_path, flat4):
+        mesh_path = tmp_path / "m.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0], [19, -2.0]]}))
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"command": "free-norm", "mesh": str(mesh_path),
+             "molecule": str(mu_path)},
+            {"command": "validate-mesh", "mesh": str(mesh_path)},
+            {"command": "validate-mesh", "mesh": str(tmp_path / "no.json")},
+        ]}))
+        s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        for out in (s1, s2):
+            assert main(["batch", str(manifest), "--out", str(out)]) == 2
+        # the summary used to carry a wall_time_s column
+        assert s1.read_bytes() == s2.read_bytes()
 
     def test_three_entries_and_one_error(self, tmp_path):
         mesh_path = tmp_path / "m.json"

@@ -259,6 +259,12 @@ def _number(x):
     return x
 
 
+def _string(x):
+    if type(x) is not str:
+        raise ValueError("not a JSON string")
+    return x
+
+
 def _list_of(convert):
     def converted(x):
         if type(x) is not list:
@@ -286,7 +292,7 @@ def _setting(config, key, default, convert):
     try:
         return convert(value)
     except ValueError as exc:
-        raise ParseError(f"config {key!r}: {value!r} is {exc}") from None
+        raise ParseError(f"{key!r}: {value!r} is {exc}") from None
 
 
 def run_experiment(kind, config):
@@ -397,14 +403,6 @@ def _rows_to_csv(path, rows):
         writer.writerows(rows)
 
 
-def _entry_path(entry, key):
-    """``entry[key]`` as a JSON string; an integer would open a descriptor."""
-    path = entry.get(key)
-    if type(path) is not str:
-        raise ParseError(f"batch entry {key!r}: {path!r} is not a JSON string path")
-    return path
-
-
 def _run_batch_entry(entry, load_mesh):
     """Run one manifest entry through its command's payload function.
 
@@ -413,10 +411,12 @@ def _run_batch_entry(entry, load_mesh):
     recorded as "error" by the caller.
     """
     command = entry.get("command")
-    out = _entry_path(entry, "out") if "out" in entry else None
+    # file paths must be strings: open() takes an integer as a descriptor
+    out = _setting(entry, "out", "", _string)
     if command == "free-norm":
-        mesh = load_mesh(_entry_path(entry, "mesh"))
-        molecule = ffio.molecule_from_dict(ffio.read_json(_entry_path(entry, "molecule")))
+        mesh = load_mesh(_setting(entry, "mesh", None, _string))
+        molecule_path = _setting(entry, "molecule", None, _string)
+        molecule = ffio.molecule_from_dict(ffio.read_json(molecule_path))
         payload = _free_norm_payload(mesh, molecule, entry.get("method", "all"))
         if out:
             ffio.write_json(out, payload)
@@ -428,7 +428,8 @@ def _run_batch_entry(entry, load_mesh):
             ffio.write_json(out, report.to_dict())
         return ("pass" if report.passed else "fail"), f"kind={kind}"
     if command == "validate-mesh":
-        payload = _validate_mesh_payload(load_mesh(_entry_path(entry, "mesh")))
+        mesh = load_mesh(_setting(entry, "mesh", None, _string))
+        payload = _validate_mesh_payload(mesh)
         return "pass", f"vertices={payload['vertices']}"
     raise ParseError(f"unsupported batch command {command!r}")
 
@@ -440,7 +441,6 @@ def cmd_batch(args):
         raise ParseError("batch manifest 'entries' must be a list of JSON objects")
     # each mesh path is read and parsed once per run
     load_mesh = functools.cache(lambda path: ffio.mesh_from_dict(ffio.read_json(path)))
-    # the summary holds no wall times, so identical runs give identical bytes
     results = []
     for index, entry in enumerate(entries):
         try:

@@ -614,13 +614,13 @@ class TestBatch:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"out": 7}, "not a JSON string path"),  # was written to descriptor 7
-            ({"mesh": 5}, "not a JSON string path"),  # was read from descriptor 5
-            ({"molecule": ["x"]}, "not a JSON string path"),  # was a TypeError
-            ({"mesh": None}, "not a JSON string path"),  # was a KeyError
+            ({"out": 7}, "is not a JSON string"),  # was written to descriptor 7
+            ({"mesh": 5}, "is not a JSON string"),  # was read from descriptor 5
+            ({"molecule": ["x"]}, "is not a JSON string"),  # was a TypeError
+            ({"mesh": None}, "is not a JSON string"),  # was a KeyError
             ({"method": "bogus"}, "unknown method"),  # was a ValueError
-            ({"command": "validate-mesh", "mesh": None}, "not a JSON string path"),
-            ({"command": "validate-mesh", "mesh": 5}, "not a JSON string path"),
+            ({"command": "validate-mesh", "mesh": None}, "is not a JSON string"),
+            ({"command": "validate-mesh", "mesh": 5}, "is not a JSON string"),
         ],
     )
     def test_malformed_path_or_method_entry_is_a_parse_error(self, tmp_path, flat4,

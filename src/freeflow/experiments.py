@@ -171,7 +171,10 @@ def tangential_subset_field(mesh_n, faces_m, rng=None):
 
     A = divergence_matrix(mesh_n)
     cols = np.repeat(2 * np.array(faces), 2) + np.tile([0, 1], len(faces))
-    Am = A[:, cols].T.toarray()  # (2|M|, V)
+    # only the subset's corner vertices give nonzero columns, and zero
+    # columns leave the range, hence the projection, unchanged
+    touched = np.unique(mesh_n.triangles[faces])
+    Am = A[touched][:, cols].T.toarray()  # (2|M|, touched vertices)
     y, *_ = np.linalg.lstsq(Am, g0, rcond=None)
     g = g0 - Am @ y
     return g.reshape(len(faces), 2)

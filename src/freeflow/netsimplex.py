@@ -19,8 +19,9 @@ inside S, walking down from q (Ahuja, Magnanti & Orlin, *Network
 Flows*, 1993, section 11.5). Every potential is the sum of arc costs
 along its root path, taken from the root down. At optimality the
 potentials, taken relative to the base vertex, are an optimal dual
-solution; the solve returns them with the flow, and ``freenorm``
-certifies the pair.
+solution. The solve returns them summed again from the root's children
+without the artificial cost, so their roundoff scales with the edge
+lengths, and ``freenorm`` certifies them with the flow.
 """
 
 from __future__ import annotations
@@ -180,4 +181,18 @@ def min_cost_flow(mesh, b):
             pi[u] = pi[w] + cost_of[a] if head_of[a] == u else pi[w] - cost_of[a]
             stack.extend(children[u])
 
-    return flow[0:n_real:2] - flow[1:n_real:2], pi[:V] - pi[mesh.base_vertex]
+    # the returned potential sums arc costs down from each anchor, a
+    # child of the root, leaving out the artificial cost big whose
+    # roundoff would swamp short edges; at optimality every anchor has
+    # the same potential, so the sums share one origin
+    potential = [0.0] * V
+    stack = [u for anchor in children[root] for u in children[anchor]]
+    while stack:
+        u = stack.pop()
+        w, a = parent[u], parent_arc[u]
+        potential[u] = (
+            potential[w] + cost_of[a] if head_of[a] == u else potential[w] - cost_of[a]
+        )
+        stack.extend(children[u])
+    potential = np.array(potential)
+    return flow[0:n_real:2] - flow[1:n_real:2], potential - potential[mesh.base_vertex]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from freeflow import calculus
 from freeflow.calculus import (
@@ -234,17 +235,51 @@ class TestLipschitzConstant:
                 pair = lip_constant(mesh, f, "pairwise_geodesic")
                 assert abs(edge - pair) <= 1e-12 * max(1.0, edge)
 
-    def test_pairwise_row_blocks_match_the_dense_ratio(self, ico1, monkeypatch):
+    def test_pairwise_row_blocks_match_the_dense_ratio(
+        self, flat4, ico1, annulus, torus, poincare, circle32, monkeypatch
+    ):
         rng = np.random.default_rng(11)
-        f = rng.normal(size=ico1.vertex_count)
-        d = ico1.all_pairs_distances()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dense = np.where(d > 0, np.abs(f[:, None] - f[None, :]) / d, 0.0)
-        # five rows per block, so the last of the nine blocks is short
-        monkeypatch.setattr(
-            calculus, "_PAIRWISE_BLOCK_ELEMENTS", 5 * ico1.vertex_count
-        )
-        assert lip_constant(ico1, f, "pairwise_geodesic") == float(dense.max())
+        default_block = calculus._PAIRWISE_BLOCK_ELEMENTS
+        for mesh in (flat4, ico1, annulus, torus, poincare, circle32):
+            V = mesh.vertex_count
+            d = mesh.all_pairs_distances()
+            x = mesh.aux["positions"][:, 0] if "positions" in mesh.aux else np.arange(V) / V
+            fields = {
+                "random": rng.normal(size=V),
+                "distance": geodesic_distances(mesh, mesh.base_vertex),
+                "x squared": x**2,
+                "constant": np.full(V, -1.5),
+            }
+            for name, f in fields.items():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    dense = np.where(d > 0, np.abs(f[:, None] - f[None, :]) / d, 0.0)
+                # five rows per block, so the search takes several blocks
+                for block in (default_block, 5 * V):
+                    monkeypatch.setattr(calculus, "_PAIRWISE_BLOCK_ELEMENTS", block)
+                    got = lip_constant(mesh, f, "pairwise_geodesic")
+                    assert got == float(dense.max()), (mesh, name, block)
+
+        # 0.2 + 0.7 rounds below 0.9, so only the search finds the far pair
+        path = TriMesh([], {(0, 1): 0.2, (1, 2): 0.7})
+        f = np.array([0.0, 0.2, 0.9])
+        assert lip_constant(path, f, "edgewise") == 1.0
+        assert lip_constant(path, f, "pairwise_geodesic") == 0.9 / (0.2 + 0.7) > 1.0
+
+    def test_pairwise_search_is_pruned_and_limited(self, monkeypatch):
+        mesh = generate_primitive("flat_rect", nx=16)
+        f = np.random.default_rng(13).normal(size=mesh.vertex_count)
+        calls = []
+
+        def recording_dijkstra(*args, **kwargs):
+            calls.append(kwargs)
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "dijkstra", recording_dijkstra)
+        lip_constant(mesh, f, "pairwise_geodesic")
+        assert calls
+        assert all(math.isfinite(call["limit"]) for call in calls)
+        searched = sum(len(call["indices"]) for call in calls)
+        assert searched < mesh.vertex_count / 4
 
     def test_gradient_bounded_by_comparability_constant(self, flat4, ico1):
         rng = np.random.default_rng(12)

@@ -347,6 +347,25 @@ class TestGraphCertificate:
                 worst = max(numbers["residual"], numbers["slack"], abs(numbers["gap"]))
                 assert worst <= CERTIFICATE_TOL / 100
 
+    def test_simplex_potentials_carry_no_artificial_roundoff(self, monkeypatch):
+        # summed without the artificial cost, the potentials' slack is
+        # roundoff of the edge lengths, not of the cost of 4 * total length
+        mesh = generate_primitive("icosphere", level=3)
+        certify = freenorm.certify_graph_optimum
+        slacks = []
+
+        def recording_certify(*args):
+            numbers = certify(*args)
+            slacks.append(numbers["slack"])
+            return numbers
+
+        monkeypatch.setattr(freenorm, "certify_graph_optimum", recording_certify)
+        rng = np.random.default_rng(46)
+        for _ in range(3):
+            beckmann_graph(mesh, random_molecule(mesh, rng, max_atoms=50))
+        assert len(slacks) == 3
+        assert max(slacks) <= 1e-13
+
     @pytest.mark.parametrize(
         "route, solver", [(dual_lp, "ssp"), (beckmann_graph, "netsimplex")]
     )

@@ -204,34 +204,3 @@ def lip_constant(mesh, f, mode="edgewise"):
         return best
     raise ValueError(f"unknown mode {mode!r}")
 
-
-def p1_comparability_constant(mesh):
-    """Largest ratio of a face gradient norm to the edgewise slope bound.
-
-    For each face, maximizes |grad| over differences constrained by the
-    three edge slopes being at most one; the maximum over faces bounds
-    linf_norm(gradient(f)) by lip_constant(f, edgewise) * C.
-    """
-    if mesh.dimension != 2:
-        return 1.0
-    hat = mesh.face_geometry().hat_gradients
-    l01, l12, l02 = mesh.edge_lengths[mesh.face_edges].T
-    slack = 1 + 1e-12
-    best = 0.0
-    # vertices of {|d1|<=l01, |d2|<=l02, |d2-d1|<=l12}: two constraints tight
-    for si in (-1.0, 1.0):
-        for sj in (-1.0, 1.0):
-            for d1, d2 in (
-                (si * l01, sj * l02),
-                (si * l01, si * l01 + sj * l12),
-                (si * l02 - sj * l12, si * l02),
-            ):
-                ok = (
-                    (np.abs(d1) <= l01 * slack)
-                    & (np.abs(d2) <= l02 * slack)
-                    & (np.abs(d2 - d1) <= l12 * slack)
-                )
-                grad = d1[:, None] * hat[:, 1] + d2[:, None] * hat[:, 2]
-                norms = np.linalg.norm(grad[ok], axis=1)
-                best = max(best, float(norms.max(initial=0.0)))
-    return best

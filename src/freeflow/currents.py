@@ -150,44 +150,3 @@ def betti1(mesh):
     closed = len(components) - len(np.unique(mesh.face_components[open_faces]))
     return E - V + 1 - F + closed
 
-
-def _face_edge_vectors(mesh):
-    """Planar vectors v_{i+1} - v_i of the three oriented edges of each face."""
-    layout = mesh.face_geometry().layout
-    return np.roll(layout, -1, axis=1) - layout
-
-
-def oneform_to_edgeform(mesh, f):
-    """Circulations of a per-face covector field along canonical edges.
-
-    Interior edges average the two incident faces; the conversion is
-    lossy in general (a piecewise constant covector field need not have
-    matching tangential traces). Edges in no face, such as graph edges
-    attached to a surface, get 0.0: the face field vanishes off the faces.
-    """
-    if mesh.dimension != 2:
-        raise MeshError("conversion requires a dimension-2 mesh")
-    f = np.asarray(f, dtype=float)
-    vec = _face_edge_vectors(mesh)
-    circ = mesh.face_signs * np.einsum("fd,fid->fi", f, vec)
-    E = len(mesh.edges)
-    total = np.bincount(mesh.face_edges.ravel(), circ.ravel(), minlength=E)
-    counts = np.bincount(mesh.face_edges.ravel(), minlength=E)
-    return np.divide(total, counts, out=np.zeros(E), where=counts > 0)
-
-
-def edgeform_to_oneform(mesh, omega):
-    """Per-face least-squares covector matching the three edge circulations.
-
-    Returns ``(oneform, max_residual)``; the residual is zero only on
-    forms whose face circulations vanish, so the conversion is flagged
-    lossy through it.
-    """
-    if mesh.dimension != 2:
-        raise MeshError("conversion requires a dimension-2 mesh")
-    omega = _as_edgeform(mesh, omega)
-    rows = _face_edge_vectors(mesh)
-    rhs = mesh.face_signs * omega[mesh.face_edges]
-    out = np.einsum("fij,fj->fi", np.linalg.pinv(rows), rhs)
-    residual = np.einsum("fij,fj->fi", rows, out) - rhs
-    return out, float(np.abs(residual).max())

@@ -104,8 +104,9 @@ def certify_graph_optimum(mesh, b, flow, potential):
     * slack    -- max_e |p change along e| / length_e - 1;
     * gap      -- (sum length * |flow| - b . p) / max(1, |b . p|).
 
-    Raises :class:`SolverFailure` with the three in its diagnostics when
-    the residual, the slack or |gap| exceeds ``CERTIFICATE_TOL``.
+    Raises :class:`SolverFailure` with the three in its diagnostics
+    unless the residual, the slack and |gap| are each at most
+    ``CERTIFICATE_TOL``, so a NaN defect fails too.
     """
     tails, heads = mesh.edges.T
     inflow = np.bincount(heads, flow, len(b)) - np.bincount(tails, flow, len(b))
@@ -116,7 +117,8 @@ def certify_graph_optimum(mesh, b, flow, potential):
     dual = float(np.sum(b * potential))
     gap = (float(np.sum(mesh.edge_lengths * np.abs(flow))) - dual) / max(1.0, abs(dual))
     numbers = {"residual": residual, "slack": slack, "gap": gap}
-    if max(residual, slack, abs(gap)) > CERTIFICATE_TOL:
+    # not max(...) > tol: the builtin max drops a NaN after its first argument
+    if not all(x <= CERTIFICATE_TOL for x in (residual, slack, abs(gap))):
         raise SolverFailure(
             f"graph solution fails its certificate (tolerance {CERTIFICATE_TOL}): "
             f"residual {residual!r}, slack {slack!r}, gap {gap!r}",

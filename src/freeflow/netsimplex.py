@@ -45,6 +45,8 @@ def min_cost_flow(mesh, b):
     b = np.asarray(b, dtype=float)
     if b.shape != (V,):
         raise ValueError(f"imbalance has shape {b.shape}, expected ({V},)")
+    if not np.isfinite(b).all():
+        raise SolverFailure("imbalance has non-finite entries")
     if abs(b.sum()) > 1e-9 * max(1.0, np.abs(b).max(initial=0.0)):
         raise SolverFailure(f"imbalance does not sum to zero: {b.sum()}")
 

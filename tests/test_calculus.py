@@ -15,7 +15,6 @@ from freeflow.calculus import (
     l1_norm,
     linf_norm,
     lip_constant,
-    p1_comparability_constant,
     pairing,
 )
 from freeflow.mesh import TriMesh, geodesic_distances
@@ -280,17 +279,6 @@ class TestLipschitzConstant:
         assert all(math.isfinite(call["limit"]) for call in calls)
         searched = sum(len(call["indices"]) for call in calls)
         assert searched < mesh.vertex_count / 4
-
-    def test_gradient_bounded_by_comparability_constant(self, flat4, ico1):
-        rng = np.random.default_rng(12)
-        for mesh in (flat4, ico1):
-            c = p1_comparability_constant(mesh)
-            assert c >= 1.0 - 1e-12
-            for _ in range(25):
-                f = rng.normal(size=mesh.vertex_count)
-                assert linf_norm(mesh, gradient(mesh, f)) <= c * lip_constant(
-                    mesh, f, "edgewise"
-                ) * (1 + 1e-12)
 
     def test_axis_aligned_equality_on_flat_rect(self, flat4):
         f = 1.7 * flat4.aux["positions"][:, 0]

@@ -8,12 +8,9 @@ from freeflow.currents import (
     classify,
     d0,
     d1,
-    edgeform_to_oneform,
-    oneform_to_edgeform,
     solve_potential,
     spanning_tree,
 )
-from freeflow.calculus import gradient
 from freeflow.mesh import TriMesh
 from freeflow.primitives import generate_primitive
 
@@ -306,32 +303,3 @@ class TestBetti:
     def test_disk_with_a_dangling_graph_edge(self):
         assert betti1(disk_with_dangling_edge()) == 0
 
-
-class TestConversions:
-    def test_gradient_circulations_match_d0(self, flat4):
-        rng = np.random.default_rng(28)
-        f = rng.normal(size=flat4.vertex_count)
-        omega = oneform_to_edgeform(flat4, gradient(flat4, f))
-        assert np.abs(omega - d0(flat4, f)).max() <= 1e-12
-
-    def test_edge_in_no_face_gets_zero(self):
-        mesh = disk_with_dangling_edge()
-        disk = generate_primitive("flat_rect", nx=3)
-        rng = np.random.default_rng(31)
-        f = rng.normal(size=(len(mesh.triangles), 2))
-        omega = oneform_to_edgeform(mesh, f)
-        assert omega[-1] == 0.0
-        assert np.array_equal(omega[:-1], oneform_to_edgeform(disk, f))
-
-    def test_roundtrip_on_exact_forms(self, flat4):
-        rng = np.random.default_rng(29)
-        f = rng.normal(size=flat4.vertex_count)
-        oneform, residual = edgeform_to_oneform(flat4, d0(flat4, f))
-        assert residual <= 1e-12
-        assert np.abs(oneform - gradient(flat4, f)).max() <= 1e-12
-
-    def test_conversion_flags_lossiness(self, flat4):
-        rng = np.random.default_rng(30)
-        omega = rng.normal(size=len(flat4.edges))
-        _, residual = edgeform_to_oneform(flat4, omega)
-        assert residual > 1e-6  # generic forms cannot be represented

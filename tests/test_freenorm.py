@@ -387,6 +387,26 @@ class TestGraphCertificate:
             route(flat4, Molecule(((7, 1.0), (19, -2.0))))
         assert abs(info.value.diagnostics[defect]) > CERTIFICATE_TOL
 
+    @pytest.mark.parametrize(
+        "route, solver", [(dual_lp, "ssp"), (beckmann_graph, "netsimplex")]
+    )
+    def test_nan_potential_fails(self, flat4, monkeypatch, route, solver):
+        # NaN compares false against the tolerance, so the check must
+        # pass only defects that are provably small
+        def spoil(flow, potential):
+            potential = potential.copy()
+            potential[5] = np.nan
+            return flow, potential
+
+        module = getattr(freenorm, solver)
+        solve = module.min_cost_flow
+        monkeypatch.setattr(module, "min_cost_flow", lambda mesh, b: spoil(*solve(mesh, b)))
+        with pytest.raises(SolverFailure, match="certificate") as info:
+            route(flat4, Molecule(((7, 1.0), (19, -2.0))))
+        numbers = info.value.diagnostics
+        assert numbers["residual"] <= CERTIFICATE_TOL
+        assert math.isnan(numbers["slack"]) and math.isnan(numbers["gap"])
+
 
 class TestNormAxioms:
     def test_homogeneity(self, ico1):
@@ -406,6 +426,51 @@ class TestNormAxioms:
             a, _ = dual_lp(torus8, mu)
             b, _ = dual_lp(torus8, nu)
             assert both <= a + b + 1e-9
+
+
+class TestSuccessiveShortestPaths:
+    def test_phases_batch_augmentations(self, monkeypatch):
+        # one augmentation per Dijkstra run needs a run per sink at least
+        calls = []
+        search = ssp.dijkstra
+
+        def counting_dijkstra(*args, **kwargs):
+            calls.append(None)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(ssp, "dijkstra", counting_dijkstra)
+        mesh = generate_primitive("torus", nx=14)
+        rng = np.random.default_rng(52)
+        sinks = 0
+        for _ in range(4):
+            verts = rng.choice(np.arange(1, mesh.vertex_count), size=50, replace=False)
+            mu = canonicalize(
+                Molecule(tuple((int(v), c) for v, c in zip(verts, rng.uniform(-3, 3, 50)))),
+                mesh.base_vertex,
+            )
+            sinks += int((molecule_vector(mesh, mu) > 0).sum())
+            dual_lp(mesh, mu)
+        # 86 runs for 106 sinks; one augmentation per run needs 324
+        assert len(calls) < sinks
+
+    def test_paths_over_emptied_cancellation_arcs_wait(self, flat4):
+        # a cancellation arc pushed to zero flow turns forward at reduced
+        # cost 2 * length; a later path over it in the same phase would
+        # route mass along a non-tight arc and fail the certificate
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            b = molecule_vector(flat4, random_molecule(flat4, rng, max_atoms=12))
+            numbers = freenorm.certify_graph_optimum(flat4, b, *ssp.min_cost_flow(flat4, b))
+            assert max(numbers["slack"], abs(numbers["gap"])) <= CERTIFICATE_TOL / 100
+
+    @pytest.mark.parametrize("solver", [ssp, netsimplex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_imbalance_is_rejected(self, flat4, solver, bad):
+        b = np.zeros(flat4.vertex_count)
+        b[[3, 9]] = 1.0, -1.0
+        b[12] = bad
+        with pytest.raises(SolverFailure, match="non-finite"):
+            solver.min_cost_flow(flat4, b)
 
 
 class TestSolverRobustness:

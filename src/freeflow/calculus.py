@@ -29,7 +29,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
-from .errors import MeshError
+from .errors import MeshError, ParseError
 
 # float64 entries per row block of the pairwise Lipschitz ratio (2 MB each)
 _PAIRWISE_BLOCK_ELEMENTS = 1 << 18
@@ -202,5 +202,5 @@ def lip_constant(mesh, f, mode="edgewise"):
             diff = np.abs(f[block, None] - f[None, :])
             best = max(best, float(np.max(diff[near] / d[near], initial=0.0)))
         return best
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ParseError(f"unknown mode {mode!r}")
 

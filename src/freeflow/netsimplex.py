@@ -9,19 +9,31 @@ through an extra root node; the leaving arc is the last blocking arc
 along the pivot cycle from its apex, which keeps the spanning tree
 strongly feasible and prevents degenerate cycling.
 
+Pricing scans the arcs in wrapping blocks of about sqrt(arcs) and
+enters the most negative reduced cost of the first block that has one.
+One array ``priced`` holds each arc's cost, or +inf while the arc is in
+the tree, so a block's reduced costs are one sum over array slices and
+a tree arc can never enter; a pivot updates the two entries that change.
+
 The spanning tree is kept rooted at the extra node, as parent, parent
-arc, depth, potential and a set of children per node. A pivot removes
-the leaving arc, which cuts off the subtree S below it; S holds one
-endpoint q of the entering arc. The pivot reverses the parent links
-along the tree path from q up to the root of S, hangs q under the other
-endpoint of the entering arc, and recomputes depth and potential only
-inside S, walking down from q (Ahuja, Magnanti & Orlin, *Network
-Flows*, 1993, section 11.5). Every potential is the sum of arc costs
-along its root path, taken from the root down. At optimality the
-potentials, taken relative to the base vertex, are an optimal dual
-solution. The solve returns them summed again from the root's children
-without the artificial cost, so their roundoff scales with the edge
-lengths, and ``freenorm`` certifies them with the flow.
+arc, depth, potential and a set of children per node. A pivot walks the
+tree path between the entering arc's endpoints once, up to their apex,
+and sorts each arc into raised or lowered by whether it points along the
+push direction. The leaving arc, the last minimal lowered arc from the
+apex, cuts off the subtree S below it; S holds one endpoint q of the
+entering arc. The pivot reverses the parent links along the tree path
+from q up to the root of S, hangs q under the other endpoint of the
+entering arc, and recomputes depth and potential only inside S, walking
+down from q (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section
+11.5). The arc flows stay a Python list while pivoting, since each pivot
+reads and writes single entries, and become an array once at the end.
+
+Every potential is the sum of arc costs along its root path, taken from
+the root down. At optimality the potentials, taken relative to the base
+vertex, are an optimal dual solution. The solve returns them summed
+again from the root's children without the artificial cost, so their
+roundoff scales with the edge lengths, and ``freenorm`` certifies them
+with the flow.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import math
 import numpy as np
 
 from .errors import SolverFailure
+from .ssp import checked_imbalance
 
 
 def min_cost_flow(mesh, b):
@@ -42,13 +55,7 @@ def min_cost_flow(mesh, b):
     """
     V = mesh.vertex_count
     E = len(mesh.edges)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (V,):
-        raise ValueError(f"imbalance has shape {b.shape}, expected ({V},)")
-    if not np.isfinite(b).all():
-        raise SolverFailure("imbalance has non-finite entries")
-    if abs(b.sum()) > 1e-9 * max(1.0, np.abs(b).max(initial=0.0)):
-        raise SolverFailure(f"imbalance does not sum to zero: {b.sum()}")
+    b = checked_imbalance(mesh, b)
 
     root = V
     n_real = 2 * E
@@ -69,13 +76,12 @@ def min_cost_flow(mesh, b):
     heads[n_real:] = np.where(supply, vertices, root)
     costs[n_real:] = big
 
-    flow = np.zeros(n_arcs)
-    flow[n_real:] = np.abs(b)
-
-    # spanning tree state; potentials satisfy rc = 0 on tree arcs. The
-    # per-pivot bookkeeping reads single entries, so it keeps Python lists
-    in_tree = np.zeros(n_arcs, dtype=bool)
-    in_tree[n_real:] = True
+    # spanning tree state; potentials satisfy rc = 0 on tree arcs, and
+    # ``priced`` is +inf on them. Flows and the per-pivot bookkeeping
+    # read single entries, so they stay Python lists while pivoting
+    flow = [0.0] * n_real + np.abs(b).tolist()
+    priced = costs.copy()
+    priced[n_real:] = math.inf
     parent = [root] * V + [-1]
     parent_arc = list(range(n_real, n_arcs)) + [-1]
     depth = [1] * V + [0]
@@ -96,12 +102,10 @@ def min_cost_flow(mesh, b):
         scanned = 0
         while scanned < n_arcs:
             hi = min(cursor + block, n_arcs)
-            idx = np.arange(cursor, hi)
-            rc = costs[idx] + pi[tails[idx]] - pi[heads[idx]]
-            rc[in_tree[idx]] = 0.0
-            k = int(np.argmin(rc))
+            rc = priced[cursor:hi] + pi.take(tails[cursor:hi]) - pi.take(heads[cursor:hi])
+            k = int(rc.argmin())
             if rc[k] < -tol:
-                entering = int(idx[k])
+                entering = cursor + k
                 cursor = hi % n_arcs
                 break
             scanned += hi - cursor
@@ -113,54 +117,54 @@ def min_cost_flow(mesh, b):
             raise SolverFailure("pivot cap exceeded")
 
         t, h = tail_of[entering], head_of[entering]
-        # cycle = tree path h .. apex .. t plus the entering arc t->h;
-        # pushing along the entering direction increases arcs oriented
-        # with the cycle and decreases arcs against it
-        up_t, up_h = [], []
+        # one walk up the cycle: tree path t .. apex .. h plus the entering
+        # arc t->h. Pushing along the entering arc raises the flow on arcs
+        # that point from the apex towards t, and from h towards the apex,
+        # and lowers it on the others. The leaving arc is the last minimal
+        # lowered arc in cycle order apex .. t, h .. apex: the first
+        # minimum on t's side, which the walk visits backwards, and the
+        # last on h's side, with h's side winning ties
+        raised, lowered = [entering], []
+        leave_t = leave_h = -1
+        flow_t = flow_h = math.inf
         a_node, b_node = t, h
         while a_node != b_node:
             if depth[a_node] >= depth[b_node]:
-                up_t.append(parent_arc[a_node])
+                a = parent_arc[a_node]
+                if head_of[a] == a_node:
+                    raised.append(a)
+                else:
+                    lowered.append(a)
+                    if flow[a] < flow_t:
+                        leave_t, flow_t = a, flow[a]
                 a_node = parent[a_node]
             else:
-                up_h.append(parent_arc[b_node])
+                a = parent_arc[b_node]
+                if tail_of[a] == b_node:
+                    raised.append(a)
+                else:
+                    lowered.append(a)
+                    if flow[a] <= flow_h:
+                        leave_h, flow_h = a, flow[a]
                 b_node = parent[b_node]
-
-        # traverse from the apex along the push direction:
-        # apex -> t (against up_t order), entering, h -> apex
-        cycle = []
-        for a in reversed(up_t):
-            with_dir = depth[tail_of[a]] < depth[head_of[a]]  # points away from apex
-            cycle.append((a, 1.0 if with_dir else -1.0))
-        cycle.append((entering, 1.0))
-        for a in up_h:
-            with_dir = depth[head_of[a]] < depth[tail_of[a]]  # points toward apex
-            cycle.append((a, 1.0 if with_dir else -1.0))
-
-        delta = math.inf
-        leaving = -1
-        leaving_pos = -1
-        for pos, (a, sgn) in enumerate(cycle):
-            if sgn < 0 and flow[a] <= delta:
-                delta = flow[a]
-                leaving = a
-                leaving_pos = pos
+        if flow_h <= flow_t:
+            leaving, delta, q, p = leave_h, flow_h, h, t
+        else:
+            leaving, delta, q, p = leave_t, flow_t, t, h
         if leaving < 0:
             raise SolverFailure("unbounded pivot cycle (negative cost cycle)")
 
-        for a, sgn in cycle:
-            flow[a] += sgn * delta
+        for a in raised:
+            flow[a] += delta
+        for a in lowered:
+            flow[a] -= delta
         flow[leaving] = 0.0
 
-        in_tree[leaving] = False
-        in_tree[entering] = True
+        priced[leaving] = cost_of[leaving]
+        priced[entering] = math.inf
 
         # the leaving arc cuts off the subtree below its lower endpoint c;
         # q is the entering arc's endpoint inside it, p the one outside
-        if leaving_pos < len(up_t):
-            q, p = t, h
-        else:
-            q, p = h, t
         lt, lh = tail_of[leaving], head_of[leaving]
         c = lt if depth[lt] > depth[lh] else lh
         # reverse the parent links along q .. c and hang q under p
@@ -197,4 +201,5 @@ def min_cost_flow(mesh, b):
         )
         stack.extend(children[u])
     potential = np.array(potential)
+    flow = np.array(flow)
     return flow[0:n_real:2] - flow[1:n_real:2], potential - potential[mesh.base_vertex]

@@ -20,7 +20,24 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import SolverFailure
+from .errors import MeshError, SolverFailure
+
+
+def checked_imbalance(mesh, b):
+    """The imbalance ``b`` of both graph solvers as a float vertex array.
+
+    A wrong shape raises ``MeshError``; non-finite entries, or entries
+    that do not sum to zero, raise ``SolverFailure``.
+    """
+    V = mesh.vertex_count
+    b = np.asarray(b, dtype=float)
+    if b.shape != (V,):
+        raise MeshError(f"imbalance has shape {b.shape}, expected ({V},)")
+    if not np.isfinite(b).all():
+        raise SolverFailure("imbalance has non-finite entries")
+    if abs(b.sum()) > 1e-9 * max(1.0, np.abs(b).max(initial=0.0)):
+        raise SolverFailure(f"imbalance does not sum to zero: {b.sum()}")
+    return b
 
 
 def min_cost_flow(mesh, b):
@@ -32,13 +49,7 @@ def min_cost_flow(mesh, b):
     vertex field with potential[base_vertex] == 0.
     """
     V = mesh.vertex_count
-    b = np.asarray(b, dtype=float)
-    if b.shape != (V,):
-        raise ValueError(f"imbalance has shape {b.shape}, expected ({V},)")
-    if not np.isfinite(b).all():
-        raise SolverFailure("imbalance has non-finite entries")
-    if abs(b.sum()) > 1e-9 * max(1.0, np.abs(b).max()):
-        raise SolverFailure(f"imbalance does not sum to zero: {b.sum()}")
+    b = checked_imbalance(mesh, b)
 
     E = len(mesh.edges)
     # arc a runs u->v along edge a for a < E, and v->u along edge a - E

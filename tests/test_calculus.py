@@ -17,6 +17,7 @@ from freeflow.calculus import (
     lip_constant,
     pairing,
 )
+from freeflow.errors import ParseError
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
@@ -206,6 +207,11 @@ class TestLipschitzConstant:
         f = np.full(flat4.vertex_count, 2.0)
         assert lip_constant(flat4, f, "edgewise") == 0.0
         assert lip_constant(flat4, f, "pairwise_geodesic") == 0.0
+
+    def test_unknown_mode_is_a_parse_error(self, flat4):
+        f = np.zeros(flat4.vertex_count)
+        with pytest.raises(ParseError, match="unknown mode 'geodesic'"):
+            lip_constant(flat4, f, "geodesic")
 
     def test_interval_step_field(self):
         m = generate_primitive("interval_graph", n=2, total_length=2.0)

@@ -304,6 +304,37 @@ class TestBeckmannGraph:
             payload = flow.tobytes() + repr(value).encode()
             assert hashlib.sha256(payload).hexdigest() == pin
 
+    @pytest.mark.parametrize(
+        "kind, params, seed, pin",
+        [
+            (
+                "flat_rect",
+                {"nx": 32},
+                53,
+                "3b673f9ef30efc2c9b8b9ebf0260dbd5908ff04e40d84a850b29176052ff230b",
+            ),
+            (
+                "icosphere",
+                {"level": 3},
+                54,
+                "3a3bc49c3f400639e08cddb37d977206f8c7080c80371167575f98327e3114e5",
+            ),
+        ],
+    )
+    def test_multi_block_flows_are_pinned(self, kind, params, seed, pin):
+        # 50 atoms on meshes whose pricing wraps 67-86 blocks over
+        # 1400-2800 pivots; sha256 of the simplex's flow and potential
+        mesh = generate_primitive(kind, **params)
+        rng = np.random.default_rng(seed)
+        verts = rng.choice(np.arange(1, mesh.vertex_count), size=50, replace=False)
+        mu = canonicalize(
+            Molecule(tuple((int(v), c) for v, c in zip(verts, rng.uniform(-3, 3, 50)))),
+            mesh.base_vertex,
+        )
+        flow, potential = netsimplex.min_cost_flow(mesh, molecule_vector(mesh, mu))
+        payload = flow.tobytes() + potential.tobytes()
+        assert hashlib.sha256(payload).hexdigest() == pin
+
     def test_weak_duality_always(self, annulus):
         rng = np.random.default_rng(35)
         for _ in range(10):
@@ -470,6 +501,21 @@ class TestSuccessiveShortestPaths:
         b[[3, 9]] = 1.0, -1.0
         b[12] = bad
         with pytest.raises(SolverFailure, match="non-finite"):
+            solver.min_cost_flow(flat4, b)
+
+
+    @pytest.mark.parametrize("solver", [ssp, netsimplex])
+    @pytest.mark.parametrize("shape", [(24,), (25, 1), ()])
+    def test_wrong_shaped_imbalance_is_a_mesh_error(self, flat4, solver, shape):
+        assert flat4.vertex_count == 25
+        with pytest.raises(MeshError, match="imbalance has shape"):
+            solver.min_cost_flow(flat4, np.zeros(shape))
+
+    @pytest.mark.parametrize("solver", [ssp, netsimplex])
+    def test_unbalanced_imbalance_is_rejected(self, flat4, solver):
+        b = np.zeros(flat4.vertex_count)
+        b[[3, 9]] = 1.0, -0.5
+        with pytest.raises(SolverFailure, match="does not sum to zero: 0.5"):
             solver.min_cost_flow(flat4, b)
 
 

@@ -7,6 +7,7 @@ from freeflow.errors import (
     DegenerateFace,
     Disconnected,
     InvalidParams,
+    MeshError,
     NonManifold,
     TriangleInequalityViolated,
 )
@@ -18,6 +19,12 @@ from freeflow.primitives import generate_primitive
 from conftest import edge_index, face_edge_pairs
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
+NAN, INF = float("nan"), float("inf")
+
+
+def build(triangles, edges):
+    """TriMesh from ``(u, v, length)`` triples."""
+    return TriMesh(triangles, [((u, v), l) for u, v, l in edges])
 
 
 def floyd_warshall(mesh):
@@ -73,8 +80,57 @@ class TestBuildMesh:
             TriMesh([(0, 1, 2), (0, 1, 3), (0, 1, 4)], lengths)
 
     def test_missing_length(self):
-        with pytest.raises(Exception):
+        with pytest.raises(MeshError) as info:
             TriMesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0})
+        assert str(info.value) == "missing length for triangle edge (0, 2)"
+
+    @pytest.mark.parametrize(
+        "triangles, edges, message",
+        [
+            ([], [(0, 1, 1.0), (1, 1, 1.0)], "self-loop edge (1, 1)"),
+            ([], [(0, 1, 1.0), (1, 2, NAN)],
+             "edge (1, 2) length nan is not finite and positive"),
+            ([], [(0, 1, 1.0), (2, 1, INF)],
+             "edge (1, 2) length inf is not finite and positive"),
+            ([], [(0, 1, 1.0), (1, 2, -INF)],
+             "edge (1, 2) length -inf is not finite and positive"),
+            ([], [(0, 1, 1.0), (1, 2, 0.0)],
+             "edge (1, 2) length 0.0 is not finite and positive"),
+            ([], [(0, 1, 1.0), (1, 2, -1.0)],
+             "edge (1, 2) length -1.0 is not finite and positive"),
+            ([(0, 1, 2)], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 1, 1.5)],
+             "edge (0, 1) given two lengths 1.0 and 1.5"),
+            ([(0, 1, 2)], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (1, 0, 1.5)],
+             "edge (0, 1) given two lengths 1.0 and 1.5"),
+            ([], [(0, 1, 1.0), (-1, 0, 1.0)], "negative vertex id"),
+            ([(0, 1, -2)], [(0, 1, 1.0), (1, 2, 1.0)], "negative vertex id"),
+            ([(0, 1, 2)], [(0, 1, 1.0), (1, 2, 1.0)],
+             "missing length for triangle edge (0, 2)"),
+            ([], [], "mesh has no edges"),
+            # the first offending position wins, and at one position a
+            # self-loop comes before its length and a length before a repeat
+            ([], [(0, 1, 1.0), (1, 0, 2.0), (2, 2, 1.0)],
+             "edge (0, 1) given two lengths 1.0 and 2.0"),
+            ([], [(2, 2, 1.0), (0, 1, 1.0), (1, 0, 2.0)], "self-loop edge (2, 2)"),
+            ([], [(0, 1, 1.0), (3, 3, NAN)], "self-loop edge (3, 3)"),
+            ([], [(0, 1, 1.0), (1, 0, NAN)],
+             "edge (0, 1) length nan is not finite and positive"),
+            ([], [(1, 2, 1.0), (1, 2, 1.0), (2, 1, 3.0), (0, 1, 2.0), (0, 1, 0.5)],
+             "edge (1, 2) given two lengths 1.0 and 3.0"),
+        ],
+        ids=[
+            "self_loop", "nan", "inf", "neg_inf", "zero", "negative",
+            "conflict", "conflict_reversed", "negative_edge_id",
+            "negative_triangle_id", "missing_triangle_edge", "no_edges",
+            "conflict_before_self_loop", "self_loop_before_conflict",
+            "self_loop_with_nan", "repeat_with_nan", "second_group_later",
+        ],
+    )
+    def test_construction_errors_are_pinned(self, triangles, edges, message):
+        with pytest.raises(MeshError) as info:
+            build(triangles, edges)
+        assert type(info.value) is MeshError
+        assert str(info.value) == message
 
     def test_moebius_band_is_nonorientable(self):
         import itertools
@@ -173,6 +229,26 @@ class TestBuildMesh:
 
 
 class TestPrimitives:
+    @pytest.mark.parametrize(
+        "kind, params, expected",
+        [
+            ("circle_graph", {"n": 32},
+             "bacd734de5ce9970d96be640727c57a39932eaf913b3aa0ccb529de7a1dce650"),
+            ("interval_graph", {"n": 10, "total_length": 5.0},
+             "3934f1f02c7d9ab86df0d4da1dd0a15a33a8765208e08d16c9842526e936af15"),
+            # the smallest torus the generator accepts
+            ("torus", {"nx": 3},
+             "00121d7937a476ca5fe9c1f4674d6d284d1c6b4ea0623842113b63a26b3cce91"),
+            ("flat_rect", {"nx": 64},
+             "3fa2215d01480264c8a40284c016def2210944c68ec7a2ae88763cc8f2220efb"),
+            ("icosphere", {"level": 4},
+             "5037ffba61fe5dd880a4596213acae84ba3275e20f1c9dac1ab7b903664beb38"),
+        ],
+        ids=["circle32", "interval10", "torus3", "flat64", "ico4"],
+    )
+    def test_mesh_hash_is_pinned(self, kind, params, expected):
+        assert mesh_hash(generate_primitive(kind, **params)) == expected
+
     def test_flat_rect_counts(self):
         m = generate_primitive("flat_rect", nx=2)
         assert len(m.triangles) == 8

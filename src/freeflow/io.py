@@ -37,6 +37,13 @@ def _vertex(x):
     return x
 
 
+def _number(x):
+    """A JSON number; strings and booleans are not numbers."""
+    if type(x) not in (int, float):
+        raise ParseError(f"value {x!r} is not a number")
+    return float(x)
+
+
 def mesh_from_dict(data):
     try:
         triangles = data.get("triangles", [])
@@ -44,12 +51,12 @@ def mesh_from_dict(data):
             raise ParseError("every triangle must be a list of three vertex ids")
         if set(map(type, chain.from_iterable(triangles))) - {int}:
             raise ParseError("triangle vertex ids must be integers")
-        # pairs, not a dict: TriMesh rejects a pair repeated with another length
-        edges = [((_vertex(u), _vertex(v)), float(l)) for u, v, l in data["edges"]]
+        edges = [(_vertex(u), _vertex(v)) for u, v, _ in data["edges"]]
+        lengths = [_number(l) for _, _, l in data["edges"]]
         base = _vertex(data.get("base_vertex", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad mesh JSON: {exc}") from exc
-    mesh = TriMesh(triangles, edges, base_vertex=base)
+    mesh = TriMesh(triangles, edges, lengths, base_vertex=base)
     declared = data.get("dimension")
     if declared is not None and int(declared) != mesh.dimension:
         raise ParseError(
@@ -91,11 +98,9 @@ def field_from_dict(mesh, data, expect=None):
     if expect is not None and kind != expect:
         raise ParseError(f"expected a {expect} field, found {kind}")
     try:
-        if kind == "scalar":
-            return kind, np.array([float(x) for x in data["scalar"]])
         if kind == "faces":
-            return kind, np.array([[float(a), float(b)] for a, b in data["faces"]])
-        return kind, np.array([float(x) for x in data["edges"]])
+            return kind, np.array([[_number(a), _number(b)] for a, b in data["faces"]])
+        return kind, np.array([_number(x) for x in data[kind]])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad field JSON: {exc}") from exc
 
@@ -106,7 +111,7 @@ def molecule_to_dict(molecule):
 
 def molecule_from_dict(data):
     try:
-        return Molecule(tuple((_vertex(v), float(c)) for v, c in data["atoms"]))
+        return Molecule(tuple((_vertex(v), _number(c)) for v, c in data["atoms"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad molecule JSON: {exc}") from exc
 

@@ -48,10 +48,12 @@ class TriMesh:
         the lowest face of each face component keeping its input
         orientation; if no consistent assignment exists the mesh is
         rejected.
-    edge_lengths : dict or iterable of ((u, v), length) pairs
-        Finite positive lengths of vertex pairs. Pairs may be given in
-        either order, and a pair given twice must repeat its length; the
-        pairs must cover all triangle edges and may add extra graph edges.
+    edges : array_like of shape (E, 2)
+        Integer vertex pairs in either order, covering all triangle edges
+        and possibly extra graph edges. A pair may repeat, for example
+        once per face, if every copy has the same length.
+    lengths : array_like of shape (E,)
+        Finite positive length of each pair.
     base_vertex : int
         The distinguished vertex used to normalize potentials and absorb
         molecule mass deficits.
@@ -70,31 +72,16 @@ class TriMesh:
 
     Raises
     ------
-    TriangleInequalityViolated, NonOrientable, NonManifold, Disconnected
+    MeshError, TriangleInequalityViolated, NonOrientable, NonManifold, Disconnected
     """
 
-    def __init__(self, triangles, edge_lengths, base_vertex=0):
-        triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
-
-        if isinstance(edge_lengths, dict):
-            edge_lengths = edge_lengths.items()
-        lengths = {}
-        for (u, v), l in edge_lengths:
-            u, v = int(u), int(v)
-            if u == v:
-                raise MeshError(f"self-loop edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            l = float(l)
-            if not 0.0 < l < inf:
-                raise MeshError(f"edge {key} length {l} is not finite and positive")
-            prev = lengths.get(key)
-            if prev is not None and prev != l:
-                raise MeshError(f"edge {key} given two lengths {prev} and {l}")
-            lengths[key] = l
-
-        edges = sorted(lengths)
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        self.edge_lengths = np.array([lengths[e] for e in edges])
+    def __init__(self, triangles, edges, lengths, base_vertex=0):
+        triangles = _vertex_ids(triangles, 3)
+        edges = _vertex_ids(edges, 2)
+        lengths = np.asarray(lengths, dtype=np.float64).reshape(-1)
+        if len(edges) != len(lengths):
+            raise MeshError(f"{len(edges)} edges but {len(lengths)} lengths")
+        self.edges, self.edge_lengths = _unique_edges(edges, lengths)
         if (self.edges < 0).any() or (triangles < 0).any():
             raise MeshError("negative vertex id")
         self.vertex_count = 1 + int(
@@ -117,7 +104,7 @@ class TriMesh:
             key = tuple(sorted((int(triangles[f, k]), int(heads[f, k]))))
             raise MeshError(f"missing length for triangle edge {key}")
 
-        if not lengths:
+        if not len(self.edges):
             raise MeshError("mesh has no edges")
 
         self.dimension = 2 if len(triangles) else 1
@@ -314,6 +301,39 @@ class TriMesh:
             return frozenset(np.unique(ends).tolist())
         deg = np.bincount(self.edges.ravel(), minlength=self.vertex_count)
         return frozenset(np.flatnonzero(deg == 1).tolist())
+
+
+def _vertex_ids(ids, width):
+    """An (n, width) int64 copy of ``ids``; a non-integral id is an error."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "f":
+        bad = ids[~np.isfinite(ids) | (ids != np.round(ids))]
+        if len(bad):
+            raise MeshError(f"vertex id {float(bad[0])} is not an integer")
+    return ids.astype(np.int64).reshape(-1, width)
+
+
+def _unique_edges(edges, lengths):
+    """Sorted distinct (u < v) pairs and their lengths. Raises at the first
+    self-loop, bad length or pair repeated with another length."""
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    order = np.lexsort((hi, lo))  # stable: each pair's first copy leads its run
+    lo, hi, lengths = lo[order], hi[order], lengths[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    lead = lengths[first][np.cumsum(first) - 1]  # the length of the first copy
+    loop = lo == hi
+    bad_length = ~((lengths > 0.0) & (lengths < inf))
+    bad = loop | bad_length | (lengths != lead)
+    if bad.any():
+        j = int(np.argmin(np.where(bad, order, len(order))))  # first in input
+        key, l = (int(lo[j]), int(hi[j])), float(lengths[j])
+        if loop[j]:
+            raise MeshError(f"self-loop edge {key}")
+        if bad_length[j]:
+            raise MeshError(f"edge {key} length {l} is not finite and positive")
+        raise MeshError(f"edge {key} given two lengths {float(lead[j])} and {l}")
+    return np.column_stack([lo[first], hi[first]]), lengths[first]
 
 
 def _sym2x2_cond(a, b, c):

@@ -64,43 +64,29 @@ def _count(name, value, minimum=1):
     return value
 
 
+def _cells(v00, v10, v01, v11):
+    """Two triangles (v00, v10, v11), (v00, v11, v01) per grid cell."""
+    corners = [np.ravel(v) for v in (v00, v10, v11, v00, v11, v01)]
+    return np.stack(corners, axis=1).reshape(-1, 3)
+
+
+def _face_edge_pairs(triangles):
+    """The (3F, 2) vertex pairs v0v1, v1v2, v2v0 of every face in turn."""
+    return np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
+
+
 def _grid_mesh(width, height, nx, ny, wrap=False, base_vertex=0):
     dx, dy = width / nx, height / ny
     diag = math.hypot(dx, dy)
-    if wrap:
-        vid = lambda i, j: (j % ny) * nx + (i % nx)
-        ni, nj = nx, ny
-    else:
-        vid = lambda i, j: j * (nx + 1) + i
-        ni, nj = nx + 1, ny + 1
-
-    triangles = []
-    lengths = {}
-    for j in range(ny):
-        for i in range(nx):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-            lengths[(v00, v10)] = dx
-            lengths[(v00, v01)] = dy
-            lengths[(v00, v11)] = diag
-            if not wrap:
-                if j == ny - 1:
-                    lengths[(v01, v11)] = dx
-                if i == nx - 1:
-                    lengths[(v10, v11)] = dy
-
-    mesh = TriMesh(triangles, lengths, base_vertex=base_vertex)
-    if wrap:
-        pos = np.array([((k % nx) * dx, (k // nx) * dy) for k in range(nx * ny)])
-    else:
-        pos = np.array(
-            [(i * dx, j * dy) for j in range(nj) for i in range(ni)]
-        )
-    mesh.aux["positions"] = pos
+    ni, nj = (nx, ny) if wrap else (nx + 1, ny + 1)  # vertices per row and column
+    vid = lambda i, j: (j % nj) * ni + (i % ni)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
+    triangles = _cells(vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1))
+    # the face edges of each cell: dx, dy, diagonal, then diagonal, dx, dy
+    lengths = np.tile([dx, dy, diag, diag, dx, dy], nx * ny)
+    mesh = TriMesh(triangles, _face_edge_pairs(triangles), lengths, base_vertex)
+    i, j = np.meshgrid(np.arange(ni), np.arange(nj))
+    mesh.aux["positions"] = np.column_stack([i.ravel() * dx, j.ravel() * dy])
     mesh.aux["spacing"] = (dx, dy)
     return mesh
 
@@ -159,53 +145,46 @@ def _icosphere(level=0, base_vertex=0):
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
 
-    pos = np.array(verts)
-    lengths = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            if key not in lengths:
-                lengths[key] = float(np.linalg.norm(pos[u] - pos[v]))
-    mesh = TriMesh(faces, lengths, base_vertex=base_vertex)
+    return _metric_mesh(faces, np.array(verts), _euclidean, base_vertex)
+
+
+def _squares(x):
+    """Row-wise x . x, bitwise np.dot per row (norm(axis=1) and einsum are not)."""
+    return np.matmul(x[:, None, :], x[:, :, None]).ravel()
+
+
+def _euclidean(p, q):
+    return np.sqrt(_squares(p - q))
+
+
+def _metric_mesh(triangles, pos, metric, base_vertex):
+    """The mesh whose face edges have lengths ``metric(pos[u], pos[v])``."""
+    edges = _face_edge_pairs(np.asarray(triangles))
+    lengths = metric(pos[edges[:, 0]], pos[edges[:, 1]])
+    mesh = TriMesh(triangles, edges, lengths, base_vertex)
     mesh.aux["positions"] = pos
     return mesh
 
 
 def _polar_mesh(radii, n_angular, metric, base_vertex=0, center=False):
-    """Rings x spokes grid; ``metric(p, q)`` gives the edge length."""
+    """Rings x spokes grid; ``metric(p, q)`` gives the edge lengths."""
     thetas = [2.0 * math.pi * j / n_angular for j in range(n_angular)]
-    positions = []
-    if center:
-        positions.append((0.0, 0.0))
-    offset = len(positions)
+    positions = [(0.0, 0.0)] * center
     for r in radii:
         positions += [(r * math.cos(t), r * math.sin(t)) for t in thetas]
-    vid = lambda ring, j: offset + ring * n_angular + (j % n_angular)
+    vid = lambda ring, j: center + ring * n_angular + (j % n_angular)
 
-    triangles = []
+    j, ring = np.meshgrid(np.arange(n_angular), np.arange(len(radii) - 1))
+    triangles = _cells(vid(ring, j), vid(ring, j + 1), vid(ring + 1, j),
+                       vid(ring + 1, j + 1))
     if center:
-        for j in range(n_angular):
-            triangles.append((0, vid(0, j), vid(0, j + 1)))
-    for ring in range(len(radii) - 1):
-        for j in range(n_angular):
-            v00 = vid(ring, j)
-            v10 = vid(ring, j + 1)
-            v01 = vid(ring + 1, j)
-            v11 = vid(ring + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
+        j = np.arange(n_angular)
+        fan = np.column_stack([np.zeros_like(j), vid(0, j), vid(0, j + 1)])
+        triangles = np.concatenate([fan, triangles])
 
     pos = np.array(positions)
-    lengths = {}
-    for tri in triangles:
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (u, v) if u < v else (v, u)
-            if key not in lengths:
-                lengths[key] = metric(pos[u], pos[v])
-    mesh = TriMesh(triangles, lengths, base_vertex=base_vertex)
-    mesh.aux["positions"] = pos
-    theta = np.arctan2(pos[:, 1], pos[:, 0]) % (2.0 * math.pi)
-    mesh.aux["theta"] = theta
+    mesh = _metric_mesh(triangles, pos, metric, base_vertex)
+    mesh.aux["theta"] = np.arctan2(pos[:, 1], pos[:, 0]) % (2.0 * math.pi)
     return mesh
 
 
@@ -217,14 +196,13 @@ def _annulus(r_inner=0.5, r_outer=1.0, n_angular=16, n_radial=4, base_vertex=0):
     n_angular = _count("n_angular", n_angular, minimum=3)
     n_radial = _count("n_radial", n_radial)
     radii = np.linspace(r_inner, r_outer, n_radial + 1)
-    euclid = lambda p, q: float(np.linalg.norm(p - q))
-    return _polar_mesh(radii, n_angular, euclid, base_vertex=base_vertex)
+    return _polar_mesh(radii, n_angular, _euclidean, base_vertex=base_vertex)
 
 
 def _hyperbolic_distance(p, q):
-    d2 = float(np.dot(p - q, p - q))
-    denom = (1.0 - float(np.dot(p, p))) * (1.0 - float(np.dot(q, q)))
-    return math.acosh(1.0 + 2.0 * d2 / denom)
+    arg = 1.0 + 2.0 * _squares(p - q) / ((1.0 - _squares(p)) * (1.0 - _squares(q)))
+    # math.acosh, not np.arccosh, which differs in the last bit
+    return np.array([math.acosh(x) for x in arg.tolist()])
 
 
 def _poincare_disk_patch(radius=0.8, n_angular=12, n_radial=3, base_vertex=0):
@@ -234,26 +212,22 @@ def _poincare_disk_patch(radius=0.8, n_angular=12, n_radial=3, base_vertex=0):
     n_angular = _count("n_angular", n_angular, minimum=3)
     n_radial = _count("n_radial", n_radial)
     radii = [radius * (r + 1) / n_radial for r in range(n_radial)]
-    return _polar_mesh(
-        radii, n_angular, _hyperbolic_distance, base_vertex=base_vertex,
-        center=True,
-    )
+    return _polar_mesh(radii, n_angular, _hyperbolic_distance,
+                       base_vertex=base_vertex, center=True)
 
 
 def _circle_graph(n=4, total_length=2.0 * math.pi, base_vertex=0):
     n = _count("n", n, minimum=3)
     total_length = _positive("total_length", total_length)
-    step = total_length / n
-    lengths = {(i, (i + 1) % n): step for i in range(n)}
-    return TriMesh([], lengths, base_vertex=base_vertex)
+    edges = np.column_stack([np.arange(n), np.arange(1, n + 1) % n])
+    return TriMesh([], edges, np.full(n, total_length / n), base_vertex)
 
 
 def _interval_graph(n=2, total_length=2.0, base_vertex=0):
     n = _count("n", n)
     total_length = _positive("total_length", total_length)
-    step = total_length / n
-    lengths = {(i, i + 1): step for i in range(n)}
-    return TriMesh([], lengths, base_vertex=base_vertex)
+    edges = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return TriMesh([], edges, np.full(n, total_length / n), base_vertex)
 
 
 _BUILDERS = {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from freeflow.freenorm import Molecule, canonicalize
+from freeflow.mesh import TriMesh
 from freeflow.primitives import generate_primitive
 
 
@@ -61,6 +62,11 @@ def random_molecule(mesh, rng, max_atoms=6, scale=3.0):
     verts = rng.choice(np.arange(1, mesh.vertex_count), size=k, replace=False)
     coeffs = rng.uniform(0.1, scale, size=k) * rng.choice([-1.0, 1.0], size=k)
     return canonicalize(Molecule(tuple(zip(verts, coeffs))), mesh.base_vertex)
+
+
+def from_lengths(triangles, lengths, base_vertex=0):
+    """TriMesh from a ``{(u, v): length}`` dict."""
+    return TriMesh(triangles, list(lengths), list(lengths.values()), base_vertex)
 
 
 def face_edge_pairs(mesh, f):

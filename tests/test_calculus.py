@@ -21,6 +21,8 @@ from freeflow.errors import ParseError
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
+from conftest import from_lengths
+
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 
 
@@ -52,7 +54,7 @@ class TestGradient:
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_hat_gradient_on_equilateral_face(self):
-        m = TriMesh([(0, 1, 2)], UNIT)
+        m = from_lengths([(0, 1, 2)], UNIT)
         f = np.array([1.0, 0.0, 0.0])
         g = gradient(m, f)
         assert np.linalg.norm(g[0]) == pytest.approx(2.0 / math.sqrt(3), abs=1e-12)
@@ -81,7 +83,7 @@ class TestDivergence:
         assert np.abs(divergence(torus, g)).max() <= 1e-12
 
     def test_single_face_coefficients_sum_to_zero(self):
-        m = TriMesh([(0, 1, 2)], UNIT)
+        m = from_lengths([(0, 1, 2)], UNIT)
         g = np.array([[1.0, 0.0]])
         div = divergence(m, g)
         geom = m.face_geometry()
@@ -151,7 +153,7 @@ class TestPairingAndNorms:
         assert pairing(flat4, f, g) == 0.0
 
     def test_single_equilateral_face_value(self):
-        m = TriMesh([(0, 1, 2)], UNIT)
+        m = from_lengths([(0, 1, 2)], UNIT)
         f = np.array([[1.0, 0.0]])
         assert pairing(m, f, f) == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
 
@@ -265,7 +267,7 @@ class TestLipschitzConstant:
                     assert got == float(dense.max()), (mesh, name, block)
 
         # 0.2 + 0.7 rounds below 0.9, so only the search finds the far pair
-        path = TriMesh([], {(0, 1): 0.2, (1, 2): 0.7})
+        path = TriMesh([], [(0, 1), (1, 2)], [0.2, 0.7])
         f = np.array([0.0, 0.2, 0.9])
         assert lip_constant(path, f, "edgewise") == 1.0
         assert lip_constant(path, f, "pairwise_geodesic") == 0.9 / (0.2 + 0.7) > 1.0

@@ -11,10 +11,9 @@ from freeflow.currents import (
     solve_potential,
     spanning_tree,
 )
-from freeflow.mesh import TriMesh
 from freeflow.primitives import generate_primitive
 
-from conftest import edge_index, face_edge_pairs
+from conftest import edge_index, face_edge_pairs, from_lengths
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 
@@ -63,7 +62,7 @@ def two_icospheres(sphere, pinched):
     if not pinched:
         lengths[(0, n)] = 1.0
     triangles = np.concatenate([sphere.triangles, shift[sphere.triangles]])
-    return TriMesh(triangles, lengths)
+    return from_lengths(triangles, lengths)
 
 
 def disk_with_dangling_edge():
@@ -72,7 +71,7 @@ def disk_with_dangling_edge():
     disk = generate_primitive("flat_rect", nx=3)
     lengths = edge_length_map(disk)
     lengths[(disk.vertex_count - 1, disk.vertex_count)] = 0.25
-    return TriMesh(disk.triangles, lengths)
+    return from_lengths(disk.triangles, lengths)
 
 
 def kruskal_tree(mesh, order):
@@ -147,7 +146,7 @@ class TestDifferentials:
             assert np.array_equal(d1(mesh, omega), loop)
 
     def test_single_face_uniform_circulation(self):
-        m = TriMesh([(0, 1, 2)], UNIT)
+        m = from_lengths([(0, 1, 2)], UNIT)
         omega = np.array([1.0, -1.0, 1.0])  # edges (0,1), (0,2), (1,2)
         # face traversal 0->1->2->0 hits (0,2) against canonical
         assert d1(m, omega)[0] == pytest.approx(3.0)

@@ -135,10 +135,7 @@ class TestRouteAgreement:
         factors = data.draw(
             arrays(float, len(base.edges), elements=st.floats(0.95, 1.05))
         )
-        mesh = TriMesh(
-            base.triangles,
-            dict(zip(map(tuple, base.edges.tolist()), base.edge_lengths * factors)),
-        )
+        mesh = TriMesh(base.triangles, base.edges, base.edge_lengths * factors)
         atom = st.tuples(
             st.integers(0, mesh.vertex_count - 1),
             st.floats(0.1, 3.0),

@@ -134,6 +134,43 @@ class TestJsonRoundTrips:
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "MeshError"
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [("mesh", "1.0"), ("mesh", True), ("molecule", "2.5"), ("molecule", True),
+         ("scalar", "1"), ("scalar", True), ("faces", "0.5"), ("edges", False)],
+    )
+    def test_json_values_must_be_numbers(self, tmp_path, capsys, flat4, where, value):
+        # each reader called float(x), which took "1.0" and true as numbers
+        mesh = ffio.mesh_to_dict(flat4)
+        if where == "mesh":
+            mesh["edges"][-1][2] = value
+        atoms = [[7, 1.0], [19, value if where == "molecule" else -1.0]]
+        fields = {
+            "scalar": ffio.scalar_field_to_dict(flat4, np.zeros(flat4.vertex_count)),
+            "faces": ffio.face_field_to_dict(flat4, np.zeros((len(flat4.triangles), 2))),
+            "edges": ffio.edge_values_to_dict(flat4, np.zeros(len(flat4.edges))),
+        }
+        field = fields.get(where, fields["scalar"])
+        if where == "faces":
+            field["faces"][2][1] = value
+        elif where in fields:
+            field[where][3] = value
+        paths = {name: tmp_path / f"{name}.json" for name in ("m", "mu", "f")}
+        for name, data in zip(paths, (mesh, {"atoms": atoms}, field)):
+            ffio.write_json(paths[name], data)
+        m, mu, f = (str(path) for path in paths.values())
+        argv = {
+            "mesh": ["validate-mesh", m],
+            "molecule": ["free-norm", "--mesh", m, "--molecule", mu, "--method", "dual"],
+            "scalar": ["calc", "norms", "--mesh", m, "--field", f],
+            "faces": ["calc", "norms", "--mesh", m, "--field", f],
+            "edges": ["check-currents", "--mesh", m, "--form", f],
+        }[where]
+        assert main(argv) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+        assert repr(value) in envelope["error"]["message"]
+
 
 class TestCli:
     def test_gen_and_validate(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from freeflow.calculus import l1_norm
 from freeflow.io import mesh_hash
 from freeflow.primitives import generate_primitive
 
-from conftest import edge_index, face_edge_pairs
+from conftest import edge_index, face_edge_pairs, from_lengths
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 NAN, INF = float("nan"), float("inf")
@@ -24,7 +24,8 @@ NAN, INF = float("nan"), float("inf")
 
 def build(triangles, edges):
     """TriMesh from ``(u, v, length)`` triples."""
-    return TriMesh(triangles, [((u, v), l) for u, v, l in edges])
+    pairs = [(u, v) for u, v, _ in edges]
+    return TriMesh(triangles, pairs, [l for _, _, l in edges])
 
 
 def floyd_warshall(mesh):
@@ -40,7 +41,7 @@ def floyd_warshall(mesh):
 
 class TestBuildMesh:
     def test_single_triangle(self):
-        m = TriMesh([(0, 1, 2)], UNIT)
+        m = from_lengths([(0, 1, 2)], UNIT)
         assert m.vertex_count == 3
         assert m.dimension == 2
         assert len(m.boundary_edges) == 3
@@ -50,7 +51,7 @@ class TestBuildMesh:
         lengths = dict(UNIT)
         lengths[(1, 3)] = 1.0
         lengths[(2, 3)] = 1.0
-        m = TriMesh([(0, 1, 2), (1, 2, 3)], lengths)
+        m = from_lengths([(0, 1, 2), (1, 2, 3)], lengths)
         traversals = {}
         for f in range(2):
             for u, v in face_edge_pairs(m, f):
@@ -60,7 +61,7 @@ class TestBuildMesh:
 
     def test_triangle_inequality_violation(self):
         with pytest.raises(TriangleInequalityViolated) as info:
-            TriMesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
+            from_lengths([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
         # plain ints and floats, not numpy reprs such as np.int64(0)
         assert str(info.value) == (
             "face (0, 1, 2) violates the strict triangle inequality: "
@@ -71,17 +72,17 @@ class TestBuildMesh:
         lengths = dict(UNIT)
         lengths.update({(3, 4): 1.0, (4, 5): 1.0, (3, 5): 1.0})
         with pytest.raises(Disconnected):
-            TriMesh([(0, 1, 2), (3, 4, 5)], lengths)
+            from_lengths([(0, 1, 2), (3, 4, 5)], lengths)
 
     def test_nonmanifold_edge(self):
         lengths = dict(UNIT)
         lengths.update({(0, 3): 1.0, (1, 3): 1.0, (0, 4): 1.0, (1, 4): 1.0})
         with pytest.raises(NonManifold):
-            TriMesh([(0, 1, 2), (0, 1, 3), (0, 1, 4)], lengths)
+            from_lengths([(0, 1, 2), (0, 1, 3), (0, 1, 4)], lengths)
 
     def test_missing_length(self):
         with pytest.raises(MeshError) as info:
-            TriMesh([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0})
+            from_lengths([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0})
         assert str(info.value) == "missing length for triangle edge (0, 2)"
 
     @pytest.mark.parametrize(
@@ -132,6 +133,27 @@ class TestBuildMesh:
         assert type(info.value) is MeshError
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "triangles, edges, lengths, message",
+        [
+            # 2.7 and 2.9 used to be truncated to vertex 2
+            ([], [(0, 2.7)], [1.0], "vertex id 2.7 is not an integer"),
+            ([(0, 1, 2.9)], list(UNIT), list(UNIT.values()),
+             "vertex id 2.9 is not an integer"),
+            ([], [(0, 1), (1, NAN)], [1.0, 1.0], "vertex id nan is not an integer"),
+            ([], [(0, 1), (1, 2)], [1.0], "2 edges but 1 lengths"),
+        ],
+        ids=["edge_id", "triangle_id", "nan_id", "counts"],
+    )
+    def test_malformed_arrays_are_rejected(self, triangles, edges, lengths, message):
+        with pytest.raises(MeshError) as info:
+            TriMesh(triangles, edges, lengths)
+        assert str(info.value) == message
+
+    def test_integral_float_ids_are_accepted(self):
+        m = TriMesh([(0.0, 1.0, 2.0)], np.array(list(UNIT), dtype=float), [1.0] * 3)
+        assert m.triangles.tolist() == [[0, 1, 2]]
+
     def test_moebius_band_is_nonorientable(self):
         import itertools
 
@@ -140,10 +162,10 @@ class TestBuildMesh:
         faces = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
         lengths = {e: 1.0 for e in itertools.combinations(range(5), 2)}
         with pytest.raises(NonOrientable):
-            TriMesh(faces, lengths)
+            from_lengths(faces, lengths)
 
     def test_sliver_face_is_degenerate(self):
-        m = TriMesh(
+        m = from_lengths(
             [(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0 - 1e-14}
         )
         with pytest.raises(DegenerateFace):
@@ -223,9 +245,11 @@ class TestBuildMesh:
         flip = rng.choice(F, size=F // 2, replace=False)
         triangles = np.array(mesh.triangles)
         triangles[flip] = triangles[flip, ::-1]
-        lengths = dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_lengths))
-        rebuilt = TriMesh(triangles, lengths, mesh.base_vertex)
+        given = triangles.copy()
+        rebuilt = TriMesh(triangles, mesh.edges, mesh.edge_lengths, mesh.base_vertex)
         assert mesh_hash(rebuilt) == scrambled_hash
+        # the build flips its own copy, not the caller's array
+        assert np.array_equal(triangles, given)
 
 
 class TestPrimitives:
@@ -353,7 +377,7 @@ def area(mesh, f):
 
 class TestAreasAndFrames:
     def test_equilateral_area(self):
-        m = TriMesh([(0, 1, 2)], UNIT)
+        m = from_lengths([(0, 1, 2)], UNIT)
         assert area(m, 0) == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
 
     def test_half_unit_right_triangle(self):
@@ -361,7 +385,7 @@ class TestAreasAndFrames:
         assert area(m, 0) == pytest.approx(0.125, abs=1e-15)
 
     def test_3_4_5_right_triangle(self):
-        m = TriMesh([(0, 1, 2)], {(0, 1): 3.0, (1, 2): 4.0, (0, 2): 5.0})
+        m = from_lengths([(0, 1, 2)], {(0, 1): 3.0, (1, 2): 4.0, (0, 2): 5.0})
         assert area(m, 0) == pytest.approx(6.0, abs=1e-12)
 
     @pytest.mark.parametrize("nx", [1, 2, 5, 9])
@@ -381,7 +405,7 @@ class TestAreasAndFrames:
 
     def test_anisotropic_frame_normalization(self):
         # chart Gram diag(4, 1): the frame is (e1/2, e2)
-        m = TriMesh([(0, 1, 2)], {(0, 1): 2.0, (0, 2): 1.0, (1, 2): math.sqrt(5)})
+        m = from_lengths([(0, 1, 2)], {(0, 1): 2.0, (0, 2): 1.0, (1, 2): math.sqrt(5)})
         assert np.allclose(
             m.face_geometry().layout[0], [[0, 0], [2, 0], [0, 1]], atol=1e-14
         )
@@ -390,7 +414,7 @@ class TestAreasAndFrames:
         # the chart edge basis in layout coordinates is E; the frame in chart
         # coordinates is E^-1, whose Gram matrix under the chart metric built
         # from the lengths must be the identity
-        m = TriMesh([(0, 1, 2)], {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.3})
+        m = from_lengths([(0, 1, 2)], {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.3})
         layout = m.face_geometry().layout[0]
         E = np.column_stack([layout[1] - layout[0], layout[2] - layout[0]])
         dot = (1.0 + 1.0 - 1.3**2) / 2.0

@@ -54,7 +54,7 @@ def mesh_from_dict(data):
         edges = [(_vertex(u), _vertex(v)) for u, v, _ in data["edges"]]
         lengths = [_number(l) for _, _, l in data["edges"]]
         base = _vertex(data.get("base_vertex", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad mesh JSON: {exc}") from exc
     mesh = TriMesh(triangles, edges, lengths, base_vertex=base)
     declared = data.get("dimension")
@@ -101,7 +101,7 @@ def field_from_dict(mesh, data, expect=None):
         if kind == "faces":
             return kind, np.array([[_number(a), _number(b)] for a, b in data["faces"]])
         return kind, np.array([_number(x) for x in data[kind]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad field JSON: {exc}") from exc
 
 
@@ -112,7 +112,7 @@ def molecule_to_dict(molecule):
 def molecule_from_dict(data):
     try:
         return Molecule(tuple((_vertex(v), _number(c)) for v, c in data["atoms"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad molecule JSON: {exc}") from exc
 
 

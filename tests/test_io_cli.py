@@ -171,6 +171,16 @@ class TestJsonRoundTrips:
         assert envelope["error"]["type"] == "ParseError"
         assert repr(value) in envelope["error"]["message"]
 
+    def test_json_integer_beyond_float_range_is_a_parse_error(self, flat4):
+        # float(10**400) raised OverflowError past the CLI's error envelope
+        big = 10**400
+        with pytest.raises(ParseError):
+            ffio.mesh_from_dict({"edges": [[0, 1, big]]})
+        with pytest.raises(ParseError):
+            ffio.molecule_from_dict({"atoms": [[1, big]]})
+        with pytest.raises(ParseError):
+            ffio.field_from_dict(flat4, {"edges": [big] * len(flat4.edges)})
+
 
 class TestCli:
     def test_gen_and_validate(self, tmp_path, capsys):

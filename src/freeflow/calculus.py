@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, ParseError
@@ -110,6 +110,21 @@ def divergence_normal_solver(mesh):
 
 
 def _factor_normal_matrix(mesh):
+    if mesh.dimension == 2:
+        # A^T f = 0 exactly when f is constant on each set of vertices
+        # joined through faces, so the pinned A A^T is nonsingular only
+        # when every vertex is on a face and the faces form one such set
+        tri = mesh.triangles
+        star = coo_matrix(
+            (np.ones(2 * len(tri)), (np.repeat(tri[:, 0], 2), tri[:, 1:].ravel())),
+            shape=(mesh.vertex_count, mesh.vertex_count),
+        )
+        n, _ = connected_components(star, directed=False)
+        if n != 1:
+            raise MeshError(
+                "the field route needs every vertex on a face and the faces "
+                f"connected through shared vertices; they leave {n} components"
+            )
     A = divergence_matrix(mesh)
     mask = np.ones(mesh.vertex_count, dtype=bool)
     mask[mesh.base_vertex] = False

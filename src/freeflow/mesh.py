@@ -99,7 +99,7 @@ class TriMesh:
         if len(bad):
             f = int(bad[0])
             if degenerate[f]:
-                raise MeshError(f"degenerate triangle {tuple(triangles[f])}")
+                raise MeshError(f"degenerate triangle {tuple(triangles[f].tolist())}")
             k = int(np.argmax(face_edges[f] < 0))
             key = tuple(sorted((int(triangles[f, k]), int(heads[f, k]))))
             raise MeshError(f"missing length for triangle edge {key}")

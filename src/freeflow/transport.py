@@ -10,11 +10,18 @@ is treated exactly, the initial basis comes from the northwest-corner
 rule, and pivoting uses Bland's rule, so termination at the true optimum
 of the given data is guaranteed. Instances here are tiny (one cell per
 pair of molecule atoms), which keeps the exact arithmetic cheap.
+
+The basis cells form a spanning tree of rows and columns, so a pivot
+needs no graph search. The duals u_i + v_j = d_ij (u_0 = 0) come from
+sweeps over the basis, each fixing every cell with one known end. The
+pivot cycle is what is left of basis + {entering} once cells alone in
+their row or column have been dropped until none is; a walk from the
+entering cell, alternately along a row and a column, puts it in order.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
+
+from .errors import SolverFailure
 
 
 def solve_transportation(supplies, demands, cost):
@@ -22,132 +29,89 @@ def solve_transportation(supplies, demands, cost):
 
     ``cost[i][j]`` prices shipping from supply i to demand j. Inputs may
     be floats (converted exactly) or Fractions. Returns a Fraction.
+    Raises ``SolverFailure`` on unbalanced or negative masses.
     """
     s = [Fraction(x) for x in supplies]
     t = [Fraction(x) for x in demands]
     m, n = len(s), len(t)
-    if m == 0 and n == 0:
-        return Fraction(0)
     if sum(s) != sum(t):
-        raise ValueError("transportation instance is not balanced")
-    if any(x < 0 for x in s) or any(x < 0 for x in t):
-        raise ValueError("negative supply or demand")
+        raise SolverFailure("transportation instance is not balanced")
+    if any(x < 0 for x in s + t):
+        raise SolverFailure("negative supply or demand")
     if m == 0 or n == 0:
         return Fraction(0)
     d = [[Fraction(cost[i][j]) for j in range(n)] for i in range(m)]
 
-    # northwest-corner initial basis: m + n - 1 cells, tree-structured
-    basis = []
+    # northwest-corner initial basis: m + n - 1 cells, tree-structured;
+    # the keys of ``flows`` are the basis
     flows = {}
-    rem_s = list(s)
-    rem_t = list(t)
+    rem_s, rem_t = list(s), list(t)
     i = j = 0
-    while True:
-        q = min(rem_s[i], rem_t[j])
-        basis.append((i, j))
-        flows[(i, j)] = q
+    for _ in range(m + n - 1):
+        q = flows[i, j] = min(rem_s[i], rem_t[j])
         rem_s[i] -= q
         rem_t[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
         if rem_s[i] == 0 and i < m - 1:
             i += 1
         else:
             j += 1
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("transportation simplex failed to terminate")
-
-        u, v = _duals(basis, d, m, n)
-        entering = None
-        for i in range(m):  # Bland: first negative reduced cost
-            for j in range(n):
-                if (i, j) not in flows and d[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering:
-                break
+    for _ in range(100000):
+        u, v = _duals(flows, d, m, n)
+        entering = next((  # Bland: first negative reduced cost
+            (i, j) for i in range(m) for j in range(n)
+            if (i, j) not in flows and d[i][j] - u[i] - v[j] < 0), None)
         if entering is None:
-            break
-
-        cycle = _alternating_cycle(basis, entering)
+            return sum(d[i][j] * q for (i, j), q in flows.items())
+        cycle = _pivot_cycle(list(flows), entering)
         minus = cycle[1::2]
         delta = min(flows[c] for c in minus)
         leaving = min(c for c in minus if flows[c] == delta)
-
         flows[entering] = Fraction(0)
-        basis.append(entering)
         for k, cell in enumerate(cycle):
             flows[cell] += delta if k % 2 == 0 else -delta
-        basis.remove(leaving)
         del flows[leaving]
-
-    return sum(d[i][j] * q for (i, j), q in flows.items())
+    raise SolverFailure("transportation simplex failed to terminate")
 
 
 def _duals(basis, d, m, n):
     """Solve u_i + v_j = d_ij over the basis tree with u_0 = 0."""
-    u = [None] * m
-    v = [None] * n
+    u, v = [None] * m, [None] * n
     u[0] = Fraction(0)
-    rows = {}
-    cols = {}
-    for i, j in basis:
-        rows.setdefault(i, []).append(j)
-        cols.setdefault(j, []).append(i)
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in rows.get(k, ()):
-                if v[j] is None:
-                    v[j] = d[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in cols.get(k, ()):
-                if u[i] is None:
-                    u[i] = d[i][k] - v[k]
-                    stack.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise RuntimeError("basis does not span the bipartite graph")
+    pending = list(basis)
+    while pending:
+        rest = []
+        for i, j in pending:
+            if v[j] is None and u[i] is not None:
+                v[j] = d[i][j] - u[i]
+            elif u[i] is None and v[j] is not None:
+                u[i] = d[i][j] - v[j]
+            else:
+                rest.append((i, j))
+        if len(rest) == len(pending):
+            raise SolverFailure("basis does not span the bipartite graph")
+        pending = rest
     return u, v
 
 
-def _alternating_cycle(basis, entering):
-    """Unique cycle closed by the entering cell, starting with it.
-
-    Cells alternate gaining (+) and losing (-) flow; the path from the
-    entering cell's column node back to its row node through the basis
-    tree supplies the remaining cells.
-    """
-    adj = {}
-    for i, j in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start = ("c", entering[1])
-    goal = ("r", entering[0])
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
+def _pivot_cycle(basis, entering):
+    """Cycle closed by the entering cell, starting with it; its cells
+    alternately gain (+) and lose (-) flow."""
+    cells = basis + [entering]
+    while cells:
+        rows, cols = zip(*cells)
+        kept = [(i, j) for i, j in cells
+                if rows.count(i) > 1 and cols.count(j) > 1]
+        if len(kept) == len(cells):
             break
-        for nxt in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = node
-                stack.append(nxt)
-    if goal not in prev:
-        raise RuntimeError("entering cell closes no cycle")
-    nodes = [goal]
-    while nodes[-1] != start:
-        nodes.append(prev[nodes[-1]])
-    # nodes: r_i0 .. c_j0 where entering = (i0, j0)
+        cells = kept
+    if entering not in cells:
+        raise SolverFailure("entering cell closes no cycle")
+    cells.remove(entering)
     cycle = [entering]
-    for k in range(len(nodes) - 1):
-        a, b = nodes[k], nodes[k + 1]
-        cell = (a[1], b[1]) if a[0] == "r" else (b[1], a[1])
+    while cells:
+        axis = 1 - len(cycle) % 2  # 0: same row as the last cell, 1: column
+        cell = next(c for c in cells if c[axis] == cycle[-1][axis])
+        cells.remove(cell)
         cycle.append(cell)
     return cycle

@@ -79,3 +79,23 @@ def edge_index(mesh):
     """Map from canonical (u, v) pairs to edge ids, built from
     ``mesh.edges`` alone as a reference for ``TriMesh.edge_ids``."""
     return {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
+
+
+def edge_length_map(mesh):
+    return dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_lengths))
+
+
+def two_icospheres(sphere, pinched):
+    """Two copies of a closed surface, sharing vertex 0 when ``pinched``,
+    otherwise joined by one graph edge between their vertex 0."""
+    n = sphere.vertex_count
+    shift = np.arange(n) + (n - 1 if pinched else n)
+    if pinched:
+        shift[0] = 0
+    lengths = edge_length_map(sphere)
+    for (u, v), l in edge_length_map(sphere).items():
+        lengths[(int(shift[u]), int(shift[v]))] = l
+    if not pinched:
+        lengths[(0, n)] = 1.0
+    triangles = np.concatenate([sphere.triangles, shift[sphere.triangles]])
+    return from_lengths(triangles, lengths)

@@ -13,7 +13,13 @@ from freeflow.currents import (
 )
 from freeflow.primitives import generate_primitive
 
-from conftest import edge_index, face_edge_pairs, from_lengths
+from conftest import (
+    edge_index,
+    edge_length_map,
+    face_edge_pairs,
+    from_lengths,
+    two_icospheres,
+)
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 
@@ -43,26 +49,6 @@ def torus_generator(mesh, axis=0):
         delta = (delta + period / 2.0) % period - period / 2.0
         omega[e] = delta / period
     return omega
-
-
-def edge_length_map(mesh):
-    return dict(zip(map(tuple, mesh.edges.tolist()), mesh.edge_lengths))
-
-
-def two_icospheres(sphere, pinched):
-    """Two copies of a closed surface, sharing vertex 0 when ``pinched``,
-    otherwise joined by one graph edge between their vertex 0."""
-    n = sphere.vertex_count
-    shift = np.arange(n) + (n - 1 if pinched else n)
-    if pinched:
-        shift[0] = 0
-    lengths = edge_length_map(sphere)
-    for (u, v), l in edge_length_map(sphere).items():
-        lengths[(int(shift[u]), int(shift[v]))] = l
-    if not pinched:
-        lengths[(0, n)] = 1.0
-    triangles = np.concatenate([sphere.triangles, shift[sphere.triangles]])
-    return from_lengths(triangles, lengths)
 
 
 def disk_with_dangling_edge():

@@ -1,8 +1,11 @@
+import ast
 import hashlib
 import json
 import math
 import time
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from freeflow import freenorm, netsimplex, ssp
+from freeflow import freenorm, netsimplex, ssp, transport
 from freeflow.errors import MeshError, SolverFailure, TooManyAtoms
 from freeflow.freenorm import (
     CERTIFICATE_TOL,
@@ -28,7 +31,7 @@ from freeflow.io import molecule_from_dict
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
-from conftest import random_molecule
+from conftest import from_lengths, random_molecule, two_icospheres
 
 
 def incidence_apply(mesh, flow):
@@ -184,6 +187,65 @@ class TestTransportOracle:
                 assert transport_oracle(mesh, mu) == pytest.approx(
                     expected, abs=1e-9
                 )
+
+
+class TestTransportationSolver:
+    @pytest.mark.parametrize(
+        "supplies, demands, cost, value",
+        [
+            # the northwest corner leaves zero flow on basis cells (1, 0)
+            # and (2, 1)
+            ([1, 1, 2], [1, 1, 2], [[4, 1, 2], [1, 5, 3], [2, 3, 0.5]],
+             Fraction(3)),
+            # each of the three pivots has two losing cells at the minimum
+            ([2, 3, 1], [1, 2, 3], [[5, 1, 3], [4, 5, 1], [1, 7, 7]],
+             Fraction(6)),
+            ([6], [1, 2, 3], [[0.25, 1.5, 2]], Fraction(37, 4)),
+            # float costs are dyadic rationals and are taken exactly
+            ([1, 2, 3], [6], [[0.1], [0.2], [0.3]],
+             Fraction(50440315826549555, 36028797018963968)),
+            ([0, 2, 1], [1, 0, 2], [[1, 2, 3], [4, 0.5, 1], [2, 7, 0]],
+             Fraction(4)),
+            ([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2)] * 2,
+             [[1, 2], [3, 1]], Fraction(4, 3)),
+            ([], [], [], Fraction(0)),
+            ([], [0, 0], [], Fraction(0)),
+        ],
+        ids=["northwest_zero_cells", "leaving_tie", "one_row", "one_column",
+             "zero_masses", "fraction_masses", "empty", "no_rows"],
+    )
+    def test_values_are_pinned(self, supplies, demands, cost, value):
+        result = transport.solve_transportation(supplies, demands, cost)
+        assert type(result) is Fraction
+        assert result == value
+
+    @pytest.mark.parametrize(
+        "supplies, demands, message",
+        [
+            ([1, 2], [2], "transportation instance is not balanced"),
+            ([1, -1], [0], "negative supply or demand"),
+        ],
+        ids=["unbalanced", "negative"],
+    )
+    def test_bad_masses_are_solver_failures(self, supplies, demands, message):
+        cost = [[1.0] * len(demands) for _ in supplies]
+        with pytest.raises(SolverFailure) as info:
+            transport.solve_transportation(supplies, demands, cost)
+        assert str(info.value) == message
+
+    def test_oracle_shares_no_code_with_the_routes(self):
+        # the oracle checks the routes, so it may use only the standard
+        # library and the package's error types
+        tree = ast.parse(Path(transport.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert ".errors" in imported
+        for name in imported - {".errors", "freeflow.errors"}:
+            assert name.split(".")[0] not in {"", "freeflow", "numpy", "scipy"}
 
 
 class TestAtomValidation:
@@ -585,6 +647,29 @@ class TestBeckmannField:
     def test_requires_surface(self, interval10):
         with pytest.raises(MeshError):
             beckmann_field(interval10, Molecule(((3, 1.0),)))
+
+    @pytest.mark.parametrize("mixed", ["pendant_edge", "joined_icospheres"])
+    def test_faces_must_join_every_vertex(self, ico1, mixed):
+        # a vertex on no face, or a second set of faces, leaves the pinned
+        # normal matrix singular
+        mesh = {
+            "pendant_edge": lambda: from_lengths(
+                [(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0, (2, 3): 1.0}
+            ),
+            "joined_icospheres": lambda: two_icospheres(ico1, pinched=False),
+        }[mixed]()
+        with pytest.raises(MeshError) as info:
+            free_norm(mesh, Molecule(((mesh.vertex_count - 1, 1.0),)))
+        assert type(info.value) is MeshError
+        assert "needs every vertex on a face" in str(info.value)
+
+    def test_pinched_icospheres_solve(self, ico1):
+        mesh = two_icospheres(ico1, pinched=True)
+        report = free_norm(mesh, Molecule(((mesh.vertex_count - 1, 1.0),)))
+        params = FieldSolveParams()
+        value = report.primal_field_value
+        assert report.diagnostics["field"]["iterations"] < params.max_iter
+        assert value <= report.primal_graph_value + params.tol * max(1.0, value)
 
     def test_field_value_consistent_with_graph_scale(self, flat4):
         mu = Molecule(((24, 1.0),))

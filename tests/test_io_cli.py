@@ -233,6 +233,23 @@ class TestCli:
         assert envelope["error"]["type"] == "MeshError"
         assert "non-finite" in envelope["error"]["message"]
 
+    def test_field_route_on_a_pendant_edge_error_envelope(self, tmp_path, capsys):
+        # splu's "Factor is exactly singular" used to escape as a traceback
+        mesh_path = tmp_path / "m.json"
+        mesh_path.write_text(json.dumps({
+            "triangles": [[0, 1, 2]],
+            "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [2, 3, 1.0]],
+        }))
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[3, 1.0]]}))
+        capsys.readouterr()
+        code = main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), "--method", "all"])
+        assert code == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "MeshError"
+        assert "needs every vertex on a face" in envelope["error"]["message"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command", ["check-currents", "free-norm"])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, flat4,

@@ -118,6 +118,7 @@ class TestBuildMesh:
              "edge (0, 1) length nan is not finite and positive"),
             ([], [(1, 2, 1.0), (1, 2, 1.0), (2, 1, 3.0), (0, 1, 2.0), (0, 1, 0.5)],
              "edge (1, 2) given two lengths 1.0 and 3.0"),
+            ([(0, 0, 1)], [(0, 1, 1.0)], "degenerate triangle (0, 0, 1)"),
         ],
         ids=[
             "self_loop", "nan", "inf", "neg_inf", "zero", "negative",
@@ -125,6 +126,7 @@ class TestBuildMesh:
             "negative_triangle_id", "missing_triangle_edge", "no_edges",
             "conflict_before_self_loop", "self_loop_before_conflict",
             "self_loop_with_nan", "repeat_with_nan", "second_group_later",
+            "degenerate_triangle",
         ],
     )
     def test_construction_errors_are_pinned(self, triangles, edges, message):

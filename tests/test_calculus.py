@@ -272,6 +272,26 @@ class TestLipschitzConstant:
         assert lip_constant(path, f, "edgewise") == 1.0
         assert lip_constant(path, f, "pairwise_geodesic") == 0.9 / (0.2 + 0.7) > 1.0
 
+    @pytest.mark.parametrize(
+        "fixture, pin",
+        [
+            ("annulus", "c4241f5181f4b2c243089a56c8e4ff2ee66c5f1205f634962ab8f8df29f748ca"),
+            ("poincare", "6b9e5e6e0c5e5899af0aa5f25841cae348c4b861357f690d9d50c6d470e37036"),
+        ],
+    )
+    def test_pairwise_values_are_pinned(self, request, fixture, pin):
+        # sums of distance fields have slope 1.5 up to roundoff, so the
+        # reprs show every bit of the searched distances
+        mesh = request.getfixturevalue(fixture)
+        fields = [geodesic_distances(mesh, s) for s in (0, 5, mesh.vertex_count - 1)]
+        values = [
+            lip_constant(mesh, f + 0.5 * g, "pairwise_geodesic")
+            for f in fields
+            for g in fields
+        ]
+        digest = hashlib.sha256(" ".join(map(repr, values)).encode()).hexdigest()
+        assert digest == pin
+
     def test_pairwise_search_is_pruned_and_limited(self, monkeypatch):
         mesh = generate_primitive("flat_rect", nx=16)
         f = np.random.default_rng(13).normal(size=mesh.vertex_count)

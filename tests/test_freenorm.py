@@ -188,6 +188,36 @@ class TestTransportOracle:
                     expected, abs=1e-9
                 )
 
+    def test_fractions_are_pinned(self, monkeypatch):
+        # 240 instances of 1-12 atoms on the five surfaces of the
+        # exact_small benchmark; sha256 over the reprs of the Fractions
+        # that the exact solver returns to the oracle
+        values = []
+        solve = transport.solve_transportation
+
+        def recording_solve(*args):
+            values.append(solve(*args))
+            return values[-1]
+
+        monkeypatch.setattr(freenorm, "solve_transportation", recording_solve)
+        rng = np.random.default_rng(1601)
+        for kind, params in [
+            ("annulus", {"n_angular": 16, "n_radial": 4}),
+            ("poincare_disk_patch", {"n_angular": 16, "n_radial": 5}),
+            ("torus", {"nx": 12}),
+            ("icosphere", {"level": 2}),
+            ("flat_rect", {"nx": 12}),
+        ]:
+            mesh = generate_primitive(kind, **params)
+            for n in list(range(1, 13)) * 4:
+                verts = rng.choice(np.arange(1, mesh.vertex_count), size=n, replace=False)
+                coeffs = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+                transport_oracle(mesh, Molecule(tuple(zip(verts.tolist(), coeffs.tolist()))))
+        assert len(values) == 240
+        assert all(type(v) is Fraction for v in values)
+        digest = hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+        assert digest == "6e48ead1445a5026de29ff5b5f2bacb12bcad14e6d93d3bc5c9421b0df173f8d"
+
 
 class TestTransportationSolver:
     @pytest.mark.parametrize(
@@ -542,6 +572,53 @@ class TestSuccessiveShortestPaths:
             dual_lp(mesh, mu)
         # 86 runs for 106 sinks; one augmentation per run needs 324
         assert len(calls) < sinks
+
+    @pytest.mark.parametrize(
+        "fixture, pin",
+        [
+            ("flat4", "06d23ddff5fc056fca66698925ddaa4693c0be7d4114009ee9dc4f2e9360d4dd"),
+            ("ico1", "386b2cd828e758db47cd8e7257db9984f1f601eaaf8fb1caf7e6eec9e32876c8"),
+            ("annulus", "af9013b46a212a4d47ff0686b6a8c2a18f7b8db667754e8c77ea43a45f4ab104"),
+            ("torus", "4bc84157596ad948a706accee3357a99b85e9788b88a93eb421a230aa6eb672b"),
+            ("poincare", "8f8c6fe0dda1c0f44827da5a22686c23ec415f4ffb0cf460b228ca88c7d7c03e"),
+        ],
+    )
+    def test_flows_and_potentials_are_pinned(self, request, fixture, pin):
+        # sha256 of the flow and potential bytes of three molecules
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(61)
+        digest = hashlib.sha256()
+        for _ in range(3):
+            b = molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=12))
+            flow, potential = ssp.min_cost_flow(mesh, b)
+            digest.update(flow.tobytes())
+            digest.update(potential.tobytes())
+        assert digest.hexdigest() == pin
+
+    def test_multi_phase_flow_is_pinned(self, monkeypatch):
+        # 50 atoms on flat_rect nx32 take 27 phases
+        calls = []
+        search = ssp.dijkstra
+
+        def counting_dijkstra(*args, **kwargs):
+            calls.append(None)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(ssp, "dijkstra", counting_dijkstra)
+        mesh = generate_primitive("flat_rect", nx=32)
+        rng = np.random.default_rng(62)
+        verts = rng.choice(np.arange(1, mesh.vertex_count), size=50, replace=False)
+        mu = canonicalize(
+            Molecule(tuple((int(v), c) for v, c in zip(verts, rng.uniform(-3, 3, 50)))),
+            mesh.base_vertex,
+        )
+        flow, potential = ssp.min_cost_flow(mesh, molecule_vector(mesh, mu))
+        assert len(calls) == 27
+        payload = flow.tobytes() + potential.tobytes()
+        assert (
+            hashlib.sha256(payload).hexdigest()
+            == "758cbcca3398e221ff9434282a2d08cb7d4a440085aa53ba901b0712cfa09ae2"
+        )
 
     def test_paths_over_emptied_cancellation_arcs_wait(self, flat4):
         # a cancellation arc pushed to zero flow turns forward at reduced

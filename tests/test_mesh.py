@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -371,6 +372,32 @@ class TestGeodesics:
         for _ in range(200):
             i, j, k = rng.integers(0, annulus.vertex_count, size=3)
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-12
+
+    @pytest.mark.parametrize(
+        "fixture, rows_pin, dense_pin",
+        [
+            (
+                "annulus",
+                "889d550b421fc5cc98ee6f843dd60796a5dbf9287788fe4ec48d0124371752d5",
+                "659953a4a2e2af77fe17daf1d0d86eea6ef2095bec904dc6a1a682200cee61c2",
+            ),
+            (
+                "poincare",
+                "60d64fc8f937efa034b65251e8d17770b0e7d8306ff40a4f0234651586d5a7a4",
+                "a36e3d2198343dd8dff39d52f038c295fc96c9ab32fe00d1772496f23dc43adf",
+            ),
+        ],
+    )
+    def test_distances_are_pinned(self, request, fixture, rows_pin, dense_pin):
+        # sha256 of the distance bytes from every seventh source, and of
+        # the dense all-pairs matrix
+        mesh = request.getfixturevalue(fixture)
+        digest = hashlib.sha256()
+        for source in range(0, mesh.vertex_count, 7):
+            digest.update(geodesic_distances(mesh, source).tobytes())
+        assert digest.hexdigest() == rows_pin
+        dense = mesh.all_pairs_distances().tobytes()
+        assert hashlib.sha256(dense).hexdigest() == dense_pin
 
 
 def area(mesh, f):

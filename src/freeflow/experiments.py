@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .calculus import (
+    _face_components,
     divergence,
     divergence_matrix,
     divergence_projection,
@@ -161,7 +163,8 @@ def tangential_subset_field(mesh_n, faces_m, rng=None):
     mesh: the discrete membership certificate for extension by zero.
 
     Starts from a rotated gradient and projects onto the kernel of the
-    divergence restricted to the subset columns.
+    divergence restricted to the subset columns, by a sparse solve of the
+    normal equations.
     """
     faces = sorted(int(f) for f in faces_m)
     rng = rng or np.random.default_rng(0)
@@ -171,12 +174,19 @@ def tangential_subset_field(mesh_n, faces_m, rng=None):
 
     A = divergence_matrix(mesh_n)
     cols = np.repeat(2 * np.array(faces), 2) + np.tile([0, 1], len(faces))
-    # only the subset's corner vertices give nonzero columns, and zero
-    # columns leave the range, hence the projection, unchanged
-    touched = np.unique(mesh_n.triangles[faces])
-    Am = A[touched][:, cols].T.toarray()  # (2|M|, touched vertices)
-    y, *_ = np.linalg.lstsq(Am, g0, rcond=None)
-    g = g0 - Am @ y
+    # only the subset's corner vertices give nonzero rows, and zero rows
+    # leave the projection unchanged
+    touched, corners = np.unique(mesh_n.triangles[faces], return_inverse=True)
+    B = A[touched][:, cols]  # (touched vertices, 2|M|)
+    # B^T y = 0 exactly when y is constant on each set of touched vertices
+    # joined through subset faces, so pinning one vertex of each makes the
+    # normal matrix B B^T definite without changing the range of B^T
+    _, labels = _face_components(corners.reshape(-1, 3), len(touched))
+    free = np.ones(len(touched), dtype=bool)
+    free[np.unique(labels, return_index=True)[1]] = False
+    B = B[free]
+    y = splu((B @ B.T).tocsc()).solve(B @ g0)
+    g = g0 - B.T @ y
     return g.reshape(len(faces), 2)
 
 

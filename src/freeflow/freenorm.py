@@ -177,9 +177,7 @@ def transport_oracle(mesh, molecule):
     sinks = [(v, -c) for v, c in sorted(weights.items()) if c < 0]
     if not sources:
         return 0.0
-    dist = dijkstra(
-        mesh.adjacency, directed=False, indices=[v for v, _ in sources]
-    )
+    dist = dijkstra(mesh.adjacency, indices=[v for v, _ in sources])
     cost = dist[:, [v for v, _ in sinks]].tolist()
     value = solve_transportation(
         [c for _, c in sources], [c for _, c in sinks], cost
@@ -363,6 +361,12 @@ def free_norm(mesh, molecule, method="all", field_params=None):
     if method not in ("dual", "graph", "field", "all"):
         raise ParseError(f"unknown method {method!r}")
     molecule = canonicalize(molecule, mesh.base_vertex)
+    run_field = method == "field" or (method == "all" and mesh.dimension == 2)
+    if run_field and method == "all":
+        # fail on the field route's precondition before the graph routes
+        # run; the factorization is cached for the field route
+        _check_vertices(mesh, molecule)
+        mesh.normal_solver
     report = FreeNormReport()
     report.diagnostics["atoms"] = len(molecule.atoms)
     report.diagnostics["flow_non_unique"] = True  # witnesses are one optimum
@@ -384,7 +388,7 @@ def free_norm(mesh, molecule, method="all", field_params=None):
                 f"{AGREEMENT_TOL} of the dual value {dual!r}",
                 diagnostics={"duality_gap": gap, "dual_value": dual},
             )
-    if method == "field" or (method == "all" and mesh.dimension == 2):
+    if run_field:
         value, g, diag = beckmann_field(mesh, molecule, params=field_params)
         report.primal_field_value = value
         report.optimal_field = g

@@ -206,7 +206,9 @@ class TriMesh:
 
     @cached_property
     def adjacency(self):
-        """Symmetric sparse matrix of edge lengths."""
+        """Symmetric sparse matrix of edge lengths. It holds each edge in
+        both directions, so searches pass it to csgraph as a directed
+        graph; ``directed=False`` would transpose and merge it per call."""
         u, v = self.edges[:, 0], self.edges[:, 1]
         w = self.edge_lengths
         return csr_matrix(
@@ -290,7 +292,7 @@ class TriMesh:
 
     def all_pairs_distances(self):
         """Dense (V, V) matrix of graph geodesic distances."""
-        return dijkstra(self.adjacency, directed=False)
+        return dijkstra(self.adjacency)
 
     @property
     def boundary_vertices(self):
@@ -351,6 +353,6 @@ def geodesic_distances(mesh, source):
     """Shortest-path distances from ``source`` in the weighted edge graph."""
     if not 0 <= source < mesh.vertex_count:
         raise MeshError(f"source vertex {source} out of range")
-    dist = dijkstra(mesh.adjacency, directed=False, indices=source)
+    dist = dijkstra(mesh.adjacency, indices=source)
     dist.setflags(write=False)
     return dist

@@ -3,9 +3,10 @@
 Solves  min sum_e length_e * |phi_e|  subject to  incidence @ phi = b
 (uncapacitated, both traversal directions cost the edge length) in
 primal-dual phases (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
-section 9.8). Each phase runs one multi-source
-``scipy.sparse.csgraph.dijkstra`` over the reduced costs of the residual
-arcs and adds the distances to the node potentials, which makes every
+section 9.8). Every arc stays in the residual graph, so its CSR matrix
+is built once per solve. Each phase refills only its data with the
+reduced costs, runs one multi-source ``scipy.sparse.csgraph.dijkstra``
+and adds the distances to the node potentials, which makes every
 shortest path tight. It then augments along the shortest path of each
 reached sink, nearest first, while the path's source has supply, its
 sink has demand and its arcs are still tight. The accumulated node
@@ -56,11 +57,10 @@ def min_cost_flow(mesh, b):
     tails = np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1]])
     heads = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
     arc_lengths = np.tile(mesh.edge_lengths, 2)
-    # every arc stays in the residual graph, so its CSR pattern is fixed:
-    # arcs sorted by (tail, head); a phase only fills in the data
+    # arcs sorted by (tail, head), no pair twice: a canonical CSR pattern
     order = np.lexsort((heads, tails))
-    indices = heads[order]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=V))])
+    graph = csr_matrix((arc_lengths[order], heads[order], indptr), shape=(V, V))
 
     flow = np.zeros(E)
     pi = np.zeros(V)
@@ -86,7 +86,7 @@ def min_cost_flow(mesh, b):
         against = np.concatenate([flow < 0, flow > 0])
         cost = np.where(against, -arc_lengths, arc_lengths)
         reduced = np.maximum(cost + pi[tails] - pi[heads], 0.0)
-        graph = csr_matrix((reduced[order], indices, indptr), shape=(V, V))
+        np.take(reduced, order, out=graph.data)
         dist, pred, roots = dijkstra(
             graph, indices=sources, min_only=True, return_predecessors=True
         )

@@ -9,7 +9,10 @@ in exact rational arithmetic: every float input is a dyadic rational and
 is treated exactly, the initial basis comes from the northwest-corner
 rule, and pivoting uses Bland's rule, so termination at the true optimum
 of the given data is guaranteed. Instances here are tiny (one cell per
-pair of molecule atoms), which keeps the exact arithmetic cheap.
+pair of molecule atoms). The pivots run on integers over two common
+denominators, the lcm of the masses' and that of the costs'. Both are
+positive, so every comparison and pivot is the one the rationals make,
+and the integer optimum over their product is still exact.
 
 The basis cells form a spanning tree of rows and columns, so a pivot
 needs no graph search. The duals u_i + v_j = d_ij (u_0 = 0) come from
@@ -19,6 +22,7 @@ their row or column have been dropped until none is; a walk from the
 entering cell, alternately along a row and a column, puts it in order.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import SolverFailure
@@ -41,6 +45,10 @@ def solve_transportation(supplies, demands, cost):
     if m == 0 or n == 0:
         return Fraction(0)
     d = [[Fraction(cost[i][j]) for j in range(n)] for i in range(m)]
+    mass_den = math.lcm(*(x.denominator for x in s + t))
+    cost_den = math.lcm(*(x.denominator for row in d for x in row))
+    s, t = ([x.numerator * (mass_den // x.denominator) for x in xs] for xs in (s, t))
+    d = [[x.numerator * (cost_den // x.denominator) for x in row] for row in d]
 
     # northwest-corner initial basis: m + n - 1 cells, tree-structured;
     # the keys of ``flows`` are the basis
@@ -62,12 +70,13 @@ def solve_transportation(supplies, demands, cost):
             (i, j) for i in range(m) for j in range(n)
             if (i, j) not in flows and d[i][j] - u[i] - v[j] < 0), None)
         if entering is None:
-            return sum(d[i][j] * q for (i, j), q in flows.items())
+            total = sum(d[i][j] * q for (i, j), q in flows.items())
+            return Fraction(total, mass_den * cost_den)
         cycle = _pivot_cycle(list(flows), entering)
         minus = cycle[1::2]
         delta = min(flows[c] for c in minus)
         leaving = min(c for c in minus if flows[c] == delta)
-        flows[entering] = Fraction(0)
+        flows[entering] = 0
         for k, cell in enumerate(cycle):
             flows[cell] += delta if k % 2 == 0 else -delta
         del flows[leaving]
@@ -77,7 +86,7 @@ def solve_transportation(supplies, demands, cost):
 def _duals(basis, d, m, n):
     """Solve u_i + v_j = d_ij over the basis tree with u_0 = 0."""
     u, v = [None] * m, [None] * n
-    u[0] = Fraction(0)
+    u[0] = 0
     pending = list(basis)
     while pending:
         rest = []

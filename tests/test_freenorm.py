@@ -740,6 +740,22 @@ class TestBeckmannField:
         assert type(info.value) is MeshError
         assert "needs every vertex on a face" in str(info.value)
 
+    def test_precondition_fails_before_the_graph_routes(self, monkeypatch):
+        # --method all on a pendant edge raises the field route's error
+        # without solving either graph problem first
+        def unexpected(mesh, b):
+            raise AssertionError("a graph route ran")
+
+        monkeypatch.setattr(ssp, "min_cost_flow", unexpected)
+        monkeypatch.setattr(netsimplex, "min_cost_flow", unexpected)
+        mesh = from_lengths(
+            [(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0, (2, 3): 1.0}
+        )
+        with pytest.raises(MeshError) as info:
+            free_norm(mesh, Molecule(((3, 1.0),)))
+        assert type(info.value) is MeshError
+        assert "needs every vertex on a face" in str(info.value)
+
     def test_pinched_icospheres_solve(self, ico1):
         mesh = two_icospheres(ico1, pinched=True)
         report = free_norm(mesh, Molecule(((mesh.vertex_count - 1, 1.0),)))

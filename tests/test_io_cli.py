@@ -8,11 +8,184 @@ from freeflow import cli, experiments, freenorm
 from freeflow import io as ffio
 from freeflow.cli import main
 from freeflow.currents import d0
-from freeflow.errors import InvalidParams, ParseError
+from freeflow.errors import InvalidParams, MeshError, ParseError
 from freeflow.freenorm import Molecule
 from freeflow.primitives import generate_primitive
 
 from test_currents import annulus_generator
+
+
+NAN = float("nan")
+BIG = 10**400  # a JSON integer beyond float range
+TRI = [[0, 1, 2]]
+EDGES = [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]
+
+
+def _mesh(**change):
+    """The JSON of a one-triangle mesh, with ``change`` applied."""
+    return {"triangles": TRI, "edges": EDGES, **change}
+
+
+def _edge(row, at=2):
+    """The one-triangle mesh JSON with edge row ``at`` replaced by ``row``."""
+    return _mesh(edges=EDGES[:at] + [row] + EDGES[at + 1:])
+
+
+def _tris(*rows):
+    return _mesh(triangles=list(rows))
+
+
+# Type and message of each parse error, recorded while every reader still
+# checked one JSON element at a time. A string is a ParseError message.
+_MESH_ERRORS = [
+    ("tri_bool_id", _tris([0, True, 2]), "triangle vertex ids must be integers"),
+    ("tri_str_id", _tris([0, "1", 2]), "triangle vertex ids must be integers"),
+    ("tri_float_id", _tris([0, 1.0, 2]), "triangle vertex ids must be integers"),
+    ("tri_nan_id", _tris([0, NAN, 2]), "triangle vertex ids must be integers"),
+    ("tri_null_id", _tris([0, None, 2]), "triangle vertex ids must be integers"),
+    ("tri_short_row", _tris([0, 1]),
+     "every triangle must be a list of three vertex ids"),
+    ("tri_long_row", _tris([0, 1, 2, 0]),
+     "every triangle must be a list of three vertex ids"),
+    ("tri_str_row", _tris("012"), "every triangle must be a list of three vertex ids"),
+    ("tri_int_row", _tris(5), "every triangle must be a list of three vertex ids"),
+    ("tri_null", _mesh(triangles=None),
+     "bad mesh JSON: 'NoneType' object is not iterable"),
+    ("tri_int", _mesh(triangles=3), "bad mesh JSON: 'int' object is not iterable"),
+    ("edge_bool_id", _edge([True, 2, 1.0]), "vertex id True is not an integer"),
+    ("edge_str_id", _edge([0, "2", 1.0]), "vertex id '2' is not an integer"),
+    ("edge_float_id", _edge([0.0, 2, 1.0]), "vertex id 0.0 is not an integer"),
+    ("edge_nan_id", _edge([0, NAN, 1.0]), "vertex id nan is not an integer"),
+    ("edge_null_id", _edge([None, 2, 1.0]), "vertex id None is not an integer"),
+    ("edge_short_row", _edge([0, 2]),
+     "bad mesh JSON: not enough values to unpack (expected 3, got 2)"),
+    ("edge_long_row", _edge([0, 2, 1.0, 1.0]),
+     "bad mesh JSON: too many values to unpack (expected 3)"),
+    ("edge_int_row", _edge(7), "bad mesh JSON: cannot unpack non-iterable int object"),
+    ("edge_null_row", _edge(None),
+     "bad mesh JSON: cannot unpack non-iterable NoneType object"),
+    ("edge_str_row", _edge("abc"), "vertex id 'a' is not an integer"),
+    ("edge_short_str_row", _edge("ab"),
+     "bad mesh JSON: not enough values to unpack (expected 3, got 2)"),
+    ("edge_dict_row", _edge({"u": 0, "v": 2, "l": 1.0}),
+     "vertex id 'u' is not an integer"),
+    ("edges_missing", {"triangles": TRI}, "bad mesh JSON: 'edges'"),
+    ("edges_null", _mesh(edges=None),
+     "bad mesh JSON: 'NoneType' object is not iterable"),
+    ("edges_str", _mesh(edges="abc"),
+     "bad mesh JSON: not enough values to unpack (expected 3, got 1)"),
+    ("length_str", _edge([0, 2, "1.0"]), "value '1.0' is not a number"),
+    ("length_bool", _edge([0, 2, True]), "value True is not a number"),
+    ("length_null", _edge([0, 2, None]), "value None is not a number"),
+    ("length_list", _edge([0, 2, [1.0]]), "value [1.0] is not a number"),
+    ("length_beyond_float", _edge([0, 2, BIG]),
+     "bad mesh JSON: int too large to convert to float"),
+    ("base_float", _mesh(base_vertex=1.0), "vertex id 1.0 is not an integer"),
+    ("base_bool", _mesh(base_vertex=True), "vertex id True is not an integer"),
+    ("base_null", _mesh(base_vertex=None), "vertex id None is not an integer"),
+    ("base_str", _mesh(base_vertex="0"), "vertex id '0' is not an integer"),
+    ("two_length_then_id", _mesh(edges=[[0, 1, "x"], [1, 2, 1.0], [0, 2.5, 1.0]]),
+     "vertex id 2.5 is not an integer"),
+    ("two_short_then_id", _mesh(edges=[[0, 1], [1.5, 2, 1.0], [0, 2, 1.0]]),
+     "bad mesh JSON: not enough values to unpack (expected 3, got 2)"),
+    ("two_id_then_short", _mesh(edges=[[0, 1, 1.0], [1.5, 2, 1.0], [0, 2]]),
+     "vertex id 1.5 is not an integer"),
+    ("two_v_then_u", _mesh(edges=[[0, 1, 1.0], [1, "b", 1.0], ["a", 2, 1.0]]),
+     "vertex id 'b' is not an integer"),
+    ("two_big_then_str", _mesh(edges=[[0, 1, BIG], [1, 2, "x"], [0, 2, 1.0]]),
+     "bad mesh JSON: int too large to convert to float"),
+    ("two_str_then_big", _mesh(edges=[[0, 1, "x"], [1, 2, BIG], [0, 2, 1.0]]),
+     "value 'x' is not a number"),
+    ("two_tri_id_then_short", _tris([0, 1.5, 2], [0, 1]),
+     "every triangle must be a list of three vertex ids"),
+    ("two_tri_then_edge",
+     _mesh(triangles=[[0, 1, "2"]], edges=[[0, 1, 1.0], [1, 2, "x"], [0, 2, 1.0]]),
+     "triangle vertex ids must be integers"),
+    ("two_length_then_base",
+     _mesh(edges=[[0, 1, 1.0], [1, 2, None], [0, 2, 1.0]], base_vertex=0.0),
+     "value None is not a number"),
+    ("edges_empty", _mesh(edges=[]),
+     (MeshError, "missing length for triangle edge (0, 1)")),
+    ("edges_empty_graph", {"edges": []}, (MeshError, "mesh has no edges")),
+    ("base_beyond_int64", _mesh(base_vertex=2**70),
+     (MeshError, "base vertex 1180591620717411303424 out of range")),
+    ("dimension_mismatch", _mesh(triangles=[], dimension=2),
+     "declared dimension 2 does not match content 1"),
+]
+
+_FIELD_ERRORS = [
+    ("scalar_bool", {"scalar": [0.0, True, 0.0]}, "value True is not a number"),
+    ("scalar_str", {"scalar": [0.0, 0.0, "1"]}, "value '1' is not a number"),
+    ("scalar_null_entry", {"scalar": [None, 0.0, 0.0]}, "value None is not a number"),
+    ("scalar_list_entry", {"scalar": [0.0, [1.0], 0.0]}, "value [1.0] is not a number"),
+    ("scalar_beyond_float", {"scalar": [0.0, BIG, 0.0]},
+     "bad field JSON: int too large to convert to float"),
+    ("scalar_null", {"scalar": None},
+     "bad field JSON: 'NoneType' object is not iterable"),
+    ("scalar_int", {"scalar": 5}, "bad field JSON: 'int' object is not iterable"),
+    ("edges_bool", {"edges": [0.0, 0.0, False]}, "value False is not a number"),
+    ("faces_str", {"faces": [[0.0, "x"]]}, "value 'x' is not a number"),
+    ("faces_short_row", {"faces": [[0.0]]},
+     "bad field JSON: not enough values to unpack (expected 2, got 1)"),
+    ("faces_long_row", {"faces": [[0.0, 1.0, 2.0]]},
+     "bad field JSON: too many values to unpack (expected 2)"),
+    ("faces_int_row", {"faces": [5]},
+     "bad field JSON: cannot unpack non-iterable int object"),
+    ("faces_null_row", {"faces": [None]},
+     "bad field JSON: cannot unpack non-iterable NoneType object"),
+    ("faces_str_row", {"faces": ["ab"]}, "value 'a' is not a number"),
+    ("faces_beyond_float", {"faces": [[BIG, 0.0]]},
+     "bad field JSON: int too large to convert to float"),
+    ("two_faces_str_then_short", {"faces": [[0.0, "x"], [1.0]]},
+     "value 'x' is not a number"),
+    ("two_faces_short_then_str", {"faces": [[1.0], [0.0, "x"]]},
+     "bad field JSON: not enough values to unpack (expected 2, got 1)"),
+    ("two_faces_big_then_bool", {"faces": [[0.0, BIG], [True, 0.0]]},
+     "bad field JSON: int too large to convert to float"),
+    ("two_scalar_big_then_str", {"scalar": [BIG, "x", 0.0]},
+     "bad field JSON: int too large to convert to float"),
+    ("two_scalar_str_then_big", {"scalar": ["x", BIG, 0.0]},
+     "value 'x' is not a number"),
+]
+
+_MOLECULE_ERRORS = [
+    ("atom_bool_id", {"atoms": [[True, 1.0]]}, "vertex id True is not an integer"),
+    ("atom_str_id", {"atoms": [["3", 1.0]]}, "vertex id '3' is not an integer"),
+    ("atom_float_id", {"atoms": [[3.0, 1.0]]}, "vertex id 3.0 is not an integer"),
+    ("atom_fraction_id", {"atoms": [[3.7, 1.0]]}, "vertex id 3.7 is not an integer"),
+    ("atom_nan_id", {"atoms": [[NAN, 1.0]]}, "vertex id nan is not an integer"),
+    ("atom_null_id", {"atoms": [[None, 1.0]]}, "vertex id None is not an integer"),
+    ("atom_short_row", {"atoms": [[3]]},
+     "bad molecule JSON: not enough values to unpack (expected 2, got 1)"),
+    ("atom_long_row", {"atoms": [[3, 1.0, 2.0]]},
+     "bad molecule JSON: too many values to unpack (expected 2)"),
+    ("atom_int_row", {"atoms": [3]},
+     "bad molecule JSON: cannot unpack non-iterable int object"),
+    ("atom_null_row", {"atoms": [None]},
+     "bad molecule JSON: cannot unpack non-iterable NoneType object"),
+    ("atom_str_row", {"atoms": ["ab"]}, "vertex id 'a' is not an integer"),
+    ("atoms_missing", {}, "bad molecule JSON: 'atoms'"),
+    ("atoms_null", {"atoms": None},
+     "bad molecule JSON: 'NoneType' object is not iterable"),
+    ("coefficient_str", {"atoms": [[3, "1"]]}, "value '1' is not a number"),
+    ("coefficient_bool", {"atoms": [[3, True]]}, "value True is not a number"),
+    ("coefficient_null", {"atoms": [[3, None]]}, "value None is not a number"),
+    ("coefficient_beyond_float", {"atoms": [[3, BIG]]},
+     "bad molecule JSON: int too large to convert to float"),
+    ("coefficient_nan", {"atoms": [[3, NAN]]},
+     (MeshError, "molecule has non-finite coefficients")),
+    ("two_coefficient_then_id", {"atoms": [[3, "x"], [True, 1.0]]},
+     "value 'x' is not a number"),
+    ("two_id_then_coefficient", {"atoms": [[3.5, 1.0], [4, "x"]]},
+     "vertex id 3.5 is not an integer"),
+    ("two_big_then_id", {"atoms": [[3, BIG], [True, 1.0]]},
+     "bad molecule JSON: int too large to convert to float"),
+    ("two_short_then_id", {"atoms": [[3], [True, 1.0]]},
+     "bad molecule JSON: not enough values to unpack (expected 2, got 1)"),
+    ("two_id_then_short", {"atoms": [[3, 1.0], ["4", 1.0], [5]]},
+     "vertex id '4' is not an integer"),
+]
+
 
 
 class TestJsonRoundTrips:
@@ -180,6 +353,32 @@ class TestJsonRoundTrips:
             ffio.molecule_from_dict({"atoms": [[1, big]]})
         with pytest.raises(ParseError):
             ffio.field_from_dict(flat4, {"edges": [big] * len(flat4.edges)})
+
+
+def _params(table):
+    return [pytest.param(data, expected, id=name) for name, data, expected in table]
+
+
+def _assert_raises_pinned(read, data, expected):
+    kind, message = expected if isinstance(expected, tuple) else (ParseError, expected)
+    with pytest.raises(Exception) as info:
+        read(data)
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+class TestParseErrorsArePinned:
+    @pytest.mark.parametrize("data, expected", _params(_MESH_ERRORS))
+    def test_mesh(self, data, expected):
+        _assert_raises_pinned(ffio.mesh_from_dict, data, expected)
+
+    @pytest.mark.parametrize("data, expected", _params(_FIELD_ERRORS))
+    def test_field(self, data, expected):
+        mesh = ffio.mesh_from_dict(_mesh())
+        _assert_raises_pinned(lambda d: ffio.field_from_dict(mesh, d), data, expected)
+
+    @pytest.mark.parametrize("data, expected", _params(_MOLECULE_ERRORS))
+    def test_molecule(self, data, expected):
+        _assert_raises_pinned(ffio.molecule_from_dict, data, expected)
 
 
 class TestCli:

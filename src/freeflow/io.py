@@ -44,31 +44,82 @@ def _number(x):
     return float(x)
 
 
+# Each reader checks a whole JSON array at C speed: the set of its entries'
+# types, and of its rows' types and widths. Only when a check fails does it
+# walk the array in reading order, so the error names the first bad entry.
+
+
+def _entries(rows, width):
+    """The entries of ``rows`` in reading order, or None unless ``rows`` is
+    a list of lists of ``width`` entries each."""
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+        return None
+    return list(chain.from_iterable(rows))
+
+
+def _numbers(values):
+    """A float64 array of JSON numbers."""
+    if set(map(type, values)) - {int, float}:
+        for x in values:
+            _number(x)
+    return np.array(values, dtype=np.float64)
+
+
 def mesh_from_dict(data):
     try:
-        triangles = data.get("triangles", [])
-        if any(type(t) is not list or len(t) != 3 for t in triangles):
+        triangles = _entries(data.get("triangles", []), 3)
+        if triangles is None:
             raise ParseError("every triangle must be a list of three vertex ids")
-        if set(map(type, chain.from_iterable(triangles))) - {int}:
+        if set(map(type, triangles)) - {int}:
             raise ParseError("triangle vertex ids must be integers")
-        edges = [(_vertex(u), _vertex(v)) for u, v, _ in data["edges"]]
-        lengths = [_number(l) for _, _, l in data["edges"]]
+        triangles = np.array(triangles, dtype=np.int64)
+        rows = data["edges"]
+        edges = _entries(rows, 3)
+        if edges is None or set(map(type, chain(edges[0::3], edges[1::3]))) - {int}:
+            for a, b, _ in rows:
+                _vertex(a), _vertex(b)
+        lengths = _numbers(edges[2::3])
+        del edges[2::3]
+        edges = np.array(edges, dtype=np.int64)
         base = _vertex(data.get("base_vertex", 0))
+        declared = data.get("dimension")
+        if declared is not None and type(declared) is not int:
+            raise ParseError(f"dimension {declared!r} is not an integer")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad mesh JSON: {exc}") from exc
     mesh = TriMesh(triangles, edges, lengths, base_vertex=base)
-    declared = data.get("dimension")
-    if declared is not None and int(declared) != mesh.dimension:
+    if declared is not None and declared != mesh.dimension:
         raise ParseError(
             f"declared dimension {declared} does not match content {mesh.dimension}"
         )
     return mesh
 
 
+def _rows_text(rows):
+    """The JSON text of a list of rows, each given as its joined entries."""
+    return "[[" + "],[".join(rows) + "]]" if rows else "[]"
+
+
+def _canonical_json(mesh):
+    """The text of ``json.dumps(mesh_to_dict(mesh), sort_keys=True,
+    separators=(",", ":"))``, built from the arrays: one string per vertex
+    id and one ``float.__repr__`` per distinct length."""
+    ids = list(map(str, range(mesh.vertex_count)))
+    distinct, which = np.unique(mesh.edge_lengths, return_inverse=True)
+    lengths = list(map(repr, distinct.tolist()))
+    u, v = (map(ids.__getitem__, c) for c in mesh.edges.T.tolist())
+    edges = list(map(",".join, zip(u, v, map(lengths.__getitem__, which.tolist()))))
+    corners = (map(ids.__getitem__, c) for c in mesh.triangles.T.tolist())
+    triangles = list(map(",".join, zip(*corners)))
+    return (
+        f'{{"base_vertex":{mesh.base_vertex},"dimension":{mesh.dimension},'
+        f'"edges":{_rows_text(edges)},"triangles":{_rows_text(triangles)}}}'
+    )
+
+
 def mesh_hash(mesh):
-    """Content hash of the canonical mesh JSON."""
-    payload = json.dumps(mesh_to_dict(mesh), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """sha256 of the compact, key-sorted JSON of ``mesh_to_dict(mesh)``."""
+    return hashlib.sha256(_canonical_json(mesh).encode()).hexdigest()
 
 
 def scalar_field_to_dict(mesh, f):
@@ -98,9 +149,14 @@ def field_from_dict(mesh, data, expect=None):
     if expect is not None and kind != expect:
         raise ParseError(f"expected a {expect} field, found {kind}")
     try:
-        if kind == "faces":
-            return kind, np.array([[_number(a), _number(b)] for a, b in data["faces"]])
-        return kind, np.array([_number(x) for x in data[kind]])
+        values = data[kind]
+        if kind != "faces":
+            return kind, _numbers(values)
+        entries = _entries(values, 2)
+        if entries is None or set(map(type, entries)) - {int, float}:
+            for a, b in values:
+                _number(a), _number(b)
+        return kind, np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad field JSON: {exc}") from exc
 
@@ -111,7 +167,13 @@ def molecule_to_dict(molecule):
 
 def molecule_from_dict(data):
     try:
-        return Molecule(tuple((_vertex(v), _number(c)) for v, c in data["atoms"]))
+        atoms = data["atoms"]
+        entries = _entries(atoms, 2)
+        if (entries is None or set(map(type, entries[0::2])) - {int}
+                or set(map(type, entries[1::2])) - {int, float}):
+            for v, c in atoms:
+                _vertex(v), _number(c)
+        return Molecule(atoms)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad molecule JSON: {exc}") from exc
 

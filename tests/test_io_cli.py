@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,8 @@ from freeflow.cli import main
 from freeflow.currents import d0
 from freeflow.errors import InvalidParams, MeshError, ParseError
 from freeflow.freenorm import Molecule
-from freeflow.primitives import generate_primitive
+from freeflow.mesh import TriMesh
+from freeflow.primitives import KINDS, generate_primitive
 
 from test_currents import annulus_generator
 
@@ -353,6 +355,73 @@ class TestJsonRoundTrips:
             ffio.molecule_from_dict({"atoms": [[1, big]]})
         with pytest.raises(ParseError):
             ffio.field_from_dict(flat4, {"edges": [big] * len(flat4.edges)})
+
+    @pytest.mark.parametrize(
+        "data", [_edge([0, 2**70, 1.0]), _edge([-2**63 - 1, 2, 1.0]),
+                 _tris([0, 1, 2**64])],
+        ids=["edge", "edge_negative", "triangle"],
+    )
+    def test_vertex_id_beyond_int64_error_envelope(self, tmp_path, capsys, data):
+        # numpy raised OverflowError inside TriMesh, past the error envelope
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-mesh", str(path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith("bad mesh JSON: ")
+
+    @pytest.mark.parametrize("declared", ["abc", [2], "2", 2.5, True])
+    def test_declared_dimension_must_be_a_json_integer(self, tmp_path, capsys,
+                                                       declared):
+        # "abc" and [2] escaped as a ValueError and a TypeError; "2" and 2.5 passed
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**_mesh(), "dimension": declared}))
+        assert main(["validate-mesh", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "ParseError",
+            "message": f"dimension {declared!r} is not an integer",
+        }
+
+    @pytest.mark.parametrize("declared", [{}, {"dimension": None}, {"dimension": 2}])
+    def test_declared_dimension_may_be_absent_or_null(self, declared):
+        assert ffio.mesh_from_dict({**_mesh(), **declared}).dimension == 2
+
+
+def _reference_json(mesh):
+    return json.dumps(ffio.mesh_to_dict(mesh), sort_keys=True, separators=(",", ":"))
+
+
+class TestMeshHashPayload:
+    """The hashed text is the compact, key-sorted JSON of ``mesh_to_dict``."""
+
+    def assert_reference(self, mesh):
+        text = _reference_json(mesh)
+        assert ffio._canonical_json(mesh) == text
+        assert ffio.mesh_hash(mesh) == hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("base_vertex", [0, 2])
+    def test_primitives(self, kind, base_vertex):
+        self.assert_reference(generate_primitive(kind, base_vertex=base_vertex))
+
+    def test_graph_with_exponent_and_subnormal_lengths(self):
+        lengths = [1e-05, 1.5e16, 5e-324, 2.5e-310, 1e-05, 0.1, 1e22, 12345.678]
+        edges = [[v, v + 1] for v in range(len(lengths))]
+        mesh = TriMesh([], edges, lengths, base_vertex=3)
+        self.assert_reference(mesh)
+        assert '"edges":[[0,1,1e-05],[1,2,1.5e+16],[2,3,5e-324],' in _reference_json(mesh)
+
+    def test_surface_with_exponent_lengths(self):
+        mesh = TriMesh([[0, 1, 2], [0, 2, 3]], [[0, 1], [1, 2], [0, 2], [2, 3], [0, 3]],
+                       [1e-05, 1e-05, 1.5e-05, 1e-05, 1e-05], base_vertex=1)
+        self.assert_reference(mesh)
+
+    def test_lengths_given_as_json_integers(self):
+        mesh = ffio.mesh_from_dict(
+            {"triangles": [[0, 1, 2]], "edges": [[0, 1, 3], [1, 2, 4], [0, 2, 5]],
+             "base_vertex": 2})
+        self.assert_reference(mesh)
+        assert '"edges":[[0,1,3.0],[0,2,5.0],[1,2,4.0]]' in _reference_json(mesh)
 
 
 def _params(table):

@@ -72,7 +72,6 @@ def mesh_from_dict(data):
             raise ParseError("every triangle must be a list of three vertex ids")
         if set(map(type, triangles)) - {int}:
             raise ParseError("triangle vertex ids must be integers")
-        triangles = np.array(triangles, dtype=np.int64)
         rows = data["edges"]
         edges = _entries(rows, 3)
         if edges is None or set(map(type, chain(edges[0::3], edges[1::3]))) - {int}:
@@ -80,14 +79,16 @@ def mesh_from_dict(data):
                 _vertex(a), _vertex(b)
         lengths = _numbers(edges[2::3])
         del edges[2::3]
-        edges = np.array(edges, dtype=np.int64)
         base = _vertex(data.get("base_vertex", 0))
-        declared = data.get("dimension")
-        if declared is not None and type(declared) is not int:
-            raise ParseError(f"dimension {declared!r} is not an integer")
+        # after every entry check, so an id beyond int64 hides no other error
+        triangles = np.array(triangles, dtype=np.int64)
+        edges = np.array(edges, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad mesh JSON: {exc}") from exc
     mesh = TriMesh(triangles, edges, lengths, base_vertex=base)
+    declared = data.get("dimension")
+    if declared is not None and type(declared) is not int:
+        raise ParseError(f"dimension {declared!r} is not an integer")
     if declared is not None and declared != mesh.dimension:
         raise ParseError(
             f"declared dimension {declared} does not match content {mesh.dimension}"

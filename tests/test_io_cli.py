@@ -106,6 +106,9 @@ _MESH_ERRORS = [
     ("two_length_then_base",
      _mesh(edges=[[0, 1, 1.0], [1, 2, None], [0, 2, 1.0]], base_vertex=0.0),
      "value None is not a number"),
+    ("two_tri_beyond_int64_then_length",
+     _mesh(triangles=[[0, 1, 2**70]], edges=[[0, 1, 1.0], [1, 2, "x"], [0, 2, 1.0]]),
+     "value 'x' is not a number"),
     ("edges_empty", _mesh(edges=[]),
      (MeshError, "missing length for triangle edge (0, 1)")),
     ("edges_empty_graph", {"edges": []}, (MeshError, "mesh has no edges")),

@@ -37,8 +37,8 @@ def _tris(*rows):
     return _mesh(triangles=list(rows))
 
 
-# Type and message of each parse error, recorded while every reader still
-# checked one JSON element at a time. A string is a ParseError message.
+# The type and message of each reader's error on malformed input; a string
+# is a ParseError message. Of two defects, the first in reading order wins.
 _MESH_ERRORS = [
     ("tri_bool_id", _tris([0, True, 2]), "triangle vertex ids must be integers"),
     ("tri_str_id", _tris([0, "1", 2]), "triangle vertex ids must be integers"),

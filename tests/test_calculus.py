@@ -141,6 +141,26 @@ class TestDivergence:
         payload = A.indptr.tobytes() + A.indices.tobytes() + A.data.tobytes()
         assert hashlib.sha256(payload).hexdigest() == pin
 
+    @pytest.mark.parametrize(
+        "base, pin",
+        [
+            (0, "72b4e71b09df04a072019b49a4151bc8954082706a446cecfa3892fd0e89f14d"),
+            (43, "3500c8dd50ec2215df7ffc22cf3e3f75a2f8cd3b1cbca17c210a5ab12c2080d7"),
+            (79, "6d7fb6161aaa8efed2323231df07385654dd5b3787fdb95ce509f0770b8afcaa"),
+        ],
+        ids=["first", "middle", "last"],
+    )
+    def test_normal_solve_bytes_are_pinned(self, base, pin):
+        # sha256 of the pinned normal-matrix solve on the 80-vertex
+        # annulus, with the base vertex first, in the middle and last
+        mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
+        assert mesh.vertex_count == 80
+        r = np.random.default_rng(3).standard_normal(mesh.vertex_count)
+        r -= r.mean()
+        y = divergence_normal_solver(mesh)(r)
+        assert y[base] == 0.0
+        assert hashlib.sha256(y.tobytes()).hexdigest() == pin
+
     def test_operators_are_built_once_per_mesh(self, flat6):
         assert divergence_matrix(flat6) is divergence_matrix(flat6)
         assert divergence_normal_solver(flat6) is divergence_normal_solver(flat6)

@@ -712,6 +712,18 @@ class TestSolverRobustness:
         assert value == pytest.approx(lower, rel=1e-4)
 
 
+# the diagnostics of a field solve, in the order their reprs are pinned
+_FIELD_DIAGNOSTICS = (
+    "iterations", "split_residual", "divergence_residual", "rho", "lower",
+    "upper", "gap",
+)
+
+
+def _field_payload(value, g, diag):
+    reprs = "".join(repr(diag[key]) for key in _FIELD_DIAGNOSTICS)
+    return g.tobytes() + repr(value).encode() + reprs.encode()
+
+
 class TestBeckmannField:
     def test_empty_molecule_zero_field(self, flat4):
         with warnings.catch_warnings():
@@ -797,6 +809,29 @@ class TestBeckmannField:
         value, g, diag = beckmann_field(mesh, mu, FieldSolveParams(max_iter=200))
         payload = g.tobytes() + repr(value).encode() + repr(diag["iterations"]).encode()
         assert hashlib.sha256(payload).hexdigest() == pin
+
+    def test_ladder_dipole_iterates_are_pinned(self):
+        # the benchmark's flat_rect nx16 rung, uncapped: sha256 of the
+        # field bytes, the value's repr and the reprs of the seven
+        # diagnostics, so every iteration's roundoff must repeat exactly
+        mesh = generate_primitive("flat_rect", nx=16)
+        value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
+        assert diag["iterations"] == 1025
+        assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
+            "f8c75efc785a1f3ca54cc68d9e42365d9ac692cf8043619ce190e8bc61882a2d"
+        )
+
+    def test_inner_base_vertex_iterates_are_pinned(self):
+        # a capped solve with the base vertex neither first nor last, so
+        # the pinned solve moves it out of and back into the middle
+        mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
+        mu = random_molecule(mesh, np.random.default_rng(41))
+        assert len(mu.atoms) == 4
+        value, g, diag = beckmann_field(mesh, mu, FieldSolveParams(max_iter=200))
+        assert diag["iterations"] == 200
+        assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
+            "2e5d0c8456b912597c7263d595c86d735aeafe2eff10e54b148a25664d48f999"
+        )
 
     @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus", "poincare"])
     def test_certified_bracket(self, request, fixture):

@@ -75,6 +75,27 @@ class TestBuildMesh:
         with pytest.raises(Disconnected):
             from_lengths([(0, 1, 2), (3, 4, 5)], lengths)
 
+    @pytest.mark.parametrize(
+        "triangles, edges, message",
+        [
+            ([(0, 1, 2), (3, 4, 5)],
+             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)],
+             "edge graph has 2 components"),
+            # an id on no edge is a component of its own
+            ([], [(0, 1, 1.0), (1, 3, 1.0)], "edge graph has 2 components"),
+            ([], [(0, 1, 1.0), (2, 3, 1.0), (5, 6, 1.0)],
+             "edge graph has 4 components"),
+            ([(0, 1, 3)], [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 1.0)],
+             "edge graph has 2 components"),
+        ],
+        ids=["two_faces", "one_gap", "gap_between_parts", "face_over_gap"],
+    )
+    def test_disconnected_message_is_pinned(self, triangles, edges, message):
+        with pytest.raises(Disconnected) as info:
+            build(triangles, edges)
+        assert str(info.value) == message
+
     def test_nonmanifold_edge(self):
         lengths = dict(UNIT)
         lengths.update({(0, 3): 1.0, (1, 3): 1.0, (0, 4): 1.0, (1, 4): 1.0})

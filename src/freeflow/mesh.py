@@ -198,7 +198,24 @@ class TriMesh:
         return triangles, face_edges, signs, components
 
     def _check_connected(self):
-        n, _ = connected_components(self.adjacency, directed=False)
+        """Raise :class:`Disconnected` unless the edges join every id in
+        0..vertex_count-1; an id on no edge is a component of its own.
+
+        E edges name at most 2E ids. When the id range is wider, some id is
+        on no edge, and the used ids are relabelled and counted apart, so
+        no V x V matrix is built for a sparse id range.
+        """
+        if self.vertex_count > 2 * len(self.edges):
+            used, ends = np.unique(self.edges, return_inverse=True)
+            ends = ends.reshape(-1, 2)
+            graph = csr_matrix(
+                (np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                shape=(len(used), len(used)),
+            )
+            n = connected_components(graph, directed=False)[0]
+            n += self.vertex_count - len(used)
+        else:
+            n, _ = connected_components(self.adjacency, directed=False)
         if n != 1:
             raise Disconnected(f"edge graph has {n} components")
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from freeflow.errors import (
 )
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.calculus import l1_norm
-from freeflow.io import mesh_hash
+from freeflow.io import mesh_from_dict, mesh_hash
 from freeflow.primitives import generate_primitive
 
 from conftest import edge_index, face_edge_pairs, from_lengths
@@ -95,6 +96,19 @@ class TestBuildMesh:
         with pytest.raises(Disconnected) as info:
             build(triangles, edges)
         assert str(info.value) == message
+
+    def test_sparse_id_range_is_rejected_in_bounded_memory(self):
+        # ids 0, 1 and 10**7 leave 10**7 - 2 ids on no edge; they are
+        # counted without a matrix over the whole id range
+        tracemalloc.start()
+        try:
+            with pytest.raises(Disconnected) as info:
+                mesh_from_dict({"edges": [[0, 1, 1.0], [1, 10**7, 1.0]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "edge graph has 9999999 components"
+        assert peak < 4 * 2**20
 
     def test_nonmanifold_edge(self):
         lengths = dict(UNIT)

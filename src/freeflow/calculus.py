@@ -138,8 +138,14 @@ def _factor_normal_matrix(mesh):
     lu = splu((A @ A.T).tocsc()[mask][:, mask].tocsc())
 
     def solve(r):
-        y = np.zeros(mesh.vertex_count)
-        y[mask] = lu.solve(np.asarray(r, dtype=float)[mask])
+        # the base vertex k leaves the system and returns as a zero, by slices
+        k = mesh.base_vertex
+        r = np.asarray(r, dtype=float)
+        x = lu.solve(np.concatenate((r[:k], r[k + 1:])))
+        y = np.empty(mesh.vertex_count)
+        y[:k] = x[:k]
+        y[k] = 0.0
+        y[k + 1:] = x[k:]
         return y
 
     return solve

@@ -202,10 +202,14 @@ class FieldSolveParams:
 _CERTIFY_EVERY = 25  # iterations between lower bounds from the multiplier
 
 
-def _row_norms(rows):
-    """``np.linalg.norm(rows, axis=1)`` for two-column rows, with the same
-    bits at a third of the cost."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+def _row_norms(rows, out=None):
+    """Euclidean norms of two-column rows as ``sqrt(x*x + y*y)``: bitwise
+    ``np.linalg.norm(rows, axis=1)``, at about half the cost. Written
+    into ``out`` when it is given."""
+    x, y = rows[:, 0], rows[:, 1]
+    out = np.multiply(x, x, out=out)
+    out += y * y
+    return np.sqrt(out, out=out)
 
 
 def _potential_lower_bound(mesh, b, flux):
@@ -232,7 +236,14 @@ def beckmann_field(mesh, molecule, params=None):
     lower bound every few iterations. The solve stops once upper - lower
     is at most ``params.tol * max(1, upper)``, or when the splitting has
     converged, and returns the best iterate with the bracket in its
-    diagnostics.
+    diagnostics; ``certified`` says whether the bracket closed.
+
+    Each iteration computes the split residual max |g - z|. The
+    divergence residual of an iterate is computed only when its value
+    improves on the best so far, the dual residual rho * max |z - z_prev|
+    only on the every-50th iterations that balance the penalty, and
+    max |g| only once the split residual is within 1e-9 of the largest
+    face norm, which bounds max |g| from above.
     """
     if mesh.dimension != 2:
         raise MeshError("field solver requires a dimension-2 mesh")
@@ -245,8 +256,11 @@ def beckmann_field(mesh, molecule, params=None):
     weights = mesh.cell_weights
     shape = mesh.field_shape
 
-    z = np.zeros(A.shape[1])
-    u = np.zeros(A.shape[1])
+    # flat fields, per-face rows and one per-vertex row, preallocated so
+    # that each array pass writes into one of them
+    z, z_prev, u, w, step, scratch = np.zeros((6, A.shape[1]))
+    norms, shrink, cell = np.empty((3, shape[0]))
+    vertex_scratch = np.empty(mesh.vertex_count)
     best_value = np.inf
     best_g = None
     best_div = np.inf
@@ -256,31 +270,39 @@ def beckmann_field(mesh, molecule, params=None):
 
     for it in range(1, params.max_iter + 1):
         iterations = it
-        g = project_onto_constraint(z - u)
-        norms = _row_norms(g.reshape(shape))
+        z, z_prev = z_prev, z  # this iteration writes its z over the oldest
+        g = project_onto_constraint(np.subtract(z_prev, u, out=scratch))
+        _row_norms(g.reshape(shape), out=norms)
         if it == 1:
             # least-squares fit of the shrink threshold weights / rho to the
             # first field, so rho scales as 1/c when the molecule does as c
             square = float(norms @ norms)
             rho = float(weights @ norms) / square if square > 0.0 else 1.0
-        w = (g + u).reshape(shape)
-        shrink = np.maximum(1.0 - (weights / rho) / np.maximum(_row_norms(w), 1e-300), 0.0)
-        z_new = (w * shrink[:, None]).ravel()
-        step = g - z_new
+            threshold = weights / rho
+        np.add(g, u, out=w)
+        _row_norms(w.reshape(shape), out=shrink)
+        np.maximum(shrink, 1e-300, out=shrink)
+        np.divide(threshold, shrink, out=shrink)
+        np.subtract(1.0, shrink, out=shrink)
+        np.maximum(shrink, 0.0, out=shrink)
+        np.multiply(w.reshape(shape), shrink[:, None], out=z.reshape(shape))
+        np.subtract(g, z, out=step)
         u += step
 
-        value = float(np.sum(weights * norms))
+        value = float(np.sum(np.multiply(weights, norms, out=cell)))
         if value < best_value:
-            div_res = float(np.max(np.abs(A @ g - b)))
+            residual = np.subtract(A @ g, b, out=vertex_scratch)
+            div_res = float(np.abs(residual, out=residual).max())
             if div_res <= params.tol:
                 best_value = value
-                best_g = g.reshape(shape).copy()
+                best_g = g  # a fresh array from the projection
                 best_div = div_res
 
-        split = float(np.max(np.abs(step)))
-        dual_res = rho * float(np.max(np.abs(z_new - z)))
-        z = z_new
-        split_converged = split <= 1e-9 * max(1.0, float(np.abs(g).max()))
+        split = float(np.abs(step, out=scratch).max())
+        # the largest face norm bounds max |g| from above
+        split_converged = split <= 1e-9 * max(1.0, float(norms.max())) and (
+            split <= 1e-9 * max(1.0, float(np.abs(g, out=scratch).max()))
+        )
         if split_converged or it % _CERTIFY_EVERY == 0 or it == params.max_iter:
             lower = max(lower, _potential_lower_bound(mesh, b, rho * u))
             if best_g is not None and best_value - lower <= params.tol * max(
@@ -291,18 +313,22 @@ def beckmann_field(mesh, molecule, params=None):
             break
         # residual balancing keeps the splitting penalty well scaled
         if it % 50 == 0:
+            np.subtract(z, z_prev, out=scratch)
+            dual_res = rho * float(np.abs(scratch, out=scratch).max())
             if split > 10.0 * dual_res / rho:
                 rho *= 2.0
                 u /= 2.0
             elif dual_res / rho > 10.0 * split:
                 rho /= 2.0
                 u *= 2.0
+            threshold = weights / rho
 
     if best_g is None:
         raise NotConverged(
             "no iterate met the divergence tolerance",
             residuals={"divergence": best_div, "split": split},
         )
+    gap = best_value - lower
     diagnostics = {
         "iterations": iterations,
         "split_residual": split,
@@ -310,9 +336,10 @@ def beckmann_field(mesh, molecule, params=None):
         "rho": rho,
         "lower": lower,
         "upper": best_value,
-        "gap": best_value - lower,
+        "gap": gap,
+        "certified": gap <= params.tol * max(1.0, best_value),
     }
-    return best_value, best_g, diagnostics
+    return best_value, best_g.reshape(shape), diagnostics
 
 
 @dataclass

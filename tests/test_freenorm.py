@@ -850,6 +850,42 @@ class TestBeckmannField:
             if diag["iterations"] < params.max_iter:
                 assert value - diag["lower"] <= params.tol * max(1.0, value)
 
+    def test_criterion_8_dipole_is_certified(self):
+        mesh = generate_primitive("flat_rect", nx=52)
+        positions = mesh.aux["positions"]
+        atoms = tuple(
+            (int(np.argmin(np.linalg.norm(positions - target, axis=1))), coeff)
+            for target, coeff in (([0.25, 0.5], 1.0), ([0.75, 0.5], -1.0))
+        )
+        _, _, diag = beckmann_field(mesh, Molecule(atoms))
+        assert diag["iterations"] < FieldSolveParams().max_iter
+        assert diag["certified"] is True
+
+    def test_capped_solve_is_not_certified(self):
+        mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
+        mu = random_molecule(mesh, np.random.default_rng(41))
+        params = FieldSolveParams(max_iter=200)
+        _, _, diag = beckmann_field(mesh, mu, params)
+        assert diag["iterations"] == params.max_iter
+        assert diag["gap"] > params.tol * max(1.0, diag["upper"])
+        assert diag["certified"] is False
+
+    def test_row_norms_are_bitwise_linalg_norms(self):
+        # zeros, signed zeros, subnormals whose squares underflow, and
+        # magnitudes from 1e-150 to 1e150, mixed within rows
+        rng = np.random.default_rng(29)
+        scales = 10.0 ** rng.uniform(-150.0, 150.0, size=(4000, 2))
+        special = [
+            [0.0, 0.0], [-0.0, 0.0], [0.0, -3.5], [5e-324, 0.0], [2.5e-310, -5e-324],
+            [1e-150, 1e-150], [1e150, -1e150], [1e150, 1e-150], [-1e-160, 7.0],
+        ]
+        rows = np.concatenate([rng.standard_normal((4000, 2)) * scales, special])
+        expected = np.linalg.norm(rows, axis=1).tobytes()
+        assert freenorm._row_norms(rows).tobytes() == expected
+        out = np.empty(len(rows))
+        assert freenorm._row_norms(rows, out=out) is out
+        assert out.tobytes() == expected
+
     def test_divergence_feasibility(self, flat4):
         mu = Molecule(((18, 1.5), (7, -0.5)))
         params = FieldSolveParams(max_iter=1500, tol=1e-6)

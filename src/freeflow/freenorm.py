@@ -242,8 +242,9 @@ def beckmann_field(mesh, molecule, params=None):
     divergence residual of an iterate is computed only when its value
     improves on the best so far, the dual residual rho * max |z - z_prev|
     only on the every-50th iterations that balance the penalty, and
-    max |g| only once the split residual is within 1e-9 of the largest
-    face norm, which bounds max |g| from above.
+    max |g| for the stop test only once the split residual is at most
+    1e-9 * max(1, largest face norm): the largest face norm bounds
+    max |g| from above, so a larger residual fails the test anyway.
     """
     if mesh.dimension != 2:
         raise MeshError("field solver requires a dimension-2 mesh")

@@ -201,21 +201,18 @@ class TriMesh:
         """Raise :class:`Disconnected` unless the edges join every id in
         0..vertex_count-1; an id on no edge is a component of its own.
 
-        E edges name at most 2E ids. When the id range is wider, some id is
-        on no edge, and the used ids are relabelled and counted apart, so
-        no V x V matrix is built for a sparse id range.
+        The used ids are relabelled 0..U-1 and their components counted
+        on a U x U graph, then each unused id adds one, so the work is
+        bounded by the edge count, not by the largest id.
         """
-        if self.vertex_count > 2 * len(self.edges):
-            used, ends = np.unique(self.edges, return_inverse=True)
-            ends = ends.reshape(-1, 2)
-            graph = csr_matrix(
-                (np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
-                shape=(len(used), len(used)),
-            )
-            n = connected_components(graph, directed=False)[0]
-            n += self.vertex_count - len(used)
-        else:
-            n, _ = connected_components(self.adjacency, directed=False)
+        used, ends = np.unique(self.edges, return_inverse=True)
+        ends = ends.reshape(-1, 2)
+        graph = csr_matrix(
+            (np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+            shape=(len(used), len(used)),
+        )
+        n = connected_components(graph, directed=False)[0]
+        n += self.vertex_count - len(used)
         if n != 1:
             raise Disconnected(f"edge graph has {n} components")
 

@@ -372,7 +372,8 @@ def run_experiment(kind, config):
     return refinement_study(
         config["primitive"],
         _setting(config, "levels", None, _list_of(_integer)),
-        _setting(config, "atoms", None, _list_of(_pair(_POINT, _number))),
+        # refinement_study checks each target's length against the primitive
+        _setting(config, "atoms", None, _list_of(_pair(_list_of(_number), _number))),
         include_field=_setting(config, "include_field", False, _boolean),
         field_params=params,
     )

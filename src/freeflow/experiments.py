@@ -25,7 +25,13 @@ from .calculus import (
     lip_constant,
     pairing,
 )
-from .errors import InvalidParams, MeshError, PreconditionViolated, UnboundedSequence
+from .errors import (
+    InvalidParams,
+    MeshError,
+    ParseError,
+    PreconditionViolated,
+    UnboundedSequence,
+)
 from .freenorm import AGREEMENT_TOL, Molecule, beckmann_field, beckmann_graph, dual_lp
 from .mesh import geodesic_distances
 from .primitives import generate_primitive
@@ -293,21 +299,32 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     """Free-norm solver agreement across refinement levels of a primitive.
 
     ``atoms`` is a list of (target_point, coefficient); targets snap to
-    the nearest vertex at every level. Passes when the graph-dual gap
-    stays within ``AGREEMENT_TOL * max(1, |dual|)`` everywhere and, if
-    the field solver runs, its finest value lands within 5% of the finest
-    dual value.
+    the nearest vertex at every level, and have as many coordinates as
+    the primitive's positions: three on ``icosphere``, two otherwise. A
+    wrong count is a :class:`ParseError`, raised before any mesh is
+    built. Passes when the graph-dual gap stays within
+    ``AGREEMENT_TOL * max(1, |dual|)`` everywhere and, if the field
+    solver runs, its finest value lands within 5% of the finest dual
+    value.
     """
+    if type(kind) is not str or kind not in _REFINED:
+        raise InvalidParams(f"refinement study does not support kind {kind!r}")
+    build, dimension = _REFINED[kind]
+    targets = [np.asarray(target, dtype=float) for target, _ in atoms]
+    for target in targets:
+        if target.shape != (dimension,):
+            raise ParseError(
+                f"atom target {target.tolist()} on {kind} needs {dimension} coordinates"
+            )
     report = ExperimentReport(kind="refinement")
     report.details = {"kind": kind, "levels": list(levels)}
     last_dual = None
     last_field = None
     for level in levels:
-        mesh = _primitive_at_level(kind, level)
+        mesh = build(int(level))
         positions = mesh.aux["positions"]
         atom_list = []
-        for target, coeff in atoms:
-            target = np.asarray(target, dtype=float)
+        for target, (_, coeff) in zip(targets, atoms):
             idx = int(
                 np.argmin(np.linalg.norm(positions - target[None, :], axis=1))
             )
@@ -339,14 +356,14 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     return report
 
 
-def _primitive_at_level(kind, level):
-    level = int(level)
-    if kind == "flat_rect":
-        return generate_primitive("flat_rect", nx=level)
-    if kind == "icosphere":
-        return generate_primitive("icosphere", level=level)
-    if kind == "torus":
-        return generate_primitive("torus", nx=level)
-    if kind == "annulus":
-        return generate_primitive("annulus", n_angular=4 * level, n_radial=level)
-    raise InvalidParams(f"refinement study does not support kind {kind!r}")
+# the primitive at a refinement level, and how many coordinates its
+# positions have
+_REFINED = {
+    "flat_rect": (lambda level: generate_primitive("flat_rect", nx=level), 2),
+    "icosphere": (lambda level: generate_primitive("icosphere", level=level), 3),
+    "torus": (lambda level: generate_primitive("torus", nx=level), 2),
+    "annulus": (
+        lambda level: generate_primitive("annulus", n_angular=4 * level, n_radial=level),
+        2,
+    ),
+}

@@ -30,6 +30,7 @@ from scipy.sparse.csgraph import dijkstra
 from . import netsimplex, ssp
 from .calculus import divergence_matrix, divergence_projection
 from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
+from .mesh import _vertex_ids
 from .transport import solve_transportation
 
 # two routes contradict each other when they differ by more than this
@@ -47,7 +48,8 @@ class Molecule:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((int(v), float(c)) for v, c in self.atoms)
+        ids = _vertex_ids([v for v, _ in self.atoms], 1).ravel().tolist()
+        atoms = tuple(zip(ids, (float(c) for _, c in self.atoms)))
         if not np.all(np.isfinite([c for _, c in atoms])):
             raise MeshError("molecule has non-finite coefficients")
         object.__setattr__(self, "atoms", atoms)
@@ -238,13 +240,17 @@ def beckmann_field(mesh, molecule, params=None):
     converged, and returns the best iterate with the bracket in its
     diagnostics; ``certified`` says whether the bracket closed.
 
-    Each iteration computes the split residual max |g - z|. The
-    divergence residual of an iterate is computed only when its value
-    improves on the best so far, the dual residual rho * max |z - z_prev|
-    only on the every-50th iterations that balance the penalty, and
-    max |g| for the stop test only once the split residual is at most
-    1e-9 * max(1, largest face norm): the largest face norm bounds
-    max |g| from above, so a larger residual fails the test anyway.
+    Iterates are kept by value alone. The divergence residual
+    max |A g - b| is measured once, on the field returned, and a residual
+    above ``params.tol`` (or NaN) raises :class:`NotConverged` with it
+    and the split residual in ``residuals``.
+
+    Each iteration computes the split residual max |g - z|. The dual
+    residual rho * max |z - z_prev| is computed only on the every-50th
+    iterations that balance the penalty, and max |g| for the stop test
+    only once the split residual is at most 1e-9 * max(1, largest face
+    norm): the largest face norm bounds max |g| from above, so a larger
+    residual fails the test anyway.
     """
     if mesh.dimension != 2:
         raise MeshError("field solver requires a dimension-2 mesh")
@@ -257,20 +263,15 @@ def beckmann_field(mesh, molecule, params=None):
     weights = mesh.cell_weights
     shape = mesh.field_shape
 
-    # flat fields, per-face rows and one per-vertex row, preallocated so
-    # that each array pass writes into one of them
+    # flat fields and per-face rows, preallocated so that each array pass
+    # writes into one of them
     z, z_prev, u, w, step, scratch = np.zeros((6, A.shape[1]))
     norms, shrink, cell = np.empty((3, shape[0]))
-    vertex_scratch = np.empty(mesh.vertex_count)
     best_value = np.inf
     best_g = None
-    best_div = np.inf
     lower = 0.0
-    split = np.inf
-    iterations = 0
 
     for it in range(1, params.max_iter + 1):
-        iterations = it
         z, z_prev = z_prev, z  # this iteration writes its z over the oldest
         g = project_onto_constraint(np.subtract(z_prev, u, out=scratch))
         _row_norms(g.reshape(shape), out=norms)
@@ -292,12 +293,8 @@ def beckmann_field(mesh, molecule, params=None):
 
         value = float(np.sum(np.multiply(weights, norms, out=cell)))
         if value < best_value:
-            residual = np.subtract(A @ g, b, out=vertex_scratch)
-            div_res = float(np.abs(residual, out=residual).max())
-            if div_res <= params.tol:
-                best_value = value
-                best_g = g  # a fresh array from the projection
-                best_div = div_res
+            best_value = value
+            best_g = g  # a fresh array from the projection
 
         split = float(np.abs(step, out=scratch).max())
         # the largest face norm bounds max |g| from above
@@ -306,12 +303,10 @@ def beckmann_field(mesh, molecule, params=None):
         )
         if split_converged or it % _CERTIFY_EVERY == 0 or it == params.max_iter:
             lower = max(lower, _potential_lower_bound(mesh, b, rho * u))
-            if best_g is not None and best_value - lower <= params.tol * max(
-                1.0, best_value
-            ):
+            # the last iteration always gets here, so this is the final flag
+            certified = best_value - lower <= params.tol * max(1.0, best_value)
+            if certified or split_converged:
                 break
-        if split_converged:
-            break
         # residual balancing keeps the splitting penalty well scaled
         if it % 50 == 0:
             np.subtract(z, z_prev, out=scratch)
@@ -325,20 +320,23 @@ def beckmann_field(mesh, molecule, params=None):
             threshold = weights / rho
 
     if best_g is None:
+        raise NotConverged("no iterate had a finite value", residuals={"split": split})
+    # the one divergence check, on the field returned; a NaN fails it too
+    divergence = float(np.abs(A @ best_g - b).max())
+    if not divergence <= params.tol:
         raise NotConverged(
-            "no iterate met the divergence tolerance",
-            residuals={"divergence": best_div, "split": split},
+            f"field divergence residual {divergence!r} exceeds {params.tol!r}",
+            residuals={"divergence": divergence, "split": split},
         )
-    gap = best_value - lower
     diagnostics = {
-        "iterations": iterations,
+        "iterations": it,
         "split_residual": split,
-        "divergence_residual": best_div,
+        "divergence_residual": divergence,
         "rho": rho,
         "lower": lower,
         "upper": best_value,
-        "gap": gap,
-        "certified": gap <= params.tol * max(1.0, best_value),
+        "gap": best_value - lower,
+        "certified": certified,
     }
     return best_value, best_g.reshape(shape), diagnostics
 

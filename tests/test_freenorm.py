@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from freeflow import freenorm, netsimplex, ssp, transport
-from freeflow.errors import MeshError, SolverFailure, TooManyAtoms
+from freeflow.errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from freeflow.freenorm import (
     CERTIFICATE_TOL,
     FieldSolveParams,
@@ -95,6 +95,20 @@ class TestCanonicalize:
     def test_cancellation(self):
         mu = canonicalize(Molecule(((4, 1.0), (7, -1.0), (4, -1.0))), 0)
         assert mu.atoms == ((7, -1.0),)
+
+    @pytest.mark.parametrize("vertex", [1.9, math.nan, math.inf])
+    def test_non_integral_vertex_id_rejected(self, vertex):
+        # 1.9 used to be truncated to vertex 1, and nan escaped as a ValueError
+        with pytest.raises(MeshError, match="is not an integer"):
+            Molecule(((vertex, 1.0),))
+
+    def test_integer_vertex_ids_kept(self):
+        mu = Molecule(((np.int64(4), 1.0), (np.int32(7), -2), (3.0, 0.5), (True, 1.0)))
+        assert mu.atoms == ((4, 1.0), (7, -2.0), (3, 0.5), (1, 1.0))
+        assert all(type(v) is int for v, _ in mu.atoms)
+        # beyond int64 the JSON reader reports it, as it does for mesh ids
+        with pytest.raises(ParseError):
+            molecule_from_dict({"atoms": [[2**70, 1.0]]})
 
 
 class TestDualLP:
@@ -880,6 +894,17 @@ class TestBeckmannField:
         out = np.empty(len(rows))
         assert freenorm._row_norms(rows, out=out) is out
         assert out.tobytes() == expected
+
+    def test_returned_field_failing_the_tolerance_raises(self, flat4):
+        # no projection reaches a residual of 1e-300; the error reports the
+        # residual measured on the returned field, where it used to say inf
+        params = FieldSolveParams(tol=1e-300, max_iter=5)
+        with pytest.raises(NotConverged) as info:
+            beckmann_field(flat4, Molecule(((7, 1.0), (19, -2.0))), params=params)
+        residuals = info.value.residuals
+        assert math.isfinite(residuals["divergence"])
+        assert residuals["divergence"] > params.tol
+        assert math.isfinite(residuals["split"])
 
     def test_divergence_feasibility(self, flat4):
         mu = Molecule(((18, 1.5), (7, -0.5)))

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freeflow
 from freeflow import cli, experiments, freenorm
 from freeflow import io as ffio
 from freeflow.cli import main
@@ -454,6 +459,16 @@ class TestParseErrorsArePinned:
 
 
 class TestCli:
+    def test_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize alone adds about 15 MB of resident memory, a large
+        # share of a small solve's peak
+        src = str(Path(freeflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, freeflow, freeflow.cli; print('scipy.optimize' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_gen_and_validate(self, tmp_path, capsys):
         out = tmp_path / "mesh.json"
         assert main(["gen-mesh", "--kind", "icosphere", "--level", "1",
@@ -728,6 +743,20 @@ class TestCli:
             assert abs(row["gap"]) <= 1e-6
         assert report["details"]["field_vs_dual_relative"] <= 0.05
 
+    def test_experiment_refine_on_icosphere(self, tmp_path):
+        # 3-D targets used to be a ParseError on the command line
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "kind": "refine", "primitive": "icosphere", "levels": [1, 2],
+            "atoms": [[[0.0, 0.0, 1.0], 1.0], [[0.0, 0.0, -1.0], -1.0]],
+        }))
+        out = tmp_path / "report.json"
+        assert main(["experiment", "refine", "--config", str(config),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True
+        assert report["rows"][-1]["dual"] == pytest.approx(np.pi, rel=0.05)
+
     def test_failed_criterion_exits_two(self, tmp_path):
         # reversed scales make the measured column increase
         config = tmp_path / "exp.json"
@@ -814,6 +843,11 @@ class TestCli:
             ("extension", {"r_outer": "0.35"}),
             ("refine", {"primitive": "flat_rect", "levels": [4],
                         "atoms": [[[0.5, 0.5], 1.0]], "include_field": 1}),
+            # a 2-D target on the sphere escaped as a broadcast ValueError
+            ("refine", {"primitive": "icosphere", "levels": [1],
+                        "atoms": [[[0.5, 0.5], 1.0]]}),
+            ("refine", {"primitive": "flat_rect", "levels": [4],
+                        "atoms": [[[0.5, 0.5, 0.0], 1.0]]}),
         ],
     )
     def test_config_is_checked_before_any_mesh_is_built(self, tmp_path, capsys,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,13 @@ def disk_with_annular_subset(nx=20, r_inner=0.15, r_outer=0.35):
     r = np.linalg.norm(bary - [0.5, 0.5], axis=1)
     faces = np.flatnonzero((r >= r_inner) & (r <= r_outer))
     return mesh, faces
+
+
+def vertex_patch(mesh, source, radius):
+    """Faces with a corner within ``radius`` of ``source``: a union of
+    vertex stars, joined through their shared vertices."""
+    dist = geodesic_distances(mesh, source)
+    return np.flatnonzero(dist[mesh.triangles].min(axis=1) <= radius)
 
 
 class TestCutoffProfile:
@@ -154,6 +163,29 @@ class TestExtension:
         full_div = divergence(mesh, extended)
         sub_div = divergence(mesh, restricted)
         assert np.abs(full_div[interior] - sub_div[interior]).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, params, source, radius, seed, pin",
+        [
+            # the subset and seed of acceptance criterion 7
+            ("flat_rect", {"nx": 20}, None, None, 107,
+             "12415411588fb7d3fc9eaf05fa5ab8fd8dca32f3f171db62214342da24ae1bb2"),
+            ("icosphere", {"level": 3}, 0, 0.6, 7,
+             "c33dbf93b270c36ceab6174999df7a91ee8e8b3ff3b9ca2d1397677c906cd035"),
+            ("poincare_disk_patch", {"n_angular": 24, "n_radial": 6}, 0, 0.5, 9,
+             "1dd50ccc6fe742b63708f877b57dc953bf310166644cfa338a996c285a615205"),
+        ],
+    )
+    def test_tangential_field_is_pinned(self, kind, params, source, radius, seed, pin):
+        # sha256 of the field bytes, so any change to the rotated gradient,
+        # the projection or the factorization's rounding shows
+        if source is None:
+            mesh, faces = disk_with_annular_subset(**params)
+        else:
+            mesh = generate_primitive(kind, **params)
+            faces = vertex_patch(mesh, source, radius)
+        g = tangential_subset_field(mesh, faces, rng=np.random.default_rng(seed))
+        assert hashlib.sha256(g.tobytes()).hexdigest() == pin
 
     def test_experiment_report(self):
         mesh, faces = disk_with_annular_subset()

@@ -109,24 +109,18 @@ def divergence_normal_solver(mesh):
     return mesh.normal_solver
 
 
-def _face_components(triangles, vertex_count):
-    """``connected_components`` of the vertices joined through the
-    triangles (each face's first vertex to the other two); a vertex on
-    no triangle is a component of its own."""
-    star = coo_matrix(
-        (np.ones(2 * len(triangles)),
-         (np.repeat(triangles[:, 0], 2), triangles[:, 1:].ravel())),
-        shape=(vertex_count, vertex_count),
-    )
-    return connected_components(star, directed=False)
-
-
 def _factor_normal_matrix(mesh):
     if mesh.dimension == 2:
         # A^T f = 0 exactly when f is constant on each set of vertices
-        # joined through faces, so the pinned A A^T is nonsingular only
-        # when every vertex is on a face and the faces form one such set
-        n, _ = _face_components(mesh.triangles, mesh.vertex_count)
+        # joined through faces (each face's first vertex to the other
+        # two), so the pinned A A^T is nonsingular only when every vertex
+        # is on a face and the faces form one such set
+        tri = mesh.triangles
+        star = coo_matrix(
+            (np.ones(2 * len(tri)), (np.repeat(tri[:, 0], 2), tri[:, 1:].ravel())),
+            shape=(mesh.vertex_count, mesh.vertex_count),
+        )
+        n, _ = connected_components(star, directed=False)
         if n != 1:
             raise MeshError(
                 "the field route needs every vertex on a face and the faces "

@@ -112,8 +112,9 @@ def _build_parser():
         type=float,
         default=FieldSolveParams.tol,
         help="field solver tolerance: bounds the divergence residual of the "
-        "returned field and its certified gap upper - lower, relative to "
-        "max(1, upper)",
+        "returned field, relative to max(1, largest |coefficient| of the "
+        "canonical molecule), and its certified gap upper - lower, relative "
+        "to max(1, upper)",
     )
     p.set_defaults(func=cmd_free_norm)
 

@@ -13,12 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .calculus import (
-    _face_components,
     divergence,
-    divergence_matrix,
     divergence_projection,
     gradient,
     l1_norm,
@@ -33,8 +30,8 @@ from .errors import (
     UnboundedSequence,
 )
 from .freenorm import AGREEMENT_TOL, Molecule, beckmann_field, beckmann_graph, dual_lp
-from .mesh import geodesic_distances
-from .primitives import generate_primitive
+from .mesh import TriMesh, geodesic_distances
+from .primitives import _face_edge_pairs, generate_primitive
 
 TAIL_BOUND_FACTOR = 4.0 * math.sqrt(2.0)  # surface case of the tail estimate
 
@@ -168,32 +165,22 @@ def tangential_subset_field(mesh_n, faces_m, rng=None):
     """Field supported on the subset faces, divergence-free on the whole
     mesh: the discrete membership certificate for extension by zero.
 
-    Starts from a rotated gradient and projects onto the kernel of the
-    divergence restricted to the subset columns, by a sparse solve of the
-    normal equations.
+    The subset faces, with their corners relabelled in order and their
+    lengths in ``mesh_n``, form a mesh M of their own, and the field is
+    :func:`divergence_free_field` on M. M's divergence sums only subset
+    faces, so the field extended by zero is divergence-free at every
+    vertex of ``mesh_n``. Rows follow sorted(faces_m). An empty subset
+    is a :class:`MeshError`, and one whose faces are not joined through
+    shared vertices is :class:`Disconnected`.
     """
     faces = sorted(int(f) for f in faces_m)
     rng = rng or np.random.default_rng(0)
-    grad = gradient(mesh_n, rng.normal(size=mesh_n.vertex_count))
-    rotated = np.column_stack([-grad[:, 1], grad[:, 0]])
-    g0 = rotated[faces].ravel()
-
-    A = divergence_matrix(mesh_n)
-    cols = np.repeat(2 * np.array(faces), 2) + np.tile([0, 1], len(faces))
-    # only the subset's corner vertices give nonzero rows, and zero rows
-    # leave the projection unchanged
+    potential = rng.normal(size=mesh_n.vertex_count)
     touched, corners = np.unique(mesh_n.triangles[faces], return_inverse=True)
-    B = A[touched][:, cols]  # (touched vertices, 2|M|)
-    # B^T y = 0 exactly when y is constant on each set of touched vertices
-    # joined through subset faces, so pinning one vertex of each makes the
-    # normal matrix B B^T definite without changing the range of B^T
-    _, labels = _face_components(corners.reshape(-1, 3), len(touched))
-    free = np.ones(len(touched), dtype=bool)
-    free[np.unique(labels, return_index=True)[1]] = False
-    B = B[free]
-    y = splu((B @ B.T).tocsc()).solve(B @ g0)
-    g = g0 - B.T @ y
-    return g.reshape(len(faces), 2)
+    corners = corners.reshape(-1, 3)
+    lengths = mesh_n.edge_lengths[mesh_n.face_edges[faces]].ravel()
+    mesh_m = TriMesh(corners, _face_edge_pairs(corners), lengths)
+    return divergence_free_field(mesh_m, potential=potential[touched])
 
 
 def normal_flux_counterexample(mesh_n, faces_m):

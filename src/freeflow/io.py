@@ -174,6 +174,9 @@ def molecule_from_dict(data):
                 or set(map(type, entries[1::2])) - {int, float}):
             for v, c in atoms:
                 _vertex(v), _number(c)
+        # after every entry check, as for mesh ids: Molecule reports an id
+        # beyond int64 as a MeshError, and here it is a parse error
+        np.array([v for v, _ in atoms], dtype=np.int64)
         return Molecule(atoms)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad molecule JSON: {exc}") from exc

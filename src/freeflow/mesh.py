@@ -320,13 +320,19 @@ class TriMesh:
 
 
 def _vertex_ids(ids, width):
-    """An (n, width) int64 copy of ``ids``; a non-integral id is an error."""
+    """An (n, width) int64 copy of ``ids``; a non-integral id, or one
+    beyond int64, is an error."""
     ids = np.asarray(ids)
     if ids.dtype.kind == "f":
         bad = ids[~np.isfinite(ids) | (ids != np.round(ids))]
         if len(bad):
             raise MeshError(f"vertex id {float(bad[0])} is not an integer")
-    return ids.astype(np.int64).reshape(-1, width)
+        if (np.abs(ids) >= 2.0**63).any():
+            raise MeshError("vertex id beyond the int64 range")
+    try:
+        return ids.astype(np.int64).reshape(-1, width)
+    except OverflowError:
+        raise MeshError("vertex id beyond the int64 range") from None
 
 
 def _unique_edges(edges, lengths):

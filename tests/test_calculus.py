@@ -1,10 +1,14 @@
 import hashlib
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import splu
 
+import freeflow
 from freeflow import calculus
 from freeflow.calculus import (
     divergence,
@@ -160,6 +164,14 @@ class TestDivergence:
         y = divergence_normal_solver(mesh)(r)
         assert y[base] == 0.0
         assert hashlib.sha256(y.tobytes()).hexdigest() == pin
+
+    def test_calculus_is_the_one_factorization_site(self):
+        # every sparse factorization in the package goes through the
+        # pinned normal matrix of _factor_normal_matrix
+        names = [info.name for info in pkgutil.iter_modules(freeflow.__path__, "freeflow.")]
+        modules = [freeflow, *map(importlib.import_module, names)]
+        binders = [m.__name__ for m in modules if splu in vars(m).values()]
+        assert binders == ["freeflow.calculus"]
 
     def test_operators_are_built_once_per_mesh(self, flat6):
         assert divergence_matrix(flat6) is divergence_matrix(flat6)

@@ -5,7 +5,9 @@ import pytest
 
 from freeflow.calculus import divergence, gradient, l1_norm, lip_constant, pairing
 from freeflow.errors import (
+    Disconnected,
     InvalidParams,
+    MeshError,
     PreconditionViolated,
     UnboundedSequence,
 )
@@ -186,6 +188,18 @@ class TestExtension:
             faces = vertex_patch(mesh, source, radius)
         g = tangential_subset_field(mesh, faces, rng=np.random.default_rng(seed))
         assert hashlib.sha256(g.tobytes()).hexdigest() == pin
+
+    def test_subset_in_two_pieces_is_disconnected(self):
+        # the subset is a mesh of its own, and the paper's M is connected
+        mesh = generate_primitive("flat_rect", nx=12)
+        x = mesh.aux["positions"][mesh.triangles].mean(axis=1)[:, 0]
+        faces = np.flatnonzero((x < 0.3) | (x > 0.7))
+        with pytest.raises(Disconnected):
+            tangential_subset_field(mesh, faces)
+
+    def test_empty_subset_is_a_mesh_error(self, flat4):
+        with pytest.raises(MeshError):
+            tangential_subset_field(flat4, [])
 
     def test_experiment_report(self):
         mesh, faces = disk_with_annular_subset()

@@ -102,6 +102,11 @@ class TestCanonicalize:
         with pytest.raises(MeshError, match="is not an integer"):
             Molecule(((vertex, 1.0),))
 
+    def test_vertex_id_beyond_int64_rejected(self):
+        # used to escape as a raw OverflowError
+        with pytest.raises(MeshError, match="beyond the int64 range"):
+            Molecule(((2**70, 1.0),))
+
     def test_integer_vertex_ids_kept(self):
         mu = Molecule(((np.int64(4), 1.0), (np.int32(7), -2), (3.0, 0.5), (True, 1.0)))
         assert mu.atoms == ((4, 1.0), (7, -2.0), (3, 0.5), (1, 1.0))
@@ -905,6 +910,18 @@ class TestBeckmannField:
         assert math.isfinite(residuals["divergence"])
         assert residuals["divergence"] > params.tol
         assert math.isfinite(residuals["split"])
+
+    def test_divergence_check_scales_with_the_molecule(self):
+        # the projection's roundoff grows with the coefficients: at 1e7 the
+        # residual is about 3.7e-6, which an absolute 1e-6 rejected
+        mesh = generate_primitive("flat_rect", nx=12)
+        mu = random_molecule(mesh, np.random.default_rng(3))
+        unit_value, _, _ = beckmann_field(mesh, mu)
+        value, _, diag = beckmann_field(mesh, mu.scale(1e7))
+        b = molecule_vector(mesh, mu.scale(1e7))
+        assert 1e-6 < diag["divergence_residual"] <= 1e-6 * np.abs(b).max()
+        assert diag["certified"]
+        assert value == pytest.approx(1e7 * unit_value, rel=1e-9)
 
     def test_divergence_feasibility(self, flat4):
         mu = Molecule(((18, 1.5), (7, -0.5)))

@@ -689,6 +689,17 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["passed"] is True
 
+    def test_experiment_extension_on_a_disconnected_ring(self, tmp_path, capsys):
+        # r 0.6 to 0.7 about the centre of the unit square leaves four
+        # corner pieces, which are no connected subset
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"kind": "extension", "r_inner": 0.6,
+                                      "r_outer": 0.7}))
+        code = main(["experiment", "extension", "--config", str(config)])
+        assert code == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "Disconnected"
+
     def test_experiment_rejects_unknown_keys(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"kind": "extension", "bogus": 1}))

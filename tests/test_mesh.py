@@ -188,6 +188,16 @@ class TestBuildMesh:
             TriMesh(triangles, edges, lengths)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "edges", [[[0, 2**70]], [[-2**70, 1]], [[0, 1e30]]], ids=["int", "negative", "float"]
+    )
+    def test_vertex_id_beyond_int64_is_a_mesh_error(self, edges):
+        # the ints used to escape numpy's cast as a raw OverflowError, and
+        # 1e30 was cast to a negative id
+        with pytest.raises(MeshError) as info:
+            TriMesh([], edges, [1.0])
+        assert str(info.value) == "vertex id beyond the int64 range"
+
     def test_integral_float_ids_are_accepted(self):
         m = TriMesh([(0.0, 1.0, 2.0)], np.array(list(UNIT), dtype=float), [1.0] * 3)
         assert m.triangles.tolist() == [[0, 1, 2]]

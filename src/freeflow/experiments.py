@@ -169,11 +169,14 @@ def tangential_subset_field(mesh_n, faces_m, rng=None):
     lengths in ``mesh_n``, form a mesh M of their own, and the field is
     :func:`divergence_free_field` on M. M's divergence sums only subset
     faces, so the field extended by zero is divergence-free at every
-    vertex of ``mesh_n``. Rows follow sorted(faces_m). An empty subset
-    is a :class:`MeshError`, and one whose faces are not joined through
-    shared vertices is :class:`Disconnected`.
+    vertex of ``mesh_n``. Rows follow sorted(faces_m). An empty subset,
+    or one with a repeated id or an id off the mesh, is a
+    :class:`MeshError`; one not joined through shared vertices is
+    :class:`Disconnected`.
     """
     faces = sorted(int(f) for f in faces_m)
+    if len({f for f in faces if 0 <= f < len(mesh_n.triangles)}) < len(faces):
+        raise MeshError("subset face ids must be distinct faces of the mesh")
     rng = rng or np.random.default_rng(0)
     potential = rng.normal(size=mesh_n.vertex_count)
     touched, corners = np.unique(mesh_n.triangles[faces], return_inverse=True)

@@ -174,8 +174,8 @@ def molecule_from_dict(data):
                 or set(map(type, entries[1::2])) - {int, float}):
             for v, c in atoms:
                 _vertex(v), _number(c)
-        # after every entry check, as for mesh ids: Molecule reports an id
-        # beyond int64 as a MeshError, and here it is a parse error
+        # after every entry check, as for mesh ids, so that an id beyond
+        # int64 is a parse error here rather than Molecule's MeshError
         np.array([v for v, _ in atoms], dtype=np.int64)
         return Molecule(atoms)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

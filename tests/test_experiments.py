@@ -197,9 +197,14 @@ class TestExtension:
         with pytest.raises(Disconnected):
             tangential_subset_field(mesh, faces)
 
-    def test_empty_subset_is_a_mesh_error(self, flat4):
+    @pytest.mark.parametrize(
+        "faces", [[], [3, 3], [-1, 0], [0, 32]], ids=["empty", "repeated", "negative", "past"]
+    )
+    def test_malformed_subset_is_a_mesh_error(self, flat4, faces):
+        # a repeated face, or -1 wrapping to the last one, makes M hold a
+        # face twice; 32 used to escape as an IndexError
         with pytest.raises(MeshError):
-            tangential_subset_field(flat4, [])
+            tangential_subset_field(flat4, faces)
 
     def test_experiment_report(self):
         mesh, faces = disk_with_annular_subset()

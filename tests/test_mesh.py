@@ -180,23 +180,19 @@ class TestBuildMesh:
              "vertex id 2.9 is not an integer"),
             ([], [(0, 1), (1, NAN)], [1.0, 1.0], "vertex id nan is not an integer"),
             ([], [(0, 1), (1, 2)], [1.0], "2 edges but 1 lengths"),
+            # the ints used to escape numpy's cast as a raw OverflowError,
+            # and 1e30 was cast to a negative id
+            ([], [(0, 2**70)], [1.0], "vertex id beyond the int64 range"),
+            ([], [(-2**70, 1)], [1.0], "vertex id beyond the int64 range"),
+            ([], [(0, 1e30)], [1.0], "vertex id beyond the int64 range"),
         ],
-        ids=["edge_id", "triangle_id", "nan_id", "counts"],
+        ids=["edge_id", "triangle_id", "nan_id", "counts", "beyond_int64",
+             "beyond_int64_negative", "beyond_int64_float"],
     )
     def test_malformed_arrays_are_rejected(self, triangles, edges, lengths, message):
         with pytest.raises(MeshError) as info:
             TriMesh(triangles, edges, lengths)
         assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "edges", [[[0, 2**70]], [[-2**70, 1]], [[0, 1e30]]], ids=["int", "negative", "float"]
-    )
-    def test_vertex_id_beyond_int64_is_a_mesh_error(self, edges):
-        # the ints used to escape numpy's cast as a raw OverflowError, and
-        # 1e30 was cast to a negative id
-        with pytest.raises(MeshError) as info:
-            TriMesh([], edges, [1.0])
-        assert str(info.value) == "vertex id beyond the int64 range"
 
     def test_integral_float_ids_are_accepted(self):
         m = TriMesh([(0.0, 1.0, 2.0)], np.array(list(UNIT), dtype=float), [1.0] * 3)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 
@@ -77,13 +77,19 @@ def divergence_matrix(mesh):
     return mesh.div_matrix
 
 
+def _corner_rows(mesh):
+    """The (F, 3, 2) entries of A per face: row c holds face T's two
+    field coordinates at its corner c, -area_T * (gradient of the hat)."""
+    geom = mesh.face_geometry()
+    return -geom.areas[:, None, None] * geom.hat_gradients
+
+
 def _assemble_divergence_matrix(mesh):
     if mesh.dimension == 2:
-        geom = mesh.face_geometry()
         F = len(mesh.triangles)
         rows = np.repeat(mesh.triangles.ravel(), 2)
         cols = np.tile(np.arange(2 * F).reshape(F, 1, 2), (1, 3, 1)).ravel()
-        vals = (-geom.areas[:, None, None] * geom.hat_gradients).ravel()
+        vals = _corner_rows(mesh).ravel()
     else:
         E = len(mesh.edges)
         rows = mesh.edges.T.ravel()
@@ -109,27 +115,31 @@ def divergence_normal_solver(mesh):
     return mesh.normal_solver
 
 
-def _factor_normal_matrix(mesh):
-    if mesh.dimension == 2:
-        # A^T f = 0 exactly when f is constant on each set of vertices
-        # joined through faces (each face's first vertex to the other
-        # two), so the pinned A A^T is nonsingular only when every vertex
-        # is on a face and the faces form one such set
-        tri = mesh.triangles
-        star = coo_matrix(
-            (np.ones(2 * len(tri)), (np.repeat(tri[:, 0], 2), tri[:, 1:].ravel())),
-            shape=(mesh.vertex_count, mesh.vertex_count),
+def check_field_support(mesh):
+    """Raise :class:`MeshError` unless every vertex is on a face and the
+    faces are joined through shared vertices.
+
+    A^T f = 0 exactly when f is constant on each set of vertices joined
+    through faces (each face's first vertex to the other two), so this is
+    when the pinned A D A^T is nonsingular, for every choice of positive
+    definite per-face blocks D. No matrix is factored.
+    """
+    tri = mesh.triangles
+    star = coo_matrix(
+        (np.ones(2 * len(tri)), (np.repeat(tri[:, 0], 2), tri[:, 1:].ravel())),
+        shape=(mesh.vertex_count, mesh.vertex_count),
+    )
+    n, _ = connected_components(star, directed=False)
+    if n != 1:
+        raise MeshError(
+            "the field route needs every vertex on a face and the faces "
+            f"connected through shared vertices; they leave {n} components"
         )
-        n, _ = connected_components(star, directed=False)
-        if n != 1:
-            raise MeshError(
-                "the field route needs every vertex on a face and the faces "
-                f"connected through shared vertices; they leave {n} components"
-            )
-    A = divergence_matrix(mesh)
-    mask = np.ones(mesh.vertex_count, dtype=bool)
-    mask[mesh.base_vertex] = False
-    lu = splu((A @ A.T).tocsc()[mask][:, mask].tocsc())
+
+
+def _pinned_solver(mesh, lu):
+    """The solve of a factored normal matrix whose base vertex row and
+    column were removed."""
 
     def solve(r):
         # the base vertex k leaves the system and returns as a zero, by slices
@@ -145,16 +155,69 @@ def _factor_normal_matrix(mesh):
     return solve
 
 
-def divergence_projection(mesh, b=0.0):
-    """Orthogonal projection of flat field coordinates onto {g : A g = b}:
-    ``g - A^T y`` with (A A^T) y = A g - b. ``b`` must sum to zero (the
-    range of A); it defaults to zero, the kernel of the divergence."""
+def _factor_normal_matrix(mesh):
+    if mesh.dimension == 2:
+        check_field_support(mesh)
+    A = divergence_matrix(mesh)
+    mask = np.ones(mesh.vertex_count, dtype=bool)
+    mask[mesh.base_vertex] = False
+    return _pinned_solver(mesh, splu((A @ A.T).tocsc()[mask][:, mask].tocsc()))
+
+
+def weighted_normal_factorizer(mesh):
+    """``factor(blocks)``: the pinned solve of (A D A^T) y = r for
+    symmetric positive definite per-face 2x2 blocks D, given as a
+    (3, F) array of their entries D_00, D_01 and D_11. D = I gives the
+    normal matrix of :func:`divergence_normal_solver`.
+
+    The faces are checked (:func:`check_field_support`) and the pinned
+    sparsity pattern is computed here, once. Each ``factor`` call sums
+    the 9 corner-pair values a_c^T D_T a_d of every face (a_c the face's
+    rows of A) into the pattern and factors the result without pivoting:
+    the matrix is symmetric positive definite, so its diagonal pivots are
+    stable and every factor has the same fill.
+    """
+    check_field_support(mesh)
+    tri, k = mesh.triangles, mesh.base_vertex
+    n = mesh.vertex_count - 1
+    a = _corner_rows(mesh)
+    # a_c^T D a_d is the sum of the three block entries of D times these
+    c, d = np.repeat([0, 1, 2], 3), np.tile([0, 1, 2], 3)
+    products = np.stack((
+        a[:, c, 0] * a[:, d, 0],
+        a[:, c, 0] * a[:, d, 1] + a[:, c, 1] * a[:, d, 0],
+        a[:, c, 1] * a[:, d, 1],
+    ))
+    # entry (c, d) of a face's 3 x 3 block lands at (tri[c], tri[d]),
+    # renumbered around the base vertex; entries in the base vertex's
+    # row or column go to a last slot, which is dropped (the base vertex
+    # is on a face, so that slot exists)
+    rows, cols = tri[:, c], tri[:, d]
+    keep = (rows != k) & (cols != k)
+    rows, cols = rows - (rows > k), cols - (cols > k)
+    keys, slots = np.unique(np.where(keep, cols * n + rows, n * n), return_inverse=True)
+    slots = slots.ravel()
+    indices = keys[:-1] % n
+    indptr = np.searchsorted(keys[:-1] // n, np.arange(n + 1))
+
+    def factor(blocks):
+        values = np.einsum("kf,kfc->fc", blocks, products)
+        data = np.bincount(slots, values.ravel())[:-1]
+        matrix = csc_matrix((data, indices, indptr), shape=(n, n))
+        return _pinned_solver(mesh, splu(matrix, diag_pivot_thresh=0.0))
+
+    return factor
+
+
+def divergence_projection(mesh):
+    """Orthogonal projection of flat field coordinates onto the kernel
+    of the divergence: ``g - A^T y`` with (A A^T) y = A g."""
     A = divergence_matrix(mesh)
     AT = A.T.tocsr()  # transposed once, not on every call
     solve = divergence_normal_solver(mesh)
 
     def project(g):
-        return g - AT @ solve(A @ g - b)
+        return g - AT @ solve(A @ g)
 
     return project
 

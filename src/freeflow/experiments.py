@@ -137,10 +137,30 @@ def cutoff_decay(mesh, g, f, ks):
     return report
 
 
+def _subset_faces(mesh, faces_m):
+    """The subset's face ids, sorted. An empty subset, or one with a
+    repeated id or an id off the mesh, is a :class:`MeshError`."""
+    faces = sorted(int(f) for f in faces_m)
+    if not faces:
+        raise MeshError("subset has no faces")
+    distinct = all(a < b for a, b in zip(faces, faces[1:]))
+    if not (distinct and 0 <= faces[0] and faces[-1] < len(mesh.triangles)):
+        raise MeshError("subset face ids must be distinct faces of the mesh")
+    return np.array(faces, dtype=np.int64)
+
+
+def _face_mask(mesh, faces):
+    """Boolean mask of the checked subset ``faces``."""
+    mask = np.zeros(len(mesh.triangles), dtype=bool)
+    mask[faces] = True
+    return mask
+
+
 def extend_by_zero(mesh_n, faces_m, g_m):
     """Extend a field given on the faces ``faces_m`` to the whole mesh by
-    zero. ``g_m`` rows follow sorted(faces_m)."""
-    faces = sorted(int(f) for f in faces_m)
+    zero. ``g_m`` rows follow sorted(faces_m). A malformed subset is a
+    :class:`MeshError`, as for :func:`tangential_subset_field`."""
+    faces = _subset_faces(mesh_n, faces_m)
     g_m = np.asarray(g_m, dtype=float)
     if g_m.shape != (len(faces), 2):
         raise MeshError(f"field has shape {g_m.shape}, expected ({len(faces)}, 2)")
@@ -151,14 +171,9 @@ def extend_by_zero(mesh_n, faces_m, g_m):
 
 def interface_vertices(mesh_n, faces_m):
     """Vertices incident to both a subset face and a complement face."""
-    inside = _face_mask(mesh_n, faces_m)
+    inside = _face_mask(mesh_n, _subset_faces(mesh_n, faces_m))
     shared = np.intersect1d(mesh_n.triangles[inside], mesh_n.triangles[~inside])
     return set(shared.tolist())
-
-
-def _face_mask(mesh, faces):
-    """Boolean mask of the listed faces; ids outside the mesh are ignored."""
-    return np.isin(np.arange(len(mesh.triangles)), [int(f) for f in faces])
 
 
 def tangential_subset_field(mesh_n, faces_m, rng=None):
@@ -174,9 +189,7 @@ def tangential_subset_field(mesh_n, faces_m, rng=None):
     :class:`MeshError`; one not joined through shared vertices is
     :class:`Disconnected`.
     """
-    faces = sorted(int(f) for f in faces_m)
-    if len({f for f in faces if 0 <= f < len(mesh_n.triangles)}) < len(faces):
-        raise MeshError("subset face ids must be distinct faces of the mesh")
+    faces = _subset_faces(mesh_n, faces_m)
     rng = rng or np.random.default_rng(0)
     potential = rng.normal(size=mesh_n.vertex_count)
     touched, corners = np.unique(mesh_n.triangles[faces], return_inverse=True)
@@ -190,8 +203,10 @@ def normal_flux_counterexample(mesh_n, faces_m):
     """Unit normal flux through one interface edge, supported on one face.
 
     Returns ``(field_on_m, edge_id)`` with the flux normalized to one.
+    A malformed subset is a :class:`MeshError`, as for
+    :func:`tangential_subset_field`.
     """
-    faces = sorted(int(f) for f in faces_m)
+    faces = _subset_faces(mesh_n, faces_m)
     outside = ~_face_mask(mesh_n, faces)
     outside_count = np.bincount(
         mesh_n.face_edges[outside].ravel(), minlength=len(mesh_n.edges)

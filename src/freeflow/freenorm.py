@@ -9,13 +9,15 @@ A molecule sum_i a_i * delta(x_i) is normed by
                        whose divergence is the molecule (network simplex);
 * ``beckmann_field``-- minimize the L1 mass of a per-face vector field
                        whose distributional divergence is the molecule
-                       (operator-splitting iteration).
+                       (primal-dual interior-point method on one
+                       second-order cone per face).
 
 The molecule need not balance: the base vertex absorbs the deficit,
 which realizes delta(base) = 0. Each graph route certifies its solver's
 flow and potential against each other, and the two values agree by LP
-duality; the field value converges to the continuum norm under mesh
-refinement.
+duality. The field route certifies its value between a projected
+field's mass and a weak-duality bound from its dual potential; the
+field value converges to the continuum norm under mesh refinement.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import divergence_matrix, divergence_projection
+from .calculus import check_field_support, divergence_matrix, weighted_normal_factorizer
 from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from .mesh import _vertex_ids
 from .transport import solve_transportation
@@ -189,6 +191,9 @@ def transport_oracle(mesh, molecule):
 
 @dataclass
 class FieldSolveParams:
+    # caps the interior-point method's Newton steps, each one sparse
+    # factorization; certified 50-atom solves on flat_rect nx16-128 and
+    # icosphere L3-L5 took 12 to 36
     max_iter: int = 5000
     # bounds the divergence residual max |A g - b| of the returned field,
     # relative to max(1, max |b|), and the certified gap upper - lower,
@@ -202,128 +207,208 @@ class FieldSolveParams:
             raise ParseError(f"field tol must be finite and positive, got {self.tol}")
 
 
-_CERTIFY_EVERY = 25  # iterations between lower bounds from the multiplier
+# Each face T carries one second-order cone {(t, g) : |g| <= t} in R^3.
+# Cone variables are (3, F) arrays, one row per component, and J =
+# diag(1, -1, -1) is the cone's Lorentz form.
 
 
-def _row_norms(rows, out=None):
-    """Euclidean norms of two-column rows as ``sqrt(x*x + y*y)``: bitwise
-    ``np.linalg.norm(rows, axis=1)``, at about half the cost. Written
-    into ``out`` when it is given."""
-    x, y = rows[:, 0], rows[:, 1]
-    out = np.multiply(x, x, out=out)
-    out += y * y
-    return np.sqrt(out, out=out)
+def _reflect(u):
+    """J u: the (3, F) array with its last two rows negated."""
+    return np.concatenate((u[:1], -u[1:]))
 
 
-def _potential_lower_bound(mesh, b, flux):
-    """Weak-duality lower bound from the P1 potential fitted to ``flux``.
+def _dot(u, v):
+    """Per-face inner products of (k, F) arrays."""
+    return np.einsum("if,if->f", u, v)
 
-    y solves (A A^T) y = A flux. For every field g with A g = b,
+
+def _lorentz_norms(u):
+    """sqrt(u^T J u) per face, for u inside the cones."""
+    rim = np.hypot(u[1], u[2])
+    return np.sqrt((u[0] - rim) * (u[0] + rim))
+
+
+def _nt_scaling(x, s):
+    """Nesterov-Todd scaling W = beta (2 v v^T - J) of primal x and dual
+    s inside the cones, returned as ``(beta, v)``: W s = W^-1 x.
+
+    As in CVXOPT: with x and s normalized to unit Lorentz norm,
+    w = (x + J s) / (2 gamma), gamma = sqrt((1 + x.s) / 2), has
+    w^T J w = 1; then v = (w + e) / sqrt(2 (w_0 + 1)), e = (1, 0, 0),
+    and beta = (x^T J x / s^T J s)^(1/4).
+    """
+    xn, sn = _lorentz_norms(x), _lorentz_norms(s)
+    xb, sb = x / xn, s / sn
+    gamma = np.sqrt((1.0 + _dot(xb, sb)) / 2.0)
+    v = (xb + _reflect(sb)) / (2.0 * gamma)
+    v[0] += 1.0
+    v /= np.sqrt(2.0 * v[0])
+    return np.sqrt(xn / sn), v
+
+
+def _scale(beta, v, u):
+    """W u = beta (2 v (v.u) - J u)."""
+    return beta * (2.0 * v * _dot(v, u) - _reflect(u))
+
+
+def _unscale(beta, v, u):
+    """W^-1 u = (2 J v (J v.u) - J u) / beta, the inverse since v^T J v = 1."""
+    jv = _reflect(v)
+    return (2.0 * jv * _dot(jv, u) - _reflect(u)) / beta
+
+
+def _normal_blocks(beta, v):
+    """The lower 2 x 2 blocks of W^2, beta^2 (I + 4 (1 + |v|^2) v_bar
+    v_bar^T), as the (3, F) rows D_00, D_01 and D_11."""
+    kappa = 4.0 * (1.0 + _dot(v, v))
+    return beta**2 * np.array(
+        [1.0 + kappa * v[1] ** 2, kappa * v[1] * v[2], 1.0 + kappa * v[2] ** 2]
+    )
+
+
+def _jordan(u, v):
+    """Per-face Jordan products u o v = (u.v, u_0 v_bar + v_0 u_bar)."""
+    return np.concatenate(([_dot(u, v)], u[0] * v[1:] + v[0] * u[1:]))
+
+
+def _jordan_divide(lam, r):
+    """The q with lam o q = r, per face, for lam inside the cones."""
+    q0 = (lam[0] * r[0] - _dot(lam[1:], r[1:])) / _lorentz_norms(lam) ** 2
+    return np.concatenate(([q0], (r[1:] - q0 * lam[1:]) / lam[0]))
+
+
+def _max_step(u, d):
+    """Largest alpha with every u_T + alpha d_T in its cone, u inside.
+
+    The Lorentz boost taking u_T / |u_T|_J to e maps d_T / |u_T|_J to
+    p, and e + alpha p stays in the cone while alpha (|p_bar| - p_0) <= 1.
+    A NaN in u or d gives a NaN.
+    """
+    un = _lorentz_norms(u)
+    uh, dh = u / un, d / un
+    bar = _dot(uh[1:], dh[1:])
+    p0 = uh[0] * dh[0] - bar
+    lift = bar / (1.0 + uh[0]) - dh[0]
+    rate = np.max(np.hypot(dh[1] + uh[1] * lift, dh[2] + uh[2] * lift) - p0)
+    return float(1.0 / np.maximum(rate, 0.0))
+
+
+def _slope_lower_bound(mesh, A, b, y):
+    """Weak-duality lower bound from a vertex potential y.
+
+    For every field g with A g = b,
     b.y = g.A^T y <= max_T(|(A^T y)_T| / w_T) * sum_T w_T |g_T|, and
     |(A^T y)_T| / w_T is the slope of y on face T, so |b.y| over the
     steepest slope bounds the optimum from below for either sign of y.
     """
-    y = mesh.normal_solver(mesh.div_matrix @ flux)
-    rows = (mesh.div_matrix.T @ y).reshape(mesh.field_shape)
-    steepest = float(np.max(_row_norms(rows) / mesh.cell_weights))
+    slopes = np.hypot(*(A.T @ y).reshape(2, -1)) / mesh.cell_weights
+    steepest = float(np.max(slopes))
     return abs(float(b @ y)) / steepest if steepest > 0.0 else 0.0
 
 
 def beckmann_field(mesh, molecule, params=None):
     """Minimal-L1 per-face vector field with prescribed divergence.
 
-    Alternates an exact projection onto the divergence constraint with
-    per-face vector shrinkage. Every iterate is feasible (the projection
-    is a direct sparse solve), so the best value is an upper bound on the
-    optimum; the potential fitted to the splitting multiplier gives a
-    lower bound every few iterations. The solve stops once upper - lower
-    is at most ``params.tol * max(1, upper)``, or when the splitting has
-    converged, and returns the best iterate with the bracket in its
-    diagnostics; ``certified`` says whether the bracket closed.
+    Solves the cone program min sum_T w_T t_T subject to A g = b and
+    |g_T| <= t_T, w the face areas, by a primal-dual interior-point
+    method with Nesterov-Todd scaling and Mehrotra's predictor-corrector
+    (Andersen, Roos & Terlaky, Math. Program. 95, 2003). Its dual is
+    max b.y over vertex potentials y of slope at most one on every face.
 
-    Iterates are kept by value alone. The divergence residual
-    max |A g - b| is measured once, on the field returned, and a residual
-    above ``params.tol * max(1, max |b|)`` (or NaN) raises
-    :class:`NotConverged` with it and the split residual in
-    ``residuals``. The bound is relative because the residual is the
-    projection's roundoff, which scales with the molecule.
+    The start is x_T = (|b|_1 / sum w, 0, 0), s_T = (w_T, 0, 0), y = 0:
+    dual feasible, primal infeasible. Each Newton step eliminates the
+    per-face cones and factors one pinned V x V matrix A D A^T, D_T the
+    lower 2 x 2 block of W_T^2, which it solves twice. After the step,
+    the field is projected onto A g = b with the same factor,
+    g + D A^T (A D A^T)^-1 (b - A g), so its value is an upper bound,
+    and :func:`_slope_lower_bound` of y is a lower bound. The solve
+    stops once upper - lower is at most ``params.tol * max(1, upper)``,
+    after ``params.max_iter`` steps, or at a step that cannot move; it
+    returns the best projected field with the bracket in its
+    diagnostics, and ``certified`` says whether the bracket closed.
 
-    Each iteration computes the split residual max |g - z|. The dual
-    residual rho * max |z - z_prev| is computed only on the every-50th
-    iterations that balance the penalty, and max |g| for the stop test
-    only once the split residual is at most 1e-9 * max(1, largest face
-    norm): the largest face norm bounds max |g| from above, so a larger
-    residual fails the test anyway.
+    The divergence residual max |A g - b| is measured once, on the field
+    returned, and a residual above ``params.tol * max(1, max |b|)`` (or
+    NaN) raises :class:`NotConverged` with it and the complementarity
+    x.s in ``residuals``. The bound is relative because the residual is
+    the projection's roundoff, which scales with the molecule.
     """
     if mesh.dimension != 2:
         raise MeshError("field solver requires a dimension-2 mesh")
     params = params or FieldSolveParams()
     molecule = canonicalize(molecule, mesh.base_vertex)
     b = molecule_vector(mesh, molecule)
+    factor = weighted_normal_factorizer(mesh)
+    if not b.any():  # the zero field, with nothing to solve
+        diagnostics = {
+            "iterations": 0, "complementarity": 0.0, "divergence_residual": 0.0,
+            "lower": 0.0, "upper": 0.0, "gap": 0.0, "certified": True,
+        }
+        return 0.0, np.zeros(mesh.field_shape), diagnostics
 
-    A = divergence_matrix(mesh)
-    project_onto_constraint = divergence_projection(mesh, b)
     weights = mesh.cell_weights
-    shape = mesh.field_shape
+    F = len(weights)
+    # field coordinates by component: column i * F + T is g_i on face T
+    A = divergence_matrix(mesh)[:, np.arange(2 * F).reshape(F, 2).T.ravel()]
+    e = np.zeros((3, F))
+    e[0] = 1.0
+    x = e * (float(np.abs(b).sum()) / float(weights.sum()))
+    s = e * weights
+    y = np.zeros(mesh.vertex_count)
+    best_value, best_g, lower = math.inf, None, 0.0
+    certified = False
 
-    # flat fields and per-face rows, preallocated so that each array pass
-    # writes into one of them
-    z, z_prev, u, w, step, scratch = np.zeros((6, A.shape[1]))
-    norms, shrink, cell = np.empty((3, shape[0]))
-    best_value = np.inf
-    best_g = None
-    lower = 0.0
-
-    for it in range(1, params.max_iter + 1):
-        z, z_prev = z_prev, z  # this iteration writes its z over the oldest
-        g = project_onto_constraint(np.subtract(z_prev, u, out=scratch))
-        _row_norms(g.reshape(shape), out=norms)
-        if it == 1:
-            # least-squares fit of the shrink threshold weights / rho to the
-            # first field, so rho scales as 1/c when the molecule does as c
-            square = float(norms @ norms)
-            rho = float(weights @ norms) / square if square > 0.0 else 1.0
-            threshold = weights / rho
-        np.add(g, u, out=w)
-        _row_norms(w.reshape(shape), out=shrink)
-        np.maximum(shrink, 1e-300, out=shrink)
-        np.divide(threshold, shrink, out=shrink)
-        np.subtract(1.0, shrink, out=shrink)
-        np.maximum(shrink, 0.0, out=shrink)
-        np.multiply(w.reshape(shape), shrink[:, None], out=z.reshape(shape))
-        np.subtract(g, z, out=step)
-        u += step
-
-        value = float(np.sum(np.multiply(weights, norms, out=cell)))
-        if value < best_value:
-            best_value = value
-            best_g = g  # a fresh array from the projection
-
-        split = float(np.abs(step, out=scratch).max())
-        # the largest face norm bounds max |g| from above
-        split_converged = split <= 1e-9 * max(1.0, float(norms.max())) and (
-            split <= 1e-9 * max(1.0, float(np.abs(g, out=scratch).max()))
-        )
-        if split_converged or it % _CERTIFY_EVERY == 0 or it == params.max_iter:
-            lower = max(lower, _potential_lower_bound(mesh, b, rho * u))
-            # the last iteration always gets here, so this is the final flag
-            certified = best_value - lower <= params.tol * max(1.0, best_value)
-            if certified or split_converged:
+    # past the attainable accuracy, roundoff puts iterates on or across
+    # the cone boundaries, and the scaling or the step turns NaN: the stop
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for it in range(1, params.max_iter + 1):
+            beta, v = _nt_scaling(x, s)
+            lam = _scale(beta, v, s)
+            D = _normal_blocks(beta, v)
+            if not np.isfinite(D).all():
                 break
-        # residual balancing keeps the splitting penalty well scaled
-        if it % 50 == 0:
-            np.subtract(z, z_prev, out=scratch)
-            dual_res = rho * float(np.abs(scratch, out=scratch).max())
-            if split > 10.0 * dual_res / rho:
-                rho *= 2.0
-                u /= 2.0
-            elif dual_res / rho > 10.0 * split:
-                rho /= 2.0
-                u *= 2.0
-            threshold = weights / rho
+            solve = None  # one factor alive at a time
+            solve = factor(D)
+            r_p = b - A @ x[1:].ravel()
+
+            def newton(r_c):
+                # W^-1 dx + W ds = lam \ r_c, A dx_g = r_p, ds = -(0, A^T dy)
+                q = _jordan_divide(lam, r_c)
+                dy = solve(r_p - A @ _scale(beta, v, q)[1:].ravel())
+                ds = np.zeros((3, F))
+                ds[1:] = -(A.T @ dy).reshape(2, F)
+                return _scale(beta, v, q - _scale(beta, v, ds)), ds, dy
+
+            lam2 = _jordan(lam, lam)
+            dx, ds, dy = newton(-lam2)
+            alpha = np.min([1.0, _max_step(x, dx), _max_step(s, ds)])
+            sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(lam2[0])) / F
+            cross = _jordan(_unscale(beta, v, dx), _scale(beta, v, ds))
+            dx, ds, dy = newton(sigma_mu * e - lam2 - cross)
+            alpha = np.min([1.0, 0.99 * _max_step(x, dx), 0.99 * _max_step(s, ds)])
+            if not alpha > 0.0:  # no step, or a NaN
+                break
+            x += alpha * dx
+            s += alpha * ds
+            y += alpha * dy
+
+            g = x[1:].ravel()
+            lift = (A.T @ solve(b - A @ g)).reshape(2, F)
+            g = g + np.concatenate((D[0] * lift[0] + D[1] * lift[1],
+                                    D[1] * lift[0] + D[2] * lift[1]))
+            value = float(weights @ np.hypot(g[:F], g[F:]))
+            if value < best_value:
+                best_value, best_g = value, g
+            lower = max(lower, _slope_lower_bound(mesh, A, b, y))
+            certified = best_value - lower <= params.tol * max(1.0, best_value)
+            if certified:
+                break
+    complementarity = float(np.sum(x * s))
 
     if best_g is None:
-        raise NotConverged("no iterate had a finite value", residuals={"split": split})
+        raise NotConverged(
+            "no step had a finite value", residuals={"complementarity": complementarity}
+        )
     # the one divergence check, on the field returned, relative to the
     # molecule as in certify_graph_optimum; a NaN fails it too
     divergence = float(np.abs(A @ best_g - b).max())
@@ -331,19 +416,18 @@ def beckmann_field(mesh, molecule, params=None):
     if not divergence <= allowed:
         raise NotConverged(
             f"field divergence residual {divergence!r} exceeds {allowed!r}",
-            residuals={"divergence": divergence, "split": split},
+            residuals={"divergence": divergence, "complementarity": complementarity},
         )
     diagnostics = {
         "iterations": it,
-        "split_residual": split,
+        "complementarity": complementarity,
         "divergence_residual": divergence,
-        "rho": rho,
         "lower": lower,
         "upper": best_value,
         "gap": best_value - lower,
         "certified": certified,
     }
-    return best_value, best_g.reshape(shape), diagnostics
+    return best_value, best_g.reshape(2, F).T.copy(), diagnostics
 
 
 @dataclass
@@ -388,16 +472,17 @@ def free_norm(mesh, molecule, method="all", field_params=None):
     and graph routes both run and their gap exceeds
     ``AGREEMENT_TOL * max(1, |dual|)``, or when the dual and field routes
     both run and the field lower bound exceeds the dual value by as much.
+    A field solve whose bracket stays open is :class:`NotConverged`,
+    with ``lower``, ``upper`` and ``gap`` in its residuals.
     """
     if method not in ("dual", "graph", "field", "all"):
         raise ParseError(f"unknown method {method!r}")
     molecule = canonicalize(molecule, mesh.base_vertex)
     run_field = method == "field" or (method == "all" and mesh.dimension == 2)
     if run_field and method == "all":
-        # fail on the field route's precondition before the graph routes
-        # run; the factorization is cached for the field route
+        # fail on the field route's preconditions before the graph routes run
         _check_vertices(mesh, molecule)
-        mesh.normal_solver
+        check_field_support(mesh)
     report = FreeNormReport()
     report.diagnostics["atoms"] = len(molecule.atoms)
     report.diagnostics["flow_non_unique"] = True  # witnesses are one optimum
@@ -421,6 +506,13 @@ def free_norm(mesh, molecule, method="all", field_params=None):
             )
     if run_field:
         value, g, diag = beckmann_field(mesh, molecule, params=field_params)
+        if not diag["certified"]:
+            bracket = {key: diag[key] for key in ("lower", "upper", "gap")}
+            raise NotConverged(
+                f"field bracket [{diag['lower']!r}, {diag['upper']!r}] still open "
+                f"after {diag['iterations']} steps",
+                residuals=bracket,
+            )
         report.primal_field_value = value
         report.optimal_field = g
         report.diagnostics["field"] = diag

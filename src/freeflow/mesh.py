@@ -329,6 +329,9 @@ def _vertex_ids(ids, width):
             raise MeshError(f"vertex id {float(bad[0])} is not an integer")
         if (np.abs(ids) >= 2.0**63).any():
             raise MeshError("vertex id beyond the int64 range")
+    elif ids.dtype.kind == "u" and (ids > np.iinfo(np.int64).max).any():
+        # the cast would wrap these to negative ids without an error
+        raise MeshError("vertex id beyond the int64 range")
     try:
         return ids.astype(np.int64).reshape(-1, width)
     except OverflowError:

@@ -173,6 +173,29 @@ class TestDivergence:
         binders = [m.__name__ for m in modules if splu in vars(m).values()]
         assert binders == ["freeflow.calculus"]
 
+    @pytest.mark.parametrize("base", [0, 43, 79])
+    def test_weighted_normal_matrix_solves(self, base):
+        # random symmetric positive definite blocks D: the pinned solve
+        # meets A D A^T y = r at every vertex, and D = I repeats the
+        # normal solver to roundoff
+        mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
+        rng = np.random.default_rng(5)
+        r = rng.standard_normal(mesh.vertex_count)
+        r -= r.mean()
+        F = len(mesh.triangles)
+        factor = calculus.weighted_normal_factorizer(mesh)
+        M = rng.standard_normal((F, 2, 2))
+        blocks = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2)
+        y = factor(np.stack([blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]]))(r)
+        assert y[base] == 0.0
+        A = divergence_matrix(mesh)
+        g = (blocks @ (A.T @ y).reshape(F, 2, 1)).ravel()
+        assert np.abs(A @ g - r).max() <= 1e-10 * np.abs(r).max()
+        identity = np.stack([np.ones(F), np.zeros(F), np.ones(F)])
+        y = factor(identity)(r)
+        expected = divergence_normal_solver(mesh)(r)
+        assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_operators_are_built_once_per_mesh(self, flat6):
         assert divergence_matrix(flat6) is divergence_matrix(flat6)
         assert divergence_normal_solver(flat6) is divergence_normal_solver(flat6)

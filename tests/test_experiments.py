@@ -206,6 +206,25 @@ class TestExtension:
         with pytest.raises(MeshError):
             tangential_subset_field(flat4, faces)
 
+    @pytest.mark.parametrize(
+        "faces", [[], [3, 3], [-1, 0], [0, 32]], ids=["empty", "repeated", "negative", "past"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda mesh, faces: extend_by_zero(
+                mesh, faces, np.zeros((len(faces), 2))), id="extend_by_zero"),
+            pytest.param(interface_vertices, id="interface_vertices"),
+            pytest.param(normal_flux_counterexample, id="normal_flux_counterexample"),
+        ],
+    )
+    def test_every_subset_function_checks_its_ids(self, flat4, call, faces):
+        # -1 used to wrap to the last face (extend_by_zero wrote face 31),
+        # 32 to escape as an IndexError, and interface_vertices ignored both
+        with pytest.raises(MeshError) as info:
+            call(flat4, faces)
+        assert type(info.value) is MeshError
+
     def test_experiment_report(self):
         mesh, faces = disk_with_annular_subset()
         report = extension_experiment(mesh, faces, rng=np.random.default_rng(42))

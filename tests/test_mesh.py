@@ -185,9 +185,12 @@ class TestBuildMesh:
             ([], [(0, 2**70)], [1.0], "vertex id beyond the int64 range"),
             ([], [(-2**70, 1)], [1.0], "vertex id beyond the int64 range"),
             ([], [(0, 1e30)], [1.0], "vertex id beyond the int64 range"),
+            # the cast used to wrap 2**63 to a "negative vertex id"
+            ([], np.array([(0, 2**63)], dtype=np.uint64), [1.0],
+             "vertex id beyond the int64 range"),
         ],
         ids=["edge_id", "triangle_id", "nan_id", "counts", "beyond_int64",
-             "beyond_int64_negative", "beyond_int64_float"],
+             "beyond_int64_negative", "beyond_int64_float", "beyond_int64_unsigned"],
     )
     def test_malformed_arrays_are_rejected(self, triangles, edges, lengths, message):
         with pytest.raises(MeshError) as info:

@@ -137,31 +137,32 @@ def check_field_support(mesh):
         )
 
 
-def _pinned_solver(mesh, lu):
-    """The solve of a factored normal matrix whose base vertex row and
-    column were removed."""
+def _pinned_solver(mesh, lu, vertices):
+    """The solve of a factored normal matrix whose row and column i
+    belong to vertex ``vertices[i]``: every vertex but the base vertex,
+    in the order of the factored matrix."""
 
     def solve(r):
-        # the base vertex k leaves the system and returns as a zero, by slices
-        k = mesh.base_vertex
-        r = np.asarray(r, dtype=float)
-        x = lu.solve(np.concatenate((r[:k], r[k + 1:])))
-        y = np.empty(mesh.vertex_count)
-        y[:k] = x[:k]
-        y[k] = 0.0
-        y[k + 1:] = x[k:]
+        # one gather in and one scatter out; the base vertex returns as a zero
+        y = np.zeros(mesh.vertex_count)
+        y[vertices] = lu.solve(np.asarray(r, dtype=float)[vertices])
         return y
 
     return solve
+
+
+def _pinned_vertices(mesh):
+    """Every vertex but the base vertex, in increasing order."""
+    return np.delete(np.arange(mesh.vertex_count), mesh.base_vertex)
 
 
 def _factor_normal_matrix(mesh):
     if mesh.dimension == 2:
         check_field_support(mesh)
     A = divergence_matrix(mesh)
-    mask = np.ones(mesh.vertex_count, dtype=bool)
-    mask[mesh.base_vertex] = False
-    return _pinned_solver(mesh, splu((A @ A.T).tocsc()[mask][:, mask].tocsc()))
+    vertices = _pinned_vertices(mesh)
+    lu = splu((A @ A.T).tocsc()[vertices][:, vertices].tocsc())
+    return _pinned_solver(mesh, lu, vertices)
 
 
 def weighted_normal_factorizer(mesh):
@@ -176,6 +177,13 @@ def weighted_normal_factorizer(mesh):
     rows of A) into the pattern and factors the result without pivoting:
     the matrix is symmetric positive definite, so its diagonal pivots are
     stable and every factor has the same fill.
+
+    The pattern never changes, so it is ordered once. The first call
+    factors with SuperLU's COLAMD ordering and keeps the column order P
+    it chose. The second call relabels the pattern by P, once, so from
+    then on the sums land in P M P^T directly, and every later factor
+    takes the matrix in its natural order: numeric work only, with the
+    first factor's fill. The solves gather and scatter through P.
     """
     check_field_support(mesh)
     tri, k = mesh.triangles, mesh.base_vertex
@@ -195,16 +203,40 @@ def weighted_normal_factorizer(mesh):
     rows, cols = tri[:, c], tri[:, d]
     keep = (rows != k) & (cols != k)
     rows, cols = rows - (rows > k), cols - (cols > k)
-    keys, slots = np.unique(np.where(keep, cols * n + rows, n * n), return_inverse=True)
-    slots = slots.ravel()
-    indices = keys[:-1] % n
-    indptr = np.searchsorted(keys[:-1] // n, np.arange(n + 1))
+
+    def pattern(keys):
+        # the slot of each key j * n + i, and the CSC row indices and
+        # column pointers of the kept ones; the last key is n * n
+        keys, slots = np.unique(keys, return_inverse=True)
+        kept = keys[:-1]
+        return slots.ravel(), kept % n, np.searchsorted(kept // n, np.arange(n + 1))
+
+    def relabel(order):
+        # entry (i, j) moves to (order[i], order[j]), the dropped slot
+        # stays last; the temporaries go when this returns
+        columns = np.repeat(np.arange(n), np.diff(indptr))
+        rank, *csc = pattern(np.append(order[columns] * n + order[indices], n * n))
+        return rank[slots], *csc
+
+    slots, indices, indptr = pattern(np.where(keep, cols * n + rows, n * n))
+    vertices = _pinned_vertices(mesh)
+    spec, order = "COLAMD", None
 
     def factor(blocks):
+        nonlocal slots, indices, indptr, vertices, spec, order
+        if order is not None:
+            # the second call, after the caller dropped the first factor
+            slots, indices, indptr = relabel(order)
+            vertices = vertices[np.argsort(order)]
+            spec, order = "NATURAL", None
         values = np.einsum("kf,kfc->fc", blocks, products)
         data = np.bincount(slots, values.ravel())[:-1]
         matrix = csc_matrix((data, indices, indptr), shape=(n, n))
-        return _pinned_solver(mesh, splu(matrix, diag_pivot_thresh=0.0))
+        lu = splu(matrix, permc_spec=spec, diag_pivot_thresh=0.0)
+        if spec == "COLAMD":
+            # a copy in int64: perm_c is a view that keeps the factor alive
+            order = lu.perm_c.astype(np.int64)
+        return _pinned_solver(mesh, lu, vertices)
 
     return factor
 

@@ -29,7 +29,14 @@ from .errors import (
     PreconditionViolated,
     UnboundedSequence,
 )
-from .freenorm import AGREEMENT_TOL, Molecule, beckmann_field, beckmann_graph, dual_lp
+from .freenorm import (
+    AGREEMENT_TOL,
+    Molecule,
+    beckmann_field,
+    beckmann_graph,
+    check_field_bracket,
+    dual_lp,
+)
 from .mesh import TriMesh, geodesic_distances
 from .primitives import _face_edge_pairs, generate_primitive
 
@@ -310,7 +317,8 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     built. Passes when the graph-dual gap stays within
     ``AGREEMENT_TOL * max(1, |dual|)`` everywhere and, if the field
     solver runs, its finest value lands within 5% of the finest dual
-    value.
+    value. A field solve whose bracket stays open raises
+    :class:`NotConverged`, as in :func:`free_norm`.
     """
     if type(kind) is not str or kind not in _REFINED:
         raise InvalidParams(f"refinement study does not support kind {kind!r}")
@@ -348,6 +356,7 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
             report.passed = False
         if include_field and mesh.dimension == 2:
             value, _, diag = beckmann_field(mesh, mu, params=field_params)
+            check_field_bracket(diag)
             row["field"] = value
             row["field_iterations"] = diag["iterations"]
             last_field = value

@@ -293,15 +293,15 @@ def _max_step(u, d):
     return float(1.0 / np.maximum(rate, 0.0))
 
 
-def _slope_lower_bound(mesh, A, b, y):
-    """Weak-duality lower bound from a vertex potential y.
+def _slope_lower_bound(mesh, AT, b, y):
+    """Weak-duality lower bound from a vertex potential y; AT is A^T.
 
     For every field g with A g = b,
     b.y = g.A^T y <= max_T(|(A^T y)_T| / w_T) * sum_T w_T |g_T|, and
     |(A^T y)_T| / w_T is the slope of y on face T, so |b.y| over the
     steepest slope bounds the optimum from below for either sign of y.
     """
-    slopes = np.hypot(*(A.T @ y).reshape(2, -1)) / mesh.cell_weights
+    slopes = np.hypot(*(AT @ y).reshape(2, -1)) / mesh.cell_weights
     steepest = float(np.max(slopes))
     return abs(float(b @ y)) / steepest if steepest > 0.0 else 0.0
 
@@ -350,6 +350,7 @@ def beckmann_field(mesh, molecule, params=None):
     F = len(weights)
     # field coordinates by component: column i * F + T is g_i on face T
     A = divergence_matrix(mesh)[:, np.arange(2 * F).reshape(F, 2).T.ravel()]
+    AT = A.T.tocsr()  # transposed once, not on every product
     e = np.zeros((3, F))
     e[0] = 1.0
     x = e * (float(np.abs(b).sum()) / float(weights.sum()))
@@ -376,7 +377,7 @@ def beckmann_field(mesh, molecule, params=None):
                 q = _jordan_divide(lam, r_c)
                 dy = solve(r_p - A @ _scale(beta, v, q)[1:].ravel())
                 ds = np.zeros((3, F))
-                ds[1:] = -(A.T @ dy).reshape(2, F)
+                ds[1:] = -(AT @ dy).reshape(2, F)
                 return _scale(beta, v, q - _scale(beta, v, ds)), ds, dy
 
             lam2 = _jordan(lam, lam)
@@ -393,13 +394,13 @@ def beckmann_field(mesh, molecule, params=None):
             y += alpha * dy
 
             g = x[1:].ravel()
-            lift = (A.T @ solve(b - A @ g)).reshape(2, F)
+            lift = (AT @ solve(b - A @ g)).reshape(2, F)
             g = g + np.concatenate((D[0] * lift[0] + D[1] * lift[1],
                                     D[1] * lift[0] + D[2] * lift[1]))
             value = float(weights @ np.hypot(g[:F], g[F:]))
             if value < best_value:
                 best_value, best_g = value, g
-            lower = max(lower, _slope_lower_bound(mesh, A, b, y))
+            lower = max(lower, _slope_lower_bound(mesh, AT, b, y))
             certified = best_value - lower <= params.tol * max(1.0, best_value)
             if certified:
                 break
@@ -428,6 +429,19 @@ def beckmann_field(mesh, molecule, params=None):
         "certified": certified,
     }
     return best_value, best_g.reshape(2, F).T.copy(), diagnostics
+
+
+def check_field_bracket(diagnostics):
+    """Raise :class:`NotConverged`, with ``lower``, ``upper`` and ``gap``
+    in its residuals, unless the bracket of a :func:`beckmann_field`
+    solve closed (its ``diagnostics["certified"]``)."""
+    if not diagnostics["certified"]:
+        bracket = {key: diagnostics[key] for key in ("lower", "upper", "gap")}
+        raise NotConverged(
+            f"field bracket [{bracket['lower']!r}, {bracket['upper']!r}] still open "
+            f"after {diagnostics['iterations']} steps",
+            residuals=bracket,
+        )
 
 
 @dataclass
@@ -506,13 +520,7 @@ def free_norm(mesh, molecule, method="all", field_params=None):
             )
     if run_field:
         value, g, diag = beckmann_field(mesh, molecule, params=field_params)
-        if not diag["certified"]:
-            bracket = {key: diag[key] for key in ("lower", "upper", "gap")}
-            raise NotConverged(
-                f"field bracket [{diag['lower']!r}, {diag['upper']!r}] still open "
-                f"after {diag['iterations']} steps",
-                residuals=bracket,
-            )
+        check_field_bracket(diag)
         report.primal_field_value = value
         report.optimal_field = g
         report.diagnostics["field"] = diag

@@ -87,6 +87,12 @@ class TriMesh:
         self.vertex_count = 1 + int(
             max(self.edges.max(initial=0), triangles.max(initial=0))
         )
+        if len(self.edges) and self.vertex_count > len(self.edges) + 1:
+            # E edges join at most E + 1 ids, so the mesh is disconnected;
+            # said before the edge keys u * vertex_count + v, which
+            # overflow int64 for ids near 2**63 (with no edges, the
+            # faces' missing edges are reported first)
+            self._check_connected()
         self._edge_keys = self.edges[:, 0] * self.vertex_count + self.edges[:, 1]
 
         # the signed face->edge index: edge ids of v0->v1, v1->v2, v2->v0

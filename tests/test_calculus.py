@@ -166,8 +166,9 @@ class TestDivergence:
         assert hashlib.sha256(y.tobytes()).hexdigest() == pin
 
     def test_calculus_is_the_one_factorization_site(self):
-        # every sparse factorization in the package goes through the
-        # pinned normal matrix of _factor_normal_matrix
+        # every sparse factorization in the package is made in calculus:
+        # the pinned A A^T of _factor_normal_matrix and the pinned
+        # A D A^T of weighted_normal_factorizer
         names = [info.name for info in pkgutil.iter_modules(freeflow.__path__, "freeflow.")]
         modules = [freeflow, *map(importlib.import_module, names)]
         binders = [m.__name__ for m in modules if splu in vars(m).values()]
@@ -176,21 +177,26 @@ class TestDivergence:
     @pytest.mark.parametrize("base", [0, 43, 79])
     def test_weighted_normal_matrix_solves(self, base):
         # random symmetric positive definite blocks D: the pinned solve
-        # meets A D A^T y = r at every vertex, and D = I repeats the
-        # normal solver to roundoff
+        # meets A D A^T y = r at every vertex, one factorizer's later
+        # factors (in the first one's order) match a fresh factorizer's
+        # first, and D = I repeats the normal solver to roundoff
         mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
         rng = np.random.default_rng(5)
         r = rng.standard_normal(mesh.vertex_count)
         r -= r.mean()
         F = len(mesh.triangles)
-        factor = calculus.weighted_normal_factorizer(mesh)
-        M = rng.standard_normal((F, 2, 2))
-        blocks = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2)
-        y = factor(np.stack([blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]]))(r)
-        assert y[base] == 0.0
         A = divergence_matrix(mesh)
-        g = (blocks @ (A.T @ y).reshape(F, 2, 1)).ravel()
-        assert np.abs(A @ g - r).max() <= 1e-10 * np.abs(r).max()
+        factor = calculus.weighted_normal_factorizer(mesh)
+        for _ in range(5):
+            M = rng.standard_normal((F, 2, 2))
+            blocks = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2)
+            entries = np.stack([blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]])
+            y = factor(entries)(r)
+            assert y[base] == 0.0
+            g = (blocks @ (A.T @ y).reshape(F, 2, 1)).ravel()
+            assert np.abs(A @ g - r).max() <= 1e-10 * np.abs(r).max()
+            fresh = calculus.weighted_normal_factorizer(mesh)(entries)(r)
+            assert np.abs(y - fresh).max() <= 1e-10 * np.abs(fresh).max()
         identity = np.stack([np.ones(F), np.zeros(F), np.ones(F)])
         y = factor(identity)(r)
         expected = divergence_normal_solver(mesh)(r)

@@ -8,6 +8,7 @@ from freeflow.errors import (
     Disconnected,
     InvalidParams,
     MeshError,
+    NotConverged,
     PreconditionViolated,
     UnboundedSequence,
 )
@@ -25,6 +26,7 @@ from freeflow.experiments import (
     tangential_subset_field,
     weakstar_probe,
 )
+from freeflow.freenorm import FieldSolveParams
 from freeflow.mesh import geodesic_distances
 from freeflow.primitives import generate_primitive
 
@@ -293,6 +295,19 @@ class TestRefinementStudy:
         assert report.passed
         duals = [row["dual"] for row in report.rows]
         assert duals[-1] == pytest.approx(np.pi, rel=0.05)
+
+    def test_open_field_bracket_raises(self):
+        # two Newton steps leave the bracket open (field values 0.708 and
+        # 0.744 against a norm of 0.5): no uncertified value enters a row
+        atoms = [((0.25, 0.5), 1.0), ((0.75, 0.5), -1.0)]
+        params = FieldSolveParams(max_iter=2)
+        with pytest.raises(NotConverged) as info:
+            refinement_study("flat_rect", [12, 16], atoms, include_field=True,
+                             field_params=params)
+        residuals = info.value.residuals
+        assert set(residuals) == {"lower", "upper", "gap"}
+        assert residuals["gap"] == residuals["upper"] - residuals["lower"]
+        assert residuals["gap"] > params.tol * max(1.0, residuals["upper"])
 
     def test_projection_helper_kills_divergence(self, ico1):
         rng = np.random.default_rng(46)

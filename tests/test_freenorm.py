@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from freeflow import freenorm, netsimplex, ssp, transport
+from freeflow import calculus, freenorm, netsimplex, ssp, transport
 from freeflow.errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from freeflow.freenorm import (
     CERTIFICATE_TOL,
@@ -812,11 +812,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "3266ff08f0fec1178610133368a302f2766154a686c296420528ca85fdec8e7e"),
+                ("flat4", "8a6bd7f86267ff3f67b76bcb6db011245984b8c7b6103a0d12176c7356d642a5"),
                 ("ico1", "a884c8fa3411dcf7ff62cbe5eb638ff0c59aae320cb7be19d21cab76db05e7f6"),
-                ("annulus", "9e0e23b0bdb089691afa7edafbb51ce2ccb187291a0fb49408917ba6239aa2b8"),
-                ("torus", "6f58445365bf45dfcf67632fc57c30c751ee8c1b1f6a67cd280b1afeb1cdb2d9"),
-                ("poincare", "4e97518c86dcc8c626659d5f66ad84c3d4d17b7779a1e8528bfc7d0d447849fb"),
+                ("annulus", "dd4f89c1dfc992f7a527d0f38bf436a09b2df4dbf1084adae347dd2bb9c117b5"),
+                ("torus", "c40ff0c414bddcdd04fc5a28c2352dbe4da8e630170d701d55425645eb14dc66"),
+                ("poincare", "66e3afdbb7e0905602fd9d3049a80ec0fe5326be6b386d2b3db0f632c84e9e3b"),
             )
         ],
     )
@@ -838,8 +838,24 @@ class TestBeckmannField:
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "41cd1c4f11c5637ea0f5986cbe54f352fc4dc849753e86f767e2ddf277a2c42b"
+            "3515c166b0128693cd664e203050b45c3fa68421dd8374c9470e276a6cf59583"
         )
+
+    def test_newton_matrix_is_ordered_once(self, monkeypatch):
+        # the ladder dipole's 18 Newton steps make 18 factors: the first
+        # chooses the fill-reducing order, the other 17 reuse it
+        specs = []
+        splu = calculus.splu
+
+        def recording_splu(matrix, **options):
+            specs.append(options.get("permc_spec"))
+            return splu(matrix, **options)
+
+        monkeypatch.setattr(calculus, "splu", recording_splu)
+        mesh = generate_primitive("flat_rect", nx=16)
+        _, _, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
+        assert diag["iterations"] == 18
+        assert specs == ["COLAMD"] + ["NATURAL"] * 17
 
     def test_inner_base_vertex_iterates_are_pinned(self):
         # the base vertex neither first nor last, so the pinned solve moves
@@ -851,7 +867,7 @@ class TestBeckmannField:
         assert diag["iterations"] == 14
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "d7cfe03f1aece6eb2cd58bf568e023e92a3d5b5bcb28692bbda9854590172eef"
+            "448c317f91afb9b2477462d8ecd01fb346419c7913d7266c7d3ff5b1ee35d104"
         )
 
     def test_open_bracket_raises(self):

@@ -89,8 +89,17 @@ class TestBuildMesh:
              "edge graph has 4 components"),
             ([(0, 1, 3)], [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 1.0)],
              "edge graph has 2 components"),
+            # E edges join at most E + 1 ids; this is said before the edge
+            # keys u * vertex_count + v are formed, which raised a raw
+            # OverflowError at 2**63 - 1 and wrapped past about 3e9
+            ([], [(0, 2**63 - 1, 1.0)], f"edge graph has {2**63 - 1} components"),
+            ([], [(0, 1, 1.0), (1, 4 * 10**9, 1.0)],
+             f"edge graph has {4 * 10**9 - 1} components"),
+            ([(0, 1, 2)], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 2**63 - 1, 1.0)],
+             f"edge graph has {2**63 - 3} components"),
         ],
-        ids=["two_faces", "one_gap", "gap_between_parts", "face_over_gap"],
+        ids=["two_faces", "one_gap", "gap_between_parts", "face_over_gap",
+             "int64_max", "past_key_range", "face_and_int64_max"],
     )
     def test_disconnected_message_is_pinned(self, triangles, edges, message):
         with pytest.raises(Disconnected) as info:

@@ -71,32 +71,30 @@ def divergence_matrix(mesh):
 
     Row v holds -area_T * (gradient of hat_v on T) over incident faces on
     surfaces, +1 / -1 at the tail / head of each incident edge on graphs.
-    Built once per mesh (``TriMesh.div_matrix``); its assembly is the only
-    calculus code that knows the per-dimension geometry.
+    Built once per mesh (``TriMesh.div_matrix``) from :func:`_cells`.
     """
     return mesh.div_matrix
 
 
-def _corner_rows(mesh):
-    """The (F, 3, 2) entries of A per face: row c holds face T's two
-    field coordinates at its corner c, -area_T * (gradient of the hat)."""
-    geom = mesh.face_geometry()
-    return -geom.areas[:, None, None] * geom.hat_gradients
+def _cells(mesh):
+    """The corners (C, k) of every cell and A's entries at them
+    (C, k, m), m field coordinates per cell: the 3 corners of each face
+    with -area_T * (gradient of the corner's hat), or the 2 ends of each
+    edge with +1 at the tail and -1 at the head. The only calculus code
+    that knows the per-dimension geometry."""
+    if mesh.dimension == 2:
+        geom = mesh.face_geometry()
+        return mesh.triangles, -geom.areas[:, None, None] * geom.hat_gradients
+    return mesh.edges, np.broadcast_to([[1.0], [-1.0]], (len(mesh.edges), 2, 1))
 
 
 def _assemble_divergence_matrix(mesh):
-    if mesh.dimension == 2:
-        F = len(mesh.triangles)
-        rows = np.repeat(mesh.triangles.ravel(), 2)
-        cols = np.tile(np.arange(2 * F).reshape(F, 1, 2), (1, 3, 1)).ravel()
-        vals = _corner_rows(mesh).ravel()
-    else:
-        E = len(mesh.edges)
-        rows = mesh.edges.T.ravel()
-        cols = np.tile(np.arange(E), 2)
-        vals = np.repeat([1.0, -1.0], E)
-    shape = (mesh.vertex_count, math.prod(mesh.field_shape))
-    return coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    corners, entries = _cells(mesh)
+    C, k, m = entries.shape
+    rows = np.repeat(corners.ravel(), m)
+    cols = np.tile(np.arange(C * m).reshape(C, 1, m), (1, k, 1)).ravel()
+    shape = (mesh.vertex_count, C * m)
+    return coo_matrix((entries.ravel(), (rows, cols)), shape=shape).tocsr()
 
 
 def divergence(mesh, g):
@@ -105,28 +103,34 @@ def divergence(mesh, g):
 
 
 def divergence_normal_solver(mesh):
-    """Factorized solve of (A A^T) y = r with the base vertex pinned.
+    """Factorized solve of (A A^T) y = r with the base vertex pinned:
+    :func:`weighted_normal_factorizer` at D = I, on surfaces and graphs.
 
     A is the divergence matrix; its normal matrix is singular exactly on
     constants, so pinning one vertex makes the reduced system definite.
-    Valid for right-hand sides summing to zero (the range of A). The
-    factorization is built once per mesh (``TriMesh.normal_solver``).
+    Valid for right-hand sides summing to zero (the range of A). Each
+    call assembles and factors the matrix; nothing is kept on the mesh.
     """
-    return mesh.normal_solver
+    cells, m = mesh.field_shape[0], math.prod(mesh.field_shape[1:])
+    i, j = np.triu_indices(m)
+    identity = np.outer(i == j, np.ones(cells))  # D = I on every cell
+    return weighted_normal_factorizer(mesh)(identity)
 
 
 def check_field_support(mesh):
-    """Raise :class:`MeshError` unless every vertex is on a face and the
-    faces are joined through shared vertices.
+    """Raise :class:`MeshError` unless every vertex is on a cell and the
+    cells are joined through shared vertices.
 
     A^T f = 0 exactly when f is constant on each set of vertices joined
-    through faces (each face's first vertex to the other two), so this is
+    through cells (each cell's first corner to the others), so this is
     when the pinned A D A^T is nonsingular, for every choice of positive
-    definite per-face blocks D. No matrix is factored.
+    definite per-cell blocks D. A graph's cells are its edges, which
+    join every vertex, so only a surface can fail. No matrix is factored.
     """
-    tri = mesh.triangles
+    corners, _ = _cells(mesh)
+    first, rest = np.broadcast_arrays(corners[:, :1], corners[:, 1:])
     star = coo_matrix(
-        (np.ones(2 * len(tri)), (np.repeat(tri[:, 0], 2), tri[:, 1:].ravel())),
+        (np.ones(rest.size), (first.ravel(), rest.ravel())),
         shape=(mesh.vertex_count, mesh.vertex_count),
     )
     n, _ = connected_components(star, directed=False)
@@ -151,32 +155,20 @@ def _pinned_solver(mesh, lu, vertices):
     return solve
 
 
-def _pinned_vertices(mesh):
-    """Every vertex but the base vertex, in increasing order."""
-    return np.delete(np.arange(mesh.vertex_count), mesh.base_vertex)
-
-
-def _factor_normal_matrix(mesh):
-    if mesh.dimension == 2:
-        check_field_support(mesh)
-    A = divergence_matrix(mesh)
-    vertices = _pinned_vertices(mesh)
-    lu = splu((A @ A.T).tocsc()[vertices][:, vertices].tocsc())
-    return _pinned_solver(mesh, lu, vertices)
-
-
 def weighted_normal_factorizer(mesh):
     """``factor(blocks)``: the pinned solve of (A D A^T) y = r for
-    symmetric positive definite per-face 2x2 blocks D, given as a
-    (3, F) array of their entries D_00, D_01 and D_11. D = I gives the
-    normal matrix of :func:`divergence_normal_solver`.
+    symmetric positive definite per-cell m x m blocks D, given as an
+    (m(m+1)/2, C) array of their upper-triangle entries row by row:
+    D_00, D_01 and D_11 on faces, D_00 on edges. D = I is the normal
+    matrix A A^T, which is how :func:`divergence_normal_solver` solves.
 
-    The faces are checked (:func:`check_field_support`) and the pinned
+    The cells are checked (:func:`check_field_support`) and the pinned
     sparsity pattern is computed here, once. Each ``factor`` call sums
-    the 9 corner-pair values a_c^T D_T a_d of every face (a_c the face's
-    rows of A) into the pattern and factors the result without pivoting:
-    the matrix is symmetric positive definite, so its diagonal pivots are
-    stable and every factor has the same fill.
+    the corner-pair values a_c^T D a_d of every cell (a_c the cell's
+    entries of A at corner c, from :func:`_cells`) into the pattern and
+    factors the result without pivoting: the matrix is symmetric
+    positive definite, so its diagonal pivots are stable and every
+    factor has the same fill.
 
     The pattern never changes, so it is ordered once. The first call
     factors with SuperLU's COLAMD ordering and keeps the column order P
@@ -186,21 +178,21 @@ def weighted_normal_factorizer(mesh):
     first factor's fill. The solves gather and scatter through P.
     """
     check_field_support(mesh)
-    tri, k = mesh.triangles, mesh.base_vertex
-    n = mesh.vertex_count - 1
-    a = _corner_rows(mesh)
-    # a_c^T D a_d is the sum of the three block entries of D times these
-    c, d = np.repeat([0, 1, 2], 3), np.tile([0, 1, 2], 3)
-    products = np.stack((
-        a[:, c, 0] * a[:, d, 0],
-        a[:, c, 0] * a[:, d, 1] + a[:, c, 1] * a[:, d, 0],
-        a[:, c, 1] * a[:, d, 1],
-    ))
-    # entry (c, d) of a face's 3 x 3 block lands at (tri[c], tri[d]),
+    corners, a = _cells(mesh)
+    k, n = mesh.base_vertex, mesh.vertex_count - 1
+    # c, d run over a cell's corner pairs; a_c^T D a_d is the sum of
+    # D's upper-triangle entries D_ij times these
+    c, d = np.divmod(np.arange(corners.shape[1] ** 2), corners.shape[1])
+    products = np.stack([
+        a[:, c, i] * a[:, d, j] + a[:, c, j] * a[:, d, i] if i < j
+        else a[:, c, i] * a[:, d, i]
+        for i, j in zip(*np.triu_indices(a.shape[2]))
+    ])
+    # entry (c, d) of a cell's block lands at (corners[c], corners[d]),
     # renumbered around the base vertex; entries in the base vertex's
     # row or column go to a last slot, which is dropped (the base vertex
-    # is on a face, so that slot exists)
-    rows, cols = tri[:, c], tri[:, d]
+    # is on a cell, so that slot exists)
+    rows, cols = corners[:, c], corners[:, d]
     keep = (rows != k) & (cols != k)
     rows, cols = rows - (rows > k), cols - (cols > k)
 
@@ -219,7 +211,7 @@ def weighted_normal_factorizer(mesh):
         return rank[slots], *csc
 
     slots, indices, indptr = pattern(np.where(keep, cols * n + rows, n * n))
-    vertices = _pinned_vertices(mesh)
+    vertices = np.delete(np.arange(mesh.vertex_count), k)  # all but the base vertex
     spec, order = "COLAMD", None
 
     def factor(blocks):
@@ -243,7 +235,9 @@ def weighted_normal_factorizer(mesh):
 
 def divergence_projection(mesh):
     """Orthogonal projection of flat field coordinates onto the kernel
-    of the divergence: ``g - A^T y`` with (A A^T) y = A g."""
+    of the divergence: ``g - A^T y`` with (A A^T) y = A g. Each call
+    factors the normal matrix once (:func:`divergence_normal_solver`,
+    the Newton factorizer at D = I), and ``project`` reuses it."""
     A = divergence_matrix(mesh)
     AT = A.T.tocsr()  # transposed once, not on every call
     solve = divergence_normal_solver(mesh)

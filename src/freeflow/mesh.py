@@ -89,11 +89,12 @@ class TriMesh:
         )
         if len(self.edges) and self.vertex_count > len(self.edges) + 1:
             # E edges join at most E + 1 ids, so the mesh is disconnected;
-            # said before the edge keys u * vertex_count + v, which
-            # overflow int64 for ids near 2**63 (with no edges, the
-            # faces' missing edges are reported first)
+            # past this, every id is below E + 1 and the edge keys
+            # u * (E + 1) + v are distinct and fit int64 (with no edges
+            # there are no keys, and the faces' missing edges are
+            # reported first)
             self._check_connected()
-        self._edge_keys = self.edges[:, 0] * self.vertex_count + self.edges[:, 1]
+        self._edge_keys = self.edges[:, 0] * (len(self.edges) + 1) + self.edges[:, 1]
 
         # the signed face->edge index: edge ids of v0->v1, v1->v2, v2->v0
         # and +1 where the face runs along the canonical u < v orientation
@@ -142,7 +143,7 @@ class TriMesh:
         """Ids of the edges {u, v}, given in either order; -1 where absent."""
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # int64: csgraph returns int32 vertex ids, whose product can wrap
-        keys = np.asarray(lo, dtype=np.int64) * self.vertex_count + hi
+        keys = np.asarray(lo, dtype=np.int64) * (len(self.edges) + 1) + hi
         ids = np.searchsorted(self._edge_keys, keys)
         found = np.append(self._edge_keys, -1)[ids] == keys
         found &= (lo >= 0) & (hi < self.vertex_count)
@@ -303,12 +304,6 @@ class TriMesh:
     def div_matrix(self):
         """Sparse divergence matrix; see ``calculus.divergence_matrix``."""
         return calculus._assemble_divergence_matrix(self)
-
-    @cached_property
-    def normal_solver(self):
-        """Factorized normal-matrix solve; see
-        ``calculus.divergence_normal_solver``."""
-        return calculus._factor_normal_matrix(self)
 
     def all_pairs_distances(self):
         """Dense (V, V) matrix of graph geodesic distances."""

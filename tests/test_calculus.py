@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -28,6 +30,16 @@ from freeflow.primitives import generate_primitive
 from conftest import from_lengths
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
+
+
+def dense_pinned_normal_solve(mesh, r):
+    """Oracle: (A A^T) y = r by a dense solve with the base vertex's row
+    and column removed and y zero there."""
+    A = divergence_matrix(mesh).toarray()
+    keep = np.arange(mesh.vertex_count) != mesh.base_vertex
+    y = np.zeros(mesh.vertex_count)
+    y[keep] = np.linalg.solve((A @ A.T)[np.ix_(keep, keep)], r[keep])
+    return y
 
 
 def interpolant_gradient(mesh, f, face):
@@ -148,9 +160,9 @@ class TestDivergence:
     @pytest.mark.parametrize(
         "base, pin",
         [
-            (0, "72b4e71b09df04a072019b49a4151bc8954082706a446cecfa3892fd0e89f14d"),
-            (43, "3500c8dd50ec2215df7ffc22cf3e3f75a2f8cd3b1cbca17c210a5ab12c2080d7"),
-            (79, "6d7fb6161aaa8efed2323231df07385654dd5b3787fdb95ce509f0770b8afcaa"),
+            (0, "31be98bfc0f6e98250e1381cbf699610cc8bdc1854b2e03eb0d1ea4029d37264"),
+            (43, "c7aad1d38e49b1d98b3dd11140133cb4bb29c2f0bb504bb91c3e6ebfa31fc925"),
+            (79, "1f9fcb1031b1cde36dac80aaf2ea02d922cff2aba8323808b218f875d2f5dc29"),
         ],
         ids=["first", "middle", "last"],
     )
@@ -166,20 +178,26 @@ class TestDivergence:
         assert hashlib.sha256(y.tobytes()).hexdigest() == pin
 
     def test_calculus_is_the_one_factorization_site(self):
-        # every sparse factorization in the package is made in calculus:
-        # the pinned A A^T of _factor_normal_matrix and the pinned
-        # A D A^T of weighted_normal_factorizer
+        # every sparse factorization in the package is made in calculus,
+        # by one splu call: the pinned A D A^T of
+        # weighted_normal_factorizer, whose D = I is the normal solver
         names = [info.name for info in pkgutil.iter_modules(freeflow.__path__, "freeflow.")]
         modules = [freeflow, *map(importlib.import_module, names)]
         binders = [m.__name__ for m in modules if splu in vars(m).values()]
         assert binders == ["freeflow.calculus"]
+        tree = ast.parse(inspect.getsource(calculus))
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "splu"
+        ]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("base", [0, 43, 79])
     def test_weighted_normal_matrix_solves(self, base):
         # random symmetric positive definite blocks D: the pinned solve
         # meets A D A^T y = r at every vertex, one factorizer's later
         # factors (in the first one's order) match a fresh factorizer's
-        # first, and D = I repeats the normal solver to roundoff
+        # first, and D = I matches a dense solve of the pinned A A^T
         mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
         rng = np.random.default_rng(5)
         r = rng.standard_normal(mesh.vertex_count)
@@ -199,12 +217,23 @@ class TestDivergence:
             assert np.abs(y - fresh).max() <= 1e-10 * np.abs(fresh).max()
         identity = np.stack([np.ones(F), np.zeros(F), np.ones(F)])
         y = factor(identity)(r)
-        expected = divergence_normal_solver(mesh)(r)
+        expected = dense_pinned_normal_solve(mesh, r)
+        assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("fixture", ["circle32", "interval10"])
+    def test_graph_normal_solve_matches_a_dense_solve(self, request, fixture):
+        # a metric graph's A A^T is its unweighted Laplacian, solved by
+        # the same factorizer with one coordinate per edge
+        mesh = request.getfixturevalue(fixture)
+        r = np.random.default_rng(17).standard_normal(mesh.vertex_count)
+        r -= r.mean()
+        y = divergence_normal_solver(mesh)(r)
+        expected = dense_pinned_normal_solve(mesh, r)
+        assert y[mesh.base_vertex] == 0.0
         assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_operators_are_built_once_per_mesh(self, flat6):
         assert divergence_matrix(flat6) is divergence_matrix(flat6)
-        assert divergence_normal_solver(flat6) is divergence_normal_solver(flat6)
 
 
 class TestPairingAndNorms:

@@ -164,6 +164,8 @@ class TestBuildMesh:
             ([], [(1, 2, 1.0), (1, 2, 1.0), (2, 1, 3.0), (0, 1, 2.0), (0, 1, 0.5)],
              "edge (1, 2) given two lengths 1.0 and 3.0"),
             ([(0, 0, 1)], [(0, 1, 1.0)], "degenerate triangle (0, 0, 1)"),
+            # the edge keys used to overflow int64 as a raw OverflowError
+            ([(0, 1, 2**63 - 1)], [], "missing length for triangle edge (0, 1)"),
         ],
         ids=[
             "self_loop", "nan", "inf", "neg_inf", "zero", "negative",
@@ -171,7 +173,7 @@ class TestBuildMesh:
             "negative_triangle_id", "missing_triangle_edge", "no_edges",
             "conflict_before_self_loop", "self_loop_before_conflict",
             "self_loop_with_nan", "repeat_with_nan", "second_group_later",
-            "degenerate_triangle",
+            "degenerate_triangle", "int64_max_without_edges",
         ],
     )
     def test_construction_errors_are_pinned(self, triangles, edges, message):

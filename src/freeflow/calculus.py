@@ -233,21 +233,6 @@ def weighted_normal_factorizer(mesh):
     return factor
 
 
-def divergence_projection(mesh):
-    """Orthogonal projection of flat field coordinates onto the kernel
-    of the divergence: ``g - A^T y`` with (A A^T) y = A g. Each call
-    factors the normal matrix once (:func:`divergence_normal_solver`,
-    the Newton factorizer at D = I), and ``project`` reuses it."""
-    A = divergence_matrix(mesh)
-    AT = A.T.tocsr()  # transposed once, not on every call
-    solve = divergence_normal_solver(mesh)
-
-    def project(g):
-        return g - AT @ solve(A @ g)
-
-    return project
-
-
 def pairing(mesh, f, g):
     """Volume-weighted dual pairing of a one-form against a vector field."""
     f, g = _as_field(mesh, f), _as_field(mesh, g)

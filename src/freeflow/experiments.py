@@ -16,7 +16,8 @@ import numpy as np
 
 from .calculus import (
     divergence,
-    divergence_projection,
+    divergence_matrix,
+    divergence_normal_solver,
     gradient,
     l1_norm,
     lip_constant,
@@ -88,9 +89,13 @@ def divergence_free_field(mesh, potential=None, rng=None):
 
 
 def project_divergence_free(mesh, g):
-    """Orthogonal projection of a field onto ker(divergence)."""
+    """Orthogonal projection g - A^T (A A^T)^-1 A g of a field onto
+    ker(divergence): A's columns follow ``mesh.field_shape``, and A A^T
+    is factored once, by :func:`divergence_normal_solver`."""
+    A = divergence_matrix(mesh)
     g = np.asarray(g, dtype=float).ravel()
-    return divergence_projection(mesh)(g).reshape(mesh.field_shape)
+    y = divergence_normal_solver(mesh)(A @ g)
+    return (g - A.T @ y).reshape(mesh.field_shape)
 
 
 def cutoff_decay(mesh, g, f, ks):
@@ -99,8 +104,11 @@ def cutoff_decay(mesh, g, f, ks):
 
     Requires g divergence-free to 1e-8. Passes when every measured value
     stays within 1.1x its bound and the measured column strictly
-    decreases across the scales.
+    decreases across the scales. No scales is :class:`InvalidParams`.
     """
+    ks = list(ks)
+    if not ks:
+        raise InvalidParams("cutoff decay needs at least one scale in ks")
     g = np.asarray(g, dtype=float)
     div = divergence(mesh, g)
     if np.abs(div).max() > 1e-8:
@@ -119,7 +127,7 @@ def cutoff_decay(mesh, g, f, ks):
     report.details = {
         "lipschitz_constant": lip,
         "bound_factor": TAIL_BOUND_FACTOR,
-        "ks": list(ks),
+        "ks": ks,
     }
     measured_col = []
     for k in ks:
@@ -318,10 +326,14 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     ``AGREEMENT_TOL * max(1, |dual|)`` everywhere and, if the field
     solver runs, its finest value lands within 5% of the finest dual
     value. A field solve whose bracket stays open raises
-    :class:`NotConverged`, as in :func:`free_norm`.
+    :class:`NotConverged`, as in :func:`free_norm`; no levels is
+    :class:`InvalidParams`.
     """
     if type(kind) is not str or kind not in _REFINED:
         raise InvalidParams(f"refinement study does not support kind {kind!r}")
+    levels = list(levels)
+    if not levels:
+        raise InvalidParams("refinement study needs at least one level")
     build, dimension = _REFINED[kind]
     targets = [np.asarray(target, dtype=float) for target, _ in atoms]
     for target in targets:
@@ -330,7 +342,7 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
                 f"atom target {target.tolist()} on {kind} needs {dimension} coordinates"
             )
     report = ExperimentReport(kind="refinement")
-    report.details = {"kind": kind, "levels": list(levels)}
+    report.details = {"kind": kind, "levels": levels}
     last_dual = None
     last_field = None
     for level in levels:

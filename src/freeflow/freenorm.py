@@ -23,6 +23,7 @@ field value converges to the continuum norm under mesh refinement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import check_field_support, divergence_matrix, weighted_normal_factorizer
+from .calculus import divergence_matrix, weighted_normal_factorizer
 from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from .mesh import _vertex_ids
 from .transport import solve_transportation
@@ -189,7 +190,7 @@ def transport_oracle(mesh, molecule):
     return float(value)
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, when made
 class FieldSolveParams:
     # caps the interior-point method's Newton steps, each one sparse
     # factorization; certified 50-atom solves on flat_rect nx16-128 and
@@ -201,9 +202,13 @@ class FieldSolveParams:
     tol: float = 1e-6
 
     def __post_init__(self):
+        # the types operator.index takes, as range() does; a bool is no count
+        kind = type(self.max_iter)
+        if kind is bool or not hasattr(kind, "__index__"):
+            raise ParseError(f"field max_iter is not an integer: {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ParseError(f"field max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.tol < math.inf:
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < math.inf):
             raise ParseError(f"field tol must be finite and positive, got {self.tol}")
 
 
@@ -301,7 +306,7 @@ def _slope_lower_bound(mesh, AT, b, y):
     |(A^T y)_T| / w_T is the slope of y on face T, so |b.y| over the
     steepest slope bounds the optimum from below for either sign of y.
     """
-    slopes = np.hypot(*(AT @ y).reshape(2, -1)) / mesh.cell_weights
+    slopes = np.hypot(*(AT @ y).reshape(-1, 2).T) / mesh.cell_weights
     steepest = float(np.max(slopes))
     return abs(float(b @ y)) / steepest if steepest > 0.0 else 0.0
 
@@ -314,6 +319,9 @@ def beckmann_field(mesh, molecule, params=None):
     method with Nesterov-Todd scaling and Mehrotra's predictor-corrector
     (Andersen, Roos & Terlaky, Math. Program. 95, 2003). Its dual is
     max b.y over vertex potentials y of slope at most one on every face.
+
+    Fields are in A's column order, which is the (F, 2) layout of
+    ``mesh.field_shape``: column 2T + i of A is g_i on face T.
 
     The start is x_T = (|b|_1 / sum w, 0, 0), s_T = (w_T, 0, 0), y = 0:
     dual feasible, primal infeasible. Each Newton step eliminates the
@@ -348,8 +356,7 @@ def beckmann_field(mesh, molecule, params=None):
 
     weights = mesh.cell_weights
     F = len(weights)
-    # field coordinates by component: column i * F + T is g_i on face T
-    A = divergence_matrix(mesh)[:, np.arange(2 * F).reshape(F, 2).T.ravel()]
+    A = divergence_matrix(mesh)
     AT = A.T.tocsr()  # transposed once, not on every product
     e = np.zeros((3, F))
     e[0] = 1.0
@@ -370,14 +377,14 @@ def beckmann_field(mesh, molecule, params=None):
                 break
             solve = None  # one factor alive at a time
             solve = factor(D)
-            r_p = b - A @ x[1:].ravel()
+            r_p = b - A @ x[1:].T.ravel()
 
             def newton(r_c):
                 # W^-1 dx + W ds = lam \ r_c, A dx_g = r_p, ds = -(0, A^T dy)
                 q = _jordan_divide(lam, r_c)
-                dy = solve(r_p - A @ _scale(beta, v, q)[1:].ravel())
+                dy = solve(r_p - A @ _scale(beta, v, q)[1:].T.ravel())
                 ds = np.zeros((3, F))
-                ds[1:] = -(AT @ dy).reshape(2, F)
+                ds[1:] = -(AT @ dy).reshape(F, 2).T
                 return _scale(beta, v, q - _scale(beta, v, ds)), ds, dy
 
             lam2 = _jordan(lam, lam)
@@ -393,11 +400,11 @@ def beckmann_field(mesh, molecule, params=None):
             s += alpha * ds
             y += alpha * dy
 
-            g = x[1:].ravel()
-            lift = (AT @ solve(b - A @ g)).reshape(2, F)
-            g = g + np.concatenate((D[0] * lift[0] + D[1] * lift[1],
-                                    D[1] * lift[0] + D[2] * lift[1]))
-            value = float(weights @ np.hypot(g[:F], g[F:]))
+            g = x[1:].T.ravel()
+            lift = (AT @ solve(b - A @ g)).reshape(F, 2).T
+            g = g + np.column_stack((D[0] * lift[0] + D[1] * lift[1],
+                                     D[1] * lift[0] + D[2] * lift[1])).ravel()
+            value = float(weights @ np.hypot(g[0::2], g[1::2]))
             if value < best_value:
                 best_value, best_g = value, g
             lower = max(lower, _slope_lower_bound(mesh, AT, b, y))
@@ -428,7 +435,7 @@ def beckmann_field(mesh, molecule, params=None):
         "gap": best_value - lower,
         "certified": certified,
     }
-    return best_value, best_g.reshape(2, F).T.copy(), diagnostics
+    return best_value, best_g.reshape(F, 2), diagnostics
 
 
 def check_field_bracket(diagnostics):
@@ -480,7 +487,8 @@ def free_norm(mesh, molecule, method="all", field_params=None):
     """Run the requested solvers and assemble a :class:`FreeNormReport`.
 
     ``method`` is one of dual, graph, field, all ("all" runs the field
-    solver only on surfaces). The duality gap is primal_graph - dual.
+    solver first, so its preconditions fail before a graph route runs,
+    and only on surfaces). The duality gap is primal_graph - dual.
     An unknown method is a :class:`ParseError`. :class:`SolverFailure`
     is raised when a graph route fails its certificate, when the dual
     and graph routes both run and their gap exceeds
@@ -492,24 +500,22 @@ def free_norm(mesh, molecule, method="all", field_params=None):
     if method not in ("dual", "graph", "field", "all"):
         raise ParseError(f"unknown method {method!r}")
     molecule = canonicalize(molecule, mesh.base_vertex)
-    run_field = method == "field" or (method == "all" and mesh.dimension == 2)
-    if run_field and method == "all":
-        # fail on the field route's preconditions before the graph routes run
-        _check_vertices(mesh, molecule)
-        check_field_support(mesh)
     report = FreeNormReport()
     report.diagnostics["atoms"] = len(molecule.atoms)
     report.diagnostics["flow_non_unique"] = True  # witnesses are one optimum
 
+    if method == "field" or (method == "all" and mesh.dimension == 2):
+        value, g, diag = beckmann_field(mesh, molecule, params=field_params)
+        check_field_bracket(diag)
+        report.primal_field_value = value
+        report.optimal_field = g
+        report.diagnostics["field"] = diag
     if method in ("dual", "all"):
-        value, potential = dual_lp(mesh, molecule)
-        report.dual_value = value
-        report.optimal_potential = potential
+        report.dual_value, report.optimal_potential = dual_lp(mesh, molecule)
     dual = report.dual_value
     if method in ("graph", "all"):
-        value, flow = beckmann_graph(mesh, molecule)
-        report.primal_graph_value = value
-        report.optimal_flow = flow
+        graph = beckmann_graph(mesh, molecule)
+        report.primal_graph_value, report.optimal_flow = graph
     if dual is not None and report.primal_graph_value is not None:
         gap = report.duality_gap = report.primal_graph_value - dual
         if abs(gap) > AGREEMENT_TOL * max(1.0, abs(dual)):
@@ -518,12 +524,6 @@ def free_norm(mesh, molecule, method="all", field_params=None):
                 f"{AGREEMENT_TOL} of the dual value {dual!r}",
                 diagnostics={"duality_gap": gap, "dual_value": dual},
             )
-    if run_field:
-        value, g, diag = beckmann_field(mesh, molecule, params=field_params)
-        check_field_bracket(diag)
-        report.primal_field_value = value
-        report.optimal_field = g
-        report.diagnostics["field"] = diag
     if dual is not None and report.primal_field_value is not None:
         # a P1 potential with slope at most one on every face is edgewise
         # 1-Lipschitz, so no field lower bound may exceed the graph norm

@@ -110,6 +110,12 @@ class TestCutoffDecay:
         assert all(row["measured"] == 0.0 for row in report.rows)
         assert all(row["bound"] == 0.0 for row in report.rows)
 
+    def test_no_scales_is_invalid(self, strip, strip_field):
+        # used to pass with zero rows; the CLI rejects empty ks first
+        dist, g = strip_field
+        with pytest.raises(InvalidParams):
+            cutoff_decay(strip, g, dist, ks=[])
+
     def test_requires_divergence_free(self, strip):
         dist = geodesic_distances(strip, strip.base_vertex)
         g = np.ones((len(strip.triangles), 2))
@@ -179,6 +185,7 @@ class TestExtension:
             ("poincare_disk_patch", {"n_angular": 24, "n_radial": 6}, 0, 0.5, 9,
              "1dd50ccc6fe742b63708f877b57dc953bf310166644cfa338a996c285a615205"),
         ],
+        ids=["flat_rect", "icosphere", "poincare_disk_patch"],
     )
     def test_tangential_field_is_pinned(self, kind, params, source, radius, seed, pin):
         # sha256 of the field bytes, so any change to the rotated gradient,
@@ -281,6 +288,11 @@ class TestRefinementStudy:
         assert report.passed
         for row in report.rows:
             assert abs(row["gap"]) <= 1e-6 * max(1.0, abs(row["dual"]))
+
+    def test_no_levels_is_invalid(self):
+        # used to pass with zero rows; the CLI rejects empty levels first
+        with pytest.raises(InvalidParams):
+            refinement_study("flat_rect", [], [((0.2, 0.2), 1.0)])
 
     def test_torus_compact_case(self):
         atoms = [((0.2, 0.2), 1.0), ((0.7, 0.6), -1.0)]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -788,6 +789,54 @@ class TestBeckmannField:
             free_norm(mesh, Molecule(((3, 1.0),)))
         assert type(info.value) is MeshError
         assert "needs every vertex on a face" in str(info.value)
+
+    def test_one_support_check_per_solve(self, monkeypatch, flat4):
+        # --method all checks the faces once, where the Newton matrix is
+        # factored, and not again before the graph routes
+        calls = []
+        check = calculus.check_field_support
+
+        def counted(mesh):
+            calls.append(mesh)
+            return check(mesh)
+
+        monkeypatch.setattr(calculus, "check_field_support", counted)
+        if hasattr(freenorm, "check_field_support"):
+            monkeypatch.setattr(freenorm, "check_field_support", counted)
+        report = free_norm(flat4, Molecule(((7, 1.0), (19, -2.0))), method="all")
+        assert report.diagnostics["field"]["certified"]
+        assert calls == [flat4]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"max_iter": 0}, "field max_iter must be >= 1, got 0"),
+            ({"max_iter": -1}, "field max_iter must be >= 1, got -1"),
+            ({"tol": 0.0}, "field tol must be finite and positive, got 0.0"),
+            ({"tol": math.nan}, "field tol must be finite and positive, got nan"),
+            ({"tol": math.inf}, "field tol must be finite and positive, got inf"),
+            # each used to construct, or fail with a raw TypeError
+            ({"max_iter": 2.5}, "field max_iter is not an integer: 2.5"),
+            ({"max_iter": math.inf}, "field max_iter is not an integer: inf"),
+            ({"max_iter": "5"}, "field max_iter is not an integer: '5'"),
+            ({"max_iter": True}, "field max_iter is not an integer: True"),
+            ({"tol": "x"}, "field tol must be finite and positive, got x"),
+            ({"tol": None}, "field tol must be finite and positive, got None"),
+        ],
+        ids=["zero", "negative", "tol_zero", "tol_nan", "tol_inf", "fraction",
+             "infinite", "string", "bool", "tol_string", "tol_none"],
+    )
+    def test_field_params_are_checked(self, params, message):
+        with pytest.raises(ParseError) as info:
+            FieldSolveParams(**params)
+        assert str(info.value) == message
+
+    def test_checked_params_are_kept(self):
+        # numpy scalars pass the checks, and no later assignment skips them
+        params = FieldSolveParams(max_iter=np.int64(3), tol=np.float32(1e-3))
+        assert params.max_iter == 3 and params.tol == np.float32(1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.max_iter = 2.5
 
     def test_pinched_icospheres_solve(self, ico1):
         mesh = two_icospheres(ico1, pinched=True)

@@ -25,14 +25,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
-from .errors import MeshError, ParseError
+from .errors import MeshError, ParseError, SolverFailure
 
 # float64 entries per row block of the pairwise Lipschitz ratio (2 MB each)
 _PAIRWISE_BLOCK_ELEMENTS = 1 << 18
+# float64 entries (8 MB) the normal matrix's band may take at any width
+_BAND_FLOOR_ENTRIES = 1 << 20
 
 
 def _as_scalar(mesh, f):
@@ -141,20 +143,6 @@ def check_field_support(mesh):
         )
 
 
-def _pinned_solver(mesh, lu, vertices):
-    """The solve of a factored normal matrix whose row and column i
-    belong to vertex ``vertices[i]``: every vertex but the base vertex,
-    in the order of the factored matrix."""
-
-    def solve(r):
-        # one gather in and one scatter out; the base vertex returns as a zero
-        y = np.zeros(mesh.vertex_count)
-        y[vertices] = lu.solve(np.asarray(r, dtype=float)[vertices])
-        return y
-
-    return solve
-
-
 def weighted_normal_factorizer(mesh):
     """``factor(blocks)``: the pinned solve of (A D A^T) y = r for
     symmetric positive definite per-cell m x m blocks D, given as an
@@ -162,73 +150,80 @@ def weighted_normal_factorizer(mesh):
     D_00, D_01 and D_11 on faces, D_00 on edges. D = I is the normal
     matrix A A^T, which is how :func:`divergence_normal_solver` solves.
 
-    The cells are checked (:func:`check_field_support`) and the pinned
-    sparsity pattern is computed here, once. Each ``factor`` call sums
-    the corner-pair values a_c^T D a_d of every cell (a_c the cell's
-    entries of A at corner c, from :func:`_cells`) into the pattern and
-    factors the result without pivoting: the matrix is symmetric
-    positive definite, so its diagonal pivots are stable and every
-    factor has the same fill.
-
-    The pattern never changes, so it is ordered once. The first call
-    factors with SuperLU's COLAMD ordering and keeps the column order P
-    it chose. The second call relabels the pattern by P, once, so from
-    then on the sums land in P M P^T directly, and every later factor
-    takes the matrix in its natural order: numeric work only, with the
-    first factor's fill. The solves gather and scatter through P.
+    Once per factorizer, the cells are checked
+    (:func:`check_field_support`), and the vertices but the base vertex
+    are put in the reverse Cuthill-McKee order of the graph joining the
+    corners of each cell (Cuthill & McKee, ACM 1969), so every entry of
+    the pinned matrix lies within kd of the diagonal. Each cell's corner
+    pairs get their slot in the lower band, stored as LAPACK's (kd + 1,
+    n) array. Each ``factor`` call sums the corner-pair values
+    a_c^T D a_d of every cell (a_c the cell's entries of A at corner c,
+    from :func:`_cells`) into the band and factors it by banded
+    Cholesky. The band's memory grows as kd, which stays near sqrt(V)
+    on the package's surfaces; a vertex on many cells (a graph's hub)
+    widens it to O(V), so a band wider than 8 sqrt(V - 1) that also
+    takes more than 8 MB is a :class:`MeshError` before it is
+    allocated. A factor that meets a non-positive pivot is a
+    :class:`SolverFailure` naming it.
     """
     check_field_support(mesh)
     corners, a = _cells(mesh)
     k, n = mesh.base_vertex, mesh.vertex_count - 1
-    # c, d run over a cell's corner pairs; a_c^T D a_d is the sum of
-    # D's upper-triangle entries D_ij times these
-    c, d = np.divmod(np.arange(corners.shape[1] ** 2), corners.shape[1])
+    # c <= d run over a cell's corner pairs, each unordered pair once:
+    # the matrix is symmetric, and the band holds its lower half
+    c, d = np.triu_indices(corners.shape[1])
+    rows, cols = corners[:, c], corners[:, d]
+    keep = (rows != k) & (cols != k)
+    rows, cols = rows[keep] - (rows[keep] > k), cols[keep] - (cols[keep] > k)
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    order = reverse_cuthill_mckee(graph)  # symmetrises the graph itself
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    low, high = np.sort([rank[rows], rank[cols]], axis=0)
+    kd = int(np.max(high - low, initial=0))
+    if kd + 1 > max(8.0 * math.sqrt(n), _BAND_FLOOR_ENTRIES / n):
+        raise MeshError(
+            f"the normal matrix's band is {kd + 1} wide for {n} unknowns, "
+            f"more than 8 sqrt(V - 1) = {8.0 * math.sqrt(n):.1f} and than "
+            f"{_BAND_FLOOR_ENTRIES} entries allow: a vertex is on too many "
+            "cells for a banded factorization"
+        )
+    # entry (i, j), i >= j, of the band order is slot j (kd + 1) + i - j of
+    # the Fortran-ordered band; the base vertex's entries go to a last
+    # slot, which is dropped
+    slots = np.full(keep.shape, n * (kd + 1))
+    slots[keep] = low * (kd + 1) + (high - low)
     products = np.stack([
         a[:, c, i] * a[:, d, j] + a[:, c, j] * a[:, d, i] if i < j
         else a[:, c, i] * a[:, d, i]
         for i, j in zip(*np.triu_indices(a.shape[2]))
     ])
-    # entry (c, d) of a cell's block lands at (corners[c], corners[d]),
-    # renumbered around the base vertex; entries in the base vertex's
-    # row or column go to a last slot, which is dropped (the base vertex
-    # is on a cell, so that slot exists)
-    rows, cols = corners[:, c], corners[:, d]
-    keep = (rows != k) & (cols != k)
-    rows, cols = rows - (rows > k), cols - (cols > k)
-
-    def pattern(keys):
-        # the slot of each key j * n + i, and the CSC row indices and
-        # column pointers of the kept ones; the last key is n * n
-        keys, slots = np.unique(keys, return_inverse=True)
-        kept = keys[:-1]
-        return slots.ravel(), kept % n, np.searchsorted(kept // n, np.arange(n + 1))
-
-    def relabel(order):
-        # entry (i, j) moves to (order[i], order[j]), the dropped slot
-        # stays last; the temporaries go when this returns
-        columns = np.repeat(np.arange(n), np.diff(indptr))
-        rank, *csc = pattern(np.append(order[columns] * n + order[indices], n * n))
-        return rank[slots], *csc
-
-    slots, indices, indptr = pattern(np.where(keep, cols * n + rows, n * n))
-    vertices = np.delete(np.arange(mesh.vertex_count), k)  # all but the base vertex
-    spec, order = "COLAMD", None
+    vertices = np.delete(np.arange(mesh.vertex_count), k)[order]
 
     def factor(blocks):
-        nonlocal slots, indices, indptr, vertices, spec, order
-        if order is not None:
-            # the second call, after the caller dropped the first factor
-            slots, indices, indptr = relabel(order)
-            vertices = vertices[np.argsort(order)]
-            spec, order = "NATURAL", None
         values = np.einsum("kf,kfc->fc", blocks, products)
-        data = np.bincount(slots, values.ravel())[:-1]
-        matrix = csc_matrix((data, indices, indptr), shape=(n, n))
-        lu = splu(matrix, permc_spec=spec, diag_pivot_thresh=0.0)
-        if spec == "COLAMD":
-            # a copy in int64: perm_c is a view that keeps the factor alive
-            order = lu.perm_c.astype(np.int64)
-        return _pinned_solver(mesh, lu, vertices)
+        band = np.bincount(slots.ravel(), values.ravel(), n * (kd + 1) + 1)
+        band = band[:-1].reshape(n, kd + 1).T
+        try:
+            lower = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+        except LinAlgError as exc:
+            pivot = int(str(exc).partition("-th")[0])
+            vertex = int(vertices[pivot - 1])
+            raise SolverFailure(
+                f"the normal matrix is not positive definite: pivot {pivot} "
+                f"(vertex {vertex}) is not positive",
+                diagnostics={"pivot": pivot, "vertex": vertex},
+            ) from None
+
+        def solve(r):
+            # one gather in and one scatter out; the base vertex returns as a zero
+            y = np.zeros(mesh.vertex_count)
+            rhs = np.asarray(r, dtype=float)[vertices]
+            y[vertices] = cho_solve_banded((lower, True), rhs, overwrite_b=True,
+                                           check_finite=False)
+            return y
+
+        return solve
 
     return factor
 

@@ -308,7 +308,10 @@ def _slope_lower_bound(mesh, AT, b, y):
     """
     slopes = np.hypot(*(AT @ y).reshape(-1, 2).T) / mesh.cell_weights
     steepest = float(np.max(slopes))
-    return abs(float(b @ y)) / steepest if steepest > 0.0 else 0.0
+    # elementwise sums here and in beckmann_field: a BLAS dot of this
+    # length wakes numpy's thread pool, which then contends with the
+    # factorization's LAPACK threads
+    return abs(float(np.sum(b * y))) / steepest if steepest > 0.0 else 0.0
 
 
 def beckmann_field(mesh, molecule, params=None):
@@ -331,7 +334,8 @@ def beckmann_field(mesh, molecule, params=None):
     g + D A^T (A D A^T)^-1 (b - A g), so its value is an upper bound,
     and :func:`_slope_lower_bound` of y is a lower bound. The solve
     stops once upper - lower is at most ``params.tol * max(1, upper)``,
-    after ``params.max_iter`` steps, or at a step that cannot move; it
+    after ``params.max_iter`` steps, or at a step that cannot move (a
+    non-finite scaling, a factor with a non-positive pivot, no step); it
     returns the best projected field with the bracket in its
     diagnostics, and ``certified`` says whether the bracket closed.
 
@@ -376,7 +380,10 @@ def beckmann_field(mesh, molecule, params=None):
             if not np.isfinite(D).all():
                 break
             solve = None  # one factor alive at a time
-            solve = factor(D)
+            try:
+                solve = factor(D)
+            except SolverFailure:  # a pivot lost to roundoff: the same stop
+                break
             r_p = b - A @ x[1:].T.ravel()
 
             def newton(r_c):
@@ -404,7 +411,7 @@ def beckmann_field(mesh, molecule, params=None):
             lift = (AT @ solve(b - A @ g)).reshape(F, 2).T
             g = g + np.column_stack((D[0] * lift[0] + D[1] * lift[1],
                                      D[1] * lift[0] + D[2] * lift[1])).ravel()
-            value = float(weights @ np.hypot(g[0::2], g[1::2]))
+            value = float(np.sum(weights * np.hypot(g[0::2], g[1::2])))
             if value < best_value:
                 best_value, best_g = value, g
             lower = max(lower, _slope_lower_bound(mesh, AT, b, y))

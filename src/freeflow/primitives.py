@@ -120,32 +120,30 @@ def _icosphere(level=0, base_vertex=0):
     if level < 0:
         raise InvalidParams(f"level must be >= 0, got {level}")
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
+    pos = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    verts = [np.array(v) / np.linalg.norm(v) for v in verts]
-    faces = list(_ICOSA_FACES)
+    ])
+    pos = pos / np.sqrt(_squares(pos))[:, None]
+    faces = np.array(_ICOSA_FACES)
 
     for _ in range(level):
-        midpoint = {}
+        # each face's edges ab, bc, ca in turn; an edge's midpoint is
+        # numbered in the order the edges first appear
+        pairs = _face_edge_pairs(faces)
+        keys = np.sort(pairs, axis=1) @ np.array([len(pos), 1])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ab, bc, ca = (len(pos) + rank[inverse]).reshape(-1, 3).T
+        ends = pairs[np.sort(first)]
+        p = pos[ends[:, 0]] + pos[ends[:, 1]]
+        pos = np.concatenate([pos, p / np.sqrt(_squares(p))[:, None]])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = verts[a] + verts[b]
-                verts.append(p / np.linalg.norm(p))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-
-    return _metric_mesh(faces, np.array(verts), _euclidean, base_vertex)
+    return _metric_mesh(faces, pos, _euclidean, base_vertex)
 
 
 def _squares(x):

@@ -4,11 +4,13 @@ import importlib
 import inspect
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import factorized, splu
 
 import freeflow
 from freeflow import calculus
@@ -23,7 +25,7 @@ from freeflow.calculus import (
     lip_constant,
     pairing,
 )
-from freeflow.errors import ParseError
+from freeflow.errors import MeshError, ParseError, SolverFailure
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
@@ -160,9 +162,9 @@ class TestDivergence:
     @pytest.mark.parametrize(
         "base, pin",
         [
-            (0, "31be98bfc0f6e98250e1381cbf699610cc8bdc1854b2e03eb0d1ea4029d37264"),
-            (43, "c7aad1d38e49b1d98b3dd11140133cb4bb29c2f0bb504bb91c3e6ebfa31fc925"),
-            (79, "1f9fcb1031b1cde36dac80aaf2ea02d922cff2aba8323808b218f875d2f5dc29"),
+            (0, "456de1eb06121afb78e8efb4d7e82c8e1e5a3f0cfebbe0a85bd33f54af8472c6"),
+            (43, "e1197d5dd5b22b439f619fcc34b5462c3baf100f082138c40bcf90e836864573"),
+            (79, "1f8a74d091cc459b4938d530a10efd13aae08df92d166646d0042be3a5645a79"),
         ],
         ids=["first", "middle", "last"],
     )
@@ -179,25 +181,68 @@ class TestDivergence:
 
     def test_calculus_is_the_one_factorization_site(self):
         # every sparse factorization in the package is made in calculus,
-        # by one splu call: the pinned A D A^T of
+        # by one cholesky_banded call: the pinned A D A^T of
         # weighted_normal_factorizer, whose D = I is the normal solver
         names = [info.name for info in pkgutil.iter_modules(freeflow.__path__, "freeflow.")]
         modules = [freeflow, *map(importlib.import_module, names)]
-        binders = [m.__name__ for m in modules if splu in vars(m).values()]
+        factorizers = (cholesky_banded, splu, factorized)
+        binders = [
+            m.__name__ for m in modules
+            if any(f in vars(m).values() for f in factorizers)
+        ]
         assert binders == ["freeflow.calculus"]
         tree = ast.parse(inspect.getsource(calculus))
         calls = [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "splu"
+            getattr(node.func, "id", None) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("cholesky_banded", "splu", "factorized")
         ]
-        assert len(calls) == 1
+        assert calls == ["cholesky_banded"]
+
+    def test_hub_vertex_band_is_a_mesh_error(self):
+        # a star pinned at a leaf: its hub joins every other vertex, so
+        # the band order leaves it kd = 1998 from a leaf, of 2000 unknowns;
+        # the width is checked before its 32 MB band is allocated
+        leaves = 2000
+        edges = [(0, leaf) for leaf in range(1, leaves + 1)]
+        star = TriMesh([], edges, np.ones(leaves), base_vertex=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MeshError, match="band is 1999 wide for 2000 unknowns"):
+                calculus.weighted_normal_factorizer(star)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_small_hub_band_is_factored(self):
+        # a wheel of 200 spokes pinned at a rim vertex: its band is as wide
+        # as the matrix, but at 200 x 200 it is small enough to factor
+        mesh = generate_primitive("poincare_disk_patch", n_angular=200, n_radial=1,
+                                  base_vertex=1)
+        r = np.random.default_rng(23).standard_normal(mesh.vertex_count)
+        r -= r.mean()
+        y = divergence_normal_solver(mesh)(r)
+        expected = dense_pinned_normal_solve(mesh, r)
+        assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_non_positive_pivot_is_a_solver_failure(self, annulus):
+        # D = -I makes the pinned matrix negative definite: the first
+        # pivot of the band order fails, and the error names its vertex
+        F = len(annulus.triangles)
+        factor = calculus.weighted_normal_factorizer(annulus)
+        with pytest.raises(SolverFailure, match="pivot 1 ") as info:
+            factor(-np.stack([np.ones(F), np.zeros(F), np.ones(F)]))
+        vertex = info.value.diagnostics["vertex"]
+        assert info.value.diagnostics["pivot"] == 1
+        assert 0 <= vertex < annulus.vertex_count and vertex != annulus.base_vertex
 
     @pytest.mark.parametrize("base", [0, 43, 79])
     def test_weighted_normal_matrix_solves(self, base):
         # random symmetric positive definite blocks D: the pinned solve
         # meets A D A^T y = r at every vertex, one factorizer's later
-        # factors (in the first one's order) match a fresh factorizer's
-        # first, and D = I matches a dense solve of the pinned A A^T
+        # factors match a fresh factorizer's first, and D = I matches a
+        # dense solve of the pinned A A^T
         mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
         rng = np.random.default_rng(5)
         r = rng.standard_normal(mesh.vertex_count)

@@ -179,11 +179,11 @@ class TestExtension:
         [
             # the subset and seed of acceptance criterion 7
             ("flat_rect", {"nx": 20}, None, None, 107,
-             "484280796e0c1c7bb2df6de01bc63d4d3b6048e8b7d65d02a7e84bf4fd6c39b3"),
+             "d9df4c72e3a568c2349ec158189415ac9ea068af49388449c756a1851e902752"),
             ("icosphere", {"level": 3}, 0, 0.6, 7,
-             "22bbfdd29d07e2ffcf3cf3525e138a8deea96c04ff023de34e74cc4213e2cb3f"),
+             "dab42a4660b98f46f46f358174f20986c344a3bc11131a9863bd37afab97d442"),
             ("poincare_disk_patch", {"n_angular": 24, "n_radial": 6}, 0, 0.5, 9,
-             "1dd50ccc6fe742b63708f877b57dc953bf310166644cfa338a996c285a615205"),
+             "c8cea56f7a55b59f5528996b452663bc0ca326d03d44bb349cd549ec28165317"),
         ],
         ids=["flat_rect", "icosphere", "poincare_disk_patch"],
     )

@@ -23,6 +23,7 @@ from freeflow.freenorm import (
     beckmann_field,
     beckmann_graph,
     canonicalize,
+    check_field_bracket,
     dual_lp,
     free_norm,
     molecule_vector,
@@ -861,11 +862,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "8a6bd7f86267ff3f67b76bcb6db011245984b8c7b6103a0d12176c7356d642a5"),
-                ("ico1", "a884c8fa3411dcf7ff62cbe5eb638ff0c59aae320cb7be19d21cab76db05e7f6"),
-                ("annulus", "dd4f89c1dfc992f7a527d0f38bf436a09b2df4dbf1084adae347dd2bb9c117b5"),
-                ("torus", "c40ff0c414bddcdd04fc5a28c2352dbe4da8e630170d701d55425645eb14dc66"),
-                ("poincare", "66e3afdbb7e0905602fd9d3049a80ec0fe5326be6b386d2b3db0f632c84e9e3b"),
+                ("flat4", "d45ded9a398d79759b09fda97d827c0d4e75cd3d51db13e434d4b3f1b71db20e"),
+                ("ico1", "a9f38334c26a18b9d1a97baf8f278ab925665dff237c7df084f688554d71ba99"),
+                ("annulus", "dd6790f12f661bf6e278cf6c851df71f38771de4f85814871753c802608f6cb1"),
+                ("torus", "92166255135340db15a414f6cd92c48fb1276ebe83b3a22150d0b88f7857ba43"),
+                ("poincare", "e9546affcca5b36d52fec7f7bac38d4f96cc97a67ab2061081d42e618cdcf7db"),
             )
         ],
     )
@@ -887,24 +888,52 @@ class TestBeckmannField:
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "3515c166b0128693cd664e203050b45c3fa68421dd8374c9470e276a6cf59583"
+            "b8eca393a6b2a565ea10dcbdcdcb5a4dbe1c68e80da72094ee3f695a86cfd3d5"
         )
 
     def test_newton_matrix_is_ordered_once(self, monkeypatch):
-        # the ladder dipole's 18 Newton steps make 18 factors: the first
-        # chooses the fill-reducing order, the other 17 reuse it
-        specs = []
-        splu = calculus.splu
+        # the ladder dipole's 18 Newton steps make 18 factors, all in the
+        # one band order computed when the solve starts
+        calls = []
 
-        def recording_splu(matrix, **options):
-            specs.append(options.get("permc_spec"))
-            return splu(matrix, **options)
+        def recording(name, function):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            monkeypatch.setattr(calculus, name, record)
 
-        monkeypatch.setattr(calculus, "splu", recording_splu)
+        recording("reverse_cuthill_mckee", calculus.reverse_cuthill_mckee)
+        recording("cholesky_banded", calculus.cholesky_banded)
         mesh = generate_primitive("flat_rect", nx=16)
         _, _, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
-        assert specs == ["COLAMD"] + ["NATURAL"] * 17
+        assert calls == ["reverse_cuthill_mckee"] + ["cholesky_banded"] * 18
+
+    def test_failed_factor_stops_with_the_best_iterate(self, monkeypatch):
+        # a non-positive pivot at the third step ends the solve like a
+        # non-finite scaling does: the best of the first two projected
+        # fields comes back with its bracket, and no LinAlgError escapes
+        factor, calls = calculus.cholesky_banded, []
+
+        def failing(band, **options):
+            calls.append(len(calls) + 1)
+            if len(calls) == 3:
+                raise calculus.LinAlgError("5-th leading minor not positive definite")
+            return factor(band, **options)
+
+        mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
+        mu = random_molecule(mesh, np.random.default_rng(41))
+        two = beckmann_field(mesh, mu, FieldSolveParams(max_iter=2))
+        monkeypatch.setattr(calculus, "cholesky_banded", failing)
+        value, g, diag = beckmann_field(mesh, mu)
+        assert calls == [1, 2, 3]
+        assert diag["iterations"] == 3
+        assert diag["certified"] is False
+        assert 0.0 < diag["lower"] < diag["upper"] == value
+        assert value == two[0]
+        assert g.tobytes() == two[1].tobytes()
+        with pytest.raises(NotConverged):
+            check_field_bracket(diag)
 
     def test_inner_base_vertex_iterates_are_pinned(self):
         # the base vertex neither first nor last, so the pinned solve moves
@@ -916,7 +945,7 @@ class TestBeckmannField:
         assert diag["iterations"] == 14
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "448c317f91afb9b2477462d8ecd01fb346419c7913d7266c7d3ff5b1ee35d104"
+            "e20945c72c64be470cdbe2b2f9a2519ffd3c857264a1f5cb09d7f445e64cce66"
         )
 
     def test_open_bracket_raises(self):

@@ -505,6 +505,24 @@ class TestCli:
         report = json.loads(r1.read_text())
         assert abs(report["duality_gap"]) <= 1e-6
 
+    def test_field_report_is_byte_identical_across_processes(self, tmp_path):
+        # icosphere L4's band (kd = 82) is wide enough for LAPACK's blocked,
+        # threaded factorization; two fresh processes must write the same bytes
+        mesh_path = tmp_path / "m.json"
+        main(["gen-mesh", "--kind", "icosphere", "--level", "4", "--out", str(mesh_path)])
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[7, 1.0], [1900, -2.0], [2400, 0.5]]}))
+        src = str(Path(freeflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        reports = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out in reports:
+            argv = ["free-norm", "--mesh", str(mesh_path), "--molecule", str(mu_path),
+                    "--method", "field", "--out", str(out)]
+            code = f"import sys; from freeflow.cli import main; sys.exit(main({argv!r}))"
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert json.loads(reports[0].read_text())["diagnostics"]["field"]["certified"]
+
     def test_non_finite_atom_error_envelope(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.json"
         main(["gen-mesh", "--kind", "flat_rect", "--nx", "4", "--out",

@@ -331,6 +331,23 @@ class TestPrimitives:
     def test_mesh_hash_is_pinned(self, kind, params, expected):
         assert mesh_hash(generate_primitive(kind, **params)) == expected
 
+    @pytest.mark.parametrize(
+        "level, pin",
+        [
+            (0, "3f6ec7876f56ccbece06554b7c2120a919355509f06ee269734cdc8c30213d23"),
+            (1, "f4843f7b2ee830a171a93b99c8dc474a22050c7804515849790120534b896e6d"),
+            (2, "83669526ebbcdda9fe6c725ba089b2581b5e158b8a8fa7e6e68089305db543fe"),
+            (3, "07de5b711ababcfc80d7b23859be8566006a5119235bbcb2e2b6b5ff2f273d2e"),
+            (4, "dd89e5b41f7195feec49b5d368ca01ce8286622f3abbd44418ead4dc812863c1"),
+        ],
+    )
+    def test_icosphere_array_bytes_are_pinned(self, level, pin):
+        # sha256 of the triangles, positions and edge lengths, so the
+        # subdivision's midpoint numbering and every rounding must repeat
+        m = generate_primitive("icosphere", level=level)
+        payload = m.triangles.tobytes() + m.aux["positions"].tobytes()
+        assert hashlib.sha256(payload + m.edge_lengths.tobytes()).hexdigest() == pin
+
     def test_flat_rect_counts(self):
         m = generate_primitive("flat_rect", nx=2)
         assert len(m.triangles) == 8

@@ -152,11 +152,11 @@ def weighted_normal_factorizer(mesh):
 
     Once per factorizer, the cells are checked
     (:func:`check_field_support`), and the vertices but the base vertex
-    are put in the reverse Cuthill-McKee order of the graph joining the
-    corners of each cell (Cuthill & McKee, ACM 1969), so every entry of
-    the pinned matrix lies within kd of the diagonal. Each cell's corner
-    pairs get their slot in the lower band, stored as LAPACK's (kd + 1,
-    n) array. Each ``factor`` call sums the corner-pair values
+    are put in the reverse Cuthill-McKee order of the edge graph
+    ``mesh.adjacency`` (Cuthill & McKee, ACM 1969). Each cell's corner
+    pairs get their slot in the lower band, LAPACK's (kd + 1, n) array,
+    kd the widest pair: an edge on no face moves only the order. Each
+    ``factor`` call sums the corner-pair values
     a_c^T D a_d of every cell (a_c the cell's entries of A at corner c,
     from :func:`_cells`) into the band and factors it by banded
     Cholesky. The band's memory grows as kd, which stays near sqrt(V)
@@ -175,8 +175,8 @@ def weighted_normal_factorizer(mesh):
     rows, cols = corners[:, c], corners[:, d]
     keep = (rows != k) & (cols != k)
     rows, cols = rows[keep] - (rows[keep] > k), cols[keep] - (cols[keep] > k)
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    order = reverse_cuthill_mckee(graph)  # symmetrises the graph itself
+    others = np.delete(np.arange(mesh.vertex_count), k)
+    order = reverse_cuthill_mckee(mesh.adjacency[others][:, others], symmetric_mode=True)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     low, high = np.sort([rank[rows], rank[cols]], axis=0)
@@ -198,7 +198,7 @@ def weighted_normal_factorizer(mesh):
         else a[:, c, i] * a[:, d, i]
         for i, j in zip(*np.triu_indices(a.shape[2]))
     ])
-    vertices = np.delete(np.arange(mesh.vertex_count), k)[order]
+    vertices = others[order]
 
     def factor(blocks):
         values = np.einsum("kf,kfc->fc", blocks, products)

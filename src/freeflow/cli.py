@@ -111,8 +111,8 @@ def _build_parser():
         type=int,
         default=FieldSolveParams.max_iter,
         help="cap on the field solver's interior-point Newton steps, each one "
-        "sparse factorization; certified 50-atom solves on flat_rect nx16-128 "
-        "and icosphere L3-L5 took at most 36",
+        "sparse factorization (default %(default)s); certified 50-atom solves on "
+        "flat_rect nx16-128 and icosphere L3-L5 took at most 36",
     )
     p.add_argument(
         "--field-tol",

@@ -193,9 +193,9 @@ def transport_oracle(mesh, molecule):
 @dataclass(frozen=True)  # checked once, when made
 class FieldSolveParams:
     # caps the interior-point method's Newton steps, each one sparse
-    # factorization; certified 50-atom solves on flat_rect nx16-128 and
-    # icosphere L3-L5 took 12 to 36
-    max_iter: int = 5000
+    # factorization; certified dipole, 6- and 50-atom solves on
+    # flat_rect nx16-128 and icosphere L3-L5 took 9 to 36
+    max_iter: int = 200
     # bounds the divergence residual max |A g - b| of the returned field,
     # relative to max(1, max |b|), and the certified gap upper - lower,
     # relative to max(1, upper)
@@ -223,8 +223,8 @@ def _reflect(u):
 
 
 def _dot(u, v):
-    """Per-face inner products of (k, F) arrays."""
-    return np.einsum("if,if->f", u, v)
+    """Per-face inner products of (k, ...) arrays, over their first axis."""
+    return np.einsum("i...,i...->...", u, v)
 
 
 def _lorentz_norms(u):
@@ -234,8 +234,8 @@ def _lorentz_norms(u):
 
 
 def _nt_scaling(x, s):
-    """Nesterov-Todd scaling W = beta (2 v v^T - J) of primal x and dual
-    s inside the cones, returned as ``(beta, v)``: W s = W^-1 x.
+    """Nesterov-Todd scaling of primal x and dual s inside the cones: the
+    per-face W = beta (2 v v^T - J) as one (3, 3, F) array, W s = W^-1 x.
 
     As in CVXOPT: with x and s normalized to unit Lorentz norm,
     w = (x + J s) / (2 gamma), gamma = sqrt((1 + x.s) / 2), has
@@ -248,27 +248,13 @@ def _nt_scaling(x, s):
     v = (xb + _reflect(sb)) / (2.0 * gamma)
     v[0] += 1.0
     v /= np.sqrt(2.0 * v[0])
-    return np.sqrt(xn / sn), v
+    J = np.diag([1.0, -1.0, -1.0])[:, :, None]
+    return np.sqrt(xn / sn) * (2.0 * v[:, None] * v - J)
 
 
-def _scale(beta, v, u):
-    """W u = beta (2 v (v.u) - J u)."""
-    return beta * (2.0 * v * _dot(v, u) - _reflect(u))
-
-
-def _unscale(beta, v, u):
-    """W^-1 u = (2 J v (J v.u) - J u) / beta, the inverse since v^T J v = 1."""
-    jv = _reflect(v)
-    return (2.0 * jv * _dot(jv, u) - _reflect(u)) / beta
-
-
-def _normal_blocks(beta, v):
-    """The lower 2 x 2 blocks of W^2, beta^2 (I + 4 (1 + |v|^2) v_bar
-    v_bar^T), as the (3, F) rows D_00, D_01 and D_11."""
-    kappa = 4.0 * (1.0 + _dot(v, v))
-    return beta**2 * np.array(
-        [1.0 + kappa * v[1] ** 2, kappa * v[1] * v[2], 1.0 + kappa * v[2] ** 2]
-    )
+def _apply(W, u):
+    """W u per face, for (3, 3, F) W and (3, F) u."""
+    return np.einsum("ijf,jf->if", W, u)
 
 
 def _jordan(u, v):
@@ -283,7 +269,8 @@ def _jordan_divide(lam, r):
 
 
 def _max_step(u, d):
-    """Largest alpha with every u_T + alpha d_T in its cone, u inside.
+    """Largest alpha with every u_T + alpha d_T in its cone, u inside;
+    d may hold several directions per face, as a (3, k, F) array.
 
     The Lorentz boost taking u_T / |u_T|_J to e maps d_T / |u_T|_J to
     p, and e + alpha p stays in the cone while alpha (|p_bar| - p_0) <= 1.
@@ -327,11 +314,16 @@ def beckmann_field(mesh, molecule, params=None):
     ``mesh.field_shape``: column 2T + i of A is g_i on face T.
 
     The start is x_T = (|b|_1 / sum w, 0, 0), s_T = (w_T, 0, 0), y = 0:
-    dual feasible, primal infeasible. Each Newton step eliminates the
-    per-face cones and factors one pinned V x V matrix A D A^T, D_T the
-    lower 2 x 2 block of W_T^2, which it solves twice. After the step,
+    dual feasible, primal infeasible. Each Newton step makes one
+    per-face scaling W (:func:`_nt_scaling`), eliminates the cones and
+    factors one pinned V x V matrix A D A^T, D_T the lower 2 x 2 block
+    of W_T^2, which it solves twice. As in CVXOPT (Vandenberghe, 2010),
+    the directions are kept scaled, W^-1 dx and W ds at lam = W s: the
+    Mehrotra cross term is their Jordan product, one cone search at lam
+    gives both step lengths, and W^-1 is never applied. After the step,
     the field is projected onto A g = b with the same factor,
-    g + D A^T (A D A^T)^-1 (b - A g), so its value is an upper bound,
+    g + D A^T (A D A^T)^-1 (b - A g), D A^T z being the g rows of
+    W^2 (0, A^T z), so its value is an upper bound,
     and :func:`_slope_lower_bound` of y is a lower bound. The solve
     stops once upper - lower is at most ``params.tol * max(1, upper)``,
     after ``params.max_iter`` steps, or at a step that cannot move (a
@@ -370,13 +362,18 @@ def beckmann_field(mesh, molecule, params=None):
     best_value, best_g, lower = math.inf, None, 0.0
     certified = False
 
+    def rows(z):  # the cone rows (0, A^T z) of a vertex vector z
+        u = np.zeros((3, F))
+        u[1:] = (AT @ z).reshape(F, 2).T
+        return u
+
     # past the attainable accuracy, roundoff puts iterates on or across
     # the cone boundaries, and the scaling or the step turns NaN: the stop
     with np.errstate(invalid="ignore", divide="ignore"):
         for it in range(1, params.max_iter + 1):
-            beta, v = _nt_scaling(x, s)
-            lam = _scale(beta, v, s)
-            D = _normal_blocks(beta, v)
+            W = _nt_scaling(x, s)
+            # the lower 2 x 2 block of W W, as its rows D_00, D_01, D_11
+            D = np.einsum("ijf,jkf->ikf", W[1:], W[:, 1:])[(0, 0, 1), (0, 1, 1)]
             if not np.isfinite(D).all():
                 break
             solve = None  # one factor alive at a time
@@ -384,36 +381,38 @@ def beckmann_field(mesh, molecule, params=None):
                 solve = factor(D)
             except SolverFailure:  # a pivot lost to roundoff: the same stop
                 break
+            lam = _apply(W, s)
             r_p = b - A @ x[1:].T.ravel()
 
             def newton(r_c):
-                # W^-1 dx + W ds = lam \ r_c, A dx_g = r_p, ds = -(0, A^T dy)
+                # W^-1 dx + W ds = lam \ r_c, A dx_g = r_p, ds = -(0, A^T dy);
+                # returns the scaled W^-1 dx and W ds as d[:, 0] and d[:, 1],
+                # then ds and dy
                 q = _jordan_divide(lam, r_c)
-                dy = solve(r_p - A @ _scale(beta, v, q)[1:].T.ravel())
-                ds = np.zeros((3, F))
-                ds[1:] = -(AT @ dy).reshape(F, 2).T
-                return _scale(beta, v, q - _scale(beta, v, ds)), ds, dy
+                dy = solve(r_p - A @ _apply(W, q)[1:].T.ravel())
+                ds = -rows(dy)
+                w_ds = _apply(W, ds)
+                return np.stack((q - w_ds, w_ds), axis=1), ds, dy
 
+            # W maps each cone onto itself: x + alpha dx and s + alpha ds stay
+            # in their cones while lam + alpha W^-1 dx and lam + alpha W ds do
             lam2 = _jordan(lam, lam)
-            dx, ds, dy = newton(-lam2)
-            alpha = np.min([1.0, _max_step(x, dx), _max_step(s, ds)])
+            d, _, _ = newton(-lam2)
+            alpha = np.min([1.0, _max_step(lam, d)])
             sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(lam2[0])) / F
-            cross = _jordan(_unscale(beta, v, dx), _scale(beta, v, ds))
-            dx, ds, dy = newton(sigma_mu * e - lam2 - cross)
-            alpha = np.min([1.0, 0.99 * _max_step(x, dx), 0.99 * _max_step(s, ds)])
+            d, ds, dy = newton(sigma_mu * e - lam2 - _jordan(d[:, 0], d[:, 1]))
+            alpha = np.min([1.0, 0.99 * _max_step(lam, d)])
             if not alpha > 0.0:  # no step, or a NaN
                 break
-            x += alpha * dx
+            x += alpha * _apply(W, d[:, 0])
             s += alpha * ds
             y += alpha * dy
 
-            g = x[1:].T.ravel()
-            lift = (AT @ solve(b - A @ g)).reshape(F, 2).T
-            g = g + np.column_stack((D[0] * lift[0] + D[1] * lift[1],
-                                     D[1] * lift[0] + D[2] * lift[1])).ravel()
-            value = float(np.sum(weights * np.hypot(g[0::2], g[1::2])))
+            # the g rows of W^2 (0, A^T z) are D A^T z
+            p = x + _apply(W, _apply(W, rows(solve(b - A @ x[1:].T.ravel()))))
+            value = float(np.sum(weights * np.hypot(p[1], p[2])))
             if value < best_value:
-                best_value, best_g = value, g
+                best_value, best_g = value, p[1:].T.ravel()
             lower = max(lower, _slope_lower_bound(mesh, AT, b, y))
             certified = best_value - lower <= params.tol * max(1.0, best_value)
             if certified:

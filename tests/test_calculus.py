@@ -151,6 +151,7 @@ class TestDivergence:
             ("circle32", "9c9edcbeec6b39041225c28103cfdb6c1f539fdce3ee9c065e7953a7c01f1403"),
             ("interval10", "470f196d7d79e47b28ef25a25e9db8eecae464fac9609fe31b055702d29ce489"),
         ],
+        ids=["flat4", "ico1", "annulus", "torus", "poincare", "circle32", "interval10"],
     )
     def test_matrix_bytes_are_pinned(self, request, fixture, pin):
         # sha256 of the CSR arrays, so any change to the assembly's
@@ -188,7 +189,9 @@ class TestDivergence:
         factorizers = (cholesky_banded, splu, factorized)
         binders = [
             m.__name__ for m in modules
-            if any(f in vars(m).values() for f in factorizers)
+            # by identity: `in` compares with ==, which a module-level
+            # numpy array answers elementwise
+            if any(value is f for value in vars(m).values() for f in factorizers)
         ]
         assert binders == ["freeflow.calculus"]
         tree = ast.parse(inspect.getsource(calculus))
@@ -413,6 +416,7 @@ class TestLipschitzConstant:
             ("annulus", "c4241f5181f4b2c243089a56c8e4ff2ee66c5f1205f634962ab8f8df29f748ca"),
             ("poincare", "6b9e5e6e0c5e5899af0aa5f25841cae348c4b861357f690d9d50c6d470e37036"),
         ],
+        ids=["annulus", "poincare"],
     )
     def test_pairwise_values_are_pinned(self, request, fixture, pin):
         # sums of distance fields have slope 1.5 up to roundoff, so the

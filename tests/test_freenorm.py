@@ -430,6 +430,7 @@ class TestBeckmannGraph:
                 "3a3bc49c3f400639e08cddb37d977206f8c7080c80371167575f98327e3114e5",
             ),
         ],
+        ids=["flat_rect", "icosphere"],
     )
     def test_multi_block_flows_are_pinned(self, kind, params, seed, pin):
         # 50 atoms on meshes whose pricing wraps 67-86 blocks over
@@ -603,6 +604,7 @@ class TestSuccessiveShortestPaths:
             ("torus", "4bc84157596ad948a706accee3357a99b85e9788b88a93eb421a230aa6eb672b"),
             ("poincare", "8f8c6fe0dda1c0f44827da5a22686c23ec415f4ffb0cf460b228ca88c7d7c03e"),
         ],
+        ids=["flat4", "ico1", "annulus", "torus", "poincare"],
     )
     def test_flows_and_potentials_are_pinned(self, request, fixture, pin):
         # sha256 of the flow and potential bytes of three molecules
@@ -862,11 +864,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "d45ded9a398d79759b09fda97d827c0d4e75cd3d51db13e434d4b3f1b71db20e"),
-                ("ico1", "a9f38334c26a18b9d1a97baf8f278ab925665dff237c7df084f688554d71ba99"),
-                ("annulus", "dd6790f12f661bf6e278cf6c851df71f38771de4f85814871753c802608f6cb1"),
-                ("torus", "92166255135340db15a414f6cd92c48fb1276ebe83b3a22150d0b88f7857ba43"),
-                ("poincare", "e9546affcca5b36d52fec7f7bac38d4f96cc97a67ab2061081d42e618cdcf7db"),
+                ("flat4", "e23b491f13a4c6ec4ea8e0df91d1c81956458e0ceed08d80adcc2cab935fad1c"),
+                ("ico1", "ed7e9d63a2bbc94f51d85c2183aa8187f615659a8e5500462dace6266d3b9a3c"),
+                ("annulus", "3326f77100b0296ea8da8acf892e72405789759ff62381f7ec8b2a9e64b727fb"),
+                ("torus", "d2384b646b64990c0ea05c285442e56d16ef5165e202ab74f509f7cb60367fd3"),
+                ("poincare", "efcdcbfbc25887455bb3ac8ff08117272af943d245c2c49c82bcca81dbbcc986"),
             )
         ],
     )
@@ -888,7 +890,7 @@ class TestBeckmannField:
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "b8eca393a6b2a565ea10dcbdcdcb5a4dbe1c68e80da72094ee3f695a86cfd3d5"
+            "4735d60d759db734cace219b89d3e37e763f219eb2cc7b40da7dfce7486454dd"
         )
 
     def test_newton_matrix_is_ordered_once(self, monkeypatch):
@@ -908,6 +910,25 @@ class TestBeckmannField:
         _, _, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
         assert calls == ["reverse_cuthill_mckee"] + ["cholesky_banded"] * 18
+
+    def test_edge_on_no_face_moves_only_the_band_order(self):
+        # the band is ordered from the mesh's edge graph, so a chord on no
+        # face (vertex 1 to 80 across flat_rect nx8) changes the order; the
+        # band is still sized from the faces' corners, and the dipole still
+        # certifies in the same steps, to 1e-9 relative
+        mesh = generate_primitive("flat_rect", nx=8)
+        positions = mesh.aux["positions"]
+        chord = TriMesh(
+            mesh.triangles,
+            np.vstack([mesh.edges, [[1, 80]]]),
+            np.append(mesh.edge_lengths, np.linalg.norm(positions[1] - positions[80])),
+        )
+        mu = Molecule(((38, 1.0), (42, -1.0)))
+        value, _, diag = beckmann_field(mesh, mu)
+        chord_value, _, chord_diag = beckmann_field(chord, mu)
+        assert diag["certified"] and chord_diag["certified"]
+        assert chord_diag["iterations"] == diag["iterations"]
+        assert chord_value == pytest.approx(value, rel=1e-9)
 
     def test_failed_factor_stops_with_the_best_iterate(self, monkeypatch):
         # a non-positive pivot at the third step ends the solve like a
@@ -945,7 +966,7 @@ class TestBeckmannField:
         assert diag["iterations"] == 14
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "e20945c72c64be470cdbe2b2f9a2519ffd3c857264a1f5cb09d7f445e64cce66"
+            "a07590a0256c3c42c787739daee46d72c65d2ce329d5b264368283ab478ef749"
         )
 
     def test_open_bracket_raises(self):
@@ -965,43 +986,34 @@ class TestBeckmannField:
             assert 0.0 < residuals["lower"] < residuals["upper"]
 
     @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus", "poincare"])
-    def test_certified_bracket(self, request, fixture):
-        # weak duality: the lower bound never passes the value or the graph
-        # norm, and a solve that stops before the cap has closed the gap
-        mesh = request.getfixturevalue(fixture)
-        rng = np.random.default_rng(61)
-        params = FieldSolveParams()
-        for _ in range(2):
-            mu = random_molecule(mesh, rng)
-            value, _, diag = beckmann_field(mesh, mu, params=params)
-            dual, _ = dual_lp(mesh, mu)
-            assert diag["upper"] == value
-            assert diag["lower"] <= value
-            assert diag["lower"] <= dual + 1e-6 * max(1.0, dual)
-            if diag["iterations"] < params.max_iter:
-                assert value - diag["lower"] <= params.tol * max(1.0, value)
-
-    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus", "poincare"])
     def test_small_molecules_certify(self, request, fixture):
-        # four seeded molecules per surface; under the splitting, the second
-        # on poincare and the fourth on flat4 ended at the 5000 cap with
-        # gaps of 4.0e-4 and 2.3e-6
+        # four seeded molecules per surface, each certified, with a lower
+        # bound that by weak duality never passes the value or the graph
+        # norm; under the splitting, the second on poincare and the fourth
+        # on flat4 ended at the 5000 cap with gaps of 4.0e-4 and 2.3e-6
         mesh = request.getfixturevalue(fixture)
         rng = np.random.default_rng(61)
         params = FieldSolveParams()
         for _ in range(4):
             mu = random_molecule(mesh, rng)
             value, _, diag = beckmann_field(mesh, mu, params=params)
+            dual, _ = dual_lp(mesh, mu)
             graph, _ = beckmann_graph(mesh, mu)
+            assert diag["upper"] == value
+            assert diag["lower"] <= value
+            assert diag["lower"] <= dual + 1e-6 * max(1.0, dual)
             assert diag["certified"] is True
             assert diag["gap"] <= params.tol * max(1.0, value)
             assert value <= graph + params.tol * max(1.0, value)
 
-    def test_nesterov_todd_scaling_identities(self):
-        # W s = W^-1 x, W W^-1 = I, and the factored blocks are the lower
-        # 2 x 2 blocks of W^2, to roundoff (a few eps times the norms that
-        # bound each product), on points deep inside the cones and within
-        # 1e-6 of their boundaries
+    def test_nesterov_todd_scaling_identities(self, monkeypatch):
+        # on points deep inside the cones and within 1e-6 of their
+        # boundaries: W s = W^-1 x and W W^-1 = I, to roundoff (a few eps
+        # times the norms that bound each product), with W^-1 = J W J / beta^2
+        # for beta^4 = x^T J x / s^T J s, so W is beta times a Lorentz map
+        # and maps each cone onto itself; the step lengths from x along dx
+        # and from s along ds are those from lam = W s along W^-1 dx and
+        # W ds, to 1e-6 relative
         rng = np.random.default_rng(23)
 
         def inside(n):
@@ -1010,12 +1022,10 @@ class TestBeckmannField:
             return u
 
         x, s = inside(2000), inside(2000)
-        beta, v = freenorm._nt_scaling(x, s)
-        columns = np.eye(3)[:, :, None]  # W applied to e_j is column j
-        W, W_inv = (
-            np.stack([apply(beta, v, e) for e in columns], axis=2).transpose(1, 0, 2)
-            for apply in (freenorm._scale, freenorm._unscale)
-        )
+        J = np.diag([1.0, -1.0, -1.0])
+        W = freenorm._nt_scaling(x, s).transpose(2, 0, 1)
+        beta2 = freenorm._lorentz_norms(x) / freenorm._lorentz_norms(s)
+        W_inv = J @ W @ J / beta2[:, None, None]
         norm, norm_inv = (np.linalg.norm(M, 2, axis=(1, 2)) for M in (W, W_inv))
         roundoff = 100 * np.finfo(float).eps
 
@@ -1025,10 +1035,45 @@ class TestBeckmannField:
         w_inv_x = np.einsum("fij,jf->fi", W_inv, x)
         size = norm * np.linalg.norm(s, axis=0) + norm_inv * np.linalg.norm(x, axis=0)
         assert (np.abs(ws - w_inv_x).max(axis=1) <= roundoff * size).all()
-        W2 = W @ W
-        blocks = np.stack([W2[:, 1, 1], W2[:, 1, 2], W2[:, 2, 2]])
-        D = freenorm._normal_blocks(beta, v)
-        assert (np.abs(D - blocks).max(axis=0) <= roundoff * norm**2).all()
+
+        d = rng.standard_normal((3, 2000))
+        scaled = {"x": np.einsum("fij,jf->if", W_inv, d), "s": np.einsum("fij,jf->if", W, d)}
+        with np.errstate(divide="ignore"):  # a direction into the cone has no bound
+            for f in range(500):
+                lam = ws[f, :, None]
+                for name, u in (("x", x), ("s", s)):
+                    alpha = freenorm._max_step(u[:, f, None], d[:, f, None])
+                    alpha_lam = freenorm._max_step(lam, scaled[name][:, f, None])
+                    assert np.isclose(alpha, alpha_lam, rtol=1e-6, atol=0.0), (f, name)
+
+        # the factored blocks are the lower 2 x 2 blocks of W^2 at every
+        # Newton step of a solve, whose last iterates lie near the boundaries
+        scalings, factored = [], []
+        scaling, factorizer = freenorm._nt_scaling, freenorm.weighted_normal_factorizer
+
+        def recording_scaling(x, s):
+            scalings.append(scaling(x, s))
+            return scalings[-1]
+
+        def recording_factorizer(mesh):
+            factor = factorizer(mesh)
+
+            def record(blocks):
+                factored.append(blocks.copy())
+                return factor(blocks)
+            return record
+
+        monkeypatch.setattr(freenorm, "_nt_scaling", recording_scaling)
+        monkeypatch.setattr(freenorm, "weighted_normal_factorizer", recording_factorizer)
+        mesh = generate_primitive("flat_rect", nx=8)
+        _, _, diag = beckmann_field(mesh, Molecule(((38, 1.0), (42, -1.0))))
+        assert diag["certified"] and len(factored) == diag["iterations"]
+        for W, D in zip(scalings, factored):
+            W = W.transpose(2, 0, 1)
+            W2 = W @ W
+            bound = roundoff * np.linalg.norm(W, 2, axis=(1, 2)) ** 2
+            blocks = np.stack([W2[:, 1, 1], W2[:, 1, 2], W2[:, 2, 2]])
+            assert (np.abs(D - blocks).max(axis=0) <= bound).all()
 
     def test_criterion_8_dipole_is_certified(self):
         mesh = generate_primitive("flat_rect", nx=52)

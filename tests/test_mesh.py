@@ -459,6 +459,7 @@ class TestGeodesics:
                 "a36e3d2198343dd8dff39d52f038c295fc96c9ab32fe00d1772496f23dc43adf",
             ),
         ],
+        ids=["annulus", "poincare"],
     )
     def test_distances_are_pinned(self, request, fixture, rows_pin, dense_pin):
         # sha256 of the distance bytes from every seventh source, and of

@@ -152,11 +152,13 @@ def weighted_normal_factorizer(mesh):
 
     Once per factorizer, the cells are checked
     (:func:`check_field_support`), and the vertices but the base vertex
-    are put in the reverse Cuthill-McKee order of the edge graph
-    ``mesh.adjacency`` (Cuthill & McKee, ACM 1969). Each cell's corner
-    pairs get their slot in the lower band, LAPACK's (kd + 1, n) array,
-    kd the widest pair: an edge on no face moves only the order. Each
-    ``factor`` call sums the corner-pair values
+    are ranked 0 to n - 1 in the reverse Cuthill-McKee order of the edge
+    graph ``mesh.adjacency`` (Cuthill & McKee, ACM 1969); the base
+    vertex ranks n, past the band. Each cell's corner pairs get their
+    slot in the lower band, LAPACK's (kd + 1, n) array, kd the widest
+    pair of ranks below n; a pair at the base vertex gets one last slot,
+    which is dropped, and that is the pin. An edge on no face moves only
+    the order. Each ``factor`` call sums the corner-pair values
     a_c^T D a_d of every cell (a_c the cell's entries of A at corner c,
     from :func:`_cells`) into the band and factors it by banded
     Cholesky. The band's memory grows as kd, which stays near sqrt(V)
@@ -168,19 +170,19 @@ def weighted_normal_factorizer(mesh):
     """
     check_field_support(mesh)
     corners, a = _cells(mesh)
-    k, n = mesh.base_vertex, mesh.vertex_count - 1
+    n = mesh.vertex_count - 1
+    others = np.delete(np.arange(mesh.vertex_count), mesh.base_vertex)
+    vertices = others[reverse_cuthill_mckee(mesh.adjacency[others][:, others],
+                                            symmetric_mode=True)]
+    rank = np.full(mesh.vertex_count, n)
+    rank[vertices] = np.arange(n)
     # c <= d run over a cell's corner pairs, each unordered pair once:
     # the matrix is symmetric, and the band holds its lower half
     c, d = np.triu_indices(corners.shape[1])
-    rows, cols = corners[:, c], corners[:, d]
-    keep = (rows != k) & (cols != k)
-    rows, cols = rows[keep] - (rows[keep] > k), cols[keep] - (cols[keep] > k)
-    others = np.delete(np.arange(mesh.vertex_count), k)
-    order = reverse_cuthill_mckee(mesh.adjacency[others][:, others], symmetric_mode=True)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    low, high = np.sort([rank[rows], rank[cols]], axis=0)
-    kd = int(np.max(high - low, initial=0))
+    low = np.minimum(rank[corners[:, c]], rank[corners[:, d]])
+    high = np.maximum(rank[corners[:, c]], rank[corners[:, d]])
+    pinned = high == n
+    kd = int(np.max(np.where(pinned, 0, high - low), initial=0))
     if kd + 1 > max(8.0 * math.sqrt(n), _BAND_FLOOR_ENTRIES / n):
         raise MeshError(
             f"the normal matrix's band is {kd + 1} wide for {n} unknowns, "
@@ -189,16 +191,14 @@ def weighted_normal_factorizer(mesh):
             "cells for a banded factorization"
         )
     # entry (i, j), i >= j, of the band order is slot j (kd + 1) + i - j of
-    # the Fortran-ordered band; the base vertex's entries go to a last
-    # slot, which is dropped
-    slots = np.full(keep.shape, n * (kd + 1))
-    slots[keep] = low * (kd + 1) + (high - low)
+    # the Fortran-ordered band; pairs at the base vertex go to n (kd + 1), dropped
+    slots = np.where(pinned, n * (kd + 1), low * (kd + 1) + (high - low))
+    del low, high, pinned
     products = np.stack([
         a[:, c, i] * a[:, d, j] + a[:, c, j] * a[:, d, i] if i < j
         else a[:, c, i] * a[:, d, i]
         for i, j in zip(*np.triu_indices(a.shape[2]))
     ])
-    vertices = others[order]
 
     def factor(blocks):
         values = np.einsum("kf,kfc->fc", blocks, products)

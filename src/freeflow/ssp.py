@@ -4,21 +4,20 @@ Solves  min sum_e length_e * |phi_e|  subject to  incidence @ phi = b
 (uncapacitated, both traversal directions cost the edge length) in
 primal-dual phases (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
 section 9.8). Every arc stays in the residual graph, so its CSR matrix
-is built once per solve. Each phase refills only its data with the
-reduced costs, runs one multi-source ``scipy.sparse.csgraph.dijkstra``
-and adds the distances to the node potentials, which makes every
-shortest path tight. It then augments along the shortest path of each
-reached sink, nearest first, while the path's source has supply, its
-sink has demand and its arcs are still tight. The accumulated node
-potentials are an optimal solution of the dual problem: they maximize
-sum_v b[v] * f[v] over all vertex fields with |f[u] - f[v]| <=
-length(u, v) on every edge.
+is one copy of the mesh's adjacency per solve. Each phase refills only
+its data with the reduced costs, runs one multi-source
+``scipy.sparse.csgraph.dijkstra`` and adds the distances to the node
+potentials, which makes every shortest path tight. It then augments
+along the shortest path of each reached sink, nearest first, while the
+path's source has supply, its sink has demand and its arcs are still
+tight. The accumulated node potentials are an optimal solution of the
+dual problem: they maximize sum_v b[v] * f[v] over all vertex fields
+with |f[u] - f[v]| <= length(u, v) on every edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import MeshError, SolverFailure
@@ -57,10 +56,10 @@ def min_cost_flow(mesh, b):
     tails = np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1]])
     heads = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
     arc_lengths = np.tile(mesh.edge_lengths, 2)
-    # arcs sorted by (tail, head), no pair twice: a canonical CSR pattern
+    # the residual graph has the mesh's adjacency pattern, canonical CSR:
+    # its entries are the arcs sorted by (tail, head)
     order = np.lexsort((heads, tails))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=V))])
-    graph = csr_matrix((arc_lengths[order], heads[order], indptr), shape=(V, V))
+    graph = mesh.adjacency.copy()
 
     flow = np.zeros(E)
     pi = np.zeros(V)

@@ -218,6 +218,22 @@ class TestDivergence:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_setup_peak_stays_near_what_it_keeps(self):
+        # the set-up frees its rank pairs before it stacks the corner-pair
+        # products, so its transient peak stays within 2.5x of the slots
+        # and products it keeps; the mesh's cells and adjacency are warmed
+        # first, as they stay on the mesh
+        mesh = generate_primitive("flat_rect", nx=64, ny=64)
+        calculus._cells(mesh), mesh.adjacency
+        tracemalloc.start()
+        try:
+            factor = calculus.weighted_normal_factorizer(mesh)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert callable(factor)
+        assert peak <= 2.5 * kept
+
     def test_small_hub_band_is_factored(self):
         # a wheel of 200 spokes pinned at a rim vertex: its band is as wide
         # as the matrix, but at 200 x 200 it is small enough to factor

@@ -384,23 +384,23 @@ def beckmann_field(mesh, molecule, params=None):
             lam = _apply(W, s)
             r_p = b - A @ x[1:].T.ravel()
 
-            def newton(r_c):
-                # W^-1 dx + W ds = lam \ r_c, A dx_g = r_p, ds = -(0, A^T dy);
-                # returns the scaled W^-1 dx and W ds as d[:, 0] and d[:, 1],
-                # then ds and dy
-                q = _jordan_divide(lam, r_c)
+            def newton(q):
+                # W^-1 dx + W ds = q, A dx_g = r_p, ds = -(0, A^T dy), for the
+                # scaled right side q = lam \ r_c; returns the scaled W^-1 dx
+                # and W ds as d[:, 0] and d[:, 1], then ds and dy
                 dy = solve(r_p - A @ _apply(W, q)[1:].T.ravel())
                 ds = -rows(dy)
                 w_ds = _apply(W, ds)
                 return np.stack((q - w_ds, w_ds), axis=1), ds, dy
 
             # W maps each cone onto itself: x + alpha dx and s + alpha ds stay
-            # in their cones while lam + alpha W^-1 dx and lam + alpha W ds do
-            lam2 = _jordan(lam, lam)
-            d, _, _ = newton(-lam2)
+            # in their cones while lam + alpha W^-1 dx and lam + alpha W ds do.
+            # Each r_c holds -lam o lam, whose part of q = lam \ r_c is -lam
+            d, _, _ = newton(-lam)
             alpha = np.min([1.0, _max_step(lam, d)])
-            sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(lam2[0])) / F
-            d, ds, dy = newton(sigma_mu * e - lam2 - _jordan(d[:, 0], d[:, 1]))
+            sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(_dot(lam, lam))) / F
+            rest = sigma_mu * e - _jordan(d[:, 0], d[:, 1])  # the corrector's rest of r_c
+            d, ds, dy = newton(_jordan_divide(lam, rest) - lam)
             alpha = np.min([1.0, 0.99 * _max_step(lam, d)])
             if not alpha > 0.0:  # no step, or a NaN
                 break

@@ -864,11 +864,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "e23b491f13a4c6ec4ea8e0df91d1c81956458e0ceed08d80adcc2cab935fad1c"),
-                ("ico1", "ed7e9d63a2bbc94f51d85c2183aa8187f615659a8e5500462dace6266d3b9a3c"),
-                ("annulus", "3326f77100b0296ea8da8acf892e72405789759ff62381f7ec8b2a9e64b727fb"),
-                ("torus", "d2384b646b64990c0ea05c285442e56d16ef5165e202ab74f509f7cb60367fd3"),
-                ("poincare", "efcdcbfbc25887455bb3ac8ff08117272af943d245c2c49c82bcca81dbbcc986"),
+                ("flat4", "84ad48e36f7dac973ba0f32196c808f66b1d5694e2111ad1e9dba90db97c205e"),
+                ("ico1", "29a28a1f60d4d3919d8b5757b2c743dac021abb0d9b6b7369a86397df8f7e656"),
+                ("annulus", "9314152d240e209aff2e6ca213a5b437d4a6f13cb0fd916baca7e969d595cf4c"),
+                ("torus", "8e90b4781d20bcc5f1d5fc3987fb466dfafd10c148dae7f610e7d7486bc5d7a1"),
+                ("poincare", "85acf1e77955f4c9d047ac70f65acda1b8d6bc9469d292f6194b018d6b5f980f"),
             )
         ],
     )
@@ -890,7 +890,7 @@ class TestBeckmannField:
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "4735d60d759db734cace219b89d3e37e763f219eb2cc7b40da7dfce7486454dd"
+            "9a8e1a98a1b6bebf3ea91779488c5a87e9d57c4e4135c491df0c9e05467892fb"
         )
 
     def test_newton_matrix_is_ordered_once(self, monkeypatch):
@@ -966,7 +966,7 @@ class TestBeckmannField:
         assert diag["iterations"] == 14
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "a07590a0256c3c42c787739daee46d72c65d2ce329d5b264368283ab478ef749"
+            "6ddb6406cec695669e7b691e81bbf3336d71f2f69d3e3f0d6bda6ca2e732e0f0"
         )
 
     def test_open_bracket_raises(self):

@@ -156,17 +156,16 @@ def weighted_normal_factorizer(mesh):
     graph ``mesh.adjacency`` (Cuthill & McKee, ACM 1969); the base
     vertex ranks n, past the band. Each cell's corner pairs get their
     slot in the lower band, LAPACK's (kd + 1, n) array, kd the widest
-    pair of ranks below n; a pair at the base vertex gets one last slot,
-    which is dropped, and that is the pin. An edge on no face moves only
-    the order. Each ``factor`` call sums the corner-pair values
-    a_c^T D a_d of every cell (a_c the cell's entries of A at corner c,
-    from :func:`_cells`) into the band and factors it by banded
-    Cholesky. The band's memory grows as kd, which stays near sqrt(V)
-    on the package's surfaces; a vertex on many cells (a graph's hub)
-    widens it to O(V), so a band wider than 8 sqrt(V - 1) that also
-    takes more than 8 MB is a :class:`MeshError` before it is
-    allocated. A factor that meets a non-positive pivot is a
-    :class:`SolverFailure` naming it.
+    pair of ranks below n; a pair at the base vertex gets one last,
+    dropped slot: the pin. An edge on no face moves only the order. Each
+    ``factor`` call sums the corner-pair values a_c^T D a_d of every
+    cell (a_c the cell's entries of A at corner c, from :func:`_cells`)
+    into the band and factors it by banded Cholesky. The band's memory
+    grows as kd, which stays near sqrt(V) on the package's surfaces; a
+    vertex on many cells (a graph's hub) widens it to O(V), so a band
+    wider than 8 sqrt(V - 1) that also takes more than 8 MB is a
+    :class:`MeshError` before it is allocated. A factor that meets a
+    non-positive pivot is a :class:`SolverFailure` naming it.
     """
     check_field_support(mesh)
     corners, a = _cells(mesh)
@@ -179,8 +178,9 @@ def weighted_normal_factorizer(mesh):
     # c <= d run over a cell's corner pairs, each unordered pair once:
     # the matrix is symmetric, and the band holds its lower half
     c, d = np.triu_indices(corners.shape[1])
-    low = np.minimum(rank[corners[:, c]], rank[corners[:, d]])
-    high = np.maximum(rank[corners[:, c]], rank[corners[:, d]])
+    ranks = rank[corners]
+    low = np.minimum(ranks[:, c], ranks[:, d])
+    high = np.maximum(ranks[:, c], ranks[:, d])
     pinned = high == n
     kd = int(np.max(np.where(pinned, 0, high - low), initial=0))
     if kd + 1 > max(8.0 * math.sqrt(n), _BAND_FLOOR_ENTRIES / n):
@@ -193,7 +193,7 @@ def weighted_normal_factorizer(mesh):
     # entry (i, j), i >= j, of the band order is slot j (kd + 1) + i - j of
     # the Fortran-ordered band; pairs at the base vertex go to n (kd + 1), dropped
     slots = np.where(pinned, n * (kd + 1), low * (kd + 1) + (high - low))
-    del low, high, pinned
+    del ranks, low, high, pinned  # before the products, the set-up's peak
     products = np.stack([
         a[:, c, i] * a[:, d, j] + a[:, c, j] * a[:, d, i] if i < j
         else a[:, c, i] * a[:, d, i]

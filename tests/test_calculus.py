@@ -227,12 +227,11 @@ class TestDivergence:
         calculus._cells(mesh), mesh.adjacency
         tracemalloc.start()
         try:
-            factor = calculus.weighted_normal_factorizer(mesh)
+            factor = calculus.weighted_normal_factorizer(mesh)  # holds what it keeps
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert callable(factor)
-        assert peak <= 2.5 * kept
+        assert peak <= 2.5 * kept, (peak, kept)
 
     def test_small_hub_band_is_factored(self):
         # a wheel of 200 spokes pinned at a rim vertex: its band is as wide

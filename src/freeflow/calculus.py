@@ -22,10 +22,15 @@ holds by construction (up to roundoff) for every scalar field f.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+import scipy
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
@@ -143,6 +148,55 @@ def check_field_support(mesh):
         )
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """``(get, set)``: the thread-count calls of the OpenBLAS that scipy
+    bundles (``scipy.libs/libscipy_openblas-*.so``), or None where scipy
+    has none. Looked up on the first factor, so importing loads nothing."""
+    libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Runs its body on one OpenBLAS thread. The thread count is global
+    to the process, so where bodies overlap (in several Python threads)
+    the first to enter saves the count and the last to leave restores it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = None
+
+    def __enter__(self):
+        calls = _openblas_thread_calls()
+        if calls is not None:
+            with self._lock:
+                if self._open == 0:
+                    self._saved = calls[0]()
+                    calls[1](1)
+                self._open += 1
+
+    def __exit__(self, *exc_info):
+        calls = _openblas_thread_calls()
+        if calls is not None:
+            with self._lock:
+                self._open -= 1
+                if self._open == 0:
+                    calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def weighted_normal_factorizer(mesh):
     """``factor(blocks)``: the pinned solve of (A D A^T) y = r for
     symmetric positive definite per-cell m x m blocks D, given as an
@@ -157,15 +211,21 @@ def weighted_normal_factorizer(mesh):
     vertex ranks n, past the band. Each cell's corner pairs get their
     slot in the lower band, LAPACK's (kd + 1, n) array, kd the widest
     pair of ranks below n; a pair at the base vertex gets one last,
-    dropped slot: the pin. An edge on no face moves only the order. Each
-    ``factor`` call sums the corner-pair values a_c^T D a_d of every
+    dropped slot: the pin. An edge on no face moves only the order. The
+    corner-pair products of A's entries are filled one pair at a time
+    into one array, so the set-up's transient peak stays below 1.6x what
+    it keeps. Each ``factor`` call sums the values a_c^T D a_d of every
     cell (a_c the cell's entries of A at corner c, from :func:`_cells`)
-    into the band and factors it by banded Cholesky. The band's memory
-    grows as kd, which stays near sqrt(V) on the package's surfaces; a
-    vertex on many cells (a graph's hub) widens it to O(V), so a band
-    wider than 8 sqrt(V - 1) that also takes more than 8 MB is a
-    :class:`MeshError` before it is allocated. A factor that meets a
-    non-positive pivot is a :class:`SolverFailure` naming it.
+    into the band and factors it by LAPACK's banded Cholesky, ``dpbtrf``,
+    whose ``solve`` runs ``dpbtrs``. Both run on one OpenBLAS thread
+    (:class:`_OneBlasThread`), which is faster on these bands and makes
+    the factor's bits independent of the host's thread count. The band's
+    memory grows as kd, which stays near sqrt(V) on the package's
+    surfaces; a vertex on many cells (a graph's hub) widens it to O(V),
+    so a band wider than 8 sqrt(V - 1) that also takes more than 8 MB is
+    a :class:`MeshError` before it is allocated. A factor that meets a
+    non-positive pivot (``dpbtrf``'s ``info``) is a
+    :class:`SolverFailure` naming it.
     """
     check_field_support(mesh)
     corners, a = _cells(mesh)
@@ -194,33 +254,36 @@ def weighted_normal_factorizer(mesh):
     # the Fortran-ordered band; pairs at the base vertex go to n (kd + 1), dropped
     slots = np.where(pinned, n * (kd + 1), low * (kd + 1) + (high - low))
     del ranks, low, high, pinned  # before the products, the set-up's peak
-    products = np.stack([
-        a[:, c, i] * a[:, d, j] + a[:, c, j] * a[:, d, i] if i < j
-        else a[:, c, i] * a[:, d, i]
-        for i, j in zip(*np.triu_indices(a.shape[2]))
-    ])
+    # one corner pair at a time, so no (C, pairs) gather of A's entries is made
+    entries = list(zip(*np.triu_indices(a.shape[2])))
+    products = np.empty((len(entries), len(corners), len(c)))
+    for pair in range(len(c)):
+        ac, ad = a[:, c[pair]], a[:, d[pair]]
+        for k, (i, j) in enumerate(entries):
+            products[k, :, pair] = (ac[:, i] * ad[:, j] + ac[:, j] * ad[:, i] if i < j
+                                    else ac[:, i] * ad[:, i])
 
     def factor(blocks):
         values = np.einsum("kf,kfc->fc", blocks, products)
         band = np.bincount(slots.ravel(), values.ravel(), n * (kd + 1) + 1)
         band = band[:-1].reshape(n, kd + 1).T
-        try:
-            lower = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
-        except LinAlgError as exc:
-            pivot = int(str(exc).partition("-th")[0])
+        with _one_blas_thread:
+            # info: the index of the first pivot that is not positive, or 0
+            lower, pivot = dpbtrf(band, lower=1, overwrite_ab=1)
+        if pivot > 0:
             vertex = int(vertices[pivot - 1])
             raise SolverFailure(
                 f"the normal matrix is not positive definite: pivot {pivot} "
                 f"(vertex {vertex}) is not positive",
                 diagnostics={"pivot": pivot, "vertex": vertex},
-            ) from None
+            )
 
         def solve(r):
             # one gather in and one scatter out; the base vertex returns as a zero
             y = np.zeros(mesh.vertex_count)
             rhs = np.asarray(r, dtype=float)[vertices]
-            y[vertices] = cho_solve_banded((lower, True), rhs, overwrite_b=True,
-                                           check_finite=False)
+            with _one_blas_thread:
+                y[vertices], _ = dpbtrs(lower, rhs, lower=1, overwrite_b=1)
             return y
 
         return solve

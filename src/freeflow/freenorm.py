@@ -214,12 +214,9 @@ class FieldSolveParams:
 
 # Each face T carries one second-order cone {(t, g) : |g| <= t} in R^3.
 # Cone variables are (3, F) arrays, one row per component, and J =
-# diag(1, -1, -1) is the cone's Lorentz form.
-
-
-def _reflect(u):
-    """J u: the (3, F) array with its last two rows negated."""
-    return np.concatenate((u[:1], -u[1:]))
+# diag(1, -1, -1) is the cone's Lorentz form. np.column_stack puts g rows
+# in A's column order, several times faster than a transposed copy does.
+_J = np.diag([1.0, -1.0, -1.0])[:, :, None]
 
 
 def _dot(u, v):
@@ -229,31 +226,43 @@ def _dot(u, v):
 
 def _lorentz_norms(u):
     """sqrt(u^T J u) per face, for u inside the cones."""
-    rim = np.hypot(u[1], u[2])
+    rim = np.sqrt(u[1] * u[1] + u[2] * u[2])
     return np.sqrt((u[0] - rim) * (u[0] + rim))
 
 
 def _nt_scaling(x, s):
-    """Nesterov-Todd scaling of primal x and dual s inside the cones: the
-    per-face W = beta (2 v v^T - J) as one (3, 3, F) array, W s = W^-1 x.
+    """Nesterov-Todd scaling of primal x and dual s inside the cones:
+    the per-face W = beta (2 v v^T - J) as one (3, 3, F) array, with
+    W s = W^-1 x; the rows D_00, D_01, D_11 of the lower 2 x 2 block of
+    W W; and the Lorentz norms of lam = W s.
 
     As in CVXOPT: with x and s normalized to unit Lorentz norm,
     w = (x + J s) / (2 gamma), gamma = sqrt((1 + x.s) / 2), has
     w^T J w = 1; then v = (w + e) / sqrt(2 (w_0 + 1)), e = (1, 0, 0),
-    and beta = (x^T J x / s^T J s)^(1/4).
+    and beta = (x^T J x / s^T J s)^(1/4). From v^T J v = 1 and
+    W J W = beta^2 J, the block is D = beta^2 (I + 8 v_0^2 v_g v_g^T),
+    v_g the last two entries of v, and |lam|_J = sqrt(|x|_J |s|_J).
     """
     xn, sn = _lorentz_norms(x), _lorentz_norms(s)
-    xb, sb = x / xn, s / sn
-    gamma = np.sqrt((1.0 + _dot(xb, sb)) / 2.0)
-    v = (xb + _reflect(sb)) / (2.0 * gamma)
+    v, sb = x / xn, s / sn
+    gamma = np.sqrt((1.0 + _dot(v, sb)) / 2.0)
+    v[0] += sb[0]  # x + J s, of the normalized x and s
+    v[1:] -= sb[1:]
+    v /= 2.0 * gamma
     v[0] += 1.0
     v /= np.sqrt(2.0 * v[0])
-    J = np.diag([1.0, -1.0, -1.0])[:, :, None]
-    return np.sqrt(xn / sn) * (2.0 * v[:, None] * v - J)
+    beta2 = xn / sn
+    W = 2.0 * v[:, None] * v  # in place: one expression on (3, 3, F)
+    W -= _J                   # temporaries ran 2.7x slower at F = 5120
+    W *= np.sqrt(beta2)
+    vg = np.sqrt(8.0 * beta2) * v[0] * v[1:]
+    D = vg[(0, 0, 1), :] * vg[(0, 1, 1), :]
+    D[::2] += beta2
+    return W, D, np.sqrt(xn * sn)
 
 
 def _apply(W, u):
-    """W u per face, for (3, 3, F) W and (3, F) u."""
+    """W u per face, for (k, 3, F) W and (3, F) u."""
     return np.einsum("ijf,jf->if", W, u)
 
 
@@ -262,26 +271,25 @@ def _jordan(u, v):
     return np.concatenate(([_dot(u, v)], u[0] * v[1:] + v[0] * u[1:]))
 
 
-def _jordan_divide(lam, r):
-    """The q with lam o q = r, per face, for lam inside the cones."""
-    q0 = (lam[0] * r[0] - _dot(lam[1:], r[1:])) / _lorentz_norms(lam) ** 2
+def _jordan_divide(lam, r, lam_norm):
+    """The q with lam o q = r per face, lam inside the cones with Lorentz norms lam_norm."""
+    q0 = (lam[0] * r[0] - _dot(lam[1:], r[1:])) / (lam_norm * lam_norm)
     return np.concatenate(([q0], (r[1:] - q0 * lam[1:]) / lam[0]))
 
 
-def _max_step(u, d):
-    """Largest alpha with every u_T + alpha d_T in its cone, u inside;
-    d may hold several directions per face, as a (3, k, F) array.
+def _max_step(u, d, un):
+    """Largest alpha with every u_T + alpha d_T in its cone, for u inside
+    the cones with Lorentz norms un and d of shape (3, F) or (3, k, F).
 
-    The Lorentz boost taking u_T / |u_T|_J to e maps d_T / |u_T|_J to
-    p, and e + alpha p stays in the cone while alpha (|p_bar| - p_0) <= 1.
-    A NaN in u or d gives a NaN.
+    The Lorentz boost taking u_T / |u_T|_J to e maps d_T / |u_T|_J to p,
+    linear in d, and e + alpha p stays in the cone while
+    alpha (|p_bar| - p_0) <= 1. A NaN in u or d gives a NaN.
     """
-    un = _lorentz_norms(u)
-    uh, dh = u / un, d / un
-    bar = _dot(uh[1:], dh[1:])
-    p0 = uh[0] * dh[0] - bar
-    lift = bar / (1.0 + uh[0]) - dh[0]
-    rate = np.max(np.hypot(dh[1] + uh[1] * lift, dh[2] + uh[2] * lift) - p0)
+    uh = u / un
+    bar = _dot(uh[1:], d[1:])
+    lift = bar / (1.0 + uh[0]) - d[0]
+    r1, r2 = d[1] + uh[1] * lift, d[2] + uh[2] * lift
+    rate = np.max((np.sqrt(r1 * r1 + r2 * r2) - (uh[0] * d[0] - bar)) / un)
     return float(1.0 / np.maximum(rate, 0.0))
 
 
@@ -293,11 +301,10 @@ def _slope_lower_bound(mesh, AT, b, y):
     |(A^T y)_T| / w_T is the slope of y on face T, so |b.y| over the
     steepest slope bounds the optimum from below for either sign of y.
     """
-    slopes = np.hypot(*(AT @ y).reshape(-1, 2).T) / mesh.cell_weights
-    steepest = float(np.max(slopes))
+    gx, gy = (AT @ y).reshape(-1, 2).T
+    steepest = float(np.max(np.sqrt(gx * gx + gy * gy) / mesh.cell_weights))
     # elementwise sums here and in beckmann_field: a BLAS dot of this
-    # length wakes numpy's thread pool, which then contends with the
-    # factorization's LAPACK threads
+    # length may wake numpy's own OpenBLAS threads (scipy's run the factor)
     return abs(float(np.sum(b * y))) / steepest if steepest > 0.0 else 0.0
 
 
@@ -309,22 +316,21 @@ def beckmann_field(mesh, molecule, params=None):
     method with Nesterov-Todd scaling and Mehrotra's predictor-corrector
     (Andersen, Roos & Terlaky, Math. Program. 95, 2003). Its dual is
     max b.y over vertex potentials y of slope at most one on every face.
-
-    Fields are in A's column order, which is the (F, 2) layout of
+    Fields are in A's column order, the (F, 2) layout of
     ``mesh.field_shape``: column 2T + i of A is g_i on face T.
 
     The start is x_T = (|b|_1 / sum w, 0, 0), s_T = (w_T, 0, 0), y = 0:
-    dual feasible, primal infeasible. Each Newton step makes one
-    per-face scaling W (:func:`_nt_scaling`), eliminates the cones and
-    factors one pinned V x V matrix A D A^T, D_T the lower 2 x 2 block
-    of W_T^2, which it solves twice. As in CVXOPT (Vandenberghe, 2010),
-    the directions are kept scaled, W^-1 dx and W ds at lam = W s: the
-    Mehrotra cross term is their Jordan product, one cone search at lam
-    gives both step lengths, and W^-1 is never applied. After the step,
-    the field is projected onto A g = b with the same factor,
-    g + D A^T (A D A^T)^-1 (b - A g), D A^T z being the g rows of
-    W^2 (0, A^T z), so its value is an upper bound,
-    and :func:`_slope_lower_bound` of y is a lower bound. The solve
+    dual feasible, primal infeasible. Each Newton step computes its
+    per-face quantities once: :func:`_nt_scaling` gives the scaling W,
+    the lower 2 x 2 block D of W^2 and |lam|_J in closed form, and one
+    pinned V x V matrix A D A^T is factored and solved three times. As in
+    CVXOPT (Vandenberghe, 2010), the directions are kept scaled, W^-1 dx
+    and W ds at lam = W s: the Mehrotra cross term is their Jordan
+    product, one cone search at lam gives both step lengths, and W^-1 is
+    never applied. After the step, the field is projected onto A g = b
+    with the same factor, x_g + D A^T (A D A^T)^-1 (b - A x_g), so its
+    value is an upper bound, and b - A x_g is the next step's primal
+    residual; :func:`_slope_lower_bound` of y is a lower bound. The solve
     stops once upper - lower is at most ``params.tol * max(1, upper)``,
     after ``params.max_iter`` steps, or at a step that cannot move (a
     non-finite scaling, a factor with a non-positive pivot, no step); it
@@ -359,21 +365,14 @@ def beckmann_field(mesh, molecule, params=None):
     x = e * (float(np.abs(b).sum()) / float(weights.sum()))
     s = e * weights
     y = np.zeros(mesh.vertex_count)
-    best_value, best_g, lower = math.inf, None, 0.0
-    certified = False
-
-    def rows(z):  # the cone rows (0, A^T z) of a vertex vector z
-        u = np.zeros((3, F))
-        u[1:] = (AT @ z).reshape(F, 2).T
-        return u
+    r_p = b  # b - A x_g at x_g = 0, then each projection's residual
+    best_value, best_g, lower, certified = math.inf, None, 0.0, False
 
     # past the attainable accuracy, roundoff puts iterates on or across
     # the cone boundaries, and the scaling or the step turns NaN: the stop
     with np.errstate(invalid="ignore", divide="ignore"):
         for it in range(1, params.max_iter + 1):
-            W = _nt_scaling(x, s)
-            # the lower 2 x 2 block of W W, as its rows D_00, D_01, D_11
-            D = np.einsum("ijf,jkf->ikf", W[1:], W[:, 1:])[(0, 0, 1), (0, 1, 1)]
+            W, D, lam_norm = _nt_scaling(x, s)
             if not np.isfinite(D).all():
                 break
             solve = None  # one factor alive at a time
@@ -382,37 +381,38 @@ def beckmann_field(mesh, molecule, params=None):
             except SolverFailure:  # a pivot lost to roundoff: the same stop
                 break
             lam = _apply(W, s)
-            r_p = b - A @ x[1:].T.ravel()
 
             def newton(q):
                 # W^-1 dx + W ds = q, A dx_g = r_p, ds = -(0, A^T dy), for the
-                # scaled right side q = lam \ r_c; returns the scaled W^-1 dx
-                # and W ds as d[:, 0] and d[:, 1], then ds and dy
-                dy = solve(r_p - A @ _apply(W, q)[1:].T.ravel())
-                ds = -rows(dy)
-                w_ds = _apply(W, ds)
+                # scaled right side q = lam \ r_c; returns W^-1 dx and W ds as
+                # d[:, 0] and d[:, 1], ds_g and dy. W acts only on rows read
+                dy = solve(r_p - A @ np.column_stack(_apply(W[1:], q)).ravel())
+                ds = np.ascontiguousarray((AT @ -dy).reshape(F, 2).T)
+                w_ds = _apply(W[:, 1:], ds)
                 return np.stack((q - w_ds, w_ds), axis=1), ds, dy
 
             # W maps each cone onto itself: x + alpha dx and s + alpha ds stay
             # in their cones while lam + alpha W^-1 dx and lam + alpha W ds do.
             # Each r_c holds -lam o lam, whose part of q = lam \ r_c is -lam
             d, _, _ = newton(-lam)
-            alpha = np.min([1.0, _max_step(lam, d)])
+            alpha = min(_max_step(lam, d, lam_norm), 1.0)  # a NaN stays NaN
             sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(_dot(lam, lam))) / F
             rest = sigma_mu * e - _jordan(d[:, 0], d[:, 1])  # the corrector's rest of r_c
-            d, ds, dy = newton(_jordan_divide(lam, rest) - lam)
-            alpha = np.min([1.0, 0.99 * _max_step(lam, d)])
+            d, ds, dy = newton(_jordan_divide(lam, rest, lam_norm) - lam)
+            alpha = min(0.99 * _max_step(lam, d, lam_norm), 1.0)
             if not alpha > 0.0:  # no step, or a NaN
                 break
             x += alpha * _apply(W, d[:, 0])
-            s += alpha * ds
+            s[1:] += alpha * ds
             y += alpha * dy
 
-            # the g rows of W^2 (0, A^T z) are D A^T z
-            p = x + _apply(W, _apply(W, rows(solve(b - A @ x[1:].T.ravel()))))
-            value = float(np.sum(weights * np.hypot(p[1], p[2])))
+            # the projected g rows x_g + D A^T z; their residual is the next r_p
+            r_p = b - A @ np.column_stack(x[1:]).ravel()
+            u = (AT @ solve(r_p)).reshape(F, 2).T
+            p = x[1:] + D[:2] * u[0] + D[1:] * u[1]
+            value = float(np.sum(weights * np.sqrt(p[0] * p[0] + p[1] * p[1])))
             if value < best_value:
-                best_value, best_g = value, p[1:].T.ravel()
+                best_value, best_g = value, np.column_stack(p)
             lower = max(lower, _slope_lower_bound(mesh, AT, b, y))
             certified = best_value - lower <= params.tol * max(1.0, best_value)
             if certified:
@@ -425,7 +425,7 @@ def beckmann_field(mesh, molecule, params=None):
         )
     # the one divergence check, on the field returned, relative to the
     # molecule as in certify_graph_optimum; a NaN fails it too
-    divergence = float(np.abs(A @ best_g - b).max())
+    divergence = float(np.abs(A @ best_g.ravel() - b).max())
     allowed = params.tol * max(1.0, float(np.abs(b).max()))
     if not divergence <= allowed:
         raise NotConverged(
@@ -441,7 +441,7 @@ def beckmann_field(mesh, molecule, params=None):
         "gap": best_value - lower,
         "certified": certified,
     }
-    return best_value, best_g.reshape(F, 2), diagnostics
+    return best_value, best_g, diagnostics
 
 
 def check_field_bracket(diagnostics):

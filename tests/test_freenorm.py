@@ -864,11 +864,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "84ad48e36f7dac973ba0f32196c808f66b1d5694e2111ad1e9dba90db97c205e"),
-                ("ico1", "29a28a1f60d4d3919d8b5757b2c743dac021abb0d9b6b7369a86397df8f7e656"),
-                ("annulus", "9314152d240e209aff2e6ca213a5b437d4a6f13cb0fd916baca7e969d595cf4c"),
-                ("torus", "8e90b4781d20bcc5f1d5fc3987fb466dfafd10c148dae7f610e7d7486bc5d7a1"),
-                ("poincare", "85acf1e77955f4c9d047ac70f65acda1b8d6bc9469d292f6194b018d6b5f980f"),
+                ("flat4", "61d8385222b9cd4b8d018981503b91bcec5aab343cf760e4c55bdb60f3b012f4"),
+                ("ico1", "b373948d2aa49e879526894caae9f22dfddc96d53a7e8d8ec7cdb900dcd7ac1c"),
+                ("annulus", "ba7dff8090d66f39121f738eedce21b1a71c6d8561908343d6a1efa75285f84b"),
+                ("torus", "9567e8578fa466b4ae08f00d1753495d49be4c328dc46f3f6bf6d5918d112dcb"),
+                ("poincare", "0c11b4d07dd216912607d1081d5851cdc9642d363af3055c92093e7b67b4f016"),
             )
         ],
     )
@@ -890,7 +890,7 @@ class TestBeckmannField:
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "9a8e1a98a1b6bebf3ea91779488c5a87e9d57c4e4135c491df0c9e05467892fb"
+            "7e82b849e57cfc9580255b89687630ba19c8f039b6bb17b19825b260108004b6"
         )
 
     def test_newton_matrix_is_ordered_once(self, monkeypatch):
@@ -905,11 +905,11 @@ class TestBeckmannField:
             monkeypatch.setattr(calculus, name, record)
 
         recording("reverse_cuthill_mckee", calculus.reverse_cuthill_mckee)
-        recording("cholesky_banded", calculus.cholesky_banded)
+        recording("dpbtrf", calculus.dpbtrf)
         mesh = generate_primitive("flat_rect", nx=16)
         _, _, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
         assert diag["iterations"] == 18
-        assert calls == ["reverse_cuthill_mckee"] + ["cholesky_banded"] * 18
+        assert calls == ["reverse_cuthill_mckee"] + ["dpbtrf"] * 18
 
     def test_edge_on_no_face_moves_only_the_band_order(self):
         # the band is ordered from the mesh's edge graph, so a chord on no
@@ -933,19 +933,18 @@ class TestBeckmannField:
     def test_failed_factor_stops_with_the_best_iterate(self, monkeypatch):
         # a non-positive pivot at the third step ends the solve like a
         # non-finite scaling does: the best of the first two projected
-        # fields comes back with its bracket, and no LinAlgError escapes
-        factor, calls = calculus.cholesky_banded, []
+        # fields comes back with its bracket, and no SolverFailure escapes
+        factor, calls = calculus.dpbtrf, []
 
         def failing(band, **options):
             calls.append(len(calls) + 1)
-            if len(calls) == 3:
-                raise calculus.LinAlgError("5-th leading minor not positive definite")
-            return factor(band, **options)
+            lower, info = factor(band, **options)
+            return lower, 5 if len(calls) == 3 else info
 
         mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
         mu = random_molecule(mesh, np.random.default_rng(41))
         two = beckmann_field(mesh, mu, FieldSolveParams(max_iter=2))
-        monkeypatch.setattr(calculus, "cholesky_banded", failing)
+        monkeypatch.setattr(calculus, "dpbtrf", failing)
         value, g, diag = beckmann_field(mesh, mu)
         assert calls == [1, 2, 3]
         assert diag["iterations"] == 3
@@ -966,7 +965,7 @@ class TestBeckmannField:
         assert diag["iterations"] == 14
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "6ddb6406cec695669e7b691e81bbf3336d71f2f69d3e3f0d6bda6ca2e732e0f0"
+            "8034076eb1c94c68010de1e53b106808ca53969fddedb29f0ca6312eab533c9d"
         )
 
     def test_open_bracket_raises(self):
@@ -1025,7 +1024,9 @@ class TestBeckmannField:
         # for beta^4 = x^T J x / s^T J s, so W is beta times a Lorentz map
         # and maps each cone onto itself; the step lengths from x along dx
         # and from s along ds are those from lam = W s along W^-1 dx and
-        # W ds, to 1e-6 relative
+        # W ds, to 1e-6 relative; the closed forms returned with W are the
+        # lower 2 x 2 block of W W and the Lorentz norm of lam = W s, each
+        # to roundoff (100 eps times the norms that bound each product)
         rng = np.random.default_rng(23)
 
         def inside(n):
@@ -1035,7 +1036,8 @@ class TestBeckmannField:
 
         x, s = inside(2000), inside(2000)
         J = np.diag([1.0, -1.0, -1.0])
-        W = freenorm._nt_scaling(x, s).transpose(2, 0, 1)
+        W, D, lam_norm = freenorm._nt_scaling(x, s)
+        W = W.transpose(2, 0, 1)
         beta2 = freenorm._lorentz_norms(x) / freenorm._lorentz_norms(s)
         W_inv = J @ W @ J / beta2[:, None, None]
         norm, norm_inv = (np.linalg.norm(M, 2, axis=(1, 2)) for M in (W, W_inv))
@@ -1047,6 +1049,14 @@ class TestBeckmannField:
         w_inv_x = np.einsum("fij,jf->fi", W_inv, x)
         size = norm * np.linalg.norm(s, axis=0) + norm_inv * np.linalg.norm(x, axis=0)
         assert (np.abs(ws - w_inv_x).max(axis=1) <= roundoff * size).all()
+        W2 = W @ W
+        blocks = np.stack([W2[:, 1, 1], W2[:, 1, 2], W2[:, 2, 2]])
+        assert (np.abs(D - blocks).max(axis=0) <= roundoff * norm**2).all()
+        lam_form = ws[:, 0] ** 2 - ws[:, 1] ** 2 - ws[:, 2] ** 2
+        bound = roundoff * (norm * np.linalg.norm(s, axis=0)) ** 2
+        assert (np.abs(lam_norm**2 - lam_form) <= bound).all()
+        x_norm, s_norm = freenorm._lorentz_norms(x), freenorm._lorentz_norms(s)
+        assert (np.abs(lam_norm - np.sqrt(x_norm * s_norm)) <= roundoff * lam_norm).all()
 
         d = rng.standard_normal((3, 2000))
         scaled = {"x": np.einsum("fij,jf->if", W_inv, d), "s": np.einsum("fij,jf->if", W, d)}
@@ -1054,8 +1064,10 @@ class TestBeckmannField:
             for f in range(500):
                 lam = ws[f, :, None]
                 for name, u in (("x", x), ("s", s)):
-                    alpha = freenorm._max_step(u[:, f, None], d[:, f, None])
-                    alpha_lam = freenorm._max_step(lam, scaled[name][:, f, None])
+                    u_norm = freenorm._lorentz_norms(u[:, f, None])
+                    alpha = freenorm._max_step(u[:, f, None], d[:, f, None], u_norm)
+                    alpha_lam = freenorm._max_step(lam, scaled[name][:, f, None],
+                                                   lam_norm[f, None])
                     assert np.isclose(alpha, alpha_lam, rtol=1e-6, atol=0.0), (f, name)
 
         # the factored blocks are the lower 2 x 2 blocks of W^2 at every
@@ -1080,7 +1092,7 @@ class TestBeckmannField:
         mesh = generate_primitive("flat_rect", nx=8)
         _, _, diag = beckmann_field(mesh, Molecule(((38, 1.0), (42, -1.0))))
         assert diag["certified"] and len(factored) == diag["iterations"]
-        for W, D in zip(scalings, factored):
+        for (W, _, _), D in zip(scalings, factored):
             W = W.transpose(2, 0, 1)
             W2 = W @ W
             bound = roundoff * np.linalg.norm(W, 2, axis=(1, 2)) ** 2

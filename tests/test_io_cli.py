@@ -523,6 +523,32 @@ class TestCli:
         assert reports[0].read_bytes() == reports[1].read_bytes()
         assert json.loads(reports[0].read_text())["diagnostics"]["field"]["certified"]
 
+    def test_field_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # icosphere L5 (kd = 161): with the banded factor on the host's
+        # OpenBLAS threads, this 6-atom solve read 4.786401762616393 at 2
+        # threads and 4.786401762591899 at 1, in 24 steps each; the factor
+        # runs on one thread, so the two processes must print the same bytes
+        code = (
+            "import hashlib; import numpy as np; import freeflow as ff\n"
+            "mesh = ff.generate_primitive('icosphere', level=5)\n"
+            "rng = np.random.default_rng(3)\n"
+            "vertices = rng.choice(mesh.vertex_count, 6, replace=False).tolist()\n"
+            "coeffs = rng.standard_normal(6)\n"
+            "coeffs -= coeffs.mean()\n"
+            "value, g, diag = ff.beckmann_field(mesh, ff.Molecule(tuple(zip(vertices, coeffs))))\n"
+            "print(hashlib.sha256(g.tobytes()).hexdigest(), repr(value), diag['iterations'])\n"
+        )
+        src = str(Path(freeflow.__file__).resolve().parents[1])
+        runs = [
+            subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        ]
+        outputs = [run.communicate(timeout=300)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].split()[2] == "24"
+
     def test_non_finite_atom_error_envelope(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.json"
         main(["gen-mesh", "--kind", "flat_rect", "--nx", "4", "--out",

@@ -22,6 +22,7 @@ holds by construction (up to roundoff) for every scalar field f.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -166,35 +167,26 @@ def _openblas_thread_calls():
     return None
 
 
-class _OneBlasThread:
-    """Runs its body on one OpenBLAS thread. The thread count is global
-    to the process, so where bodies overlap (in several Python threads)
-    the first to enter saves the count and the last to leave restores it."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._open = 0
-        self._saved = None
-
-    def __enter__(self):
-        calls = _openblas_thread_calls()
-        if calls is not None:
-            with self._lock:
-                if self._open == 0:
-                    self._saved = calls[0]()
-                    calls[1](1)
-                self._open += 1
-
-    def __exit__(self, *exc_info):
-        calls = _openblas_thread_calls()
-        if calls is not None:
-            with self._lock:
-                self._open -= 1
-                if self._open == 0:
-                    calls[1](self._saved)
+_blas_threads_lock = threading.Lock()
 
 
-_one_blas_thread = _OneBlasThread()
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs its body on one OpenBLAS thread and restores the count after.
+    The count is global to the process, so bodies in several Python
+    threads take turns, each saving and restoring it under one lock."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _blas_threads_lock:
+        saved = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(saved)
 
 
 def weighted_normal_factorizer(mesh):
@@ -218,7 +210,7 @@ def weighted_normal_factorizer(mesh):
     cell (a_c the cell's entries of A at corner c, from :func:`_cells`)
     into the band and factors it by LAPACK's banded Cholesky, ``dpbtrf``,
     whose ``solve`` runs ``dpbtrs``. Both run on one OpenBLAS thread
-    (:class:`_OneBlasThread`), which is faster on these bands and makes
+    (:func:`_one_blas_thread`), which is faster on these bands and makes
     the factor's bits independent of the host's thread count. The band's
     memory grows as kd, which stays near sqrt(V) on the package's
     surfaces; a vertex on many cells (a graph's hub) widens it to O(V),
@@ -267,7 +259,7 @@ def weighted_normal_factorizer(mesh):
         values = np.einsum("kf,kfc->fc", blocks, products)
         band = np.bincount(slots.ravel(), values.ravel(), n * (kd + 1) + 1)
         band = band[:-1].reshape(n, kd + 1).T
-        with _one_blas_thread:
+        with _one_blas_thread():
             # info: the index of the first pivot that is not positive, or 0
             lower, pivot = dpbtrf(band, lower=1, overwrite_ab=1)
         if pivot > 0:
@@ -282,7 +274,7 @@ def weighted_normal_factorizer(mesh):
             # one gather in and one scatter out; the base vertex returns as a zero
             y = np.zeros(mesh.vertex_count)
             rhs = np.asarray(r, dtype=float)[vertices]
-            with _one_blas_thread:
+            with _one_blas_thread():
                 y[vertices], _ = dpbtrs(lower, rhs, lower=1, overwrite_b=1)
             return y
 

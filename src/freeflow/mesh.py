@@ -94,7 +94,10 @@ class TriMesh:
             # there are no keys, and the faces' missing edges are
             # reported first)
             self._check_connected()
-        self._edge_keys = self.edges[:, 0] * (len(self.edges) + 1) + self.edges[:, 1]
+        # sorted, with a -1 past the last key for searches that land there
+        self._edge_keys = np.append(
+            self.edges[:, 0] * (len(self.edges) + 1) + self.edges[:, 1], -1
+        )
 
         # the signed face->edge index: edge ids of v0->v1, v1->v2, v2->v0
         # and +1 where the face runs along the canonical u < v orientation
@@ -144,8 +147,8 @@ class TriMesh:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # int64: csgraph returns int32 vertex ids, whose product can wrap
         keys = np.asarray(lo, dtype=np.int64) * (len(self.edges) + 1) + hi
-        ids = np.searchsorted(self._edge_keys, keys)
-        found = np.append(self._edge_keys, -1)[ids] == keys
+        ids = np.searchsorted(self._edge_keys[:-1], keys)
+        found = self._edge_keys[ids] == keys
         found &= (lo >= 0) & (hi < self.vertex_count)
         return np.where(found, ids, -1)
 

@@ -4,10 +4,17 @@ Each mesh edge becomes two opposed arcs with cost equal to the edge
 length, so the optimum of  min sum_a cost_a * x_a, x >= 0,
 incidence @ x = b  equals the minimal length-weighted mass
 min sum_e length_e * |phi_e| over signed edge flows with the same
-divergence. Feasibility is bootstrapped with artificial big-cost arcs
-through an extra root node; the leaving arc is the last blocking arc
-along the pivot cycle from its apex, which keeps the spanning tree
-strongly feasible and prevents degenerate cycling.
+divergence. An extra root node joins each vertex by an artificial arc
+of big cost. The starting tree hangs the shortest-path forest of the
+demand vertices (b > 0) under the root node: each arc carries the supply
+below it, and each forest root balances its tree on its artificial arc,
+which points at the root node when the tree brings at least the forest
+root's demand. Potentials start at +-big - d(v), d the distance to the
+nearest demand vertex, so by the triangle inequality only arcs between a
+-big and a +big tree price below zero. Every zero-flow tree arc points
+at the root node, and the leaving arc is the last blocking arc along the
+pivot cycle from its apex, so the tree stays strongly feasible and
+degenerate pivots cannot cycle.
 
 Pricing scans the arcs in wrapping blocks of about sqrt(arcs) and
 enters the most negative reduced cost of the first block that has one.
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import SolverFailure
 from .ssp import checked_imbalance
@@ -62,9 +70,9 @@ def min_cost_flow(mesh, b):
     n_arcs = n_real + V
 
     # arcs 2e and 2e+1 run u->v and v->u along edge e; arc n_real + v is
-    # the artificial arc between v and the root, along v's imbalance
+    # the artificial arc root -> v, turned round where v roots a forest
+    # tree that brings at least its demand
     vertices = np.arange(V)
-    supply = b > 0
     big = 1.0 + 4.0 * float(mesh.edge_lengths.sum())
     tails = np.empty(n_arcs, dtype=np.int64)
     heads = np.empty(n_arcs, dtype=np.int64)
@@ -72,23 +80,54 @@ def min_cost_flow(mesh, b):
     tails[:n_real] = mesh.edges.ravel()
     heads[:n_real] = mesh.edges[:, ::-1].ravel()
     costs[:n_real] = np.repeat(mesh.edge_lengths, 2)
-    tails[n_real:] = np.where(supply, root, vertices)
-    heads[n_real:] = np.where(supply, vertices, root)
+    tails[n_real:] = root
+    heads[n_real:] = vertices
     costs[n_real:] = big
+
+    # the starting tree: the demand vertices' shortest-path forest under
+    # the root node, walked from the forest roots so parents come first;
+    # each arc carries the supply below it, summed children first
+    demand = np.flatnonzero(b > 0)
+    _, pred, _ = dijkstra(
+        mesh.adjacency, indices=demand, min_only=True, return_predecessors=True
+    )
+    up = 2 * mesh.edge_ids(vertices, pred) + (vertices > pred)
+    parent = np.where(pred < 0, root, pred).tolist() + [-1]
+    parent_arc = np.where(pred < 0, n_real + vertices, up).tolist() + [-1]
+    children = [set() for _ in range(V + 1)]
+    for v in range(V):
+        children[parent[v]].add(v)
+    order = []
+    stack = list(children[root])
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(children[u])
+    carried = (-b).tolist()
+    for u in reversed(order):
+        if parent[u] != root:
+            carried[parent[u]] += carried[u]
+    carried = np.array(carried)
+    outwards = np.flatnonzero((pred < 0) & (carried >= 0))
+    tails[n_real + outwards] = outwards
+    heads[n_real + outwards] = root
 
     # spanning tree state; potentials satisfy rc = 0 on tree arcs, and
     # ``priced`` is +inf on them. Flows and the per-pivot bookkeeping
     # read single entries, so they stay Python lists while pivoting
-    flow = [0.0] * n_real + np.abs(b).tolist()
+    flow = np.zeros(n_arcs)
+    flow[parent_arc[:V]] = np.abs(carried)
+    flow = flow.tolist()
     priced = costs.copy()
-    priced[n_real:] = math.inf
-    parent = [root] * V + [-1]
-    parent_arc = list(range(n_real, n_arcs)) + [-1]
-    depth = [1] * V + [0]
-    children = [set() for _ in range(V)] + [set(range(V))]
-    pi = np.zeros(V + 1)
-    pi[:V] = np.where(supply, big, -big)
+    priced[parent_arc[:V]] = math.inf
     tail_of, head_of, cost_of = tails.tolist(), heads.tolist(), costs.tolist()
+    depth = [0] * (V + 1)
+    pi = [0.0] * (V + 1)
+    for u in order:
+        w, a = parent[u], parent_arc[u]
+        depth[u] = depth[w] + 1
+        pi[u] = pi[w] + cost_of[a] if head_of[a] == u else pi[w] - cost_of[a]
+    pi = np.array(pi)
 
     tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
 

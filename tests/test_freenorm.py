@@ -348,57 +348,57 @@ class TestBeckmannGraph:
             (
                 "flat4",
                 (
-                    "92716c12dd4d4c8503765b3e98365d77db828a403fef358b34dc0551056b5fd1",
-                    "ec747b3fe2c61a915f3303462ff49b84d10cb576ef8578458e4bc5eaa8f7e273",
-                    "c58a2bcf7174f761d946d12ad987ea185d7e5702139f6863e5d1aff87796c768",
+                    "4abb0a006e8b049d743faf1a925c4d931f6a3cfd56f859e06cfe366e113329b2",
+                    "ec9d7af4bf89706f6eff26701bb02409e0f312149bb28e37b1e60f20bda266e5",
+                    "ad3c8e00fcd87301b15968fe0faec2bb000d0882f90e24ed9774b3a31d7a25bc",
                 ),
             ),
             (
                 "ico1",
                 (
-                    "46ddd622777d873158a04d2a6b47a1ef38b97a882a4f145cd3748b40022072de",
-                    "fe6799ba2499a644e4cb5c25260bab7e56900de3ea7b3577639a62d4781ecd26",
-                    "b19e9dd1bd04f57ca14e5d4558665ba947b821bcb2fc76b787166da42f7c4a15",
+                    "ac23a4e53475c1cab9cef1940304d489f20bb94f3839db3315ed3b53053329ab",
+                    "db681f84781988a92c89de26f9b973596ed633371924adb4fd8796f5268d8881",
+                    "de0038de6f2f7f53967fd43370b73e2e4aace7f9a9e5b438e621edbc4da2c7a3",
                 ),
             ),
             (
                 "annulus",
                 (
-                    "419cc2f528d6cbcb9488c609b7dccc1f6d20b97001e99387f7f0216033f0b34d",
-                    "0b2355c32c5f52bf343dc0d2ffaa6a9b0951f9ee9a47fc8d4d5f8c93abdcd08c",
-                    "18c62e0d1c606ec972a3ea0d862d51f31e0414f69135d19364d4f585da631525",
+                    "ab68a8c91f1d142ad1bcad9d411133d3cf869d0144e946b6d587dbfa2a7651a9",
+                    "b28c6220e6450e9de0397625288fe3c7f5f922abf37f45a3f8f215491d76e7e8",
+                    "8426e811e10c2eaa08258ce873835fa9586bb61c12488a3c156b17dcd6bc9f99",
                 ),
             ),
             (
                 "torus",
                 (
-                    "1dd68d9361fa2fa894c5b7e429b24ecc9c6bf859f38c8d4844af1cf810d22c7f",
-                    "070c029317cca1f40ba371013cc2727ae77db13443bbf7a40f4eafc02644e3d2",
-                    "a76e02782ccc68cf44c0b7921b30e6781c68cf115d65483950723772d1b72963",
+                    "018b0867b189a1f3bc921df6359f0fc4fe4cacc9a7497bf435d46d2d5893e9ff",
+                    "4f412840650ccb82b825b7cfe13be27dca7d200fa19701020371bf732168503e",
+                    "a647024274c8622069d7bc7500af4a8c73df3186a180d8c74914bfd812081f0d",
                 ),
             ),
             (
                 "poincare",
                 (
-                    "f3a1f01f631991032cfc5a9a63e042f49ee5f79e525b1aeb3b707e6152a588d9",
-                    "3b36d4021b0984300f0ddd9d3d6e825ba028e36e1420b6d14fd3635aa65664a2",
-                    "4bea4332275ba5a1779c3629c778dfbebc4a2a899d943018b0439301fa5d9c87",
+                    "325f9fdaaadd7cc4ab304a893363017de424b77635fc47b0408b6b1f49d810e5",
+                    "4c191361b227173d430cab5ac2ad809b92c82452bfee101fa833f7ef0fdc67eb",
+                    "6ee0c7e99fcaad4cd212074ab60aaa9a0ea1d5190aa8eec7c92d509966f3567e",
                 ),
             ),
             (
                 "circle32",
                 (
-                    "c6c89e619249bec70d3e62dc7de41fadd6766d24562bbce9ad8bbed4133d5afc",
-                    "17eeedd6efd8caf0b1c66ec5e2f27565939bcb5ced45292587c4503767075150",
-                    "55e0c9d8d128353401abcbe79978ca9d5cf8b40b7d12111230c3072bd1c3cbc1",
+                    "529a32aac229e6e70fbc46d5c9e1317607617075ad681441ae9932503e12c185",
+                    "1fa5725dda35dcecc10f894f6243e5abfddc31c68ff41ae00c73693d95c0dfc1",
+                    "a2cbc27e2d837e09611ee706c3e8616de12221fa310d6cabfdf012006022ad1a",
                 ),
             ),
             (
                 "interval10",
                 (
-                    "d67d344e3ac3d2e528692de1305941f785a53460d2146bb9141513e4dbe8ac19",
+                    "492251832d3d77d544d04358f810aebd97072a55c4b2570fc4a705125e1997c9",
                     "5d3d203c30936576f4c54ad400a848a22757a17bf835a982c24f4923ebd092c7",
-                    "ce01575cd3ee2e553cd20556d084b27814bc45a9ebb71f70dfa3101cd732e4a8",
+                    "99378a09ed119eb626a2fafbdf4e0473101fcd45ae620948da5b3ba1ce42f6a6",
                 ),
             ),
         ],
@@ -421,20 +421,20 @@ class TestBeckmannGraph:
                 "flat_rect",
                 {"nx": 32},
                 53,
-                "3b673f9ef30efc2c9b8b9ebf0260dbd5908ff04e40d84a850b29176052ff230b",
+                "a68fc61a9865430bb4fc0c2d5bade2ad31b1aa1cf1d9dcfdbe9e054adfafcac0",
             ),
             (
                 "icosphere",
                 {"level": 3},
                 54,
-                "3a3bc49c3f400639e08cddb37d977206f8c7080c80371167575f98327e3114e5",
+                "fa73d4f9447cab62a82b3c73996463e82a1ef8386e98d410ef724d8ec39218ef",
             ),
         ],
         ids=["flat_rect", "icosphere"],
     )
     def test_multi_block_flows_are_pinned(self, kind, params, seed, pin):
         # 50 atoms on meshes whose pricing wraps 67-86 blocks over
-        # 1400-2800 pivots; sha256 of the simplex's flow and potential
+        # 750-1500 pivots; sha256 of the simplex's flow and potential
         mesh = generate_primitive(kind, **params)
         rng = np.random.default_rng(seed)
         verts = rng.choice(np.arange(1, mesh.vertex_count), size=50, replace=False)
@@ -465,6 +465,82 @@ class TestBeckmannGraph:
             flow_ssp, _ = ssp.min_cost_flow(flat4, b)
             diff = incidence_apply(flat4, flow_ns - flow_ssp)
             assert np.abs(diff).max() <= 1e-9
+
+
+def assert_simplex_matches_ssp(mesh, b):
+    """The simplex pair certifies and its value is the SSP value."""
+    flow, potential = netsimplex.min_cost_flow(mesh, b)
+    numbers = freenorm.certify_graph_optimum(mesh, b, flow, potential)
+    assert max(numbers["residual"], numbers["slack"], abs(numbers["gap"])) <= (
+        CERTIFICATE_TOL / 100
+    )
+    reference, _ = ssp.min_cost_flow(mesh, b)
+    value = float(np.sum(mesh.edge_lengths * np.abs(flow)))
+    assert value == pytest.approx(
+        float(np.sum(mesh.edge_lengths * np.abs(reference))), rel=1e-12, abs=1e-15
+    )
+    return flow, potential
+
+
+class TestCrashBasis:
+    """The simplex starts from the shortest-path forest of the demand
+    vertices (b > 0); these cases reach the corners of that start."""
+
+    @pytest.mark.parametrize("fixture", ["flat4", "circle32", "interval10"])
+    def test_zero_imbalance(self, request, fixture):
+        # no demand vertex: every vertex roots its own tree at zero flow
+        mesh = request.getfixturevalue(fixture)
+        flow, potential = assert_simplex_matches_ssp(mesh, np.zeros(mesh.vertex_count))
+        assert not flow.any() and not potential.any()
+
+    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus8"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_signed_molecules(self, request, fixture, sign):
+        # positive atoms leave the base vertex the only supply vertex;
+        # negative ones make it the only demand vertex, one tree's root
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            verts = rng.choice(np.arange(1, mesh.vertex_count), size=6, replace=False)
+            mu = Molecule(tuple(zip(verts, sign * rng.uniform(0.1, 3.0, size=6))))
+            b = molecule_vector(mesh, canonicalize(mu, mesh.base_vertex))
+            assert np.flatnonzero(sign * b < 0).tolist() == [mesh.base_vertex]
+            assert_simplex_matches_ssp(mesh, b)
+
+    def test_forest_roots_with_zero_net_flow(self):
+        # unit path 0 - 1 - 2 - 3 - 4: the trees of the demand vertices 1
+        # and 3 each bring exactly their demand, and vertex 2 is at the
+        # same distance from both
+        mesh = generate_primitive("interval_graph", n=4, total_length=4.0)
+        flow, _ = assert_simplex_matches_ssp(mesh, np.array([-1.0, 1.0, 0.0, 1.0, -1.0]))
+        assert flow.tolist() == [1.0, 0.0, 0.0, -1.0]
+
+    def test_vertices_at_equal_distance_from_two_demand_vertices(self, flat4, circle32):
+        # flat4's vertex 12 sits midway along the row from 10 to 14, and
+        # circle32's vertices 0 and 16 midway round from 8 and 24
+        b = np.zeros(flat4.vertex_count)
+        b[[10, 14, 12]] = 1.0, 1.0, -2.0
+        assert_simplex_matches_ssp(flat4, b)
+        b = np.zeros(circle32.vertex_count)
+        b[[8, 24, 0, 16]] = 1.5, 0.5, -1.0, -1.0
+        assert_simplex_matches_ssp(circle32, b)
+
+    @pytest.mark.parametrize("fixture", ["circle32", "interval10"])
+    def test_metric_graphs(self, request, fixture):
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(48)
+        for _ in range(10):
+            assert_simplex_matches_ssp(
+                mesh, molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=8))
+            )
+
+    def test_annulus_based_at_an_inner_vertex(self):
+        mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
+        rng = np.random.default_rng(49)
+        for _ in range(10):
+            assert_simplex_matches_ssp(
+                mesh, molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=12))
+            )
 
 
 def _bump_one_flow_entry(flow, potential):

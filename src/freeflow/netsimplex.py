@@ -6,15 +6,14 @@ incidence @ x = b  equals the minimal length-weighted mass
 min sum_e length_e * |phi_e| over signed edge flows with the same
 divergence. An extra root node joins each vertex by an artificial arc
 of big cost. The starting tree hangs the shortest-path forest of the
-demand vertices (b > 0) under the root node: each arc carries the supply
-below it, and each forest root balances its tree on its artificial arc,
-which points at the root node when the tree brings at least the forest
-root's demand. Potentials start at +-big - d(v), d the distance to the
-nearest demand vertex, so by the triangle inequality only arcs between a
--big and a +big tree price below zero. Every zero-flow tree arc points
-at the root node, and the leaving arc is the last blocking arc along the
-pivot cycle from its apex, so the tree stays strongly feasible and
-degenerate pivots cannot cycle.
+demand vertices (b > 0) under it: each arc carries the supply below it,
+and each forest root balances its tree on its artificial arc, which
+points at the root node when the tree brings at least its demand. The
+potentials start at +-big - (distance to the nearest demand vertex), so
+by the triangle inequality only arcs between a -big and a +big tree
+price below zero. Zero-flow tree arcs point at the root node, and the
+leaving arc is the last blocking arc along the pivot cycle from its
+apex, so the tree stays strongly feasible and pivots cannot cycle.
 
 Pricing scans the arcs in wrapping blocks of about sqrt(arcs) and
 enters the most negative reduced cost of the first block that has one.
@@ -92,8 +91,9 @@ def min_cost_flow(mesh, b):
         mesh.adjacency, indices=demand, min_only=True, return_predecessors=True
     )
     up = 2 * mesh.edge_ids(vertices, pred) + (vertices > pred)
+    tree_arcs = np.where(pred < 0, n_real + vertices, up)
     parent = np.where(pred < 0, root, pred).tolist() + [-1]
-    parent_arc = np.where(pred < 0, n_real + vertices, up).tolist() + [-1]
+    parent_arc = tree_arcs.tolist() + [-1]
     children = [set() for _ in range(V + 1)]
     for v in range(V):
         children[parent[v]].add(v)
@@ -116,10 +116,10 @@ def min_cost_flow(mesh, b):
     # ``priced`` is +inf on them. Flows and the per-pivot bookkeeping
     # read single entries, so they stay Python lists while pivoting
     flow = np.zeros(n_arcs)
-    flow[parent_arc[:V]] = np.abs(carried)
+    flow[tree_arcs] = np.abs(carried)
     flow = flow.tolist()
     priced = costs.copy()
-    priced[parent_arc[:V]] = math.inf
+    priced[tree_arcs] = math.inf
     tail_of, head_of, cost_of = tails.tolist(), heads.tolist(), costs.tolist()
     depth = [0] * (V + 1)
     pi = [0.0] * (V + 1)

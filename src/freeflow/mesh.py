@@ -94,7 +94,7 @@ class TriMesh:
             # there are no keys, and the faces' missing edges are
             # reported first)
             self._check_connected()
-        # sorted, with a -1 past the last key for searches that land there
+        # the sorted keys, then a -1 for a search that lands past the last
         self._edge_keys = np.append(
             self.edges[:, 0] * (len(self.edges) + 1) + self.edges[:, 1], -1
         )

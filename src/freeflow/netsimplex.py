@@ -103,11 +103,10 @@ def min_cost_flow(mesh, b):
         u = stack.pop()
         order.append(u)
         stack.extend(children[u])
-    carried = (-b).tolist()
+    carried = (-b).tolist() + [0.0]
     for u in reversed(order):
-        if parent[u] != root:
-            carried[parent[u]] += carried[u]
-    carried = np.array(carried)
+        carried[parent[u]] += carried[u]
+    carried = np.array(carried[:V])
     outwards = np.flatnonzero((pred < 0) & (carried >= 0))
     tails[n_real + outwards] = outwards
     heads[n_real + outwards] = root

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import time
 import warnings
 from fractions import Fraction
@@ -269,6 +270,24 @@ class TestTransportationSolver:
         result = transport.solve_transportation(supplies, demands, cost)
         assert type(result) is Fraction
         assert result == value
+
+    def test_degenerate_values_are_pinned(self):
+        # 400 instances up to 7x7 whose masses are the row and column sums
+        # of a random 0..2 matrix, so zero masses and zero-flow northwest
+        # cells are common, and whose costs in {0, 1, 2} tie for both of
+        # Bland's rules; sha256 over the reprs of the returned Fractions
+        rng = random.Random(30)
+        values = []
+        for _ in range(400):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            flow = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+            cost = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+            supplies = [sum(row) for row in flow]
+            demands = [sum(col) for col in zip(*flow)]
+            values.append(transport.solve_transportation(supplies, demands, cost))
+        assert all(type(v) is Fraction for v in values)
+        digest = hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
+        assert digest == "b2ee16a37f22a518da5a4584bf93a9d49b70d886f486137d61a87d42ae712b6e"
 
     @pytest.mark.parametrize(
         "supplies, demands, message",

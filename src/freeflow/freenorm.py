@@ -175,9 +175,7 @@ def transport_oracle(mesh, molecule):
         raise TooManyAtoms(f"{len(molecule.atoms)} atoms exceed the bound of 12")
     # exact rational masses so the balanced instance balances exactly
     weights = {v: Fraction(c) for v, c in molecule.atoms}
-    total = sum(weights.values(), Fraction(0))
-    if total != 0:
-        weights[mesh.base_vertex] = weights.get(mesh.base_vertex, Fraction(0)) - total
+    weights[mesh.base_vertex] = -sum(weights.values(), Fraction(0))
     sources = [(v, c) for v, c in sorted(weights.items()) if c > 0]
     sinks = [(v, -c) for v, c in sorted(weights.items()) if c < 0]
     if not sources:

@@ -15,11 +15,10 @@ positive, so every comparison and pivot is the one the rationals make,
 and the integer optimum over their product is still exact.
 
 The basis cells form a spanning tree of rows and columns, so a pivot
-needs no graph search. The duals u_i + v_j = d_ij (u_0 = 0) come from
-sweeps over the basis, each fixing every cell with one known end. The
-pivot cycle is what is left of basis + {entering} once cells alone in
-their row or column have been dropped until none is; a walk from the
-entering cell, alternately along a row and a column, puts it in order.
+needs no graph search. One walk of that tree from row 0 gives each row
+and column its depth, the basis cell to its parent and its dual, with
+u_i + v_j = d_ij and u_0 = 0. The pivot cycle climbs the tree from both
+ends of the entering cell, always from the deeper end, until they meet.
 """
 
 import math
@@ -65,14 +64,39 @@ def solve_transportation(supplies, demands, cost):
             j += 1
 
     for _ in range(100000):
-        u, v = _duals(flows, d, m, n)
+        # rows are nodes 0..m-1 and columns m..m+n-1 of the basis tree
+        tree = [[] for _ in range(m + n)]
+        for i, j in flows:
+            tree[i].append((i, j))
+            tree[m + j].append((i, j))
+        up, depth, dual = [None] * (m + n), [None] * (m + n), [0] * (m + n)
+        depth[0] = 0
+        stack = [0]
+        while stack:
+            a = stack.pop()
+            for i, j in tree[a]:
+                b = i if a >= m else m + j
+                if depth[b] is None:
+                    up[b], depth[b] = (i, j), depth[a] + 1
+                    dual[b] = d[i][j] - dual[a]
+                    stack.append(b)
+        if None in depth:
+            raise SolverFailure("basis does not span the bipartite graph")
         entering = next((  # Bland: first negative reduced cost
             (i, j) for i in range(m) for j in range(n)
-            if (i, j) not in flows and d[i][j] - u[i] - v[j] < 0), None)
+            if (i, j) not in flows and d[i][j] - dual[i] - dual[m + j] < 0), None)
         if entering is None:
             total = sum(d[i][j] * q for (i, j), q in flows.items())
             return Fraction(total, mass_den * cost_den)
-        cycle = _pivot_cycle(list(flows), entering)
+        # climb from both ends of the entering cell to where they meet;
+        # the cells alternately gain (+) and lose (-) flow
+        ends, sides = [m + entering[1], entering[0]], ([], [])
+        while ends[0] != ends[1]:
+            k = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            i, j = up[ends[k]]
+            sides[k].append((i, j))
+            ends[k] = i if ends[k] >= m else m + j
+        cycle = [entering] + sides[0] + sides[1][::-1]
         minus = cycle[1::2]
         delta = min(flows[c] for c in minus)
         leaving = min(c for c in minus if flows[c] == delta)
@@ -81,46 +105,3 @@ def solve_transportation(supplies, demands, cost):
             flows[cell] += delta if k % 2 == 0 else -delta
         del flows[leaving]
     raise SolverFailure("transportation simplex failed to terminate")
-
-
-def _duals(basis, d, m, n):
-    """Solve u_i + v_j = d_ij over the basis tree with u_0 = 0."""
-    u, v = [None] * m, [None] * n
-    u[0] = 0
-    pending = list(basis)
-    while pending:
-        rest = []
-        for i, j in pending:
-            if v[j] is None and u[i] is not None:
-                v[j] = d[i][j] - u[i]
-            elif u[i] is None and v[j] is not None:
-                u[i] = d[i][j] - v[j]
-            else:
-                rest.append((i, j))
-        if len(rest) == len(pending):
-            raise SolverFailure("basis does not span the bipartite graph")
-        pending = rest
-    return u, v
-
-
-def _pivot_cycle(basis, entering):
-    """Cycle closed by the entering cell, starting with it; its cells
-    alternately gain (+) and lose (-) flow."""
-    cells = basis + [entering]
-    while cells:
-        rows, cols = zip(*cells)
-        kept = [(i, j) for i, j in cells
-                if rows.count(i) > 1 and cols.count(j) > 1]
-        if len(kept) == len(cells):
-            break
-        cells = kept
-    if entering not in cells:
-        raise SolverFailure("entering cell closes no cycle")
-    cells.remove(entering)
-    cycle = [entering]
-    while cells:
-        axis = 1 - len(cycle) % 2  # 0: same row as the last cell, 1: column
-        cell = next(c for c in cells if c[axis] == cycle[-1][axis])
-        cells.remove(cell)
-        cycle.append(cell)
-    return cycle

@@ -64,7 +64,8 @@ def solve_transportation(supplies, demands, cost):
             j += 1
 
     for _ in range(100000):
-        # rows are nodes 0..m-1 and columns m..m+n-1 of the basis tree
+        # rows are nodes 0..m-1 and columns m..m+n-1 of the basis tree;
+        # dual[i] is u_i and dual[m + j] is v_j
         tree = [[] for _ in range(m + n)]
         for i, j in flows:
             tree[i].append((i, j))

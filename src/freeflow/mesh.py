@@ -9,6 +9,7 @@ meshes are metric graphs (no triangles).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 _COND_LIMIT = 1e12
+_Arcs = namedtuple("_Arcs", "tail head length edge sign slot")
 
 
 @dataclass
@@ -239,6 +241,20 @@ class TriMesh:
             (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
             shape=(self.vertex_count, self.vertex_count),
         )
+
+    @cached_property
+    def arcs(self):
+        """Read-only arc table: arcs 2e and 2e + 1 run u->v (sign +1.0) and
+        v->u (sign -1.0) on edge e = (u, v), u < v, at ``slot`` in ``adjacency.data``."""
+        n = 2 * len(self.edges)
+        tail, head = self.edges.ravel(), self.edges[:, ::-1].ravel()
+        slot = np.empty(n, dtype=np.int64)  # CSR data runs in (tail, head) order
+        slot[np.argsort(tail * self.vertex_count + head)] = np.arange(n)
+        arcs = _Arcs(tail, head, np.repeat(self.edge_lengths, 2), np.arange(n) // 2,
+                     np.tile([1.0, -1.0], n // 2), slot)
+        for arr in arcs:
+            arr.setflags(write=False)
+        return arcs
 
     def face_geometry(self):
         """Planar layouts, areas and hat gradients per face.

@@ -1,41 +1,45 @@
 """Primal network simplex for uncapacitated min-cost flow.
 
 Each mesh edge becomes two opposed arcs with cost equal to the edge
-length, so the optimum of  min sum_a cost_a * x_a, x >= 0,
-incidence @ x = b  equals the minimal length-weighted mass
-min sum_e length_e * |phi_e| over signed edge flows with the same
-divergence. An extra root node joins each vertex by an artificial arc
-of big cost. The starting tree hangs the shortest-path forest of the
-demand vertices (b > 0) under it: each arc carries the supply below it,
-and each forest root balances its tree on its artificial arc, which
-points at the root node when the tree brings at least its demand. The
-potentials start at +-big - (distance to the nearest demand vertex), so
-by the triangle inequality only arcs between a -big and a +big tree
-price below zero. Zero-flow tree arcs point at the root node, and the
-leaving arc is the last blocking arc along the pivot cycle from its
-apex, so the tree stays strongly feasible and pivots cannot cycle.
+length (the arc table ``mesh.arcs``), so the optimum of
+min sum_a cost_a * x_a, x >= 0, incidence @ x = b  equals the minimal
+length-weighted mass min sum_e length_e * |phi_e| over signed edge flows
+with the same divergence. An extra root node joins each vertex by an
+artificial arc of big cost. The starting tree hangs the shortest-path
+forest of the demand vertices (b > 0) under it. Its arcs and depths are
+arrays: pointer jumping gives the depths, and a stable sort by depth
+puts parents first, where Dijkstra's distances would tie the ends of an
+edge below their roundoff. In that order each arc's supply is summed
+into its parent one vertex at a time, so a chain's arcs carry bitwise
+equal flows, and each forest root balances its tree on its artificial
+arc, which points at the root node when the tree brings at least its
+demand. The potentials start at +-big - (distance to the nearest demand
+vertex), so by the triangle inequality only arcs between a -big and a
++big tree price below zero. Zero-flow tree arcs point at the root node,
+and the leaving arc is the last blocking arc along the pivot cycle from
+its apex, so the tree stays strongly feasible and pivots cannot cycle.
 
-Pricing scans the arcs in wrapping blocks of about sqrt(arcs) and
-enters the most negative reduced cost of the first block that has one.
-One array ``priced`` holds each arc's cost, or +inf while the arc is in
-the tree, so a block's reduced costs are one sum over array slices and
-a tree arc can never enter; a pivot updates the two entries that change.
+Pricing enters the most negative reduced cost of the first block of
+about sqrt(arcs) arcs, in wrapping order, that has one. After a pivot's
+first block the blocks are priced 2, 4, 8 ... at a time, which enters
+the same arc in fewer array passes. ``priced`` holds each arc's cost, or
++inf on tree arcs, so a block's reduced costs are one sum over slices.
 
-The spanning tree is kept rooted at the extra node, as parent, parent
-arc, depth, potential and a set of children per node. A pivot walks the
-tree path between the entering arc's endpoints once, up to their apex,
-and sorts each arc into raised or lowered by whether it points along the
-push direction. The leaving arc, the last minimal lowered arc from the
-apex, cuts off the subtree S below it; S holds one endpoint q of the
-entering arc. The pivot reverses the parent links along the tree path
-from q up to the root of S, hangs q under the other endpoint of the
-entering arc, and recomputes depth and potential only inside S, walking
-down from q (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section
-11.5). The arc flows stay a Python list while pivoting, since each pivot
-reads and writes single entries, and become an array once at the end.
+The tree is kept rooted at the extra node as per-node Python lists:
+parent, parent arc, depth, the flow on the parent arc, its step (its
+cost, signed + where it points at the node) and a set of children. A
+pivot walks the tree path between the entering arc's endpoints once, up
+to their apex; a step's sign says whether the push raises or lowers its
+arc. The leaving arc, the last minimal lowered arc from the apex, cuts
+off the subtree S below it, which holds one endpoint q of the entering
+arc. The pivot reverses the parent links from q up to the root of S,
+each arc keeping its flow and turning its step round, hangs q under the
+other endpoint, and recomputes depth and potential only inside S,
+walking down from q (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+section 11.5).
 
-Every potential is the sum of arc costs along its root path, taken from
-the root down. At optimality the potentials, taken relative to the base
+Every potential is the sum of steps along its root path, taken from the
+root down. At optimality the potentials, taken relative to the base
 vertex, are an optimal dual solution. The solve returns them summed
 again from the root's children without the artificial cost, so their
 roundoff scales with the edge lengths, and ``freenorm`` certifies them
@@ -61,72 +65,54 @@ def min_cost_flow(mesh, b):
     tree's optimal dual vertex field with potential[base_vertex] == 0.
     """
     V = mesh.vertex_count
-    E = len(mesh.edges)
     b = checked_imbalance(mesh, b)
-
+    arcs = mesh.arcs
     root = V
-    n_real = 2 * E
+    n_real = len(arcs.tail)
     n_arcs = n_real + V
-
-    # arcs 2e and 2e+1 run u->v and v->u along edge e; arc n_real + v is
-    # the artificial arc root -> v, turned round where v roots a forest
-    # tree that brings at least its demand
     vertices = np.arange(V)
     big = 1.0 + 4.0 * float(mesh.edge_lengths.sum())
-    tails = np.empty(n_arcs, dtype=np.int64)
-    heads = np.empty(n_arcs, dtype=np.int64)
-    costs = np.empty(n_arcs)
-    tails[:n_real] = mesh.edges.ravel()
-    heads[:n_real] = mesh.edges[:, ::-1].ravel()
-    costs[:n_real] = np.repeat(mesh.edge_lengths, 2)
-    tails[n_real:] = root
-    heads[n_real:] = vertices
-    costs[n_real:] = big
 
-    # the starting tree: the demand vertices' shortest-path forest under
-    # the root node, walked from the forest roots so parents come first;
-    # each arc carries the supply below it, summed children first
-    demand = np.flatnonzero(b > 0)
-    _, pred, _ = dijkstra(
-        mesh.adjacency, indices=demand, min_only=True, return_predecessors=True
-    )
+    # the starting tree: each vertex hangs on the arc up to its Dijkstra
+    # predecessor, each forest root on its artificial arc
+    _, pred, _ = dijkstra(mesh.adjacency, indices=np.flatnonzero(b > 0),
+                          min_only=True, return_predecessors=True)
+    forest_roots = pred < 0
     up = 2 * mesh.edge_ids(vertices, pred) + (vertices > pred)
-    tree_arcs = np.where(pred < 0, n_real + vertices, up)
-    parent = np.where(pred < 0, root, pred).tolist() + [-1]
-    parent_arc = tree_arcs.tolist() + [-1]
-    children = [set() for _ in range(V + 1)]
-    for v in range(V):
-        children[parent[v]].add(v)
-    order = []
-    stack = list(children[root])
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children[u])
+    tree_arcs = np.where(forest_roots, n_real + vertices, up)
+    parent = np.append(np.where(forest_roots, root, pred), root)
+    # pointer jumping: after k rounds ``jump`` is each node's 2^k-th
+    # ancestor (or the root node) and depth the distance to it
+    jump = parent
+    depth = np.append(np.ones(V, dtype=np.int64), 0)
+    while (jump < root).any():
+        depth += depth[jump]
+        jump = jump[jump]
+    order = np.argsort(depth[:V], kind="stable").tolist()
+    parent = parent.tolist()
     carried = (-b).tolist() + [0.0]
     for u in reversed(order):
         carried[parent[u]] += carried[u]
     carried = np.array(carried[:V])
-    outwards = np.flatnonzero((pred < 0) & (carried >= 0))
-    tails[n_real + outwards] = outwards
-    heads[n_real + outwards] = root
-
-    # spanning tree state; potentials satisfy rc = 0 on tree arcs, and
-    # ``priced`` is +inf on them. Flows and the per-pivot bookkeeping
-    # read single entries, so they stay Python lists while pivoting
-    flow = np.zeros(n_arcs)
-    flow[tree_arcs] = np.abs(carried)
-    flow = flow.tolist()
-    priced = costs.copy()
-    priced[tree_arcs] = math.inf
-    tail_of, head_of, cost_of = tails.tolist(), heads.tolist(), costs.tolist()
-    depth = [0] * (V + 1)
+    outwards = forest_roots & (carried >= 0)
+    tails = np.concatenate([arcs.tail, np.where(outwards, vertices, root)])
+    heads = np.concatenate([arcs.head, np.where(outwards, root, vertices)])
+    costs = np.concatenate([arcs.length, np.full(V, big)])
+    step = np.where(forest_roots & ~outwards, big, -costs[tree_arcs]).tolist() + [0.0]
     pi = [0.0] * (V + 1)
     for u in order:
-        w, a = parent[u], parent_arc[u]
-        depth[u] = depth[w] + 1
-        pi[u] = pi[w] + cost_of[a] if head_of[a] == u else pi[w] - cost_of[a]
+        pi[u] = pi[parent[u]] + step[u]
     pi = np.array(pi)
+
+    # spanning tree state; the lists are read and written one entry at
+    # a time by each pivot
+    priced = costs.copy()
+    priced[tree_arcs] = math.inf
+    parent_arc, depth = tree_arcs.tolist() + [-1], depth.tolist()
+    flow = np.abs(carried).tolist() + [0.0]
+    children = [set() for _ in range(V + 1)]
+    for v in range(V):
+        children[parent[v]].add(v)
 
     tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
 
@@ -135,97 +121,104 @@ def min_cost_flow(mesh, b):
     pivots = 0
     cursor = 0
     while True:
-        # entering arc: best reduced cost within a wrapping block scan
+        # entering arc: the best reduced cost of the first block, in
+        # wrapping order, that has a negative one
         entering = -1
-        scanned = 0
+        scanned, width = 0, block
         while scanned < n_arcs:
-            hi = min(cursor + block, n_arcs)
+            hi = min(cursor + width, n_arcs)
             rc = priced[cursor:hi] + pi.take(tails[cursor:hi]) - pi.take(heads[cursor:hi])
             k = int(rc.argmin())
-            if rc[k] < -tol:
+            if rc.item(k) < -tol:
+                lo = 0
+                if width > block:  # enter in the chunk's first eligible block
+                    lo = int((rc < -tol).argmax()) // block * block
+                    k = lo + int(rc[lo:lo + block].argmin())
                 entering = cursor + k
-                cursor = hi % n_arcs
+                cursor = min(cursor + lo + block, hi) % n_arcs
                 break
             scanned += hi - cursor
             cursor = hi % n_arcs
+            width *= 2
         if entering < 0:
             break
         pivots += 1
         if pivots > max_pivots:
             raise SolverFailure("pivot cap exceeded")
 
-        t, h = tail_of[entering], head_of[entering]
+        t, h = tails.item(entering), heads.item(entering)
         # one walk up the cycle: tree path t .. apex .. h plus the entering
         # arc t->h. Pushing along the entering arc raises the flow on arcs
         # that point from the apex towards t, and from h towards the apex,
         # and lowers it on the others. The leaving arc is the last minimal
         # lowered arc in cycle order apex .. t, h .. apex: the first
         # minimum on t's side, which the walk visits backwards, and the
-        # last on h's side, with h's side winning ties
-        raised, lowered = [entering], []
+        # last on h's side, with h's side winning ties. The walk collects
+        # the nodes below the cycle's tree arcs
+        raised, lowered = [], []
         leave_t = leave_h = -1
         flow_t = flow_h = math.inf
         a_node, b_node = t, h
         while a_node != b_node:
             if depth[a_node] >= depth[b_node]:
-                a = parent_arc[a_node]
-                if head_of[a] == a_node:
-                    raised.append(a)
+                if step[a_node] > 0:
+                    raised.append(a_node)
                 else:
-                    lowered.append(a)
-                    if flow[a] < flow_t:
-                        leave_t, flow_t = a, flow[a]
+                    lowered.append(a_node)
+                    if flow[a_node] < flow_t:
+                        leave_t, flow_t = a_node, flow[a_node]
                 a_node = parent[a_node]
             else:
-                a = parent_arc[b_node]
-                if tail_of[a] == b_node:
-                    raised.append(a)
+                if step[b_node] < 0:
+                    raised.append(b_node)
                 else:
-                    lowered.append(a)
-                    if flow[a] <= flow_h:
-                        leave_h, flow_h = a, flow[a]
+                    lowered.append(b_node)
+                    if flow[b_node] <= flow_h:
+                        leave_h, flow_h = b_node, flow[b_node]
                 b_node = parent[b_node]
+        # the leaving arc cuts off the subtree below its lower end c; q is
+        # the entering arc's endpoint inside it, p the one outside
         if flow_h <= flow_t:
-            leaving, delta, q, p = leave_h, flow_h, h, t
+            c, delta, q, p = leave_h, flow_h, h, t
         else:
-            leaving, delta, q, p = leave_t, flow_t, t, h
-        if leaving < 0:
+            c, delta, q, p = leave_t, flow_t, t, h
+        if c < 0:
             raise SolverFailure("unbounded pivot cycle (negative cost cycle)")
 
-        for a in raised:
-            flow[a] += delta
-        for a in lowered:
-            flow[a] -= delta
-        flow[leaving] = 0.0
+        for u in raised:
+            flow[u] += delta
+        for u in lowered:
+            flow[u] -= delta
 
-        priced[leaving] = cost_of[leaving]
+        priced[parent_arc[c]] = abs(step[c])
+        cost = priced.item(entering)
         priced[entering] = math.inf
 
-        # the leaving arc cuts off the subtree below its lower endpoint c;
-        # q is the entering arc's endpoint inside it, p the one outside
-        lt, lh = tail_of[leaving], head_of[leaving]
-        c = lt if depth[lt] > depth[lh] else lh
-        # reverse the parent links along q .. c and hang q under p
+        # reverse the parent links along q .. c and hang q under p; each
+        # arc on the way keeps its flow and turns its step round
         node, new_parent, new_arc = q, p, entering
+        new_step, new_flow = (cost if q == h else -cost), delta
         while True:
             old_parent, old_arc = parent[node], parent_arc[node]
+            old_step, old_flow = step[node], flow[node]
             children[old_parent].discard(node)
-            parent[node] = new_parent
-            parent_arc[node] = new_arc
+            parent[node], parent_arc[node] = new_parent, new_arc
+            step[node], flow[node] = new_step, new_flow
             children[new_parent].add(node)
             if node == c:
                 break
             node, new_parent, new_arc = old_parent, node, old_arc
+            new_step, new_flow = -old_step, old_flow
         # depth and potential change only inside the re-hung subtree
         stack = [q]
         while stack:
             u = stack.pop()
-            w, a = parent[u], parent_arc[u]
+            w = parent[u]
             depth[u] = depth[w] + 1
-            pi[u] = pi[w] + cost_of[a] if head_of[a] == u else pi[w] - cost_of[a]
+            pi[u] = pi.item(w) + step[u]
             stack.extend(children[u])
 
-    # the returned potential sums arc costs down from each anchor, a
+    # the returned potential sums the steps down from each anchor, a
     # child of the root, leaving out the artificial cost big whose
     # roundoff would swamp short edges; at optimality every anchor has
     # the same potential, so the sums share one origin
@@ -233,11 +226,10 @@ def min_cost_flow(mesh, b):
     stack = [u for anchor in children[root] for u in children[anchor]]
     while stack:
         u = stack.pop()
-        w, a = parent[u], parent_arc[u]
-        potential[u] = (
-            potential[w] + cost_of[a] if head_of[a] == u else potential[w] - cost_of[a]
-        )
+        potential[u] = potential[parent[u]] + step[u]
         stack.extend(children[u])
     potential = np.array(potential)
-    flow = np.array(flow)
-    return flow[0:n_real:2] - flow[1:n_real:2], potential - potential[mesh.base_vertex]
+    arc_flow = np.zeros(n_arcs + 1)  # the root's parent arc -1 fills the spare entry
+    arc_flow[parent_arc] = flow
+    flow = arc_flow[0:n_real:2] - arc_flow[1:n_real:2]
+    return flow, potential - potential[mesh.base_vertex]

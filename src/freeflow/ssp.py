@@ -4,18 +4,22 @@ Solves  min sum_e length_e * |phi_e|  subject to  incidence @ phi = b
 (uncapacitated, both traversal directions cost the edge length) in
 primal-dual phases (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
 section 9.8). Every arc stays in the residual graph, so its CSR matrix
-is one copy of the mesh's adjacency per solve. Each phase refills only
-its data with the reduced costs, runs one multi-source
+is one copy of the mesh's adjacency per solve. Each phase prices the
+arcs of the mesh's arc table ``mesh.arcs``, writes the reduced costs
+into the graph's data at the table's CSR slots, runs one multi-source
 ``scipy.sparse.csgraph.dijkstra`` and adds the distances to the node
 potentials, which makes every shortest path tight. It then augments
 along the shortest path of each reached sink, nearest first, while the
 path's source has supply, its sink has demand and its arcs are still
-tight. The accumulated node potentials are an optimal solution of the
-dual problem: they maximize sum_v b[v] * f[v] over all vertex fields
-with |f[u] - f[v]| <= length(u, v) on every edge.
+tight; each path step finds its arc by its slot in the CSR row. The
+accumulated node potentials are an optimal solution of the dual
+problem: they maximize sum_v b[v] * f[v] over all vertex fields with
+|f[u] - f[v]| <= length(u, v) on every edge.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -50,16 +54,15 @@ def min_cost_flow(mesh, b):
     """
     V = mesh.vertex_count
     b = checked_imbalance(mesh, b)
-
     E = len(mesh.edges)
-    # arc a runs u->v along edge a for a < E, and v->u along edge a - E
-    tails = np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1]])
-    heads = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
-    arc_lengths = np.tile(mesh.edge_lengths, 2)
-    # the residual graph has the mesh's adjacency pattern, canonical CSR:
-    # its entries are the arcs sorted by (tail, head)
-    order = np.lexsort((heads, tails))
+    arcs = mesh.arcs
     graph = mesh.adjacency.copy()
+    # the arc u -> v is the arc at u's CSR slot for column v, read by path
+    # steps from byte copies that index like lists
+    arc_at = np.empty(2 * E, dtype=np.int64)
+    arc_at[arcs.slot] = np.arange(2 * E)
+    indptr, indices, arc_at = (array(a.dtype.char, a.tobytes())
+                               for a in (graph.indptr, graph.indices, arc_at))
 
     flow = np.zeros(E)
     pi = np.zeros(V)
@@ -82,13 +85,11 @@ def min_cost_flow(mesh, b):
 
         # traversing against existing flow refunds the edge cost; tight
         # arcs clamp to an explicit 0.0, which stays an arc of the graph
-        against = np.concatenate([flow < 0, flow > 0])
-        cost = np.where(against, -arc_lengths, arc_lengths)
-        reduced = np.maximum(cost + pi[tails] - pi[heads], 0.0)
-        np.take(reduced, order, out=graph.data)
-        dist, pred, roots = dijkstra(
-            graph, indices=sources, min_only=True, return_predecessors=True
-        )
+        against = flow[arcs.edge] * arcs.sign < 0
+        cost = np.where(against, -arcs.length, arcs.length)
+        graph.data[arcs.slot] = np.maximum(cost + pi[arcs.tail] - pi[arcs.head], 0.0)
+        dist, pred, roots = dijkstra(graph, indices=sources, min_only=True,
+                                     return_predecessors=True)
         if not np.isfinite(dist[sinks]).all():
             raise SolverFailure("sink unreachable in residual network")
         finite = np.isfinite(dist)
@@ -98,27 +99,29 @@ def min_cost_flow(mesh, b):
         # arcs tight, except a cancellation arc whose opposing flow reaches
         # zero: it turns forward at reduced cost 2 * length, so a later
         # path over it must wait for the next phase
-        for t in sinks[np.argsort(dist[sinks], kind="stable")]:
-            s = roots[t]
+        for t in sinks[np.argsort(dist[sinks], kind="stable")].tolist():
+            s = roots.item(t)
             if remaining[t] <= settled or remaining[s] >= -settled:
                 continue
-            path = [t]
-            while path[-1] != s:
-                path.append(pred[path[-1]])
-            step_heads, step_tails = np.array(path[:-1]), np.array(path[1:])
-            edge = mesh.edge_ids(step_tails, step_heads)
-            forward = step_tails < step_heads
-            sign = np.where(forward, 1.0, -1.0)
-            cancels = flow[edge] * sign < 0
-            if not np.array_equal(cancels, against[np.where(forward, edge, edge + E)]):
-                continue
-
-            # the bottleneck over cancellation arcs is their opposing flow
-            delta = np.abs(flow[edge[cancels]]).min(
-                initial=min(-remaining[s], remaining[t])
-            )
-            flow[edge] += delta * sign
-            remaining[s] += delta
-            remaining[t] -= delta
+            # walk back from t; cancellation arcs bound the push by their flow
+            delta = min(-remaining[s], remaining[t])
+            steps = []
+            v = t
+            while v != s:
+                u = pred.item(v)
+                a = arc_at[indptr[u] + indices[indptr[u]:indptr[u + 1]].index(v)]
+                e, sign = a >> 1, 1.0 - 2.0 * (a & 1)  # the table's numbering
+                along = flow.item(e) * sign
+                if (along < 0) != against.item(a):
+                    break
+                if along < 0:
+                    delta = min(delta, -along)
+                steps.append((e, sign))
+                v = u
+            else:  # every arc of the path is still tight
+                for e, sign in steps:
+                    flow[e] += delta * sign
+                remaining[s] += delta
+                remaining[t] -= delta
 
     return flow, pi - pi[mesh.base_vertex]

@@ -47,6 +47,16 @@ def poincare():
 
 
 @pytest.fixture(scope="session")
+def flat8_chord():
+    """flat_rect nx8 plus a chord on no face, from corner 0 to the far
+    corner 80, shorter than any path of grid edges between them."""
+    mesh = generate_primitive("flat_rect", nx=8)
+    lengths = edge_length_map(mesh)
+    lengths[(0, 80)] = 0.5
+    return from_lengths(mesh.triangles, lengths)
+
+
+@pytest.fixture(scope="session")
 def circle32():
     return generate_primitive("circle_graph", n=32)
 

@@ -177,6 +177,21 @@ class TestRouteAgreement:
         assert (np.abs(f[v] - f[u]) / mesh.edge_lengths).max() <= 1.0 + 1e-9
 
 
+    def test_chord_on_no_face(self, flat8_chord):
+        # the chord 0 - 80 of length 0.5 beats every grid path (length 2)
+        # between the corners, so the optimal flow runs along it
+        chord = int(flat8_chord.edge_ids(0, 80))
+        for mu, expected in [
+            (Molecule(((80, 1.0),)), 0.5),
+            (Molecule(((80, 1.5), (72, 0.5), (8, -0.75), (40, 0.25))), 1.75),
+        ]:
+            dual, _ = dual_lp(flat8_chord, mu)
+            graph, flow = beckmann_graph(flat8_chord, mu)
+            assert dual == graph == expected
+            assert transport_oracle(flat8_chord, mu) == expected
+            assert flow[chord] == 1.0
+
+
 class TestTransportOracle:
     def test_two_positive_atoms(self, flat4):
         d = geodesic_distances(flat4, 0)
@@ -552,6 +567,17 @@ class TestCrashBasis:
             assert_simplex_matches_ssp(
                 mesh, molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=8))
             )
+
+    def test_parent_and_child_at_equal_distance(self):
+        # path 3 - 2 - 1 - 0 with a last edge 1e-20 long: vertex 0 hangs
+        # under vertex 1 in the demand vertex 3's tree, at the same
+        # floating-point distance, and carries the supply of vertex 0
+        mesh = TriMesh([], [(0, 1), (1, 2), (2, 3)], [1e-20, 1.0, 1.0])
+        distances = geodesic_distances(mesh, 3)
+        assert distances[0] == distances[1] == 2.0
+        flow, potential = assert_simplex_matches_ssp(mesh, np.array([-1.0, 0.0, 0.0, 1.0]))
+        assert flow.tolist() == [1.0, 1.0, 1.0]
+        assert potential.tolist() == [0.0, 0.0, 1.0, 2.0]
 
     def test_annulus_based_at_an_inner_vertex(self):
         mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)

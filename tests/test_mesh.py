@@ -15,7 +15,7 @@ from freeflow.errors import (
 )
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.calculus import l1_norm
-from freeflow.io import mesh_from_dict, mesh_hash
+from freeflow.io import mesh_from_dict, mesh_hash, mesh_to_dict
 from freeflow.primitives import generate_primitive
 
 from conftest import edge_index, face_edge_pairs, from_lengths
@@ -308,6 +308,57 @@ class TestBuildMesh:
         assert mesh_hash(rebuilt) == scrambled_hash
         # the build flips its own copy, not the caller's array
         assert np.array_equal(triangles, given)
+
+
+class TestArcTable:
+    @pytest.mark.parametrize(
+        "fixture",
+        ["flat4", "ico1", "annulus", "torus8", "poincare", "circle32", "interval10",
+         "flat8_chord"],
+    )
+    def test_arcs_match_the_adjacency_and_the_edges(self, request, fixture):
+        mesh = request.getfixturevalue(fixture)
+        arcs, adj = mesh.arcs, mesh.adjacency
+        E = len(mesh.edges)
+        assert all(len(column) == 2 * E for column in arcs)
+        # each arc sits at its own slot of the CSR data
+        assert sorted(arcs.slot.tolist()) == list(range(2 * E))
+        rows = np.repeat(np.arange(mesh.vertex_count), np.diff(adj.indptr))
+        assert np.array_equal(arcs.tail, rows[arcs.slot])
+        assert np.array_equal(arcs.head, adj.indices[arcs.slot])
+        assert np.array_equal(arcs.length, adj.data[arcs.slot])
+        # arcs 2e and 2e + 1 run along and against edge e
+        forward = arcs.sign > 0
+        assert np.array_equal(arcs.edge, np.arange(2 * E) // 2)
+        assert np.array_equal(forward, np.arange(2 * E) % 2 == 0)
+        assert np.array_equal(np.bincount(arcs.edge[forward], minlength=E), np.ones(E))
+        assert np.array_equal(np.bincount(arcs.edge[~forward], minlength=E), np.ones(E))
+        assert set(arcs.sign.tolist()) == {1.0, -1.0}
+        ends = np.column_stack([arcs.tail, arcs.head])
+        ends[~forward] = ends[~forward, ::-1]
+        assert np.array_equal(ends, mesh.edges[arcs.edge])
+        assert np.array_equal(arcs.length, mesh.edge_lengths[arcs.edge])
+        for column in arcs:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert mesh.arcs is arcs
+
+    def test_chord_on_no_face_has_its_arcs(self, flat8_chord):
+        e = int(flat8_chord.edge_ids(0, 80))
+        assert e >= 0 and e not in flat8_chord.face_edges
+        arcs = flat8_chord.arcs
+        assert (arcs.edge == e).sum() == 2
+        assert arcs.length[arcs.edge == e].tolist() == [0.5, 0.5]
+
+    def test_arc_table_is_not_serialized(self):
+        mesh = generate_primitive("flat_rect", nx=4)
+        mesh.arcs
+        assert set(mesh_to_dict(mesh)) == {"dimension", "triangles", "edges", "base_vertex"}
+        # the flat4 pin of test_orientation_of_scrambled_input_is_pinned
+        assert mesh_hash(mesh) == (
+            "f144ffbffef0c788bd7dc07d4ebc587e292942daa1300823f489d584a51ebe65"
+        )
 
 
 class TestPrimitives:

@@ -83,9 +83,10 @@ def min_cost_flow(mesh, b):
         if phases > max_rounds:
             raise SolverFailure("phase cap exceeded")
 
-        # traversing against existing flow refunds the edge cost; tight
-        # arcs clamp to an explicit 0.0, which stays an arc of the graph
-        against = flow[arcs.edge] * arcs.sign < 0
+        # arcs 2e and 2e + 1 run against a negative and a positive flow on
+        # edge e. Traversing against existing flow refunds the edge cost;
+        # tight arcs clamp to an explicit 0.0, which stays an arc of the graph
+        against = np.column_stack((flow < 0, flow > 0)).ravel()
         cost = np.where(against, -arcs.length, arcs.length)
         graph.data[arcs.slot] = np.maximum(cost + pi[arcs.tail] - pi[arcs.head], 0.0)
         dist, pred, roots = dijkstra(graph, indices=sources, min_only=True,

@@ -6,18 +6,18 @@ min sum_a cost_a * x_a, x >= 0, incidence @ x = b  equals the minimal
 length-weighted mass min sum_e length_e * |phi_e| over signed edge flows
 with the same divergence. An extra root node joins each vertex by an
 artificial arc of big cost. The starting tree hangs the shortest-path
-forest of the demand vertices (b > 0) under it. Its arcs and depths are
-arrays: pointer jumping gives the depths, and a stable sort by depth
-puts parents first, where Dijkstra's distances would tie the ends of an
-edge below their roundoff. In that order each arc's supply is summed
-into its parent one vertex at a time, so a chain's arcs carry bitwise
-equal flows, and each forest root balances its tree on its artificial
-arc, which points at the root node when the tree brings at least its
-demand. The potentials start at +-big - (distance to the nearest demand
-vertex), so by the triangle inequality only arcs between a -big and a
-+big tree price below zero. Zero-flow tree arcs point at the root node,
-and the leaving arc is the last blocking arc along the pivot cycle from
-its apex, so the tree stays strongly feasible and pivots cannot cycle.
+forest of the demand vertices (b > 0) under it: each arc carries the
+supply below it, and each forest root balances its tree on its
+artificial arc, which points at the root node when the tree brings at
+least its demand. The tree's arcs, costs and flows are arrays over the
+table; the supplies and potentials are summed in a walk down from the
+forest roots, which puts parents first even where Dijkstra's distances
+tie across an edge below their roundoff. The potentials start at
++-big - (distance to the nearest demand vertex), so by the triangle
+inequality only arcs between a -big and a +big tree price below zero.
+Zero-flow tree arcs point at the root node, and the leaving arc is the
+last blocking arc along the pivot cycle from its apex, so the tree stays
+strongly feasible and pivots cannot cycle.
 
 Pricing enters the most negative reduced cost of the first block of
 about sqrt(arcs) arcs, in wrapping order, that has one. After a pivot's
@@ -80,16 +80,18 @@ def min_cost_flow(mesh, b):
     forest_roots = pred < 0
     up = 2 * mesh.edge_ids(vertices, pred) + (vertices > pred)
     tree_arcs = np.where(forest_roots, n_real + vertices, up)
-    parent = np.append(np.where(forest_roots, root, pred), root)
-    # pointer jumping: after k rounds ``jump`` is each node's 2^k-th
-    # ancestor (or the root node) and depth the distance to it
-    jump = parent
-    depth = np.append(np.ones(V, dtype=np.int64), 0)
-    while (jump < root).any():
-        depth += depth[jump]
-        jump = jump[jump]
-    order = np.argsort(depth[:V], kind="stable").tolist()
-    parent = parent.tolist()
+    parent = np.where(forest_roots, root, pred).tolist() + [-1]
+    children = [set() for _ in range(V + 1)]
+    for v in range(V):
+        children[parent[v]].add(v)
+    # walked down from the forest roots, parents come first; each arc
+    # carries the supply below it, summed children first
+    order = []
+    stack = list(children[root])
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(children[u])
     carried = (-b).tolist() + [0.0]
     for u in reversed(order):
         carried[parent[u]] += carried[u]
@@ -99,20 +101,20 @@ def min_cost_flow(mesh, b):
     heads = np.concatenate([arcs.head, np.where(outwards, root, vertices)])
     costs = np.concatenate([arcs.length, np.full(V, big)])
     step = np.where(forest_roots & ~outwards, big, -costs[tree_arcs]).tolist() + [0.0]
+    depth = [0] * (V + 1)
     pi = [0.0] * (V + 1)
     for u in order:
-        pi[u] = pi[parent[u]] + step[u]
+        w = parent[u]
+        depth[u] = depth[w] + 1
+        pi[u] = pi[w] + step[u]
     pi = np.array(pi)
 
     # spanning tree state; the lists are read and written one entry at
     # a time by each pivot
     priced = costs.copy()
     priced[tree_arcs] = math.inf
-    parent_arc, depth = tree_arcs.tolist() + [-1], depth.tolist()
+    parent_arc = tree_arcs.tolist() + [-1]
     flow = np.abs(carried).tolist() + [0.0]
-    children = [set() for _ in range(V + 1)]
-    for v in range(V):
-        children[parent[v]].add(v)
 
     tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
 

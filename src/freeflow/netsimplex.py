@@ -9,10 +9,8 @@ artificial arc of big cost. The starting tree hangs the shortest-path
 forest of the demand vertices (b > 0) under it: each arc carries the
 supply below it, and each forest root balances its tree on its
 artificial arc, which points at the root node when the tree brings at
-least its demand. The tree's arcs, costs and flows are arrays over the
-table; the supplies and potentials are summed in a walk down from the
-forest roots, which puts parents first even where Dijkstra's distances
-tie across an edge below their roundoff. The potentials start at
+least its demand; supplies and potentials are summed in a walk down from
+the forest roots, parents first. The potentials start at
 +-big - (distance to the nearest demand vertex), so by the triangle
 inequality only arcs between a -big and a +big tree price below zero.
 Zero-flow tree arcs point at the root node, and the leaving arc is the
@@ -96,6 +94,8 @@ def min_cost_flow(mesh, b):
     for u in reversed(order):
         carried[parent[u]] += carried[u]
     carried = np.array(carried[:V])
+    # arc n_real + v is the artificial arc root -> v, turned round where
+    # v roots a forest tree that brings at least its demand
     outwards = forest_roots & (carried >= 0)
     tails = np.concatenate([arcs.tail, np.where(outwards, vertices, root)])
     heads = np.concatenate([arcs.head, np.where(outwards, root, vertices)])
@@ -155,8 +155,8 @@ def min_cost_flow(mesh, b):
         # and lowers it on the others. The leaving arc is the last minimal
         # lowered arc in cycle order apex .. t, h .. apex: the first
         # minimum on t's side, which the walk visits backwards, and the
-        # last on h's side, with h's side winning ties. The walk collects
-        # the nodes below the cycle's tree arcs
+        # last on h's side, with h's side winning ties; each arc is named
+        # by the node below it
         raised, lowered = [], []
         leave_t = leave_h = -1
         flow_t = flow_h = math.inf

@@ -176,7 +176,6 @@ class TestRouteAgreement:
         u, v = mesh.edges[:, 0], mesh.edges[:, 1]
         assert (np.abs(f[v] - f[u]) / mesh.edge_lengths).max() <= 1.0 + 1e-9
 
-
     def test_chord_on_no_face(self, flat8_chord):
         # the chord 0 - 80 of length 0.5 beats every grid path (length 2)
         # between the corners, so the optimal flow runs along it

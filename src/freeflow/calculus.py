@@ -26,6 +26,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from pathlib import Path
 
@@ -43,25 +44,31 @@ _PAIRWISE_BLOCK_ELEMENTS = 1 << 18
 _BAND_FLOOR_ENTRIES = 1 << 20
 
 
+def _as_array(values, shape, name):
+    """``values`` as a float array of ``shape``; another shape, or a
+    non-finite entry, is a :class:`MeshError` naming the array."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise MeshError(f"{name} has shape {values.shape}, expected {shape}")
+    if not np.all(np.isfinite(values)):
+        raise MeshError(f"{name} has non-finite entries")
+    return values
+
+
 def _as_scalar(mesh, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (mesh.vertex_count,):
-        raise MeshError(
-            f"scalar field has shape {f.shape}, expected ({mesh.vertex_count},)"
-        )
-    if not np.all(np.isfinite(f)):
-        raise MeshError("scalar field has non-finite entries")
-    return f
+    return _as_array(f, (mesh.vertex_count,), "scalar field")
 
 
 def _as_field(mesh, g):
     """The checked field as one row per cell (face or edge)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != mesh.field_shape:
-        raise MeshError(f"field has shape {g.shape}, expected {mesh.field_shape}")
-    if not np.all(np.isfinite(g)):
-        raise MeshError("field has non-finite entries")
-    return g.reshape(len(mesh.cell_weights), -1)
+    return _as_array(g, mesh.field_shape, "field").reshape(len(mesh.cell_weights), -1)
+
+
+def _checked_tol(name, tol):
+    """``tol``; one that is not a finite positive real is a :class:`ParseError`."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ParseError(f"{name} must be finite and positive, got {tol}")
+    return tol
 
 
 def gradient(mesh, f):
@@ -292,7 +299,7 @@ def pairing(mesh, f, g):
 def dist_pairing(mesh, f, dist):
     """Evaluate a scalar distribution against a scalar field."""
     f = _as_scalar(mesh, f)
-    dist = np.asarray(dist, dtype=float)
+    dist = _as_array(dist, (mesh.vertex_count,), "distribution")
     return float(f @ dist)
 
 

@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from . import io as ffio
-from .currents import betti1, classify
+from .currents import DEFAULT_TOL, betti1, classify
 from .calculus import (
+    _checked_tol,
     divergence,
     gradient,
     l1_norm,
@@ -33,7 +34,7 @@ from .experiments import (
     refinement_study,
     weakstar_probe,
 )
-from .freenorm import FieldSolveParams, free_norm
+from .freenorm import METHODS, FieldSolveParams, free_norm
 from .mesh import geodesic_distances
 from .primitives import KINDS, generate_primitive
 
@@ -97,14 +98,14 @@ def _build_parser():
     p = sub.add_parser("check-currents", help="classify an edge form")
     p.add_argument("--mesh", required=True)
     p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_currents)
 
     p = sub.add_parser("free-norm", help="free norm of a molecule")
     p.add_argument("--mesh", required=True)
     p.add_argument("--molecule", required=True)
-    p.add_argument("--method", default="all", choices=("dual", "graph", "field", "all"))
+    p.add_argument("--method", default="all", choices=METHODS)
     p.add_argument("--out", default=None)
     p.add_argument(
         "--field-max-iter",
@@ -126,7 +127,7 @@ def _build_parser():
     p.set_defaults(func=cmd_free_norm)
 
     p = sub.add_parser("experiment", help="run a scripted experiment")
-    p.add_argument("kind", choices=("cutoff", "extension", "weakstar", "refine"))
+    p.add_argument("kind", choices=tuple(_EXPERIMENT_KEYS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
@@ -211,8 +212,7 @@ def cmd_calc(args):
 
 
 def cmd_check_currents(args):
-    if not 0.0 < args.tol < math.inf:
-        raise ParseError(f"tolerance must be finite and positive, got {args.tol}")
+    _checked_tol("tolerance", args.tol)
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
     _, omega = ffio.field_from_dict(mesh, ffio.read_json(args.form), expect="edges")
     result = classify(mesh, omega, tol=args.tol)

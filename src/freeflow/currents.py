@@ -17,25 +17,15 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
+from .calculus import _as_array, _as_scalar, _checked_tol
 from .errors import MeshError
 
 DEFAULT_TOL = 1e-8
 
 
-def _as_edgeform(mesh, omega):
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (len(mesh.edges),):
-        raise MeshError(
-            f"edge form has shape {omega.shape}, expected ({len(mesh.edges)},)"
-        )
-    if not np.all(np.isfinite(omega)):
-        raise MeshError("edge form has non-finite entries")
-    return omega
-
-
 def d0(mesh, f):
     """Differences of a vertex field along canonical edge orientations."""
-    f = np.asarray(f, dtype=float)
+    f = _as_scalar(mesh, f)
     u, v = mesh.edges[:, 0], mesh.edges[:, 1]
     return f[v] - f[u]
 
@@ -44,7 +34,7 @@ def d1(mesh, omega):
     """Oriented circulation of an edge form around each face."""
     if mesh.dimension != 2:
         raise MeshError("d1 requires a dimension-2 mesh")
-    omega = _as_edgeform(mesh, omega)
+    omega = _as_array(omega, (len(mesh.edges),), "edge form")
     return (mesh.face_signs * omega[mesh.face_edges]).sum(axis=1)
 
 
@@ -75,7 +65,7 @@ def solve_potential(mesh, omega, tree=None):
     exact form the residual vanishes and the potential is the witness
     with potential[base] == 0.
     """
-    omega = _as_edgeform(mesh, omega)
+    omega = _as_array(omega, (len(mesh.edges),), "edge form")
     if tree is None:
         tree = spanning_tree(mesh)
     tree = np.asarray(tree, dtype=np.int64)
@@ -122,8 +112,9 @@ class CurrentClass:
 
 def classify(mesh, omega, tol=DEFAULT_TOL):
     """Decide whether an edge form is exact, closed but not exact, or not
-    closed, with both residuals reported."""
-    omega = _as_edgeform(mesh, omega)
+    closed, with both residuals reported. A tolerance that is not finite
+    and positive is a :class:`ParseError`."""
+    _checked_tol("tolerance", tol)
     closedness = (
         float(np.max(np.abs(d1(mesh, omega)))) if mesh.dimension == 2 else 0.0
     )

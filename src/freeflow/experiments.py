@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (
+    _as_array,
     divergence,
     divergence_matrix,
     divergence_normal_solver,
@@ -173,14 +174,11 @@ def _face_mask(mesh, faces):
 
 def extend_by_zero(mesh_n, faces_m, g_m):
     """Extend a field given on the faces ``faces_m`` to the whole mesh by
-    zero. ``g_m`` rows follow sorted(faces_m). A malformed subset is a
-    :class:`MeshError`, as for :func:`tangential_subset_field`."""
+    zero. ``g_m`` rows follow sorted(faces_m). A malformed subset or
+    ``g_m`` (a wrong shape, a non-finite entry) is a :class:`MeshError`."""
     faces = _subset_faces(mesh_n, faces_m)
-    g_m = np.asarray(g_m, dtype=float)
-    if g_m.shape != (len(faces), 2):
-        raise MeshError(f"field has shape {g_m.shape}, expected ({len(faces)}, 2)")
     out = np.zeros((len(mesh_n.triangles), 2))
-    out[faces] = g_m
+    out[faces] = _as_array(g_m, (len(faces), 2), "field")
     return out
 
 
@@ -326,8 +324,8 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     ``AGREEMENT_TOL * max(1, |dual|)`` everywhere and, if the field
     solver runs, its finest value lands within 5% of the finest dual
     value. A field solve whose bracket stays open raises
-    :class:`NotConverged`, as in :func:`free_norm`; no levels is
-    :class:`InvalidParams`.
+    :class:`NotConverged`, as in :func:`free_norm`; no levels, or a
+    level that is not an integer, is :class:`InvalidParams`.
     """
     if type(kind) is not str or kind not in _REFINED:
         raise InvalidParams(f"refinement study does not support kind {kind!r}")
@@ -346,7 +344,7 @@ def refinement_study(kind, levels, atoms, include_field=False, field_params=None
     last_dual = None
     last_field = None
     for level in levels:
-        mesh = build(int(level))
+        mesh = build(level)
         positions = mesh.aux["positions"]
         atom_list = []
         for target, (_, coeff) in zip(targets, atoms):

@@ -23,7 +23,6 @@ field value converges to the continuum norm under mesh refinement.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,9 +30,9 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import divergence_matrix, weighted_normal_factorizer
+from .calculus import _checked_tol, divergence_matrix, weighted_normal_factorizer
 from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
-from .mesh import _vertex_ids
+from .mesh import _vertex_id, _vertex_ids
 from .transport import solve_transportation
 
 # two routes contradict each other when they differ by more than this
@@ -42,6 +41,8 @@ AGREEMENT_TOL = 1e-6
 
 # largest relative residual, slack or gap a certified graph answer may show
 CERTIFICATE_TOL = 1e-9
+
+METHODS = ("dual", "graph", "field", "all")
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ def canonicalize(molecule, base_vertex=0):
 
 def _check_vertices(mesh, molecule):
     for v, _ in molecule.atoms:
-        if not 0 <= v < mesh.vertex_count:
-            raise MeshError(f"atom vertex {v} out of range")
+        _vertex_id("atom vertex", v, mesh.vertex_count)
 
 
 def molecule_vector(mesh, molecule):
@@ -178,8 +178,6 @@ def transport_oracle(mesh, molecule):
     weights[mesh.base_vertex] = -sum(weights.values(), Fraction(0))
     sources = [(v, c) for v, c in sorted(weights.items()) if c > 0]
     sinks = [(v, -c) for v, c in sorted(weights.items()) if c < 0]
-    if not sources:
-        return 0.0
     dist = dijkstra(mesh.adjacency, indices=[v for v, _ in sources])
     cost = dist[:, [v for v, _ in sinks]].tolist()
     value = solve_transportation(
@@ -206,8 +204,7 @@ class FieldSolveParams:
             raise ParseError(f"field max_iter is not an integer: {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ParseError(f"field max_iter must be >= 1, got {self.max_iter}")
-        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < math.inf):
-            raise ParseError(f"field tol must be finite and positive, got {self.tol}")
+        _checked_tol("field tol", self.tol)
 
 
 # Each face T carries one second-order cone {(t, g) : |g| <= t} in R^3.
@@ -490,7 +487,7 @@ class FreeNormReport:
 def free_norm(mesh, molecule, method="all", field_params=None):
     """Run the requested solvers and assemble a :class:`FreeNormReport`.
 
-    ``method`` is one of dual, graph, field, all ("all" runs the field
+    ``method`` is one of :data:`METHODS` ("all" runs the field
     solver first, so its preconditions fail before a graph route runs,
     and only on surfaces). The duality gap is primal_graph - dual.
     An unknown method is a :class:`ParseError`. :class:`SolverFailure`
@@ -501,7 +498,7 @@ def free_norm(mesh, molecule, method="all", field_params=None):
     A field solve whose bracket stays open is :class:`NotConverged`,
     with ``lower``, ``upper`` and ``gap`` in its residuals.
     """
-    if method not in ("dual", "graph", "field", "all"):
+    if method not in METHODS:
         raise ParseError(f"unknown method {method!r}")
     molecule = canonicalize(molecule, mesh.base_vertex)
     report = FreeNormReport()

@@ -131,9 +131,7 @@ class TriMesh:
         ) = self._orient(triangles, face_edges, signs)
         self._check_connected()
 
-        if not 0 <= int(base_vertex) < self.vertex_count:
-            raise MeshError(f"base vertex {base_vertex} out of range")
-        self.base_vertex = int(base_vertex)
+        self.base_vertex = _vertex_id("base vertex", base_vertex, self.vertex_count)
 
         counts = np.bincount(self.face_edges.ravel(), minlength=len(self.edges))
         self.boundary_edges = frozenset(np.flatnonzero(counts == 1).tolist())
@@ -358,6 +356,15 @@ def _vertex_ids(ids, width):
         raise MeshError("vertex id beyond the int64 range") from None
 
 
+def _vertex_id(name, v, count):
+    """``v`` as an int in 0..count-1, else a :class:`MeshError`. A Python
+    int is only range-checked; anything else goes through :func:`_vertex_ids`."""
+    i = v if isinstance(v, int) else _vertex_ids(v, 1).item()
+    if not 0 <= i < count:
+        raise MeshError(f"{name} {v} out of range")
+    return int(i)
+
+
 def _unique_edges(edges, lengths):
     """Sorted distinct (u < v) pairs and their lengths. Raises at the first
     self-loop, bad length or pair repeated with another length."""
@@ -394,8 +401,7 @@ def _sym2x2_cond(a, b, c):
 
 def geodesic_distances(mesh, source):
     """Shortest-path distances from ``source`` in the weighted edge graph."""
-    if not 0 <= source < mesh.vertex_count:
-        raise MeshError(f"source vertex {source} out of range")
+    source = _vertex_id("source vertex", source, mesh.vertex_count)
     dist = dijkstra(mesh.adjacency, indices=source)
     dist.setflags(write=False)
     return dist

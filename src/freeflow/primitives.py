@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -58,10 +59,11 @@ def _positive(name, value):
 
 
 def _count(name, value, minimum=1):
-    value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParams(f"{name} is not an integer: {value!r}")
     if value < minimum:
         raise InvalidParams(f"{name} must be >= {minimum}, got {value}")
-    return value
+    return int(value)
 
 
 def _cells(v00, v10, v01, v11):
@@ -116,9 +118,7 @@ _ICOSA_FACES = (
 
 
 def _icosphere(level=0, base_vertex=0):
-    level = int(level)
-    if level < 0:
-        raise InvalidParams(f"level must be >= 0, got {level}")
+    level = _count("level", level, minimum=0)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     pos = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),

@@ -26,7 +26,9 @@ from freeflow.calculus import (
     lip_constant,
     pairing,
 )
+from freeflow.currents import d0
 from freeflow.errors import MeshError, ParseError, SolverFailure
+from freeflow.experiments import extend_by_zero
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
@@ -395,6 +397,37 @@ class TestPairingAndNorms:
         f = np.ones(len(interval10.edges))
         g = np.ones(len(interval10.edges))
         assert pairing(interval10, f, g) == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # a long array used to give E numbers, a short one an IndexError
+            (lambda m: d0(m, np.zeros(m.vertex_count + 3)),
+             "scalar field has shape (19,), expected (16,)"),
+            (lambda m: d0(m, np.zeros(m.vertex_count - 1)),
+             "scalar field has shape (15,), expected (16,)"),
+            (lambda m: d0(m, np.full(m.vertex_count, np.nan)),
+             "scalar field has non-finite entries"),
+            # a wrong length used to be numpy's ValueError
+            (lambda m: dist_pairing(m, np.zeros(m.vertex_count), np.zeros(3)),
+             "distribution has shape (3,), expected (16,)"),
+            (lambda m: dist_pairing(m, np.zeros(m.vertex_count),
+                                    np.full(m.vertex_count, np.inf)),
+             "distribution has non-finite entries"),
+            # NaN rows used to be extended silently
+            (lambda m: extend_by_zero(m, [0, 1], [[np.nan, 0.0], [0.0, 0.0]]),
+             "field has non-finite entries"),
+            (lambda m: extend_by_zero(m, [0, 1], np.zeros((3, 2))),
+             "field has shape (3, 2), expected (2, 2)"),
+        ],
+        ids=["d0_long", "d0_short", "d0_nan", "dist_length", "dist_inf",
+             "extend_nan", "extend_shape"],
+    )
+    def test_entry_points_check_their_arrays(self, call, message):
+        mesh = generate_primitive("flat_rect", nx=3)
+        with pytest.raises(MeshError) as info:
+            call(mesh)
+        assert str(info.value) == message
 
 
 class TestLipschitzConstant:

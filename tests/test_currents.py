@@ -11,6 +11,7 @@ from freeflow.currents import (
     solve_potential,
     spanning_tree,
 )
+from freeflow.errors import ParseError
 from freeflow.primitives import generate_primitive
 
 from conftest import (
@@ -252,6 +253,16 @@ class TestClassify:
         result = classify(circle32, omega)
         assert result.kind == "closed_not_exact"
         assert result.closedness_residual == 0.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # nan used to report this exact form as closed_not_exact, -1.0 as
+        # not_closed; the message is the one check-currents prints
+        mesh = generate_primitive("flat_rect", nx=3)
+        omega = d0(mesh, np.arange(mesh.vertex_count, dtype=float))
+        with pytest.raises(ParseError) as info:
+            classify(mesh, omega, tol=tol)
+        assert str(info.value) == f"tolerance must be finite and positive, got {tol}"
 
 
 class TestBetti:

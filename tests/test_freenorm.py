@@ -214,6 +214,12 @@ class TestTransportOracle:
         with pytest.raises(TooManyAtoms):
             transport_oracle(flat4, Molecule(atoms))
 
+    @pytest.mark.parametrize("atoms", [(), ((0, 2.5),)], ids=["empty", "base_only"])
+    def test_empty_molecule(self, flat4, atoms):
+        # no source and no sink after canonicalization: an empty instance
+        assert flat4.base_vertex == 0
+        assert transport_oracle(flat4, Molecule(atoms)) == 0.0
+
     def test_against_brute_force(self, flat4, circle32):
         rng = np.random.default_rng(33)
         for mesh in (flat4, circle32):

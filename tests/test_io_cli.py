@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import freeflow
 from freeflow import cli, experiments, freenorm
 from freeflow import io as ffio
 from freeflow.cli import main
-from freeflow.currents import d0
+from freeflow.currents import classify, d0
 from freeflow.errors import InvalidParams, MeshError, ParseError
 from freeflow.freenorm import Molecule
 from freeflow.mesh import TriMesh
@@ -459,6 +461,25 @@ class TestParseErrorsArePinned:
 
 
 class TestCli:
+    def test_defaults_and_choices_come_from_the_library(self):
+        parser = cli._build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+
+        def choices(command, dest):
+            (found,) = [a.choices for a in commands[command]._actions if a.dest == dest]
+            return found
+
+        args = parser.parse_args(["free-norm", "--mesh", "m", "--molecule", "mu"])
+        assert args.method == inspect.signature(freenorm.free_norm).parameters["method"].default
+        assert choices("free-norm", "method") == freenorm.METHODS
+        assert args.field_max_iter == freenorm.FieldSolveParams.max_iter
+        assert args.field_tol == freenorm.FieldSolveParams.tol
+        args = parser.parse_args(["check-currents", "--mesh", "m", "--form", "w"])
+        # the library's own default, not a copy of its value
+        assert args.tol is inspect.signature(classify).parameters["tol"].default
+        assert choices("experiment", "kind") == tuple(cli._EXPERIMENT_KEYS)
+
     def test_import_leaves_out_scipy_optimize(self):
         # scipy.optimize alone adds about 15 MB of resident memory, a large
         # share of a small solve's peak

@@ -13,6 +13,7 @@ from freeflow.errors import (
     NonManifold,
     TriangleInequalityViolated,
 )
+from freeflow.experiments import refinement_study
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.calculus import l1_norm
 from freeflow.io import mesh_from_dict, mesh_hash, mesh_to_dict
@@ -22,6 +23,7 @@ from conftest import edge_index, face_edge_pairs, from_lengths
 
 UNIT = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
 NAN, INF = float("nan"), float("inf")
+TRIANGLE = ([[0, 1, 2]], list(UNIT), list(UNIT.values()))
 
 
 def build(triangles, edges):
@@ -451,6 +453,52 @@ class TestPrimitives:
             generate_primitive("icosphere", level=-1)
         with pytest.raises(InvalidParams):
             generate_primitive("no_such_kind")
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            # base vertex 1.5 used to be vertex 1; nan and inf a bare
+            # ValueError and OverflowError
+            (lambda: TriMesh(*TRIANGLE, base_vertex=1.5), MeshError,
+             "vertex id 1.5 is not an integer"),
+            (lambda: TriMesh(*TRIANGLE, base_vertex=NAN), MeshError,
+             "vertex id nan is not an integer"),
+            (lambda: TriMesh(*TRIANGLE, base_vertex=INF), MeshError,
+             "vertex id inf is not an integer"),
+            (lambda: generate_primitive("flat_rect", base_vertex=1.5), MeshError,
+             "vertex id 1.5 is not an integer"),
+            (lambda: generate_primitive("circle_graph", base_vertex=INF),
+             MeshError, "vertex id inf is not an integer"),
+            (lambda: geodesic_distances(generate_primitive("flat_rect"), 1.5),
+             MeshError, "vertex id 1.5 is not an integer"),
+            # counts used to be truncated, or a bare ValueError or OverflowError
+            (lambda: generate_primitive("flat_rect", nx=2.5), InvalidParams,
+             "nx is not an integer: 2.5"),
+            (lambda: generate_primitive("icosphere", level=1.7), InvalidParams,
+             "level is not an integer: 1.7"),
+            (lambda: generate_primitive("circle_graph", n=3.9), InvalidParams,
+             "n is not an integer: 3.9"),
+            (lambda: generate_primitive("flat_rect", nx=NAN), InvalidParams,
+             "nx is not an integer: nan"),
+            (lambda: generate_primitive("icosphere", level=INF), InvalidParams,
+             "level is not an integer: inf"),
+            (lambda: generate_primitive("interval_graph", n=True), InvalidParams,
+             "n is not an integer: True"),
+            (lambda: generate_primitive("torus", nx=np.array(3.5)), InvalidParams,
+             "nx is not an integer: array(3.5)"),
+            (lambda: refinement_study("flat_rect", [2.5], [([0.5, 0.5], 1.0)]),
+             InvalidParams, "nx is not an integer: 2.5"),
+        ],
+        ids=["mesh_base_fraction", "mesh_base_nan", "mesh_base_inf",
+             "primitive_base_fraction", "primitive_base_inf", "source_fraction",
+             "nx_fraction", "level_fraction", "n_fraction", "nx_nan", "level_inf",
+             "n_bool", "nx_array", "refine_level_fraction"],
+    )
+    def test_integer_inputs_are_not_truncated(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestGeodesics:

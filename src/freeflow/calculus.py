@@ -64,11 +64,10 @@ def _as_field(mesh, g):
     return _as_array(g, mesh.field_shape, "field").reshape(len(mesh.cell_weights), -1)
 
 
-def _checked_tol(name, tol):
-    """``tol``; one that is not a finite positive real is a :class:`ParseError`."""
+def _check_tol(name, tol):
+    """A :class:`ParseError` unless ``tol`` is a finite positive real number."""
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
         raise ParseError(f"{name} must be finite and positive, got {tol}")
-    return tol
 
 
 def gradient(mesh, f):

@@ -19,7 +19,7 @@ import numpy as np
 from . import io as ffio
 from .currents import DEFAULT_TOL, betti1, classify
 from .calculus import (
-    _checked_tol,
+    _check_tol,
     divergence,
     gradient,
     l1_norm,
@@ -212,7 +212,7 @@ def cmd_calc(args):
 
 
 def cmd_check_currents(args):
-    _checked_tol("tolerance", args.tol)
+    _check_tol("tolerance", args.tol)
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
     _, omega = ffio.field_from_dict(mesh, ffio.read_json(args.form), expect="edges")
     result = classify(mesh, omega, tol=args.tol)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-from .calculus import _as_array, _as_scalar, _checked_tol
+from .calculus import _as_array, _as_scalar, _check_tol
 from .errors import MeshError
 
 DEFAULT_TOL = 1e-8
@@ -114,7 +114,7 @@ def classify(mesh, omega, tol=DEFAULT_TOL):
     """Decide whether an edge form is exact, closed but not exact, or not
     closed, with both residuals reported. A tolerance that is not finite
     and positive is a :class:`ParseError`."""
-    _checked_tol("tolerance", tol)
+    _check_tol("tolerance", tol)
     closedness = (
         float(np.max(np.abs(d1(mesh, omega)))) if mesh.dimension == 2 else 0.0
     )

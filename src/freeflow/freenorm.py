@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import _checked_tol, divergence_matrix, weighted_normal_factorizer
+from .calculus import _check_tol, divergence_matrix, weighted_normal_factorizer
 from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from .mesh import _vertex_id, _vertex_ids
 from .transport import solve_transportation
@@ -204,7 +204,7 @@ class FieldSolveParams:
             raise ParseError(f"field max_iter is not an integer: {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ParseError(f"field max_iter must be >= 1, got {self.max_iter}")
-        _checked_tol("field tol", self.tol)
+        _check_tol("field tol", self.tol)
 
 
 # Each face T carries one second-order cone {(t, g) : |g| <= t} in R^3.

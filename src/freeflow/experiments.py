@@ -39,7 +39,7 @@ from .freenorm import (
     check_field_bracket,
     dual_lp,
 )
-from .mesh import TriMesh, geodesic_distances
+from .mesh import TriMesh, _vertex_ids, geodesic_distances
 from .primitives import _face_edge_pairs, generate_primitive
 
 TAIL_BOUND_FACTOR = 4.0 * math.sqrt(2.0)  # surface case of the tail estimate
@@ -155,8 +155,9 @@ def cutoff_decay(mesh, g, f, ks):
 
 def _subset_faces(mesh, faces_m):
     """The subset's face ids, sorted. An empty subset, or one with a
-    repeated id or an id off the mesh, is a :class:`MeshError`."""
-    faces = sorted(int(f) for f in faces_m)
+    non-integral id, a repeated id or an id off the mesh, is a
+    :class:`MeshError`."""
+    faces = sorted(_vertex_ids(list(faces_m), 1, "face id").ravel().tolist())
     if not faces:
         raise MeshError("subset has no faces")
     distinct = all(a < b for a, b in zip(faces, faces[1:]))

@@ -23,6 +23,7 @@ field value converges to the continuum norm under mesh refinement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -190,7 +191,7 @@ def transport_oracle(mesh, molecule):
 class FieldSolveParams:
     # caps the interior-point method's Newton steps, each one sparse
     # factorization; certified dipole, 6- and 50-atom solves on
-    # flat_rect nx16-128 and icosphere L3-L5 took 9 to 36
+    # flat_rect nx16-128 and icosphere L3-L5 took 7 to 28
     max_iter: int = 200
     # bounds the divergence residual max |A g - b| of the returned field,
     # relative to max(1, max |b|), and the certified gap upper - lower,
@@ -198,9 +199,8 @@ class FieldSolveParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        # the types operator.index takes, as range() does; a bool is no count
-        kind = type(self.max_iter)
-        if kind is bool or not hasattr(kind, "__index__"):
+        # a bool is no count, nor an array, though its type has __index__
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ParseError(f"field max_iter is not an integer: {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ParseError(f"field max_iter must be >= 1, got {self.max_iter}")
@@ -314,8 +314,12 @@ def beckmann_field(mesh, molecule, params=None):
     Fields are in A's column order, the (F, 2) layout of
     ``mesh.field_shape``: column 2T + i of A is g_i on face T.
 
-    The start is x_T = (|b|_1 / sum w, 0, 0), s_T = (w_T, 0, 0), y = 0:
-    dual feasible, primal infeasible. Each Newton step computes its
+    The start is primal and dual feasible (Mehrotra, SIAM J. Optim. 2,
+    1992): the least-norm field g0 = A^T (A A^T)^-1 b, from one factor at
+    D = I, lifted inside the cones as x_T = (|g0_T| + mu / w_T, g0_T) with
+    mu = sum_T w_T |g0_T| / F, and s_T = (w_T, 0, 0), y = 0, so that
+    x_T . s_T = w_T |g0_T| + mu; a non-positive pivot in that factor raises
+    :class:`SolverFailure`. Each Newton step computes its
     per-face quantities once: :func:`_nt_scaling` gives the scaling W,
     the lower 2 x 2 block D of W^2 and |lam|_J in closed form, and one
     pinned V x V matrix A D A^T is factored and solved three times. As in
@@ -357,10 +361,16 @@ def beckmann_field(mesh, molecule, params=None):
     AT = A.T.tocsr()  # transposed once, not on every product
     e = np.zeros((3, F))
     e[0] = 1.0
-    x = e * (float(np.abs(b).sum()) / float(weights.sum()))
+    # the least-norm field A^T (A A^T)^-1 b, from the D = I blocks (1, 0, 1);
+    # that factor is dropped here, so one band is alive at a time
+    g0 = AT @ factor(np.repeat([[1.0], [0.0], [1.0]], F, axis=1))(b)
+    r_p = b - A @ g0  # then each projection's residual
+    x = np.empty((3, F))  # C-ordered, so each per-face pass reads whole rows
+    x[1:] = g0.reshape(F, 2).T
+    x[0] = np.sqrt(x[1] * x[1] + x[2] * x[2])  # |g0_T| + mu / w_T, as documented
+    x[0] += float(np.sum(weights * x[0])) / F / weights
     s = e * weights
     y = np.zeros(mesh.vertex_count)
-    r_p = b  # b - A x_g at x_g = 0, then each projection's residual
     best_value, best_g, lower, certified = math.inf, None, 0.0, False
 
     # past the attainable accuracy, roundoff puts iterates on or across

@@ -337,23 +337,31 @@ class TriMesh:
         return frozenset(np.flatnonzero(deg == 1).tolist())
 
 
-def _vertex_ids(ids, width):
+def _vertex_ids(ids, width, name="vertex id"):
     """An (n, width) int64 copy of ``ids``; a non-integral id, or one
-    beyond int64, is an error."""
+    beyond int64, is a :class:`MeshError` naming it as ``name``."""
     ids = np.asarray(ids)
     if ids.dtype.kind == "f":
         bad = ids[~np.isfinite(ids) | (ids != np.round(ids))]
         if len(bad):
-            raise MeshError(f"vertex id {float(bad[0])} is not an integer")
+            raise MeshError(f"{name} {float(bad[0])} is not an integer")
         if (np.abs(ids) >= 2.0**63).any():
-            raise MeshError("vertex id beyond the int64 range")
+            raise MeshError(f"{name} beyond the int64 range")
     elif ids.dtype.kind == "u" and (ids > np.iinfo(np.int64).max).any():
         # the cast would wrap these to negative ids without an error
-        raise MeshError("vertex id beyond the int64 range")
+        raise MeshError(f"{name} beyond the int64 range")
+    elif ids.dtype.kind in "OSU":  # the cast truncates a Fraction, parses a str
+        for v in ids.ravel().tolist():
+            try:
+                exact = v == int(v)
+            except (TypeError, ValueError, OverflowError):
+                exact = False
+            if not exact:
+                raise MeshError(f"{name} {v!r} is not an integer")
     try:
         return ids.astype(np.int64).reshape(-1, width)
     except OverflowError:
-        raise MeshError("vertex id beyond the int64 range") from None
+        raise MeshError(f"{name} beyond the int64 range") from None
 
 
 def _vertex_id(name, v, count):

@@ -216,7 +216,8 @@ class TestExtension:
             tangential_subset_field(flat4, faces)
 
     @pytest.mark.parametrize(
-        "faces", [[], [3, 3], [-1, 0], [0, 32]], ids=["empty", "repeated", "negative", "past"]
+        "faces", [[], [3, 3], [-1, 0], [0, 32], [1.5]],
+        ids=["empty", "repeated", "negative", "past", "non_integral"],
     )
     @pytest.mark.parametrize(
         "call",
@@ -229,7 +230,8 @@ class TestExtension:
     )
     def test_every_subset_function_checks_its_ids(self, flat4, call, faces):
         # -1 used to wrap to the last face (extend_by_zero wrote face 31),
-        # 32 to escape as an IndexError, and interface_vertices ignored both
+        # 32 to escape as an IndexError, and interface_vertices ignored both;
+        # 1.5 was truncated to face 1
         with pytest.raises(MeshError) as info:
             call(flat4, faces)
         assert type(info.value) is MeshError

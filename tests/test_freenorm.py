@@ -6,6 +6,7 @@ import math
 import random
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,9 +100,13 @@ class TestCanonicalize:
         mu = canonicalize(Molecule(((4, 1.0), (7, -1.0), (4, -1.0))), 0)
         assert mu.atoms == ((7, -1.0),)
 
-    @pytest.mark.parametrize("vertex", [1.9, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "vertex", [1.9, math.nan, math.inf, Fraction(3, 2), Decimal("2.5"), "3"]
+    )
     def test_non_integral_vertex_id_rejected(self, vertex):
-        # 1.9 used to be truncated to vertex 1, and nan escaped as a ValueError
+        # 1.9 used to be truncated to vertex 1, and nan escaped as a
+        # ValueError; a Fraction or a Decimal was truncated in the cast,
+        # and "3" was parsed to vertex 3
         with pytest.raises(MeshError, match="is not an integer"):
             Molecule(((vertex, 1.0),))
 
@@ -949,11 +954,13 @@ class TestBeckmannField:
             ({"max_iter": math.inf}, "field max_iter is not an integer: inf"),
             ({"max_iter": "5"}, "field max_iter is not an integer: '5'"),
             ({"max_iter": True}, "field max_iter is not an integer: True"),
+            # an array's type has __index__, and a later range() raised TypeError
+            ({"max_iter": np.array(2.5)}, "field max_iter is not an integer: array(2.5)"),
             ({"tol": "x"}, "field tol must be finite and positive, got x"),
             ({"tol": None}, "field tol must be finite and positive, got None"),
         ],
         ids=["zero", "negative", "tol_zero", "tol_nan", "tol_inf", "fraction",
-             "infinite", "string", "bool", "tol_string", "tol_none"],
+             "infinite", "string", "bool", "array", "tol_string", "tol_none"],
     )
     def test_field_params_are_checked(self, params, message):
         with pytest.raises(ParseError) as info:
@@ -990,11 +997,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "61d8385222b9cd4b8d018981503b91bcec5aab343cf760e4c55bdb60f3b012f4"),
-                ("ico1", "b373948d2aa49e879526894caae9f22dfddc96d53a7e8d8ec7cdb900dcd7ac1c"),
-                ("annulus", "ba7dff8090d66f39121f738eedce21b1a71c6d8561908343d6a1efa75285f84b"),
-                ("torus", "9567e8578fa466b4ae08f00d1753495d49be4c328dc46f3f6bf6d5918d112dcb"),
-                ("poincare", "0c11b4d07dd216912607d1081d5851cdc9642d363af3055c92093e7b67b4f016"),
+                ("flat4", "8fdba4c405447d122a28abeb7eaf9cceb231c2483407ecf51fbe15192c509ebd"),
+                ("ico1", "651fbcfe05e1075d1f4f1d8b71c037355261485dff6ff2377e23f79922d6428b"),
+                ("annulus", "d24c03d253e8e25f15eec316f0bab345083a52e0df583a929cf74eb81e67f5f4"),
+                ("torus", "99ac3655014d072fd8770dce76fee5f622b6079cc94ba8d3196d55dc982bda7e"),
+                ("poincare", "7b92ea588f49707586c1c471627763e38af455612cff0694859bd5424f93ed17"),
             )
         ],
     )
@@ -1014,14 +1021,14 @@ class TestBeckmannField:
         # diagnostics, so every step's roundoff must repeat exactly
         mesh = generate_primitive("flat_rect", nx=16)
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
-        assert diag["iterations"] == 18
+        assert diag["iterations"] == 15
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "7e82b849e57cfc9580255b89687630ba19c8f039b6bb17b19825b260108004b6"
+            "bccb1a44f4fe46a214e55e52ecefc57f832c660c4183e1d6710e48af21c41492"
         )
 
     def test_newton_matrix_is_ordered_once(self, monkeypatch):
-        # the ladder dipole's 18 Newton steps make 18 factors, all in the
-        # one band order computed when the solve starts
+        # the ladder dipole's start and its 15 Newton steps make 16 factors,
+        # all in the one band order computed when the solve starts
         calls = []
 
         def recording(name, function):
@@ -1034,8 +1041,8 @@ class TestBeckmannField:
         recording("dpbtrf", calculus.dpbtrf)
         mesh = generate_primitive("flat_rect", nx=16)
         _, _, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
-        assert diag["iterations"] == 18
-        assert calls == ["reverse_cuthill_mckee"] + ["dpbtrf"] * 18
+        assert diag["iterations"] == 15
+        assert calls == ["reverse_cuthill_mckee"] + ["dpbtrf"] * 16
 
     def test_edge_on_no_face_moves_only_the_band_order(self):
         # the band is ordered from the mesh's edge graph, so a chord on no
@@ -1057,22 +1064,23 @@ class TestBeckmannField:
         assert chord_value == pytest.approx(value, rel=1e-9)
 
     def test_failed_factor_stops_with_the_best_iterate(self, monkeypatch):
-        # a non-positive pivot at the third step ends the solve like a
-        # non-finite scaling does: the best of the first two projected
-        # fields comes back with its bracket, and no SolverFailure escapes
+        # a non-positive pivot at the third step (the fourth factor, after
+        # the start's) ends the solve like a non-finite scaling does: the
+        # best of the first two projected fields comes back with its
+        # bracket, and no SolverFailure escapes
         factor, calls = calculus.dpbtrf, []
 
         def failing(band, **options):
             calls.append(len(calls) + 1)
             lower, info = factor(band, **options)
-            return lower, 5 if len(calls) == 3 else info
+            return lower, 5 if len(calls) == 4 else info
 
         mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
         mu = random_molecule(mesh, np.random.default_rng(41))
         two = beckmann_field(mesh, mu, FieldSolveParams(max_iter=2))
         monkeypatch.setattr(calculus, "dpbtrf", failing)
         value, g, diag = beckmann_field(mesh, mu)
-        assert calls == [1, 2, 3]
+        assert calls == [1, 2, 3, 4]
         assert diag["iterations"] == 3
         assert diag["certified"] is False
         assert 0.0 < diag["lower"] < diag["upper"] == value
@@ -1088,11 +1096,79 @@ class TestBeckmannField:
         mu = random_molecule(mesh, np.random.default_rng(41))
         assert len(mu.atoms) == 4
         value, g, diag = beckmann_field(mesh, mu, FieldSolveParams(max_iter=200))
-        assert diag["iterations"] == 14
+        assert diag["iterations"] == 12
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "8034076eb1c94c68010de1e53b106808ca53969fddedb29f0ca6312eab533c9d"
+            "064cde3dd3708dce93fe06787a60cb24e9dcacf79c9917fc9b8f5c0dd6417e5e"
         )
+
+    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus", "poincare"])
+    def test_start_is_feasible_inside_the_cones(self, request, monkeypatch, fixture):
+        # the first scaling sees the least-norm field g0, lifted strictly
+        # inside every cone by the same mu = sum_T w_T |g0_T| / F in each
+        # x_T . s_T, with A g0 = b to roundoff and s_T = (w_T, 0, 0); x is
+        # C-ordered, as an F-ordered x made every step 1.4-1.7x slower
+        starts, scaling = [], freenorm._nt_scaling
+
+        def recording(x, s):
+            if not starts:
+                starts.append((x.flags.c_contiguous, x.copy(), s.copy()))
+            return scaling(x, s)
+
+        monkeypatch.setattr(freenorm, "_nt_scaling", recording)
+        mesh = request.getfixturevalue(fixture)
+        mu = random_molecule(mesh, np.random.default_rng(47))
+        beckmann_field(mesh, mu)
+        (ordered, x, s), = starts
+        assert ordered
+        weights = mesh.cell_weights
+        rim = np.hypot(x[1], x[2])
+        assert (x[0] > rim).all()
+        b = molecule_vector(mesh, canonicalize(mu, mesh.base_vertex))
+        residual = np.abs(calculus.divergence(mesh, np.column_stack(x[1:])) - b).max()
+        assert residual <= 1e-12 * max(1.0, np.abs(b).max())
+        assert (s[0] == weights).all() and not s[1:].any()
+        centre = np.sum(weights * rim) / len(weights)
+        assert (np.abs(x[0] * s[0] - weights * rim - centre) <= 1e-12 * x[0] * s[0]).all()
+
+    @pytest.mark.parametrize(
+        "kind, params, atoms, steps",
+        [
+            ("flat_rect", {"nx": 16}, (140, 148), 15),
+            ("flat_rect", {"nx": 24}, (306, 318), 16),
+            ("flat_rect", {"nx": 32}, (536, 552), 18),
+            ("flat_rect", {"nx": 40}, (830, 850), 19),
+            ("icosphere", {"level": 3}, (1, 2), 7),
+            ("icosphere", {"level": 4}, (1, 2), 7),
+        ],
+        ids=["nx16", "nx24", "nx32", "nx40", "L3", "L4"],
+    )
+    def test_ladder_step_counts_are_pinned(self, kind, params, atoms, steps):
+        # the field_ladder benchmark's dipoles, at the vertices nearest
+        # (0.25, 0.5) and (0.75, 0.5), or at two antipodal icosahedron
+        # corners; from the start (|b|_1 / sum w, 0, 0) they took
+        # 18/20/20/20/9/9 steps
+        mesh = generate_primitive(kind, **params)
+        _, _, diag = beckmann_field(mesh, Molecule(((atoms[0], 1.0), (atoms[1], -1.0))))
+        assert diag["certified"] is True
+        assert diag["iterations"] == steps
+
+    def test_failed_start_factor_raises(self, monkeypatch, flat4):
+        # the start factors A A^T, which the support check makes definite,
+        # so a non-positive pivot there is no roundoff near the cone
+        # boundaries: it raises rather than ending the solve
+        factor, calls = calculus.dpbtrf, []
+
+        def failing(band, **options):
+            calls.append(len(calls) + 1)
+            lower, info = factor(band, **options)
+            return lower, 5 if len(calls) == 1 else info
+
+        monkeypatch.setattr(calculus, "dpbtrf", failing)
+        with pytest.raises(SolverFailure) as info:
+            beckmann_field(flat4, Molecule(((7, 1.0), (19, -2.0))))
+        assert calls == [1]
+        assert info.value.diagnostics["pivot"] == 5
 
     def test_open_bracket_raises(self):
         # two Newton steps leave the bracket open: free_norm reports it as
@@ -1196,8 +1272,9 @@ class TestBeckmannField:
                                                    lam_norm[f, None])
                     assert np.isclose(alpha, alpha_lam, rtol=1e-6, atol=0.0), (f, name)
 
-        # the factored blocks are the lower 2 x 2 blocks of W^2 at every
-        # Newton step of a solve, whose last iterates lie near the boundaries
+        # the start factors the identity blocks; after it, the factored
+        # blocks are the lower 2 x 2 blocks of W^2 at every Newton step of a
+        # solve, whose last iterates lie near the boundaries
         scalings, factored = [], []
         scaling, factorizer = freenorm._nt_scaling, freenorm.weighted_normal_factorizer
 
@@ -1217,8 +1294,9 @@ class TestBeckmannField:
         monkeypatch.setattr(freenorm, "weighted_normal_factorizer", recording_factorizer)
         mesh = generate_primitive("flat_rect", nx=8)
         _, _, diag = beckmann_field(mesh, Molecule(((38, 1.0), (42, -1.0))))
-        assert diag["certified"] and len(factored) == diag["iterations"]
-        for (W, _, _), D in zip(scalings, factored):
+        assert diag["certified"] and len(factored) == diag["iterations"] + 1
+        assert (factored[0] == [[1.0], [0.0], [1.0]]).all()
+        for (W, _, _), D in zip(scalings, factored[1:], strict=True):
             W = W.transpose(2, 0, 1)
             W2 = W @ W
             bound = roundoff * np.linalg.norm(W, 2, axis=(1, 2)) ** 2

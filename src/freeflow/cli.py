@@ -68,6 +68,7 @@ def main(argv=None):
         return 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="freeflow",

@@ -17,11 +17,15 @@ Zero-flow tree arcs point at the root node, and the leaving arc is the
 last blocking arc along the pivot cycle from its apex, so the tree stays
 strongly feasible and pivots cannot cycle.
 
-Pricing enters the most negative reduced cost of the first block of
-about sqrt(arcs) arcs, in wrapping order, that has one. After a pivot's
-first block the blocks are priced 2, 4, 8 ... at a time, which enters
-the same arc in fewer array passes. ``priced`` holds each arc's cost, or
-+inf on tree arcs, so a block's reduced costs are one sum over slices.
+A table of at most 2048 arcs is priced whole, and the pivot enters its
+most negative reduced cost (Dantzig's rule): one pass over so few arcs
+costs about what one block does, and the pivots fall by about a third.
+A larger table enters the most negative reduced cost of the first block
+of max(64, sqrt(arcs)) arcs, in wrapping order, that has one. After a
+pivot's first block the blocks are priced 2, 4, 8 ... at a time, which
+enters the same arc in fewer array passes. ``priced`` holds each arc's
+cost, or +inf on tree arcs, so a block's reduced costs are one sum over
+slices.
 
 The tree is kept rooted at the extra node as per-node Python lists:
 parent, parent arc, depth, the flow on the parent arc, its step (its
@@ -118,7 +122,7 @@ def min_cost_flow(mesh, b):
 
     tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
 
-    block = max(64, int(math.ceil(math.sqrt(n_arcs))))
+    block = n_arcs if n_arcs <= 2048 else max(64, int(math.ceil(math.sqrt(n_arcs))))
     max_pivots = 200 * n_arcs + 1000
     pivots = 0
     cursor = 0

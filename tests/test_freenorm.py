@@ -393,7 +393,7 @@ class TestBeckmannGraph:
                 "flat4",
                 (
                     "4abb0a006e8b049d743faf1a925c4d931f6a3cfd56f859e06cfe366e113329b2",
-                    "ec9d7af4bf89706f6eff26701bb02409e0f312149bb28e37b1e60f20bda266e5",
+                    "2039ff4ee1e5d07005caeb108fcc66ed56ddf7217ed964ac9aa67537d7c500f1",
                     "ad3c8e00fcd87301b15968fe0faec2bb000d0882f90e24ed9774b3a31d7a25bc",
                 ),
             ),
@@ -401,32 +401,32 @@ class TestBeckmannGraph:
                 "ico1",
                 (
                     "ac23a4e53475c1cab9cef1940304d489f20bb94f3839db3315ed3b53053329ab",
-                    "db681f84781988a92c89de26f9b973596ed633371924adb4fd8796f5268d8881",
-                    "de0038de6f2f7f53967fd43370b73e2e4aace7f9a9e5b438e621edbc4da2c7a3",
+                    "3bd26576b5f9b48eb6d54b7f1107342c755bca84d2f743525b55d188da1f7777",
+                    "6308a910d71bc99b34e321cb5c7915ed1d1351d70217e60c5b2553a49132203e",
                 ),
             ),
             (
                 "annulus",
                 (
-                    "ab68a8c91f1d142ad1bcad9d411133d3cf869d0144e946b6d587dbfa2a7651a9",
-                    "b28c6220e6450e9de0397625288fe3c7f5f922abf37f45a3f8f215491d76e7e8",
-                    "8426e811e10c2eaa08258ce873835fa9586bb61c12488a3c156b17dcd6bc9f99",
+                    "d8da8d77cc36db070612f287da451eee36949efaf011e598a317efb309c6da41",
+                    "e0754311473a508b78c56a3ae531a5f04b82a9200ef5771d1e482b9ccc41ce5f",
+                    "42f47a6513aa8ea67a0ede8028742ea61ceb67343bdcceaffb9111055aa622e1",
                 ),
             ),
             (
                 "torus",
                 (
-                    "018b0867b189a1f3bc921df6359f0fc4fe4cacc9a7497bf435d46d2d5893e9ff",
-                    "4f412840650ccb82b825b7cfe13be27dca7d200fa19701020371bf732168503e",
-                    "a647024274c8622069d7bc7500af4a8c73df3186a180d8c74914bfd812081f0d",
+                    "5f06751716dd03362d9a4f0e9ea98d044a43b63f00f35d6906f3b8431a2f8572",
+                    "da1e9d274df1775f8f665046601faf278842709e0a4543a884ba20b99ff533e8",
+                    "38419fd9b937a73b7e0b618c2171089ae844426106c9983d97847724b1b76df1",
                 ),
             ),
             (
                 "poincare",
                 (
                     "325f9fdaaadd7cc4ab304a893363017de424b77635fc47b0408b6b1f49d810e5",
-                    "4c191361b227173d430cab5ac2ad809b92c82452bfee101fa833f7ef0fdc67eb",
-                    "6ee0c7e99fcaad4cd212074ab60aaa9a0ea1d5190aa8eec7c92d509966f3567e",
+                    "6cab35f27a384c803d5743445005dc9ae17d4a4f7bee5002df036685c20254c7",
+                    "67dff49a75871d65c75a4b738bfb472fb6b6f4f55e3d326321077cfeb587fe2e",
                 ),
             ),
             (
@@ -593,6 +593,27 @@ class TestCrashBasis:
         mesh = generate_primitive("annulus", base_vertex=43, n_angular=16, n_radial=4)
         rng = np.random.default_rng(49)
         for _ in range(10):
+            assert_simplex_matches_ssp(
+                mesh, molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=12))
+            )
+
+
+class TestPricing:
+    @pytest.mark.parametrize("nx, arcs", [(16, 1889), (17, 2126)], ids=["whole", "blocks"])
+    def test_both_sides_of_the_whole_table_switch(self, nx, arcs):
+        # tables of at most 2048 arcs (2E + V) are priced whole, larger ones
+        # in blocks. +-1 atoms on a unit-spaced grid tie many path lengths,
+        # so pivots are degenerate; a cycling solve would hit the pivot cap
+        mesh = generate_primitive("flat_rect", width=nx, height=nx, nx=nx)
+        assert len(mesh.arcs.tail) + mesh.vertex_count == arcs
+        rng = np.random.default_rng(50)
+        for n_atoms in (1, 2, 4, 8, 16, 40):
+            verts = rng.choice(np.arange(1, mesh.vertex_count), size=n_atoms, replace=False)
+            mu = Molecule(tuple(zip(verts, rng.choice([-1.0, 1.0], size=n_atoms))))
+            assert_simplex_matches_ssp(
+                mesh, molecule_vector(mesh, canonicalize(mu, mesh.base_vertex))
+            )
+        for _ in range(6):
             assert_simplex_matches_ssp(
                 mesh, molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=12))
             )

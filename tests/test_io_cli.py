@@ -716,6 +716,20 @@ class TestCli:
         assert payload["betti1"] == 1
         assert payload["exactness_residual"] >= 0.1
 
+    def test_cached_parser_keeps_each_calls_tolerance(self, tmp_path, capsys, annulus):
+        # main reuses one parser per process; each call parses afresh
+        assert cli._build_parser() is cli._build_parser()
+        mesh_path = tmp_path / "ann.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(annulus))
+        form_path = tmp_path / "omega.json"
+        ffio.write_json(form_path, ffio.edge_values_to_dict(annulus, annulus_generator(annulus)))
+        default = inspect.signature(classify).parameters["tol"].default
+        for tol in ("1e-6", "0.5", None):
+            argv = ["check-currents", "--mesh", str(mesh_path), "--form", str(form_path)]
+            assert main(argv + (["--tol", tol] if tol else [])) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["tol"] == (float(tol) if tol else default)
+
     def test_calc_norms_scalar(self, tmp_path, capsys, flat4):
         mesh_path = tmp_path / "m.json"
         ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))

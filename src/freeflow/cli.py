@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 error (with a JSON error envelope on stdout),
-2 experiment criterion failed. All outputs are deterministic for a fixed
-config and seed; reports carry no timestamps.
+Exit codes: 0 success, 1 error (with a JSON error envelope on stdout; a
+malformed command line is a ``ParseError``), 2 an experiment criterion
+failed or a batch row did not pass. All outputs are deterministic for a
+fixed config and seed; reports carry no timestamps.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import sys
@@ -36,31 +38,22 @@ from .experiments import (
 )
 from .freenorm import METHODS, FieldSolveParams, free_norm
 from .mesh import geodesic_distances
-from .primitives import KINDS, generate_primitive
+from .primitives import _BUILDERS, KINDS, generate_primitive
 
-_PRIMITIVE_FLAGS = {
-    "level": int,
-    "nx": int,
-    "ny": int,
-    "width": float,
-    "height": float,
-    "r_inner": float,
-    "r_outer": float,
-    "n_angular": int,
-    "n_radial": int,
-    "radius": float,
-    "n": int,
-    "total_length": float,
-}
+# gen-mesh's flags: the builders' parameters, base_vertex aside
+_PRIMITIVE_PARAMS = tuple(dict.fromkeys(
+    name for build in _BUILDERS.values()
+    for name in inspect.signature(build).parameters if name != "base_vertex"
+))
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 1
         return args.func(args)
     except FreeflowError as exc:
         envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -68,9 +61,30 @@ def main(argv=None):
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ParseError`` on a malformed command line, where argparse
+    would print its usage and exit 2, the code of a failed criterion."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _size(text):
+    """A gen-mesh size: an int when the text is one, else a float. The
+    builder checks it, as it checks a size given from Python."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeflow",
         description="Free-space norms and discrete calculus on metric meshes.",
     )
@@ -81,8 +95,8 @@ def _build_parser():
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
     p.add_argument("--base-vertex", type=int, default=0)
-    for flag, typ in _PRIMITIVE_FLAGS.items():
-        p.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None)
+    for name in _PRIMITIVE_PARAMS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=_size)
     p.set_defaults(func=cmd_gen_mesh)
 
     p = sub.add_parser("validate-mesh", help="validate a mesh file")
@@ -150,11 +164,8 @@ def _emit(obj, out):
 
 
 def cmd_gen_mesh(args):
-    params = {}
-    for flag in _PRIMITIVE_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            params[flag] = value
+    params = {name: getattr(args, name) for name in _PRIMITIVE_PARAMS
+              if getattr(args, name) is not None}
     mesh = generate_primitive(args.kind, base_vertex=args.base_vertex, **params)
     ffio.write_json(args.out, ffio.mesh_to_dict(mesh))
     return 0

@@ -76,14 +76,11 @@ def cutoff_field(dist, scale):
     return smoothstep_profile(dist / scale - 1.0)
 
 
-def divergence_free_field(mesh, potential=None, rng=None):
+def divergence_free_field(mesh, potential):
     """Rotated gradient of a scalar potential, projected onto the
     divergence kernel so the precondition holds to solver accuracy."""
     if mesh.dimension != 2:
         raise MeshError("divergence-free construction requires a surface")
-    if potential is None:
-        rng = rng or np.random.default_rng(0)
-        potential = rng.normal(size=mesh.vertex_count)
     grad = gradient(mesh, np.asarray(potential, dtype=float))
     rotated = np.column_stack([-grad[:, 1], grad[:, 0]])
     return project_divergence_free(mesh, rotated)

@@ -29,7 +29,7 @@ from .errors import (
 )
 
 _COND_LIMIT = 1e12
-_Arcs = namedtuple("_Arcs", "tail head length edge sign slot")
+_Arcs = namedtuple("_Arcs", "tail head length slot")
 
 
 @dataclass
@@ -242,14 +242,14 @@ class TriMesh:
 
     @cached_property
     def arcs(self):
-        """Read-only arc table: arcs 2e and 2e + 1 run u->v (sign +1.0) and
-        v->u (sign -1.0) on edge e = (u, v), u < v, at ``slot`` in ``adjacency.data``."""
+        """Read-only arc table: arcs 2e and 2e + 1 run u->v and v->u on edge
+        e = (u, v), u < v, so arc a lies on edge a >> 1, along it when a is
+        even; each sits at ``slot`` in ``adjacency.data``."""
         n = 2 * len(self.edges)
         tail, head = self.edges.ravel(), self.edges[:, ::-1].ravel()
         slot = np.empty(n, dtype=np.int64)  # CSR data runs in (tail, head) order
         slot[np.argsort(tail * self.vertex_count + head)] = np.arange(n)
-        arcs = _Arcs(tail, head, np.repeat(self.edge_lengths, 2), np.arange(n) // 2,
-                     np.tile([1.0, -1.0], n // 2), slot)
+        arcs = _Arcs(tail, head, np.repeat(self.edge_lengths, 2), slot)
         for arr in arcs:
             arr.setflags(write=False)
         return arcs

@@ -86,14 +86,18 @@ def min_cost_flow(mesh, b):
     children = [set() for _ in range(V + 1)]
     for v in range(V):
         children[parent[v]].add(v)
-    # walked down from the forest roots, parents come first; each arc
-    # carries the supply below it, summed children first
-    order = []
-    stack = list(children[root])
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children[u])
+
+    def below(nodes):
+        """The nodes in ``nodes`` and every node under them, parents first."""
+        stack = list(nodes)
+        while stack:
+            u = stack.pop()
+            yield u
+            stack.extend(children[u])
+
+    # walked down from the forest roots; each arc carries the supply
+    # below it, summed children first
+    order = list(below(children[root]))
     carried = (-b).tolist() + [0.0]
     for u in reversed(order):
         carried[parent[u]] += carried[u]
@@ -216,24 +220,18 @@ def min_cost_flow(mesh, b):
             node, new_parent, new_arc = old_parent, node, old_arc
             new_step, new_flow = -old_step, old_flow
         # depth and potential change only inside the re-hung subtree
-        stack = [q]
-        while stack:
-            u = stack.pop()
+        for u in below([q]):
             w = parent[u]
             depth[u] = depth[w] + 1
             pi[u] = pi.item(w) + step[u]
-            stack.extend(children[u])
 
     # the returned potential sums the steps down from each anchor, a
     # child of the root, leaving out the artificial cost big whose
     # roundoff would swamp short edges; at optimality every anchor has
     # the same potential, so the sums share one origin
     potential = [0.0] * V
-    stack = [u for anchor in children[root] for u in children[anchor]]
-    while stack:
-        u = stack.pop()
+    for u in below(u for anchor in children[root] for u in children[anchor]):
         potential[u] = potential[parent[u]] + step[u]
-        stack.extend(children[u])
     potential = np.array(potential)
     arc_flow = np.zeros(n_arcs + 1)  # the root's parent arc -1 fills the spare entry
     arc_flow[parent_arc] = flow

@@ -16,16 +16,6 @@ import numpy as np
 from .errors import InvalidParams
 from .mesh import TriMesh
 
-KINDS = (
-    "flat_rect",
-    "icosphere",
-    "annulus",
-    "torus",
-    "poincare_disk_patch",
-    "circle_graph",
-    "interval_graph",
-)
-
 
 def generate_primitive(kind, base_vertex=0, **params):
     """Build one of the named primitive meshes.
@@ -237,3 +227,4 @@ _BUILDERS = {
     "circle_graph": _circle_graph,
     "interval_graph": _interval_graph,
 }
+KINDS = tuple(_BUILDERS)

@@ -266,6 +266,19 @@ class TestTransportOracle:
         assert digest == "6e48ead1445a5026de29ff5b5f2bacb12bcad14e6d93d3bc5c9421b0df173f8d"
 
 
+def _degenerate_instances():
+    """400 transportation instances up to 7x7 whose masses are the row and
+    column sums of a random 0..2 matrix, so zero masses and zero-flow
+    northwest cells are common, and whose costs in {0, 1, 2} tie for both
+    of Bland's rules."""
+    rng = random.Random(30)
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        flow = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+        cost = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+        yield [sum(row) for row in flow], [sum(col) for col in zip(*flow)], cost
+
+
 class TestTransportationSolver:
     @pytest.mark.parametrize(
         "supplies, demands, cost, value",
@@ -297,22 +310,31 @@ class TestTransportationSolver:
         assert result == value
 
     def test_degenerate_values_are_pinned(self):
-        # 400 instances up to 7x7 whose masses are the row and column sums
-        # of a random 0..2 matrix, so zero masses and zero-flow northwest
-        # cells are common, and whose costs in {0, 1, 2} tie for both of
-        # Bland's rules; sha256 over the reprs of the returned Fractions
-        rng = random.Random(30)
-        values = []
-        for _ in range(400):
-            m, n = rng.randint(1, 7), rng.randint(1, 7)
-            flow = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
-            cost = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
-            supplies = [sum(row) for row in flow]
-            demands = [sum(col) for col in zip(*flow)]
-            values.append(transport.solve_transportation(supplies, demands, cost))
+        values = [transport.solve_transportation(*instance)
+                  for instance in _degenerate_instances()]
         assert all(type(v) is Fraction for v in values)
         digest = hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()
         assert digest == "b2ee16a37f22a518da5a4584bf93a9d49b70d886f486137d61a87d42ae712b6e"
+
+    def test_degenerate_pivots_are_pinned(self, monkeypatch):
+        # the optimal value is unique, so only the leaving cells show
+        # Bland's rule: the one min over cells, recorded through the
+        # module's global name; the other mins are over integer masses
+        leaving = []
+
+        def recorded_min(*args, **kwargs):
+            result = min(*args, **kwargs)
+            if type(result) is tuple:
+                leaving[-1].append(result)
+            return result
+
+        monkeypatch.setattr(transport, "min", recorded_min, raising=False)
+        for instance in _degenerate_instances():
+            leaving.append([])
+            transport.solve_transportation(*instance)
+        assert sum(map(len, leaving)) == 1695
+        digest = hashlib.sha256("\n".join(map(repr, leaving)).encode()).hexdigest()
+        assert digest == "0f3d88ff8abb6e9a6badd7932e975be1be627f5fcab2c1339d71b8993b245835"
 
     @pytest.mark.parametrize(
         "supplies, demands, message",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import freeflow
-from freeflow import cli, experiments, freenorm
+from freeflow import cli, experiments, freenorm, primitives
 from freeflow import io as ffio
 from freeflow.cli import main
 from freeflow.currents import classify, d0
@@ -479,6 +479,11 @@ class TestCli:
         # the library's own default, not a copy of its value
         assert args.tol is inspect.signature(classify).parameters["tol"].default
         assert choices("experiment", "kind") == tuple(cli._EXPERIMENT_KEYS)
+        assert choices("gen-mesh", "kind") == KINDS
+        # gen-mesh's flags are the builders' parameters, and no others
+        flags = {a.dest for a in commands["gen-mesh"]._actions} - {"help", "kind", "out"}
+        assert flags == {name for build in primitives._BUILDERS.values()
+                         for name in inspect.signature(build).parameters}
 
     def test_import_leaves_out_scipy_optimize(self):
         # scipy.optimize alone adds about 15 MB of resident memory, a large
@@ -701,6 +706,65 @@ class TestCli:
         assert envelope["error"]["type"] == "InvalidParams"
         assert "radius" in envelope["error"]["message"]
         assert not (tmp_path / "m.json").exists()
+
+    # each kind with int and float sizes; the sha256 of the written file
+    @pytest.mark.parametrize(
+        "kind, flags, digest",
+        [
+            ("flat_rect", ["--width", "2", "--height", "0.5", "--nx", "3", "--ny", "2"],
+             "04b4701f58846048be7a7f663de072ffdad9484b4d7468276ecbdc743585006b"),
+            ("icosphere", ["--level", "1"],
+             "d4f3fb53badcd3556fdd047e8165e2248f5312d5339087332255ad3f619f2c0c"),
+            ("annulus", ["--r-inner", "0.25", "--r-outer", "1", "--n-angular", "6",
+                         "--n-radial", "2"],
+             "e774c42084c7362537edcf5b07f91c7a96453994551033d8a1e97c7c57db8a84"),
+            ("torus", ["--width", "2", "--height", "1.5", "--nx", "3", "--ny", "4"],
+             "2f67c80f89ff45614fbc3e7c21d2a2ef77d170b341aad0b55759a2cf84ce661a"),
+            ("poincare_disk_patch", ["--radius", "0.7", "--n-angular", "5",
+                                     "--n-radial", "2"],
+             "b69af464936ef4209a56aa7d3e33b1ddd35e501c680613af948c7053ae6210e9"),
+            ("circle_graph", ["--n", "5", "--total-length", "3"],
+             "a6fb39d31a655e61e55dbac755ab01310f1546548cb1dd0473ef5cfdac66ece8"),
+            ("interval_graph", ["--n", "3", "--total-length", "1.5", "--base-vertex", "1"],
+             "a1d458f00aa4f5030935d4afd4be79bc69325dc52a9a3ba4efec3dab8e920aa0"),
+        ],
+        ids=KINDS,
+    )
+    def test_gen_mesh_bytes_are_pinned(self, tmp_path, kind, flags, digest):
+        out = tmp_path / "mesh.json"
+        assert main(["gen-mesh", "--kind", kind, *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["free-norm", "--mesh", "m", "--molecule", "mu", "--field-max-iter", "x"],
+            ["bogus"],
+            ["free-norm", "--mesh", "m"],
+            ["free-norm", "--mesh", "m", "--molecule", "mu", "--method", "bogus"],
+        ],
+        ids=["bad_type", "unknown_command", "missing_flag", "bad_choice"],
+    )
+    def test_malformed_command_line_exits_one(self, argv, capsys):
+        # exit 2 means a failed criterion, so a usage error may not take it
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["type"] == "ParseError"
+        assert captured.err == ""
+
+    def test_gen_mesh_size_is_checked_by_its_builder(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["gen-mesh", "--kind", "flat_rect", "--nx", "2.5", "--out", str(out)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"] == {"type": "InvalidParams",
+                                     "message": "nx is not an integer: 2.5"}
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gen-mesh", "--help"])
+        assert info.value.code == 0
+        assert "--total-length" in capsys.readouterr().out
 
     def test_check_currents_on_annulus_generator(self, tmp_path, capsys, annulus):
         mesh_path = tmp_path / "ann.json"

@@ -81,7 +81,13 @@ def canonicalize(molecule, base_vertex=0):
     atoms = tuple(
         (v, c) for v, c in sorted(merged.items()) if c != 0.0
     )
-    return Molecule(atoms)
+    # ``molecule`` checked its ids and coefficients when it was built;
+    # merging them can only overflow a sum
+    if not all(math.isfinite(c) for _, c in atoms):
+        raise MeshError("molecule has non-finite coefficients")
+    canonical = object.__new__(Molecule)
+    object.__setattr__(canonical, "atoms", atoms)
+    return canonical
 
 
 def _check_vertices(mesh, molecule):

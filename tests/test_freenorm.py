@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import random
+import sys
 import time
 import warnings
 from decimal import Decimal
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from freeflow import calculus, freenorm, netsimplex, ssp, transport
+from freeflow.cli import main
 from freeflow.errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
 from freeflow.freenorm import (
     CERTIFICATE_TOL,
@@ -99,6 +102,14 @@ class TestCanonicalize:
     def test_cancellation(self):
         mu = canonicalize(Molecule(((4, 1.0), (7, -1.0), (4, -1.0))), 0)
         assert mu.atoms == ((7, -1.0),)
+
+    def test_merged_overflow_rejected(self):
+        # each coefficient is finite; only their sum overflows
+        with pytest.raises(MeshError, match="molecule has non-finite coefficients"):
+            canonicalize(Molecule(((1, 1e308), (1, 1e308))))
+        mu = canonicalize(Molecule(((5, 1e308), (2, -1e308), (5, -1e308))), 0)
+        assert mu == Molecule(((2, -1e308),))
+        assert [(type(v), type(c)) for v, c in mu.atoms] == [(int, float)]
 
     @pytest.mark.parametrize(
         "vertex", [1.9, math.nan, math.inf, Fraction(3, 2), Decimal("2.5"), "3"]
@@ -414,49 +425,49 @@ class TestBeckmannGraph:
             (
                 "flat4",
                 (
-                    "4abb0a006e8b049d743faf1a925c4d931f6a3cfd56f859e06cfe366e113329b2",
-                    "2039ff4ee1e5d07005caeb108fcc66ed56ddf7217ed964ac9aa67537d7c500f1",
-                    "ad3c8e00fcd87301b15968fe0faec2bb000d0882f90e24ed9774b3a31d7a25bc",
+                    "7c543db58daf108e51dfc40fdfff143ca29cf5295a2fee83d58d255529976553",
+                    "b6d947494df1250e14fad85a284bc885a1a4a525d3c13d9383d33b622054aefe",
+                    "c6f9b405058df7ab22ba3056a92c5c483e0cde11cf3aabb1e1cbce04ded1c1e1",
                 ),
             ),
             (
                 "ico1",
                 (
-                    "ac23a4e53475c1cab9cef1940304d489f20bb94f3839db3315ed3b53053329ab",
-                    "3bd26576b5f9b48eb6d54b7f1107342c755bca84d2f743525b55d188da1f7777",
-                    "6308a910d71bc99b34e321cb5c7915ed1d1351d70217e60c5b2553a49132203e",
+                    "64d5fdc8d23e0ce1047614ed336e60451533128bd88afe05eaac3007e9b496c3",
+                    "6d339bda120e318652cfd64dec6ed29577e9497dcb51f915634512e1e568ecaa",
+                    "953a8ee19a1c1c8b2af97c349c0d99f81943f0a9b113a3edd045621082524d6c",
                 ),
             ),
             (
                 "annulus",
                 (
-                    "d8da8d77cc36db070612f287da451eee36949efaf011e598a317efb309c6da41",
-                    "e0754311473a508b78c56a3ae531a5f04b82a9200ef5771d1e482b9ccc41ce5f",
-                    "42f47a6513aa8ea67a0ede8028742ea61ceb67343bdcceaffb9111055aa622e1",
+                    "d483f5f8cadcb0ce7de7427cbdb8fe2027bc31e7e6394547340ec697ce2bdefc",
+                    "f5f4b7eeb716547cbde1cbdacbbd0b4baa49c467f9499e87288548bf79b7bff3",
+                    "ee321cf40d59b83204dc4ce1181662e252f1285467fbe4e9d56e873f78fc772e",
                 ),
             ),
             (
                 "torus",
                 (
-                    "5f06751716dd03362d9a4f0e9ea98d044a43b63f00f35d6906f3b8431a2f8572",
-                    "da1e9d274df1775f8f665046601faf278842709e0a4543a884ba20b99ff533e8",
-                    "38419fd9b937a73b7e0b618c2171089ae844426106c9983d97847724b1b76df1",
+                    "b5a6fe7f1d4fa544a8df8a8bfec88e95df2274f85b50bf151fdfe454d23e6cb0",
+                    "3f0fe4e8b66d1cd86e2a9faeecc5f2c081c42cb255b74f0be88ed1b7131556af",
+                    "264ad3aabd84c592737952f32934bf43ca58e0e54e08870d71139e2e63e86996",
                 ),
             ),
             (
                 "poincare",
                 (
-                    "325f9fdaaadd7cc4ab304a893363017de424b77635fc47b0408b6b1f49d810e5",
-                    "6cab35f27a384c803d5743445005dc9ae17d4a4f7bee5002df036685c20254c7",
-                    "67dff49a75871d65c75a4b738bfb472fb6b6f4f55e3d326321077cfeb587fe2e",
+                    "f40a5e958ff488b0fccc6ef32e28b5ad931fdfe98b544ec0239e1ce84c1e45fc",
+                    "ea52dd4396bfea8d7ebb944d70fdc9ddeaafe66fdb7b0bc0b94849c67ea7bfce",
+                    "a82a4dac3b6d00faced4e99da7d98e989add35b1c8246a8c0b9040e880868d14",
                 ),
             ),
             (
                 "circle32",
                 (
-                    "529a32aac229e6e70fbc46d5c9e1317607617075ad681441ae9932503e12c185",
-                    "1fa5725dda35dcecc10f894f6243e5abfddc31c68ff41ae00c73693d95c0dfc1",
-                    "a2cbc27e2d837e09611ee706c3e8616de12221fa310d6cabfdf012006022ad1a",
+                    "c5931fdbaaee04f31be8f43858f95c270622aa13975f04cdfdd7f639c965e456",
+                    "bb16b5943e0dec700dee11a26538536b4043a884d181ec5f430e58972d677575",
+                    "d2cdd6609640bde873be7e92fb0108e3871a5bdaf299548c66ff4e9a03713b32",
                 ),
             ),
             (
@@ -620,6 +631,44 @@ class TestCrashBasis:
             )
 
 
+def _pricing_imbalances(mesh):
+    """The molecules of ``test_both_sides_of_the_whole_table_switch``:
+    six +-1 molecules of 1-40 atoms and six random 1-12-atom ones."""
+    rng = np.random.default_rng(50)
+    for n_atoms in (1, 2, 4, 8, 16, 40):
+        verts = rng.choice(np.arange(1, mesh.vertex_count), size=n_atoms, replace=False)
+        mu = Molecule(tuple(zip(verts, rng.choice([-1.0, 1.0], size=n_atoms))))
+        yield molecule_vector(mesh, canonicalize(mu, mesh.base_vertex))
+    for _ in range(6):
+        yield molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=12))
+
+
+def _entering_reduced_costs(mesh, b):
+    """The reduced cost of each arc the simplex enters for ``b``, over the
+    solve's tolerance, read from the solver's frame at each pivot."""
+    solve = netsimplex._min_cost_flow
+    lines, first = inspect.getsourcelines(solve)
+    pivot_line = first + [line.strip() for line in lines].index("pivots += 1")
+    costs = []
+
+    def trace_pivots(frame, event, arg):
+        if event == "line" and frame.f_lineno == pivot_line:
+            seen = frame.f_locals
+            a, pi = seen["entering"], seen["pi"]
+            cost = seen["priced"][a] + pi[seen["tails"][a]] - pi[seen["heads"][a]]
+            costs.append(cost / seen["tol"])
+        return trace_pivots
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_pivots if frame.f_code is solve.__code__
+                 else None)
+    try:
+        netsimplex.min_cost_flow(mesh, b)
+    finally:
+        sys.settrace(previous)
+    return np.array(costs)
+
+
 class TestPricing:
     @pytest.mark.parametrize("nx, arcs", [(16, 1889), (17, 2126)], ids=["whole", "blocks"])
     def test_both_sides_of_the_whole_table_switch(self, nx, arcs):
@@ -639,6 +688,94 @@ class TestPricing:
             assert_simplex_matches_ssp(
                 mesh, molecule_vector(mesh, random_molecule(mesh, rng, max_atoms=12))
             )
+
+    @pytest.mark.parametrize("nx", [16, 17], ids=["whole", "blocks"])
+    def test_every_pivot_enters_a_negative_reduced_cost(self, nx):
+        # one whole-table pass queues every negative arc, and a queued arc
+        # enters only while neither endpoint has been re-hung since: its
+        # priced reduced cost is then still its reduced cost
+        mesh = generate_primitive("flat_rect", width=nx, height=nx, nx=nx)
+        costs = np.concatenate([_entering_reduced_costs(mesh, b)
+                                for b in _pricing_imbalances(mesh)])
+        assert len(costs) and costs.max() < -1.0
+
+
+def _pair_bytes(pair):
+    return b"".join(x.tobytes() for x in pair)
+
+
+def _negative_zeros(value):
+    """The -0.0 entries anywhere in a parsed JSON value."""
+    if isinstance(value, dict):
+        return sum(_negative_zeros(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(_negative_zeros(v) for v in value)
+    return int(isinstance(value, float) and value == 0.0 and math.copysign(1.0, value) < 0)
+
+
+class TestSmallerSide:
+    """SSP searches from the sources (b < 0) and the simplex roots its
+    start forest at the demands (b > 0). Where that side has more
+    vertices than the other, the solver solves -b and returns
+    0.0 - flow, 0.0 - potential; a tie keeps b."""
+
+    # integral coefficients that sum to zero, so the base vertex stays at 0
+    COEFFS = {
+        "more_negative": (-1.0, -1.0, -2.0, -2.0, -3.0, -3.0, 3.0, 4.0, 5.0),
+        "fewer_negative": (1.0, 1.0, 2.0, 2.0, 3.0, 3.0, -3.0, -4.0, -5.0),
+        "as_many": (-1.0, -2.0, -3.0, -4.0, 4.0, 3.0, 2.0, 1.0),
+    }
+
+    def molecules(self, mesh, case):
+        rng = np.random.default_rng(63)
+        coeffs = self.COEFFS[case]
+        for _ in range(3):
+            verts = rng.choice(np.arange(1, mesh.vertex_count), size=len(coeffs), replace=False)
+            yield Molecule(tuple(zip(verts, rng.permutation(coeffs))))
+
+    @pytest.mark.parametrize("case", list(COEFFS))
+    @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus8"])
+    def test_both_sides_of_the_switch(self, request, fixture, case):
+        mesh = request.getfixturevalue(fixture)
+        for mu in self.molecules(mesh, case):
+            b = molecule_vector(mesh, mu)
+            negative, positive = np.count_nonzero(b < 0), np.count_nonzero(b > 0)
+            assert np.sign(negative - positive) == (
+                {"more_negative": 1, "fewer_negative": -1, "as_many": 0}[case]
+            )
+            dual, _ = dual_lp(mesh, mu)
+            assert beckmann_graph(mesh, mu)[0] == pytest.approx(dual, rel=1e-12)
+            assert float(transport_oracle(mesh, mu)) == pytest.approx(dual, rel=1e-12)
+            for solver, roots, others in ((ssp, negative, positive),
+                                          (netsimplex, positive, negative)):
+                pair = solver.min_cost_flow(mesh, b)
+                mirrored = solver.min_cost_flow(mesh, 0.0 - b)
+                if roots > others:
+                    body = [0.0 - x for x in solver._min_cost_flow(mesh, 0.0 - b)]
+                else:
+                    body = solver._min_cost_flow(mesh, b)
+                assert _pair_bytes(pair) == _pair_bytes(body)
+                if roots != others:
+                    assert _pair_bytes(pair) == _pair_bytes(0.0 - x for x in mirrored)
+                for x in (*pair, *mirrored):
+                    assert not np.signbit(x[x == 0.0]).any()
+
+    @pytest.mark.parametrize("case", ["more_negative", "fewer_negative"])
+    def test_mirrored_reports_hold_no_negative_zero(self, tmp_path, case):
+        # each molecule turns one graph solver round, and its mirror the other
+        mesh_path, mu_path, out = (tmp_path / name for name in ("m.json", "mu.json", "r.json"))
+        assert main(["gen-mesh", "--kind", "flat_rect", "--nx", "4", "--out",
+                     str(mesh_path)]) == 0
+        mesh = generate_primitive("flat_rect", nx=4)
+        for mu in self.molecules(mesh, case):
+            for sign in (1.0, -1.0):
+                atoms = [[int(v), sign * c] for v, c in mu.atoms]
+                mu_path.write_text(json.dumps({"atoms": atoms}))
+                assert main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                             str(mu_path), "--method", "all", "--out", str(out)]) == 0
+                report = json.loads(out.read_text())
+                assert report["optimal_flow"] and report["optimal_potential"]
+                assert _negative_zeros(report) == 0
 
 
 def _bump_one_flow_entry(flow, potential):
@@ -766,17 +903,17 @@ class TestSuccessiveShortestPaths:
             )
             sinks += int((molecule_vector(mesh, mu) > 0).sum())
             dual_lp(mesh, mu)
-        # 86 runs for 106 sinks; one augmentation per run needs 324
+        # 61 runs for 106 sinks; one augmentation per run needs 274
         assert len(calls) < sinks
 
     @pytest.mark.parametrize(
         "fixture, pin",
         [
-            ("flat4", "06d23ddff5fc056fca66698925ddaa4693c0be7d4114009ee9dc4f2e9360d4dd"),
-            ("ico1", "386b2cd828e758db47cd8e7257db9984f1f601eaaf8fb1caf7e6eec9e32876c8"),
-            ("annulus", "af9013b46a212a4d47ff0686b6a8c2a18f7b8db667754e8c77ea43a45f4ab104"),
-            ("torus", "4bc84157596ad948a706accee3357a99b85e9788b88a93eb421a230aa6eb672b"),
-            ("poincare", "8f8c6fe0dda1c0f44827da5a22686c23ec415f4ffb0cf460b228ca88c7d7c03e"),
+            ("flat4", "01ad36dbfb9fd2282180332bfda1feec5f27d239f8ac96abe98ea2e1f3d46f21"),
+            ("ico1", "558f1e13fb6dae9730d349785e593870b6b36d5a3fe3e1d5dcc8aa975ee5e213"),
+            ("annulus", "a9c3cd7338c32ffd71dfdc27472ce8fb97b49eb984b514a82d0e86d5fc2bc664"),
+            ("torus", "26878cae234ae0d615e696c5cb7ecb85cacaf9f36708e6c34c3d6af582928b69"),
+            ("poincare", "efb616a5d5998957890c244b19a1aa8699f6882041e67ab04d97f33cafa234b5"),
         ],
         ids=["flat4", "ico1", "annulus", "torus", "poincare"],
     )
@@ -793,7 +930,9 @@ class TestSuccessiveShortestPaths:
         assert digest.hexdigest() == pin
 
     def test_multi_phase_flow_is_pinned(self, monkeypatch):
-        # 50 atoms on flat_rect nx32 take 27 phases
+        # 50 atoms on flat_rect nx32: 26 sources outnumber 25 sinks, so
+        # the solve searches from the sinks of -b, in 25 phases (27 from
+        # the sources)
         calls = []
         search = ssp.dijkstra
 
@@ -810,11 +949,11 @@ class TestSuccessiveShortestPaths:
             mesh.base_vertex,
         )
         flow, potential = ssp.min_cost_flow(mesh, molecule_vector(mesh, mu))
-        assert len(calls) == 27
+        assert len(calls) == 25
         payload = flow.tobytes() + potential.tobytes()
         assert (
             hashlib.sha256(payload).hexdigest()
-            == "758cbcca3398e221ff9434282a2d08cb7d4a440085aa53ba901b0712cfa09ae2"
+            == "b45cecb191124c95244dd48fd33f114026d7585f9e0cfa9fb45dd3beda0db6fc"
         )
 
     def test_paths_over_emptied_cancellation_arcs_wait(self, flat4):

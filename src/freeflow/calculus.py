@@ -38,8 +38,9 @@ from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill
 
 from .errors import MeshError, ParseError, SolverFailure
 
-# float64 entries per row block of the pairwise Lipschitz ratio (2 MB each)
-_PAIRWISE_BLOCK_ELEMENTS = 1 << 18
+# float64 entries (512 kB) in each of the two arrays a row block of the
+# pairwise Lipschitz search holds: its distance rows and its ratio buffer
+_PAIRWISE_BLOCK_ELEMENTS = 1 << 16
 # float64 entries (8 MB) the normal matrix's band may take at any width
 _BAND_FLOOR_ENTRIES = 1 << 20
 
@@ -324,10 +325,16 @@ def lip_constant(mesh, f, mode="edgewise"):
     reaches at most ``reach[s] = max(f.max() - f[s], f[s] - f.min())``
     and lies at least its shortest incident edge from any other vertex,
     so it is skipped when ``reach[s] <= best * shortest[s]``. The other
-    sources, sorted by reach, are searched in row blocks (which bound
-    memory) by a Dijkstra limited to ``max reach / best``: farther pairs
-    cannot beat ``best``. Both tests carry a relative margin of 1e-9, so
-    roundoff never prunes a pair that the dense maximum would pick.
+    sources, sorted by reach, are searched in row blocks by a Dijkstra
+    limited to ``max reach / best``: farther pairs cannot beat ``best``.
+    Both tests carry a relative margin of 1e-9, so roundoff never prunes
+    a pair that the dense maximum would pick.
+
+    A block holds two rows x V arrays, which bound its memory: the
+    distance rows and one buffer in which |f_s - f_t| / d(s, t) is formed
+    in place. ``fmax`` drops each source's own 0/0, and a vertex past the
+    limit reads |f_s - f_t| / inf = 0, so the maximum is that of the
+    quotients over the reached pairs.
     """
     f = _as_scalar(mesh, f)
     u, v = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -350,9 +357,11 @@ def lip_constant(mesh, f, mode="edgewise"):
             block = sources[start : start + rows]
             limit = float(reach[block].max()) / best * (1 + margin)
             d = dijkstra(mesh.adjacency, indices=block, limit=limit)
-            near = np.isfinite(d) & (d > 0)
-            diff = np.abs(f[block, None] - f[None, :])
-            best = max(best, float(np.max(diff[near] / d[near], initial=0.0)))
+            ratio = f - f[block, None]
+            np.abs(ratio, out=ratio)
+            with np.errstate(invalid="ignore"):  # 0/0 at each source
+                np.divide(ratio, d, out=ratio)
+            best = max(best, float(np.fmax.reduce(ratio, axis=None, initial=0.0)))
         return best
     raise ParseError(f"unknown mode {mode!r}")
 

@@ -535,6 +535,31 @@ class TestLipschitzConstant:
         searched = sum(len(call["indices"]) for call in calls)
         assert searched < mesh.vertex_count / 4
 
+    @pytest.mark.parametrize("kind, params", [("flat_rect", {"nx": 64}), ("icosphere", {"level": 4})],
+                             ids=["nx64", "L4"])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["random", "smooth"])
+    def test_pairwise_search_holds_two_row_blocks(self, kind, params, smooth):
+        # a block keeps its distance rows and one ratio buffer; with what
+        # scipy's Dijkstra allocates, the traced peak stays below 3.5
+        # blocks of rows x V float64 entries (the adjacency, which stays
+        # on the mesh, is built first)
+        mesh = generate_primitive(kind, **params)
+        mesh.adjacency
+        V = mesh.vertex_count
+        if smooth:
+            x, y = mesh.aux["positions"][:, 0], mesh.aux["positions"][:, 1]
+            f = np.sin(3 * x) + y**2
+        else:
+            f = np.random.default_rng(39).normal(size=V)
+        block = max(1, calculus._PAIRWISE_BLOCK_ELEMENTS // V) * V * 8
+        tracemalloc.start()
+        try:
+            lip_constant(mesh, f, "pairwise_geodesic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * block, peak / block
+
     def test_axis_aligned_equality_on_flat_rect(self, flat4):
         f = 1.7 * flat4.aux["positions"][:, 0]
         assert linf_norm(flat4, gradient(flat4, f)) == pytest.approx(

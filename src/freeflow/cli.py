@@ -13,31 +13,16 @@ import csv
 import functools
 import inspect
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import io as ffio
 from .currents import DEFAULT_TOL, betti1, classify
-from .calculus import (
-    _check_tol,
-    divergence,
-    gradient,
-    l1_norm,
-    linf_norm,
-    lip_constant,
-)
+from .calculus import _check_tol, divergence, gradient, l1_norm, linf_norm, lip_constant
 from .errors import FreeflowError, ParseError
-from .experiments import (
-    cutoff_decay,
-    divergence_free_field,
-    extension_experiment,
-    refinement_study,
-    weakstar_probe,
-)
+from .experiments import EXPERIMENTS, _integer
 from .freenorm import METHODS, FieldSolveParams, free_norm
-from .mesh import geodesic_distances
 from .primitives import _BUILDERS, KINDS, generate_primitive
 
 # gen-mesh's flags: the builders' parameters, base_vertex aside
@@ -142,7 +127,7 @@ def _build_parser():
     p.set_defaults(func=cmd_free_norm)
 
     p = sub.add_parser("experiment", help="run a scripted experiment")
-    p.add_argument("kind", choices=tuple(_EXPERIMENT_KEYS))
+    p.add_argument("kind", choices=tuple(EXPERIMENTS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
@@ -171,13 +156,18 @@ def cmd_gen_mesh(args):
     return 0
 
 
+def _load_mesh(path):
+    """The mesh in the file ``path``, and its content hash."""
+    mesh = ffio.mesh_from_dict(ffio.read_json(path))
+    return mesh, ffio.mesh_hash(mesh)
+
+
 def cmd_validate_mesh(args):
-    mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
-    print(json.dumps(_validate_mesh_payload(mesh), indent=2))
+    print(json.dumps(_validate_mesh_payload(*_load_mesh(args.mesh)), indent=2))
     return 0
 
 
-def _validate_mesh_payload(mesh):
+def _validate_mesh_payload(mesh, mesh_hash):
     """The summary ``validate-mesh`` prints; also run by batch entries."""
     return {
         "dimension": mesh.dimension,
@@ -186,7 +176,7 @@ def _validate_mesh_payload(mesh):
         "faces": len(mesh.triangles),
         "boundary_edges": len(mesh.boundary_edges),
         "base_vertex": mesh.base_vertex,
-        "mesh_hash": ffio.mesh_hash(mesh),
+        "mesh_hash": mesh_hash,
     }
 
 
@@ -237,166 +227,42 @@ def cmd_check_currents(args):
 
 def cmd_free_norm(args):
     params = FieldSolveParams(max_iter=args.field_max_iter, tol=args.field_tol)
-    mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
+    mesh, mesh_hash = _load_mesh(args.mesh)
     molecule = ffio.molecule_from_dict(ffio.read_json(args.molecule))
-    _emit(_free_norm_payload(mesh, molecule, args.method, params), args.out)
+    _emit(_free_norm_payload(mesh, mesh_hash, molecule, args.method, params), args.out)
     return 0
 
 
-def _free_norm_payload(mesh, molecule, method="all", field_params=None):
+def _free_norm_payload(mesh, mesh_hash, molecule, method="all", field_params=None):
     """The report ``free-norm`` writes; also run by batch entries."""
     report = free_norm(mesh, molecule, method=method, field_params=field_params)
     payload = report.to_dict()
     payload["method"] = method
-    payload["mesh_hash"] = ffio.mesh_hash(mesh)
+    payload["mesh_hash"] = mesh_hash
     return payload
 
 
-_EXPERIMENT_KEYS = {
-    "cutoff": {"kind", "width", "height", "nx", "ny", "ks", "decay", "seed"},
-    "extension": {"kind", "nx", "center", "r_inner", "r_outer", "seed"},
-    "weakstar": {"kind", "mesh_kind", "n", "total_length", "steps", "seed"},
-    "refine": {"kind", "primitive", "levels", "atoms", "include_field",
-               "field_max_iter", "field_tol", "seed"},
-}
-
-
-def _integer(x):
-    if type(x) is not int or x < 0:
-        raise ValueError("not a non-negative JSON integer")
-    return x
-
-
-def _boolean(x):
-    if type(x) is not bool:
-        raise ValueError("not a JSON boolean")
-    return x
-
-
-def _number(x):
-    if type(x) not in (int, float) or not math.isfinite(x):
-        raise ValueError("not a finite JSON number")
-    return x
-
-
-def _string(x):
-    if type(x) is not str:
-        raise ValueError("not a JSON string")
-    return x
-
-
-def _list_of(convert):
-    def converted(x):
-        if type(x) is not list:
-            raise ValueError("not a JSON list")
-        return [convert(item) for item in x]
-
-    return converted
-
-
-def _pair(first, second):
-    def converted(x):
-        if type(x) is not list or len(x) != 2:
-            raise ValueError("not a JSON list of two items")
-        return first(x[0]), second(x[1])
-
-    return converted
-
-
-_POINT = _pair(_number, _number)
-
-
-def _setting(config, key, default, convert):
-    """``config[key]``, or ``default``, passed through ``convert``."""
-    value = config.get(key, default)
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ParseError(f"{key!r}: {value!r} is {exc}") from None
-
-
 def run_experiment(kind, config):
-    if type(kind) is not str or kind not in _EXPERIMENT_KEYS:
+    """The report of the experiment ``kind`` run with ``config``: its
+    ``seed`` makes the run's random generator, and its other keys but
+    ``kind`` are bound to the keyword settings of the kind's function."""
+    if type(kind) is not str or kind not in EXPERIMENTS:
         raise ParseError(f"unknown experiment kind {kind!r}")
     if type(config) is not dict:
         raise ParseError(
             f"experiment config must be a JSON object, found {type(config).__name__}"
         )
-    declared = config.get("kind", kind)
+    settings = dict(config)
+    declared = settings.pop("kind", kind)
     if declared != kind:
         raise ParseError(f"config kind {declared!r} does not match {kind!r}")
-    unknown = set(config) - _EXPERIMENT_KEYS[kind]
-    if unknown:
-        raise ParseError(f"unknown config keys: {sorted(unknown)}")
-    rng = np.random.default_rng(_setting(config, "seed", 42, _integer))
-    if kind == "cutoff":
-        ks = _setting(config, "ks", [1, 2, 4, 8], _list_of(_number))
-        if not ks:
-            raise ParseError("cutoff config has no scales in 'ks'")
-        decay = _setting(config, "decay", 4.0, _number)
-        if decay <= 0:
-            raise ParseError(f"cutoff 'decay' must be positive, got {decay}")
-        mesh = generate_primitive(
-            "flat_rect",
-            width=_setting(config, "width", 32.0, _number),
-            height=_setting(config, "height", 1.0, _number),
-            nx=_setting(config, "nx", 160, _integer),
-            ny=_setting(config, "ny", 8, _integer),
-        )
-        dist = geodesic_distances(mesh, mesh.base_vertex)
-        g = divergence_free_field(mesh, potential=np.exp(-dist / decay))
-        return cutoff_decay(mesh, g, dist, ks=ks)
-    if kind == "extension":
-        nx = _setting(config, "nx", 20, _integer)
-        center = np.array(_setting(config, "center", [0.5, 0.5], _POINT), dtype=float)
-        r_inner = _setting(config, "r_inner", 0.15, _number)
-        r_outer = _setting(config, "r_outer", 0.35, _number)
-        mesh = generate_primitive("flat_rect", nx=nx)
-        bary = mesh.aux["positions"][mesh.triangles].mean(axis=1)
-        r = np.linalg.norm(bary - center[None, :], axis=1)
-        faces = np.flatnonzero((r >= r_inner) & (r <= r_outer))
-        return extension_experiment(mesh, faces, rng=rng)
-    if kind == "weakstar":
-        mesh_kind = config.get("mesh_kind", "circle_graph")
-        params = {"n": _setting(config, "n", 32, _integer)}
-        if "total_length" in config:
-            params["total_length"] = _setting(config, "total_length", None, _number)
-        steps = _setting(config, "steps", 16, _integer)
-        if steps < 1:
-            raise ParseError(f"weakstar 'steps' must be >= 1, got {steps}")
-        mesh = generate_primitive(mesh_kind, **params)
-        dist = geodesic_distances(mesh, mesh.base_vertex)
-        g = rng.normal(size=len(mesh.edges))
-        f_lim = np.zeros(mesh.vertex_count)
-        seq = [f_lim + dist / k for k in range(1, steps + 1)]
-        l1g = l1_norm(mesh, g)
-        report = weakstar_probe(
-            mesh, seq, f_lim, g, lip_bound=1.0,
-            pass_threshold=(1.0 / steps) * l1g * (1.0 + 1e-9),
-        )
-        per_row = [
-            row["deviation"] <= (1.0 / (i + 1)) * l1g * (1.0 + 1e-9)
-            for i, row in enumerate(report.rows)
-        ]
-        report.details["per_step_bound_holds"] = all(per_row)
-        report.passed = report.passed and all(per_row)
-        return report
-    # kind == "refine"
-    missing = [k for k in ("primitive", "levels", "atoms") if not config.get(k)]
-    if missing:
-        raise ParseError(f"refine config lacks or leaves empty {missing}")
-    params = FieldSolveParams(
-        max_iter=_setting(config, "field_max_iter", FieldSolveParams.max_iter, _integer),
-        tol=_setting(config, "field_tol", FieldSolveParams.tol, _number),
-    )
-    return refinement_study(
-        config["primitive"],
-        _setting(config, "levels", None, _list_of(_integer)),
-        # refinement_study checks each target's length against the primitive
-        _setting(config, "atoms", None, _list_of(_pair(_list_of(_number), _number))),
-        include_field=_setting(config, "include_field", False, _boolean),
-        field_params=params,
-    )
+    rng = np.random.default_rng(_integer("seed", settings.pop("seed", 42)))
+    run = EXPERIMENTS[kind]
+    try:
+        bound = inspect.signature(run).bind(rng, **settings)
+    except TypeError as exc:
+        raise ParseError(f"{kind} config: {exc}") from None
+    return run(*bound.args, **bound.kwargs)
 
 
 def cmd_experiment(args):
@@ -424,6 +290,15 @@ def _rows_to_csv(path, rows):
         writer.writerows(rows)
 
 
+def _path(entry, key, default=None):
+    """``entry[key]``, or ``default``: a file path, so a JSON string, as
+    open() takes an integer as a file descriptor."""
+    value = entry.get(key, default)
+    if type(value) is not str:
+        raise ParseError(f"{key!r}: {value!r} is not a JSON string")
+    return value
+
+
 def _run_batch_entry(entry, load_mesh):
     """Run one manifest entry through its command's payload function.
 
@@ -432,13 +307,11 @@ def _run_batch_entry(entry, load_mesh):
     recorded as "error" by the caller.
     """
     command = entry.get("command")
-    # file paths must be strings: open() takes an integer as a descriptor
-    out = _setting(entry, "out", "", _string)
+    out = _path(entry, "out", "")
     if command == "free-norm":
-        mesh = load_mesh(_setting(entry, "mesh", None, _string))
-        molecule_path = _setting(entry, "molecule", None, _string)
-        molecule = ffio.molecule_from_dict(ffio.read_json(molecule_path))
-        payload = _free_norm_payload(mesh, molecule, entry.get("method", "all"))
+        mesh, mesh_hash = load_mesh(_path(entry, "mesh"))
+        molecule = ffio.molecule_from_dict(ffio.read_json(_path(entry, "molecule")))
+        payload = _free_norm_payload(mesh, mesh_hash, molecule, entry.get("method", "all"))
         if out:
             ffio.write_json(out, payload)
         return "pass", f"gap={payload['duality_gap']!r}"
@@ -449,8 +322,7 @@ def _run_batch_entry(entry, load_mesh):
             ffio.write_json(out, report.to_dict())
         return ("pass" if report.passed else "fail"), f"kind={kind}"
     if command == "validate-mesh":
-        mesh = load_mesh(_setting(entry, "mesh", None, _string))
-        payload = _validate_mesh_payload(mesh)
+        payload = _validate_mesh_payload(*load_mesh(_path(entry, "mesh")))
         return "pass", f"vertices={payload['vertices']}"
     raise ParseError(f"unsupported batch command {command!r}")
 
@@ -460,8 +332,8 @@ def cmd_batch(args):
     entries = manifest.get("entries", [])
     if type(entries) is not list or any(type(e) is not dict for e in entries):
         raise ParseError("batch manifest 'entries' must be a list of JSON objects")
-    # each mesh path is read and parsed once per run
-    load_mesh = functools.cache(lambda path: ffio.mesh_from_dict(ffio.read_json(path)))
+    # each mesh path is read, parsed and hashed once per run
+    load_mesh = functools.cache(_load_mesh)
     results = []
     for index, entry in enumerate(entries):
         try:

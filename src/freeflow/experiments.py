@@ -5,11 +5,18 @@ step, a bound column computed from the relevant estimate, and a pass
 flag. Unbounded domains are modeled by long flat strips; the cutoff
 experiment is indexed by the cutoff scale rather than by a single
 infinite mesh.
+
+:data:`EXPERIMENTS` maps each kind of ``freeflow experiment`` to the
+function that builds its mesh, fields and molecule and runs it. Its
+keyword settings and defaults are the kind's config keys and defaults;
+each is checked before anything is built, and a value of the wrong type
+or out of its range is a :class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +40,7 @@ from .errors import (
 )
 from .freenorm import (
     AGREEMENT_TOL,
+    FieldSolveParams,
     Molecule,
     beckmann_field,
     beckmann_graph,
@@ -388,4 +396,122 @@ _REFINED = {
         lambda level: generate_primitive("annulus", n_angular=4 * level, n_radial=level),
         2,
     ),
+}
+
+
+def _number(name, value):
+    """``value`` unless it is no real number in float range (a bool or a
+    string is none): then a :class:`ParseError`."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ParseError(f"{name!r}: {value!r} is not a finite number")
+    return value
+
+
+def _positive(name, value):
+    if not _number(name, value) > 0:
+        raise ParseError(f"{name!r} must be positive, got {value}")
+    return value
+
+
+def _integer(name, value, minimum=0):
+    """``value`` unless it is no integer (a bool is none) or is below
+    ``minimum``: then a :class:`ParseError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name!r}: {value!r} is not an integer")
+    if value < minimum:
+        raise ParseError(f"{name!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _items(name, value, check, count=None):
+    """``check(name, item)`` of each item of ``value``, a non-empty list
+    or tuple, of ``count`` items when given; else a :class:`ParseError`."""
+    if not isinstance(value, (list, tuple)) or not value or len(value) != (count or len(value)):
+        what = f"a list of {count} items" if count else "a non-empty list"
+        raise ParseError(f"{name!r}: {value!r} is not {what}")
+    return [check(name, item) for item in value]
+
+
+def _atom(name, atom):
+    """A ``[target, coefficient]`` pair: a list of numbers and a number."""
+    if not isinstance(atom, (list, tuple)) or len(atom) != 2:
+        raise ParseError(f"{name!r}: {atom!r} is not a [target, coefficient] pair")
+    target, coefficient = atom
+    return _items(name, target, _number), _number(name, coefficient)
+
+
+def run_cutoff(rng, /, *, width=32.0, height=1.0, nx=160, ny=8, ks=(1, 2, 4, 8), decay=4.0):
+    """:func:`cutoff_decay` at the scales ``ks`` on a ``width`` x
+    ``height`` flat strip of ``nx`` x ``ny`` cells, for the rotated
+    gradient of exp(-dist / ``decay``), dist from the base vertex."""
+    ks = _items("ks", ks, _positive)
+    decay = _positive("decay", decay)
+    mesh = generate_primitive("flat_rect", width=_number("width", width),
+                              height=_number("height", height),
+                              nx=_integer("nx", nx), ny=_integer("ny", ny))
+    dist = geodesic_distances(mesh, mesh.base_vertex)
+    g = divergence_free_field(mesh, potential=np.exp(-dist / decay))
+    return cutoff_decay(mesh, g, dist, ks=ks)
+
+
+def run_extension(rng, /, *, nx=20, center=(0.5, 0.5), r_inner=0.15, r_outer=0.35):
+    """:func:`extension_experiment` on the unit square of ``nx`` x ``nx``
+    cells, for the faces whose barycentres lie from ``r_inner`` to
+    ``r_outer`` away from ``center``."""
+    nx = _integer("nx", nx)
+    center = np.array(_items("center", center, _number, count=2), dtype=float)
+    r_inner = _number("r_inner", r_inner)
+    r_outer = _number("r_outer", r_outer)
+    mesh = generate_primitive("flat_rect", nx=nx)
+    bary = mesh.aux["positions"][mesh.triangles].mean(axis=1)
+    r = np.linalg.norm(bary - center[None, :], axis=1)
+    faces = np.flatnonzero((r >= r_inner) & (r <= r_outer))
+    return extension_experiment(mesh, faces, rng=rng)
+
+
+def run_weakstar(rng, /, *, mesh_kind="circle_graph", n=32, total_length=None, steps=16):
+    """:func:`weakstar_probe` of the shifts f_k = dist / k, k = 1 ..
+    ``steps``, against a normal random edge field g on the metric graph
+    ``mesh_kind`` of ``n`` edges (of ``total_length``, or the builder's
+    default when None). Every step's deviation must also stay within its
+    own bound l1(g) / k: ``details["per_step_bound_holds"]``."""
+    params = {"n": _integer("n", n)}
+    if total_length is not None:
+        params["total_length"] = _number("total_length", total_length)
+    steps = _integer("steps", steps, minimum=1)
+    mesh = generate_primitive(mesh_kind, **params)
+    dist = geodesic_distances(mesh, mesh.base_vertex)
+    g = rng.normal(size=len(mesh.edges))
+    l1g = l1_norm(mesh, g)
+    shifts = range(1, steps + 1)
+    bounds = [(1.0 / k) * l1g * (1.0 + 1e-9) for k in shifts]
+    report = weakstar_probe(mesh, [dist / k for k in shifts], np.zeros(mesh.vertex_count),
+                            g, lip_bound=1.0, pass_threshold=bounds[-1])
+    per_step = all(row["deviation"] <= bound for row, bound in zip(report.rows, bounds))
+    report.details["per_step_bound_holds"] = per_step
+    report.passed = report.passed and per_step
+    return report
+
+
+def run_refine(rng, /, *, primitive, levels, atoms, include_field=False,
+               field_max_iter=FieldSolveParams.max_iter, field_tol=FieldSolveParams.tol):
+    """:func:`refinement_study` of ``primitive`` at ``levels``, for the
+    ``[target, coefficient]`` pairs ``atoms``."""
+    params = FieldSolveParams(max_iter=field_max_iter, tol=_number("field_tol", field_tol))
+    levels = _items("levels", levels, _integer)
+    atoms = _items("atoms", atoms, _atom)
+    if not isinstance(include_field, bool):
+        raise ParseError(f"'include_field': {include_field!r} is not a boolean")
+    return refinement_study(primitive, levels, atoms, include_field=include_field,
+                            field_params=params)
+
+
+# The kinds of ``freeflow experiment``. Each takes the run's generator
+# first, positional only, so no config names it; cutoff and refine draw none.
+EXPERIMENTS = {
+    "cutoff": run_cutoff,
+    "extension": run_extension,
+    "weakstar": run_weakstar,
+    "refine": run_refine,
 }

@@ -1,9 +1,11 @@
 import argparse
 import csv
+import functools
 import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +200,23 @@ _MOLECULE_ERRORS = [
      "vertex id '4' is not an integer"),
 ]
 
+
+
+def _readme_experiment_configs():
+    """The example configs of README's experiment section, as written there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(text) for text in re.findall(r'`(\{"kind".*?\})`', section, re.S)]
+
+
+# sha256 of the --out report per config, from the set-up code the CLI ran
+# before each experiment built its own
+_REPORT_DIGESTS = {
+    "cutoff": "8afcaf6316c1da607e6257af213822e613f2da488f6847432f8ffcb10e00bd16",
+    "extension": "eaf45dffbdc8509c422b6cce862709b11e176fab71d35a6c8aee212baefee6ef",
+    "weakstar": "99e47f748dc467b8d0373d69b83d64fdaef15580b8ca1835304b8fff3942d984",
+    "refine": "a712ff338c91815cb65d5641aae3ef03c6aaa48274c4f5eaeb7c20ef03a7bbcc",
+}
 
 
 class TestJsonRoundTrips:
@@ -478,12 +497,35 @@ class TestCli:
         args = parser.parse_args(["check-currents", "--mesh", "m", "--form", "w"])
         # the library's own default, not a copy of its value
         assert args.tol is inspect.signature(classify).parameters["tol"].default
-        assert choices("experiment", "kind") == tuple(cli._EXPERIMENT_KEYS)
+        assert choices("experiment", "kind") == tuple(experiments.EXPERIMENTS)
         assert choices("gen-mesh", "kind") == KINDS
         # gen-mesh's flags are the builders' parameters, and no others
         flags = {a.dest for a in commands["gen-mesh"]._actions} - {"help", "kind", "out"}
         assert flags == {name for build in primitives._BUILDERS.values()
                          for name in inspect.signature(build).parameters}
+
+    @pytest.mark.parametrize("kind", list(experiments.EXPERIMENTS))
+    def test_experiment_config_keys_are_the_functions_parameters(self, monkeypatch,
+                                                                 kind):
+        # as gen-mesh's flags are the builders' parameters: a config takes
+        # kind, seed and the keyword settings of the kind's function, and
+        # the generator the function takes first is no config key
+        run = experiments.EXPERIMENTS[kind]
+        rng, *rest = inspect.signature(run).parameters.values()
+        assert rng.kind is rng.POSITIONAL_ONLY
+        assert all(p.kind is p.KEYWORD_ONLY for p in rest)
+        settings = {p.name: p.name for p in rest}
+        calls = []
+        monkeypatch.setitem(experiments.EXPERIMENTS, kind, functools.wraps(run)(
+            lambda rng, /, **given: calls.append(given) or experiments.ExperimentReport(kind)
+        ))
+        config = {"kind": kind, "seed": 7, **settings}
+        assert cli.run_experiment(kind, config).kind == kind
+        assert calls == [settings]
+        for extra in ("bogus", rng.name):
+            with pytest.raises(ParseError):
+                cli.run_experiment(kind, {**config, extra: 1})
+        assert len(calls) == 1
 
     def test_import_leaves_out_scipy_optimize(self):
         # scipy.optimize alone adds about 15 MB of resident memory, a large
@@ -868,13 +910,11 @@ class TestCli:
         # one in the config run and one in cutoff_decay; cutoff_field used
         # to run one more per scale
         calls = []
-        for module in (cli, experiments):
-            search = module.geodesic_distances
-            monkeypatch.setattr(
-                module, "geodesic_distances",
-                lambda mesh, source, search=search: calls.append(source)
-                or search(mesh, source),
-            )
+        search = experiments.geodesic_distances
+        monkeypatch.setattr(
+            experiments, "geodesic_distances",
+            lambda mesh, source: calls.append(source) or search(mesh, source),
+        )
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"kind": "cutoff"}))
         assert main(["experiment", "cutoff", "--config", str(config),
@@ -988,6 +1028,15 @@ class TestCli:
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
 
+    def test_config_number_beyond_float_range_is_a_parse_error(self, tmp_path,
+                                                                capsys):
+        # was an OverflowError traceback
+        path = tmp_path / "exp.json"
+        path.write_text(f'{{"kind": "cutoff", "decay": {BIG}}}')
+        assert main(["experiment", "cutoff", "--config", str(path)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+
     @pytest.mark.parametrize(
         "kind, config",
         [
@@ -1017,6 +1066,23 @@ class TestCli:
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
         assert built == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"kind": kind} for kind in ("cutoff", "extension", "weakstar")]
+        + _readme_experiment_configs(),
+        ids=lambda config: "readme_" + config["kind"] if len(config) > 1 else config["kind"],
+    )
+    def test_experiment_report_bytes_are_pinned(self, tmp_path, config):
+        path, out = tmp_path / "exp.json", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", config["kind"], "--config", str(path),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_DIGESTS[config["kind"]]
+
+    def test_readme_gives_one_example_config_per_kind(self):
+        kinds = [config["kind"] for config in _readme_experiment_configs()]
+        assert kinds == ["cutoff", "extension", "weakstar", "refine"]
 
     def test_experiment_csv_output(self, tmp_path):
         config = tmp_path / "exp.json"
@@ -1089,6 +1155,34 @@ class TestBatch:
         assert len(parsed) == 1
         statuses = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
         assert statuses == ["pass", "pass"]
+
+    def test_a_shared_mesh_is_hashed_once(self, tmp_path, monkeypatch):
+        # a free-norm and a validate-mesh entry on one mesh path each used
+        # to hash the one parsed mesh
+        mesh_path = tmp_path / "m.json"
+        main(["gen-mesh", "--kind", "flat_rect", "--nx", "3", "--out",
+              str(mesh_path)])
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps({"atoms": [[5, 1.0]]}))
+        direct, batched = tmp_path / "direct.json", tmp_path / "batched.json"
+        assert main(["free-norm", "--mesh", str(mesh_path), "--molecule",
+                     str(mu_path), "--method", "dual", "--out", str(direct)]) == 0
+        hashed = []
+        mesh_hash = ffio.mesh_hash
+        monkeypatch.setattr(ffio, "mesh_hash",
+                            lambda mesh: hashed.append(1) or mesh_hash(mesh))
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"command": "free-norm", "mesh": str(mesh_path),
+             "molecule": str(mu_path), "method": "dual", "out": str(batched)},
+            {"command": "validate-mesh", "mesh": str(mesh_path)},
+        ]}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 0
+        assert len(hashed) == 1
+        assert batched.read_bytes() == direct.read_bytes()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["detail"] for row in rows][1:] == ["vertices=16"]
 
     def test_negative_tolerance_rejected(self, tmp_path, capsys, flat4):
         mesh_path = tmp_path / "m.json"

@@ -26,7 +26,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import numbers
 import threading
 from pathlib import Path
 
@@ -63,12 +62,6 @@ def _as_scalar(mesh, f):
 def _as_field(mesh, g):
     """The checked field as one row per cell (face or edge)."""
     return _as_array(g, mesh.field_shape, "field").reshape(len(mesh.cell_weights), -1)
-
-
-def _check_tol(name, tol):
-    """A :class:`ParseError` unless ``tol`` is a finite positive real number."""
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise ParseError(f"{name} must be finite and positive, got {tol}")
 
 
 def gradient(mesh, f):

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import io as ffio
 from .currents import DEFAULT_TOL, betti1, classify
-from .calculus import _check_tol, divergence, gradient, l1_norm, linf_norm, lip_constant
-from .errors import FreeflowError, ParseError
-from .experiments import EXPERIMENTS, _integer
+from .calculus import divergence, gradient, l1_norm, linf_norm, lip_constant
+from .errors import FreeflowError, ParseError, check_integer, check_real
+from .experiments import EXPERIMENTS
 from .freenorm import METHODS, FieldSolveParams, free_norm
 from .primitives import _BUILDERS, KINDS, generate_primitive
 
@@ -214,7 +214,7 @@ def cmd_calc(args):
 
 
 def cmd_check_currents(args):
-    _check_tol("tolerance", args.tol)
+    check_real("tolerance", args.tol, positive=True)
     mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
     _, omega = ffio.field_from_dict(mesh, ffio.read_json(args.form), expect="edges")
     result = classify(mesh, omega, tol=args.tol)
@@ -256,7 +256,7 @@ def run_experiment(kind, config):
     declared = settings.pop("kind", kind)
     if declared != kind:
         raise ParseError(f"config kind {declared!r} does not match {kind!r}")
-    rng = np.random.default_rng(_integer("seed", settings.pop("seed", 42)))
+    rng = np.random.default_rng(check_integer("seed", settings.pop("seed", 42)))
     run = EXPERIMENTS[kind]
     try:
         bound = inspect.signature(run).bind(rng, **settings)

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all freeflow modules."""
+"""Exception hierarchy shared by all freeflow modules, and the two checks
+of scalar inputs: :func:`check_real` and :func:`check_integer`. Each takes
+the error type of its boundary, and neither takes a bool or a string for
+a number."""
+
+import math
+import numbers
 
 
 class FreeflowError(Exception):
@@ -76,3 +82,30 @@ class UnboundedSequence(FreeflowError):
 class ParseError(FreeflowError):
     """Malformed input: a JSON file, or a command-line, config or solver
     parameter value out of its range."""
+
+
+def check_real(name, value, positive=False, error=ParseError):
+    """``value``, unchanged, if it is a finite real number, and positive
+    when ``positive``; else an ``error``. A bool is no real number, nor an
+    integer beyond float range."""
+    try:
+        real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        real = False
+    if positive and not (real and value > 0):
+        raise error(f"{name} must be finite and positive, got {value}")
+    if not real:
+        raise error(f"{name} is not a finite real number: {value!r}")
+    return value
+
+
+def check_integer(name, value, minimum=0, error=ParseError):
+    """``value`` as an int if it is an integer of at least ``minimum``;
+    else an ``error``. A bool is no integer, nor is an array, though its
+    type has ``__index__``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} is not an integer: {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -16,7 +16,6 @@ or out of its range is a :class:`ParseError`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,8 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     UnboundedSequence,
+    check_integer,
+    check_real,
 )
 from .freenorm import (
     AGREEMENT_TOL,
@@ -399,38 +400,14 @@ _REFINED = {
 }
 
 
-def _number(name, value):
-    """``value`` unless it is no real number in float range (a bool or a
-    string is none): then a :class:`ParseError`."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (real and abs(value) <= sys.float_info.max):
-        raise ParseError(f"{name!r}: {value!r} is not a finite number")
-    return value
-
-
-def _positive(name, value):
-    if not _number(name, value) > 0:
-        raise ParseError(f"{name!r} must be positive, got {value}")
-    return value
-
-
-def _integer(name, value, minimum=0):
-    """``value`` unless it is no integer (a bool is none) or is below
-    ``minimum``: then a :class:`ParseError`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{name!r}: {value!r} is not an integer")
-    if value < minimum:
-        raise ParseError(f"{name!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _items(name, value, check, count=None):
-    """``check(name, item)`` of each item of ``value``, a non-empty list
-    or tuple, of ``count`` items when given; else a :class:`ParseError`."""
+def _items(name, value, check, count=None, **options):
+    """``check(name, item, **options)`` of each item of ``value``, a
+    non-empty list or tuple, of ``count`` items when given; else a
+    :class:`ParseError`."""
     if not isinstance(value, (list, tuple)) or not value or len(value) != (count or len(value)):
         what = f"a list of {count} items" if count else "a non-empty list"
         raise ParseError(f"{name!r}: {value!r} is not {what}")
-    return [check(name, item) for item in value]
+    return [check(name, item, **options) for item in value]
 
 
 def _atom(name, atom):
@@ -438,18 +415,18 @@ def _atom(name, atom):
     if not isinstance(atom, (list, tuple)) or len(atom) != 2:
         raise ParseError(f"{name!r}: {atom!r} is not a [target, coefficient] pair")
     target, coefficient = atom
-    return _items(name, target, _number), _number(name, coefficient)
+    return _items(name, target, check_real), check_real(name, coefficient)
 
 
 def run_cutoff(rng, /, *, width=32.0, height=1.0, nx=160, ny=8, ks=(1, 2, 4, 8), decay=4.0):
     """:func:`cutoff_decay` at the scales ``ks`` on a ``width`` x
     ``height`` flat strip of ``nx`` x ``ny`` cells, for the rotated
     gradient of exp(-dist / ``decay``), dist from the base vertex."""
-    ks = _items("ks", ks, _positive)
-    decay = _positive("decay", decay)
-    mesh = generate_primitive("flat_rect", width=_number("width", width),
-                              height=_number("height", height),
-                              nx=_integer("nx", nx), ny=_integer("ny", ny))
+    ks = _items("ks", ks, check_real, positive=True)
+    decay = check_real("decay", decay, positive=True)
+    mesh = generate_primitive("flat_rect", width=check_real("width", width),
+                              height=check_real("height", height),
+                              nx=check_integer("nx", nx), ny=check_integer("ny", ny))
     dist = geodesic_distances(mesh, mesh.base_vertex)
     g = divergence_free_field(mesh, potential=np.exp(-dist / decay))
     return cutoff_decay(mesh, g, dist, ks=ks)
@@ -459,10 +436,10 @@ def run_extension(rng, /, *, nx=20, center=(0.5, 0.5), r_inner=0.15, r_outer=0.3
     """:func:`extension_experiment` on the unit square of ``nx`` x ``nx``
     cells, for the faces whose barycentres lie from ``r_inner`` to
     ``r_outer`` away from ``center``."""
-    nx = _integer("nx", nx)
-    center = np.array(_items("center", center, _number, count=2), dtype=float)
-    r_inner = _number("r_inner", r_inner)
-    r_outer = _number("r_outer", r_outer)
+    nx = check_integer("nx", nx)
+    center = np.array(_items("center", center, check_real, count=2), dtype=float)
+    r_inner = check_real("r_inner", r_inner)
+    r_outer = check_real("r_outer", r_outer)
     mesh = generate_primitive("flat_rect", nx=nx)
     bary = mesh.aux["positions"][mesh.triangles].mean(axis=1)
     r = np.linalg.norm(bary - center[None, :], axis=1)
@@ -476,10 +453,10 @@ def run_weakstar(rng, /, *, mesh_kind="circle_graph", n=32, total_length=None, s
     ``mesh_kind`` of ``n`` edges (of ``total_length``, or the builder's
     default when None). Every step's deviation must also stay within its
     own bound l1(g) / k: ``details["per_step_bound_holds"]``."""
-    params = {"n": _integer("n", n)}
+    params = {"n": check_integer("n", n)}
     if total_length is not None:
-        params["total_length"] = _number("total_length", total_length)
-    steps = _integer("steps", steps, minimum=1)
+        params["total_length"] = check_real("total_length", total_length)
+    steps = check_integer("steps", steps, minimum=1)
     mesh = generate_primitive(mesh_kind, **params)
     dist = geodesic_distances(mesh, mesh.base_vertex)
     g = rng.normal(size=len(mesh.edges))
@@ -498,8 +475,8 @@ def run_refine(rng, /, *, primitive, levels, atoms, include_field=False,
                field_max_iter=FieldSolveParams.max_iter, field_tol=FieldSolveParams.tol):
     """:func:`refinement_study` of ``primitive`` at ``levels``, for the
     ``[target, coefficient]`` pairs ``atoms``."""
-    params = FieldSolveParams(max_iter=field_max_iter, tol=_number("field_tol", field_tol))
-    levels = _items("levels", levels, _integer)
+    params = FieldSolveParams(max_iter=field_max_iter, tol=field_tol)
+    levels = _items("levels", levels, check_integer)
     atoms = _items("atoms", atoms, _atom)
     if not isinstance(include_field, bool):
         raise ParseError(f"'include_field': {include_field!r} is not a boolean")

@@ -23,7 +23,6 @@ field value converges to the continuum norm under mesh refinement.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,8 +30,16 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from . import netsimplex, ssp
-from .calculus import _check_tol, divergence_matrix, weighted_normal_factorizer
-from .errors import MeshError, NotConverged, ParseError, SolverFailure, TooManyAtoms
+from .calculus import divergence_matrix, weighted_normal_factorizer
+from .errors import (
+    MeshError,
+    NotConverged,
+    ParseError,
+    SolverFailure,
+    TooManyAtoms,
+    check_integer,
+    check_real,
+)
 from .mesh import _vertex_id, _vertex_ids
 from .transport import solve_transportation
 
@@ -205,12 +212,8 @@ class FieldSolveParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        # a bool is no count, nor an array, though its type has __index__
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ParseError(f"field max_iter is not an integer: {self.max_iter!r}")
-        if not self.max_iter >= 1:
-            raise ParseError(f"field max_iter must be >= 1, got {self.max_iter}")
-        _check_tol("field tol", self.tol)
+        check_integer("field max_iter", self.max_iter, minimum=1)
+        check_real("field tol", self.tol, positive=True)
 
 
 # Each face T carries one second-order cone {(t, g) : |g| <= t} in R^3.

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, check_integer, check_real
 from .mesh import TriMesh
 
 
@@ -39,21 +38,6 @@ def generate_primitive(kind, base_vertex=0, **params):
     except TypeError as exc:
         raise InvalidParams(f"{kind}: {exc}") from None
     return builder(base_vertex=base_vertex, **params)
-
-
-def _positive(name, value):
-    value = float(value)
-    if not value > 0:
-        raise InvalidParams(f"{name} must be positive, got {value}")
-    return value
-
-
-def _count(name, value, minimum=1):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParams(f"{name} is not an integer: {value!r}")
-    if value < minimum:
-        raise InvalidParams(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _cells(v00, v10, v01, v11):
@@ -84,18 +68,18 @@ def _grid_mesh(width, height, nx, ny, wrap=False, base_vertex=0):
 
 
 def _flat_rect(width=1.0, height=1.0, nx=2, ny=None, base_vertex=0):
-    width = _positive("width", width)
-    height = _positive("height", height)
-    nx = _count("nx", nx)
-    ny = nx if ny is None else _count("ny", ny)
+    width = float(check_real("width", width, positive=True, error=InvalidParams))
+    height = float(check_real("height", height, positive=True, error=InvalidParams))
+    nx = check_integer("nx", nx, minimum=1, error=InvalidParams)
+    ny = nx if ny is None else check_integer("ny", ny, minimum=1, error=InvalidParams)
     return _grid_mesh(width, height, nx, ny, wrap=False, base_vertex=base_vertex)
 
 
 def _torus(width=1.0, height=1.0, nx=8, ny=None, base_vertex=0):
-    width = _positive("width", width)
-    height = _positive("height", height)
-    nx = _count("nx", nx, minimum=3)
-    ny = nx if ny is None else _count("ny", ny, minimum=3)
+    width = float(check_real("width", width, positive=True, error=InvalidParams))
+    height = float(check_real("height", height, positive=True, error=InvalidParams))
+    nx = check_integer("nx", nx, minimum=3, error=InvalidParams)
+    ny = nx if ny is None else check_integer("ny", ny, minimum=3, error=InvalidParams)
     return _grid_mesh(width, height, nx, ny, wrap=True, base_vertex=base_vertex)
 
 
@@ -108,7 +92,7 @@ _ICOSA_FACES = (
 
 
 def _icosphere(level=0, base_vertex=0):
-    level = _count("level", level, minimum=0)
+    level = check_integer("level", level, minimum=0, error=InvalidParams)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     pos = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
@@ -177,12 +161,12 @@ def _polar_mesh(radii, n_angular, metric, base_vertex=0, center=False):
 
 
 def _annulus(r_inner=0.5, r_outer=1.0, n_angular=16, n_radial=4, base_vertex=0):
-    r_inner = _positive("r_inner", r_inner)
-    r_outer = _positive("r_outer", r_outer)
+    r_inner = float(check_real("r_inner", r_inner, positive=True, error=InvalidParams))
+    r_outer = float(check_real("r_outer", r_outer, positive=True, error=InvalidParams))
     if r_outer <= r_inner:
         raise InvalidParams("r_outer must exceed r_inner")
-    n_angular = _count("n_angular", n_angular, minimum=3)
-    n_radial = _count("n_radial", n_radial)
+    n_angular = check_integer("n_angular", n_angular, minimum=3, error=InvalidParams)
+    n_radial = check_integer("n_radial", n_radial, minimum=1, error=InvalidParams)
     radii = np.linspace(r_inner, r_outer, n_radial + 1)
     return _polar_mesh(radii, n_angular, _euclidean, base_vertex=base_vertex)
 
@@ -194,26 +178,28 @@ def _hyperbolic_distance(p, q):
 
 
 def _poincare_disk_patch(radius=0.8, n_angular=12, n_radial=3, base_vertex=0):
-    radius = _positive("radius", radius)
+    radius = float(check_real("radius", radius, positive=True, error=InvalidParams))
     if radius >= 1.0:
         raise InvalidParams("model radius must be < 1")
-    n_angular = _count("n_angular", n_angular, minimum=3)
-    n_radial = _count("n_radial", n_radial)
+    n_angular = check_integer("n_angular", n_angular, minimum=3, error=InvalidParams)
+    n_radial = check_integer("n_radial", n_radial, minimum=1, error=InvalidParams)
     radii = [radius * (r + 1) / n_radial for r in range(n_radial)]
     return _polar_mesh(radii, n_angular, _hyperbolic_distance,
                        base_vertex=base_vertex, center=True)
 
 
 def _circle_graph(n=4, total_length=2.0 * math.pi, base_vertex=0):
-    n = _count("n", n, minimum=3)
-    total_length = _positive("total_length", total_length)
+    n = check_integer("n", n, minimum=3, error=InvalidParams)
+    total_length = float(check_real("total_length", total_length, positive=True,
+                                    error=InvalidParams))
     edges = np.column_stack([np.arange(n), np.arange(1, n + 1) % n])
     return TriMesh([], edges, np.full(n, total_length / n), base_vertex)
 
 
 def _interval_graph(n=2, total_length=2.0, base_vertex=0):
-    n = _count("n", n)
-    total_length = _positive("total_length", total_length)
+    n = check_integer("n", n, minimum=1, error=InvalidParams)
+    total_length = float(check_real("total_length", total_length, positive=True,
+                                    error=InvalidParams))
     edges = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return TriMesh([], edges, np.full(n, total_length / n), base_vertex)
 

@@ -254,7 +254,8 @@ class TestClassify:
         assert result.kind == "closed_not_exact"
         assert result.closedness_residual == 0.0
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    # True used to run as a tolerance of 1.0
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True, "1e-8"])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # nan used to report this exact form as closed_not_exact, -1.0 as
         # not_closed; the message is the one check-currents prints

@@ -1140,9 +1140,12 @@ class TestBeckmannField:
             ({"max_iter": np.array(2.5)}, "field max_iter is not an integer: array(2.5)"),
             ({"tol": "x"}, "field tol must be finite and positive, got x"),
             ({"tol": None}, "field tol must be finite and positive, got None"),
+            # True used to run as a tolerance of 1.0
+            ({"tol": True}, "field tol must be finite and positive, got True"),
         ],
         ids=["zero", "negative", "tol_zero", "tol_nan", "tol_inf", "fraction",
-             "infinite", "string", "bool", "array", "tol_string", "tol_none"],
+             "infinite", "string", "bool", "array", "tol_string", "tol_none",
+             "tol_bool"],
     )
     def test_field_params_are_checked(self, params, message):
         with pytest.raises(ParseError) as info:
@@ -1593,3 +1596,73 @@ class TestFreeNormReport:
         start = time.monotonic()
         free_norm(mesh, mu, method="dual")
         assert time.monotonic() - start < 10.0
+
+
+def relabelled(mesh, rng):
+    """``mesh`` with its vertices permuted, its edges shuffled and some
+    reversed, and its base vertex moved, with the permutation."""
+    perm = rng.permutation(mesh.vertex_count)
+    order = rng.permutation(len(mesh.edges))
+    edges = perm[mesh.edges[order]]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    base = perm[(mesh.base_vertex + mesh.vertex_count // 2) % mesh.vertex_count]
+    moved = TriMesh(perm[mesh.triangles].reshape(-1, 3), edges,
+                    mesh.edge_lengths[order], base_vertex=base)
+    return moved, perm
+
+
+def scaled(mesh, factor):
+    return TriMesh(mesh.triangles, mesh.edges, mesh.edge_lengths * factor,
+                   base_vertex=mesh.base_vertex)
+
+
+def zero_sum_molecule(mesh, rng, atoms=6):
+    """Integer coefficients summing to exactly zero, so the norm does not
+    depend on the base vertex."""
+    verts = rng.choice(mesh.vertex_count, size=atoms, replace=False)
+    coeffs = rng.choice([-3, -2, -1, 1, 2, 3], size=atoms).tolist()
+    coeffs[-1] -= sum(coeffs)
+    return Molecule(tuple(zip(verts.tolist(), coeffs)))
+
+
+class TestInvariance:
+    """The free norm does not see vertex or edge labels, the base vertex
+    of a zero-sum molecule, or the unit of length (it scales with it)."""
+
+    @staticmethod
+    def values(mesh, molecule):
+        values = {"dual": dual_lp(mesh, molecule)[0],
+                  "graph": beckmann_graph(mesh, molecule)[0]}
+        if mesh.dimension == 2:
+            _, _, diagnostics = beckmann_field(mesh, molecule)
+            values["field"] = (diagnostics["lower"], diagnostics["upper"])
+        return values
+
+    @pytest.mark.parametrize("fixture", ["flat4", "ico2", "annulus", "torus", "circle32"])
+    def test_relabelled_and_scaled_meshes_give_the_same_norm(self, request, fixture):
+        mesh = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(17)
+        molecule = zero_sum_molecule(mesh, rng)
+        assert sum(c for _, c in molecule.atoms) == 0
+        reference = self.values(mesh, molecule)
+
+        moved, perm = relabelled(mesh, rng)
+        same = self.values(moved, Molecule(tuple((int(perm[v]), c)
+                                                 for v, c in molecule.atoms)))
+        for route in ("dual", "graph"):
+            assert same[route] == pytest.approx(reference[route], rel=1e-12, abs=0.0)
+
+        for k in (-3, 5):
+            factor = 2.0 ** k
+            got = self.values(scaled(mesh, factor), molecule)
+            # a power of two scales every length, sum and ratio exactly
+            assert got["dual"] == reference["dual"] * factor
+            assert got["graph"] == reference["graph"] * factor
+            if "field" in reference:
+                # both brackets hold the true value, whatever the tolerance
+                lower, upper = (bound / factor for bound in got["field"])
+                assert lower <= reference["field"][1] and reference["field"][0] <= upper
+        if "field" in reference:
+            lower, upper = same["field"]
+            assert lower <= reference["field"][1] and reference["field"][0] <= upper

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from freeflow.experiments import refinement_study
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.calculus import l1_norm
 from freeflow.io import mesh_from_dict, mesh_hash, mesh_to_dict
+from freeflow import primitives
 from freeflow.primitives import generate_primitive
 
 from conftest import edge_index, face_edge_pairs, from_lengths
@@ -390,6 +392,7 @@ class TestPrimitives:
             (3, "07de5b711ababcfc80d7b23859be8566006a5119235bbcb2e2b6b5ff2f273d2e"),
             (4, "dd89e5b41f7195feec49b5d368ca01ce8286622f3abbd44418ead4dc812863c1"),
         ],
+        ids=["L0", "L1", "L2", "L3", "L4"],
     )
     def test_icosphere_array_bytes_are_pinned(self, level, pin):
         # sha256 of the triangles, positions and edge lengths, so the
@@ -495,6 +498,46 @@ class TestPrimitives:
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error
+        assert str(info.value) == message
+
+    # every size parameter of every builder, read from its signature, so
+    # a builder added later is covered with no edit here
+    @pytest.mark.parametrize("value", [True, "2"], ids=["bool", "string"])
+    @pytest.mark.parametrize(
+        "kind, name",
+        [pytest.param(kind, name, id=f"{kind}-{name}")
+         for kind, build in primitives._BUILDERS.items()
+         for name in inspect.signature(build).parameters if name != "base_vertex"],
+    )
+    def test_sizes_reject_bools_and_strings(self, kind, name, value):
+        with pytest.raises(InvalidParams) as info:
+            generate_primitive(kind, **{name: value})
+        assert type(info.value) is InvalidParams
+        assert str(info.value).startswith(f"{name} ")
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("flat_rect", {"width": 0}, "width must be finite and positive, got 0"),
+            ("flat_rect", {"width": -1.0}, "width must be finite and positive, got -1.0"),
+            ("flat_rect", {"width": NAN}, "width must be finite and positive, got nan"),
+            # used to pass, and fail later as TriMesh's MeshError on the lengths
+            ("flat_rect", {"width": INF}, "width must be finite and positive, got inf"),
+            # True used to build a unit square, and "2" a 2-wide one
+            ("flat_rect", {"width": True}, "width must be finite and positive, got True"),
+            ("flat_rect", {"width": "2"}, "width must be finite and positive, got 2"),
+            ("poincare_disk_patch", {"radius": True},
+             "radius must be finite and positive, got True"),
+            ("circle_graph", {"total_length": "3"},
+             "total_length must be finite and positive, got 3"),
+        ],
+        ids=["width_zero", "width_negative", "width_nan", "width_inf", "width_bool",
+             "width_string", "radius_bool", "total_length_string"],
+    )
+    def test_real_sizes_are_checked(self, kind, params, message):
+        with pytest.raises(InvalidParams) as info:
+            generate_primitive(kind, **params)
+        assert type(info.value) is InvalidParams
         assert str(info.value) == message
 
 

@@ -25,24 +25,20 @@ results. A tie keeps b. Over the 360 small solves of the benchmark's
 ``exact_small`` seeds 3701 and 3801, this alone cuts the pivots from
 13,830 to 11,667.
 
-A table of at most 2048 arcs is priced whole: one pass over so few arcs
-costs about what one block does. The pass queues every arc of negative
-reduced cost, most negative first, so its first arc is Dantzig's choice.
-Each pivot enters the next queued arc neither of whose endpoints was
-re-hung since the pass; such an arc keeps the reduced cost it was priced
-at, so every pivot enters an arc that prices below zero, which is all a
-strongly feasible tree needs to terminate (Cunningham, *Math. Program.*
-11, 1976). An arc with a re-hung endpoint is dropped, and the table is
-priced again when the queue runs dry; a pass that queues nothing ends
-the solve. One pass feeds about seven pivots: seed 3701's 180 solves
-make 7,042 pivots from 960 passes, where a pass per pivot made 5,786
-pivots from 5,966 passes. A larger table
-enters the most negative reduced cost of the first block of
-max(64, sqrt(arcs)) arcs, in wrapping order, that has one. After a
-pivot's first block the blocks are priced 2, 4, 8 ... at a time, which
-enters the same arc in fewer array passes. ``priced`` holds each arc's
-cost, or +inf on tree arcs, so a block's reduced costs are one sum over
-slices.
+Pricing takes the whole arc table at once: ``priced`` holds each arc's
+cost, or +inf on tree arcs, so a pass's reduced costs are one array sum.
+The pass queues every arc of negative reduced cost, most negative first,
+so its first arc is Dantzig's choice. Each pivot enters the next queued
+arc neither of whose endpoints was re-hung since the pass; such an arc
+keeps the reduced cost it was priced at, so every pivot enters an arc
+that prices below zero, which is all a strongly feasible tree needs to
+terminate (Cunningham, *Math. Program.* 11, 1976). An arc with a re-hung
+endpoint is dropped, and the table is priced again when the queue runs
+dry; a pass that queues nothing ends the solve. On small tables one pass
+feeds about seven pivots: seed 3701's 180 solves make 7,042 pivots from
+960 passes, where a pass per pivot made 5,786 pivots from 5,966 passes.
+On large tables it feeds 50-260: flat_rect nx128 with 50 atoms (115,457
+arcs) makes 16,660 pivots from 88 passes.
 
 The tree is kept rooted at the extra node as per-node Python lists:
 parent, parent arc, depth, the flow on the parent arc, its step (its
@@ -159,11 +155,8 @@ def _min_cost_flow(mesh, b):
 
     tol = 1e-11 * (1.0 + float(mesh.edge_lengths.max(initial=0.0)))
 
-    whole = n_arcs <= 2048
-    block = max(64, int(math.ceil(math.sqrt(n_arcs))))
     max_pivots = 200 * n_arcs + 1000
     pivots = 0
-    cursor = 0
     queue = iter(())
     moved = set()  # the nodes re-hung since the last pricing pass
     while True:
@@ -176,33 +169,12 @@ def _min_cost_flow(mesh, b):
                 entering = a
                 break
         if entering < 0:
+            # queue every negative reduced cost, most negative first
             moved.clear()
-            if whole:
-                # queue every negative reduced cost, most negative first
-                rc = priced + pi.take(tails) - pi.take(heads)
-                eligible = np.flatnonzero(rc < -tol)
-                queue = iter(eligible[rc[eligible].argsort(kind="stable")].tolist())
-                entering = next(queue, -1)
-            else:
-                # the best reduced cost of the first block, in wrapping
-                # order, that has a negative one
-                scanned, width = 0, block
-                while scanned < n_arcs:
-                    hi = min(cursor + width, n_arcs)
-                    rc = (priced[cursor:hi] + pi.take(tails[cursor:hi])
-                          - pi.take(heads[cursor:hi]))
-                    k = int(rc.argmin())
-                    if rc.item(k) < -tol:
-                        lo = 0
-                        if width > block:  # enter in the chunk's first eligible block
-                            lo = int((rc < -tol).argmax()) // block * block
-                            k = lo + int(rc[lo:lo + block].argmin())
-                        entering = cursor + k
-                        cursor = min(cursor + lo + block, hi) % n_arcs
-                        break
-                    scanned += hi - cursor
-                    cursor = hi % n_arcs
-                    width *= 2
+            rc = priced + pi.take(tails) - pi.take(heads)
+            eligible = np.flatnonzero(rc < -tol)
+            queue = iter(eligible[rc[eligible].argsort(kind="stable")].tolist())
+            entering = next(queue, -1)
             if entering < 0:
                 break
         pivots += 1

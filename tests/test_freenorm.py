@@ -498,20 +498,21 @@ class TestBeckmannGraph:
                 "flat_rect",
                 {"nx": 32},
                 53,
-                "a68fc61a9865430bb4fc0c2d5bade2ad31b1aa1cf1d9dcfdbe9e054adfafcac0",
+                "fff35e667952fe6a78f72bb1b3b4f4d37db3cc7fc4cc100f2f4b747a248dca9c",
             ),
             (
                 "icosphere",
                 {"level": 3},
                 54,
-                "fa73d4f9447cab62a82b3c73996463e82a1ef8386e98d410ef724d8ec39218ef",
+                "117e1c28ef8d2ed9c954a16c6b5fc81439b4fa79a4f30639f0081b27981bf7c4",
             ),
         ],
         ids=["flat_rect", "icosphere"],
     )
     def test_multi_block_flows_are_pinned(self, kind, params, seed, pin):
-        # 50 atoms on meshes whose pricing wraps 67-86 blocks over
-        # 750-1500 pivots; sha256 of the simplex's flow and potential
+        # 50 atoms on tables of 7361 and 4482 arcs, solved in 1114 and 514
+        # pivots from 24 and 14 pricing passes; sha256 of the simplex's
+        # flow and potential
         mesh = generate_primitive(kind, **params)
         rng = np.random.default_rng(seed)
         verts = rng.choice(np.arange(1, mesh.vertex_count), size=50, replace=False)
@@ -672,9 +673,10 @@ def _entering_reduced_costs(mesh, b):
 class TestPricing:
     @pytest.mark.parametrize("nx, arcs", [(16, 1889), (17, 2126)], ids=["whole", "blocks"])
     def test_both_sides_of_the_whole_table_switch(self, nx, arcs):
-        # tables of at most 2048 arcs (2E + V) are priced whole, larger ones
-        # in blocks. +-1 atoms on a unit-spaced grid tie many path lengths,
-        # so pivots are degenerate; a cycling solve would hit the pivot cap
+        # tables of 1889 and 2126 arcs (2E + V), either side of the 2048
+        # arcs above which pricing once took blocks. +-1 atoms on a
+        # unit-spaced grid tie many path lengths, so pivots are degenerate;
+        # a cycling solve would hit the pivot cap
         mesh = generate_primitive("flat_rect", width=nx, height=nx, nx=nx)
         assert len(mesh.arcs.tail) + mesh.vertex_count == arcs
         rng = np.random.default_rng(50)
@@ -1628,12 +1630,14 @@ def zero_sum_molecule(mesh, rng, atoms=6):
 
 class TestInvariance:
     """The free norm does not see vertex or edge labels, the base vertex
-    of a zero-sum molecule, or the unit of length (it scales with it)."""
+    of a zero-sum molecule, or the unit of length (it scales with it).
+    The 6-atom molecules fit the exact oracle's 12-atom bound."""
 
     @staticmethod
     def values(mesh, molecule):
         values = {"dual": dual_lp(mesh, molecule)[0],
-                  "graph": beckmann_graph(mesh, molecule)[0]}
+                  "graph": beckmann_graph(mesh, molecule)[0],
+                  "oracle": float(transport_oracle(mesh, molecule))}
         if mesh.dimension == 2:
             _, _, diagnostics = beckmann_field(mesh, molecule)
             values["field"] = (diagnostics["lower"], diagnostics["upper"])
@@ -1650,7 +1654,7 @@ class TestInvariance:
         moved, perm = relabelled(mesh, rng)
         same = self.values(moved, Molecule(tuple((int(perm[v]), c)
                                                  for v, c in molecule.atoms)))
-        for route in ("dual", "graph"):
+        for route in ("dual", "graph", "oracle"):
             assert same[route] == pytest.approx(reference[route], rel=1e-12, abs=0.0)
 
         for k in (-3, 5):
@@ -1659,6 +1663,7 @@ class TestInvariance:
             # a power of two scales every length, sum and ratio exactly
             assert got["dual"] == reference["dual"] * factor
             assert got["graph"] == reference["graph"] * factor
+            assert got["oracle"] == reference["oracle"] * factor
             if "field" in reference:
                 # both brackets hold the true value, whatever the tolerance
                 lower, upper = (bound / factor for bound in got["field"])

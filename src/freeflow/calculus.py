@@ -32,14 +32,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
 from .errors import MeshError, ParseError, SolverFailure
 
-# float64 entries (512 kB) in each of the two arrays a row block of the
-# pairwise Lipschitz search holds: its distance rows and its ratio buffer
-_PAIRWISE_BLOCK_ELEMENTS = 1 << 16
 # float64 entries (8 MB) the normal matrix's band may take at any width
 _BAND_FLOOR_ENTRIES = 1 << 20
 
@@ -311,23 +308,24 @@ def lip_constant(mesh, f, mode="edgewise"):
     over all vertex pairs with the graph geodesic metric. The two agree
     for path metrics.
 
-    The pairwise value is the exact maximum over all pairs, found by a
-    pruned search. Every edge is a vertex pair, so the edgewise value is
-    a lower bound ``best``; this uses no more than that, so the pairwise
-    route stays an independent check of the edgewise one. A source s
-    reaches at most ``reach[s] = max(f.max() - f[s], f[s] - f.min())``
-    and lies at least its shortest incident edge from any other vertex,
-    so it is skipped when ``reach[s] <= best * shortest[s]``. The other
-    sources, sorted by reach, are searched in row blocks by a Dijkstra
-    limited to ``max reach / best``: farther pairs cannot beat ``best``.
-    Both tests carry a relative margin of 1e-9, so roundoff never prunes
-    a pair that the dense maximum would pick.
+    The pairwise value is the exact float maximum of |f_s - f_t| / d(s, t),
+    d(s, t) as a Dijkstra from s finds it; it takes only the edgewise value
+    L as a lower bound, so it stays an independent check. A pair beats L
+    only where f is not L-Lipschitz, which the McShane extension shows
+    (McShane, Bull. AMS 40, 1934): for g = f and g = -f, one Dijkstra from a
+    super-source joined to each s at w_s = (g(s) - min g) / (L(1 - margin))
+    reaches t through another vertex exactly when g(t) - g(s) >
+    L(1 - margin) d(s, t) for some s. Only these marked ends are searched,
+    each up to ``reach[s] / best * (1 + margin)``, reach[s] = max_t |f_s - f_t|.
 
-    A block holds two rows x V arrays, which bound its memory: the
-    distance rows and one buffer in which |f_s - f_t| / d(s, t) is formed
-    in place. ``fmax`` drops each source's own 0/0, and a vertex past the
-    limit reads |f_s - f_t| / inf = 0, so the maximum is that of the
-    quotients over the reached pairs.
+    The margin scales with roundoff. Each float sum in either search has
+    at most V + 1 nonnegative terms, so a pair whose float ratio beats L
+    has w_t - w_s - d(s, t) >= (margin - (V + 2) eps) d(s, t) to first
+    order, misjudged by at most (V + 4) eps (w_s + d(s, t)) + 4 eps w_t,
+    where w <= r d(s, t) / (1 - margin), r = (f.max() - f.min()) / (L l),
+    l the shortest edge. So max(1e-9, 4 (V + 1) eps (1 + r)) marks both
+    ends of the pair for V >= 3 while it is at most 1/4, and past 1/4
+    every vertex is searched.
     """
     f = _as_scalar(mesh, f)
     u, v = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -338,23 +336,24 @@ def lip_constant(mesh, f, mode="edgewise"):
         best = edgewise
         if best == 0.0:  # constant on every component
             return 0.0
+        V, adjacency = mesh.vertex_count, mesh.adjacency
+        r = (f.max() - f.min()) / (best * mesh.edge_lengths.min())
+        margin = max(1e-9, 4 * (V + 1) * np.finfo(float).eps * (1 + r))
+        marked = np.full(V, margin > 0.25)
+        if margin <= 0.25:
+            # the edge graph and a super-source V with one arc to each vertex
+            graph = csr_matrix(
+                (np.append(adjacency.data, np.empty(V)), np.append(adjacency.indices, np.arange(V)),
+                 np.append(adjacency.indptr, adjacency.nnz + V)), shape=(V + 1, V + 1))
+            for g in (f - f.min(), f.max() - f):
+                graph.data[adjacency.nnz:] = g / (best * (1 - margin))
+                _, pred = dijkstra(graph, indices=V, return_predecessors=True)
+                marked |= pred[:V] != V
         reach = np.maximum(f.max() - f, f - f.min())
-        shortest = np.full(mesh.vertex_count, np.inf)
-        np.minimum.at(shortest, u, mesh.edge_lengths)
-        np.minimum.at(shortest, v, mesh.edge_lengths)
-        margin = 1e-9
-        keep = reach > best * shortest * (1 - margin)
-        sources = np.flatnonzero(keep)[np.argsort(-reach[keep], kind="stable")]
-        rows = max(1, _PAIRWISE_BLOCK_ELEMENTS // mesh.vertex_count)
-        for start in range(0, len(sources), rows):
-            block = sources[start : start + rows]
-            limit = float(reach[block].max()) / best * (1 + margin)
-            d = dijkstra(mesh.adjacency, indices=block, limit=limit)
-            ratio = f - f[block, None]
-            np.abs(ratio, out=ratio)
-            with np.errstate(invalid="ignore"):  # 0/0 at each source
-                np.divide(ratio, d, out=ratio)
-            best = max(best, float(np.fmax.reduce(ratio, axis=None, initial=0.0)))
+        for s in np.flatnonzero(marked):
+            d = dijkstra(adjacency, indices=s, limit=reach[s] / best * (1 + margin))
+            with np.errstate(invalid="ignore"):  # 0/0 at the source
+                best = max(best, float(np.fmax.reduce(np.abs(f - f[s]) / d, initial=0.0)))
         return best
     raise ParseError(f"unknown mode {mode!r}")
 

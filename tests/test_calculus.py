@@ -29,6 +29,7 @@ from freeflow.calculus import (
 from freeflow.currents import d0
 from freeflow.errors import MeshError, ParseError, SolverFailure
 from freeflow.experiments import extend_by_zero
+from freeflow.freenorm import Molecule, beckmann_field
 from freeflow.mesh import TriMesh, geodesic_distances
 from freeflow.primitives import generate_primitive
 
@@ -45,6 +46,32 @@ def dense_pinned_normal_solve(mesh, r):
     y = np.zeros(mesh.vertex_count)
     y[keep] = np.linalg.solve((A @ A.T)[np.ix_(keep, keep)], r[keep])
     return y
+
+
+# sha256 of the pinned normal solve on the 80-vertex annulus, by base vertex
+NORMAL_SOLVE_PINS = [
+    (0, "456de1eb06121afb78e8efb4d7e82c8e1e5a3f0cfebbe0a85bd33f54af8472c6"),
+    (43, "e1197d5dd5b22b439f619fcc34b5462c3baf100f082138c40bcf90e836864573"),
+    (79, "1f8a74d091cc459b4938d530a10efd13aae08df92d166646d0042be3a5645a79"),
+]
+
+
+def normal_solve_digest(base):
+    mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
+    assert mesh.vertex_count == 80
+    r = np.random.default_rng(3).standard_normal(mesh.vertex_count)
+    r -= r.mean()
+    y = divergence_normal_solver(mesh)(r)
+    assert y[base] == 0.0
+    return hashlib.sha256(y.tobytes()).hexdigest()
+
+
+def dense_lipschitz(mesh, f):
+    """Oracle: the float maximum of |f_s - f_t| / d(s, t) over all pairs,
+    d the dense matrix of all-pairs distances."""
+    d = mesh.all_pairs_distances()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(d > 0, np.abs(f[:, None] - f[None, :]) / d, 0.0).max())
 
 
 def interpolant_gradient(mesh, f, face):
@@ -163,25 +190,11 @@ class TestDivergence:
         payload = A.indptr.tobytes() + A.indices.tobytes() + A.data.tobytes()
         assert hashlib.sha256(payload).hexdigest() == pin
 
-    @pytest.mark.parametrize(
-        "base, pin",
-        [
-            (0, "456de1eb06121afb78e8efb4d7e82c8e1e5a3f0cfebbe0a85bd33f54af8472c6"),
-            (43, "e1197d5dd5b22b439f619fcc34b5462c3baf100f082138c40bcf90e836864573"),
-            (79, "1f8a74d091cc459b4938d530a10efd13aae08df92d166646d0042be3a5645a79"),
-        ],
-        ids=["first", "middle", "last"],
-    )
+    @pytest.mark.parametrize("base, pin", NORMAL_SOLVE_PINS, ids=["first", "middle", "last"])
     def test_normal_solve_bytes_are_pinned(self, base, pin):
         # sha256 of the pinned normal-matrix solve on the 80-vertex
         # annulus, with the base vertex first, in the middle and last
-        mesh = generate_primitive("annulus", base_vertex=base, n_angular=16, n_radial=4)
-        assert mesh.vertex_count == 80
-        r = np.random.default_rng(3).standard_normal(mesh.vertex_count)
-        r -= r.mean()
-        y = divergence_normal_solver(mesh)(r)
-        assert y[base] == 0.0
-        assert hashlib.sha256(y.tobytes()).hexdigest() == pin
+        assert normal_solve_digest(base) == pin
 
     def test_calculus_is_the_one_factorization_site(self):
         # every sparse factorization in the package is made in calculus,
@@ -243,6 +256,26 @@ class TestDivergence:
         finally:
             put(before)
         assert inside == [1, 1, 1]
+
+    def test_factor_without_a_bundled_openblas_solves_the_same(self, monkeypatch):
+        # where scipy bundles no OpenBLAS, the factor leaves the thread
+        # count alone: an icosphere L3 field solve gives the same value in
+        # the same number of steps, and the pinned normal solves still match
+        mesh = generate_primitive("icosphere", level=3)
+        rng = np.random.default_rng(3)
+        vertices = rng.choice(mesh.vertex_count, 6, replace=False).tolist()
+        coeffs = rng.standard_normal(6)
+        molecule = Molecule(tuple(zip(vertices, coeffs - coeffs.mean())))
+        value, _, diag = beckmann_field(mesh, molecule)
+        lookups = []
+        monkeypatch.setattr(calculus, "_openblas_thread_calls", lambda: lookups.append(1))
+        without, _, diag_without = beckmann_field(mesh, molecule)
+        assert (without, diag_without["iterations"]) == (value, diag["iterations"])
+        assert diag_without["certified"]
+        assert [normal_solve_digest(base) for base, _ in NORMAL_SOLVE_PINS] == [
+            pin for _, pin in NORMAL_SOLVE_PINS
+        ]
+        assert lookups
 
     def test_hub_vertex_band_is_a_mesh_error(self):
         # a star pinned at a leaf: its hub joins every other vertex, so
@@ -468,35 +501,66 @@ class TestLipschitzConstant:
                 pair = lip_constant(mesh, f, "pairwise_geodesic")
                 assert abs(edge - pair) <= 1e-12 * max(1.0, edge)
 
-    def test_pairwise_row_blocks_match_the_dense_ratio(
-        self, flat4, ico1, annulus, torus, poincare, circle32, monkeypatch
+    def test_pairwise_search_matches_the_dense_ratio(
+        self, flat4, ico1, annulus, torus, poincare, circle32
     ):
         rng = np.random.default_rng(11)
-        default_block = calculus._PAIRWISE_BLOCK_ELEMENTS
         for mesh in (flat4, ico1, annulus, torus, poincare, circle32):
             V = mesh.vertex_count
-            d = mesh.all_pairs_distances()
             x = mesh.aux["positions"][:, 0] if "positions" in mesh.aux else np.arange(V) / V
+            ends = [geodesic_distances(mesh, s) for s in (mesh.base_vertex, V - 1)]
             fields = {
                 "random": rng.normal(size=V),
                 "distance": geodesic_distances(mesh, mesh.base_vertex),
                 "x squared": x**2,
                 "constant": np.full(V, -1.5),
+                # tight along straight lines of edges, which marks many vertices
+                "x": x,
+                "distance sum": ends[0] + 0.5 * ends[1],
             }
             for name, f in fields.items():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dense = np.where(d > 0, np.abs(f[:, None] - f[None, :]) / d, 0.0)
-                # five rows per block, so the search takes several blocks
-                for block in (default_block, 5 * V):
-                    monkeypatch.setattr(calculus, "_PAIRWISE_BLOCK_ELEMENTS", block)
-                    got = lip_constant(mesh, f, "pairwise_geodesic")
-                    assert got == float(dense.max()), (mesh, name, block)
+                got = lip_constant(mesh, f, "pairwise_geodesic")
+                assert got == dense_lipschitz(mesh, f), (mesh, name)
 
         # 0.2 + 0.7 rounds below 0.9, so only the search finds the far pair
         path = TriMesh([], [(0, 1), (1, 2)], [0.2, 0.7])
         f = np.array([0.0, 0.2, 0.9])
         assert lip_constant(path, f, "edgewise") == 1.0
         assert lip_constant(path, f, "pairwise_geodesic") == 0.9 / (0.2 + 0.7) > 1.0
+        # the same pair across an edge of 1e-17, which puts the margin past
+        # 1/4, so every vertex is searched
+        path = TriMesh([], [(0, 1), (1, 2), (2, 3)], [0.2, 1e-17, 0.7])
+        f = np.array([0.0, 0.2, 0.2, 0.9])
+        assert lip_constant(path, f, "pairwise_geodesic") == 0.9 / (0.2 + 0.7)
+        # f = 7x: the far pair beats the edgewise 7.0 only in the row from
+        # its low end, which adds 0.18 + 0.24 + 0.03 to 0.44999999999999996
+        # where the row from the high end reads 0.45, so the ends marked
+        # for -f are searched too
+        path = TriMesh([], [(0, 1), (1, 2), (2, 3)], [0.18, 0.24, 0.03])
+        f = np.array([0.0, 1.26, 2.94, 3.15])
+        assert lip_constant(path, f, "edgewise") == 7.0
+        assert lip_constant(path, f, "pairwise_geodesic") == dense_lipschitz(path, f) > 7.0
+
+        # two short edges between two long ones, f of slope 1 on the short
+        # edges and below 1 on the long ones: some pairs across the short
+        # edges beat the edgewise value by an ulp, while the McShane costs
+        # are about the long edges' length. A fixed margin of 1e-9 misses
+        # some of them; the margin that scales with roundoff finds them all
+        rng = np.random.default_rng(44)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        beaten = 0
+        for _ in range(300):
+            long, short = 10 ** rng.uniform(2, 3, 2), 10 ** rng.uniform(-9, -6, 2)
+            f1 = rng.uniform(-1, 1) * short[0]
+            f2 = f1 + short[0]
+            f3 = f2 + short[1]
+            f = np.array([f1 - rng.uniform(0.1, 1) * long[0], f1, f2, f3,
+                          f3 + rng.uniform(0.1, 1) * long[1]])
+            path = TriMesh([], edges, [long[0], short[0], short[1], long[1]])
+            dense = dense_lipschitz(path, f)
+            beaten += dense > lip_constant(path, f, "edgewise")
+            assert lip_constant(path, f, "pairwise_geodesic") == dense, f.tolist()
+        assert beaten >= 8
 
     @pytest.mark.parametrize(
         "fixture, pin",
@@ -520,45 +584,49 @@ class TestLipschitzConstant:
         assert digest == pin
 
     def test_pairwise_search_is_pruned_and_limited(self, monkeypatch):
+        # two McShane searches over V + 1 nodes mark the ends of the pairs
+        # that can beat the edgewise value; only those are searched as
+        # rows, each up to a finite limit
         mesh = generate_primitive("flat_rect", nx=16)
-        f = np.random.default_rng(13).normal(size=mesh.vertex_count)
+        V = mesh.vertex_count
+        f = np.random.default_rng(13).normal(size=V)
         calls = []
 
-        def recording_dijkstra(*args, **kwargs):
-            calls.append(kwargs)
-            return dijkstra(*args, **kwargs)
+        def recording_dijkstra(graph, **kwargs):
+            calls.append((graph.shape[0], kwargs))
+            return dijkstra(graph, **kwargs)
 
         monkeypatch.setattr(calculus, "dijkstra", recording_dijkstra)
         lip_constant(mesh, f, "pairwise_geodesic")
-        assert calls
-        assert all(math.isfinite(call["limit"]) for call in calls)
-        searched = sum(len(call["indices"]) for call in calls)
-        assert searched < mesh.vertex_count / 4
+        assert [nodes for nodes, _ in calls[:2]] == [V + 1, V + 1]
+        rows = calls[2:]
+        assert all(nodes == V and math.isfinite(kwargs["limit"]) for nodes, kwargs in rows)
+        assert len(rows) < V / 4
 
-    @pytest.mark.parametrize("kind, params", [("flat_rect", {"nx": 64}), ("icosphere", {"level": 4})],
+    @pytest.mark.parametrize("kind, params, bound",
+                             [("flat_rect", {"nx": 64}, 1_774_500),
+                              ("icosphere", {"level": 4}, 1_793_400)],
                              ids=["nx64", "L4"])
     @pytest.mark.parametrize("smooth", [False, True], ids=["random", "smooth"])
-    def test_pairwise_search_holds_two_row_blocks(self, kind, params, smooth):
-        # a block keeps its distance rows and one ratio buffer; with what
-        # scipy's Dijkstra allocates, the traced peak stays below 3.5
-        # blocks of rows x V float64 entries (the adjacency, which stays
+    def test_pairwise_search_holds_two_row_blocks(self, kind, params, bound, smooth):
+        # the search keeps one (V + 1)-node copy of the adjacency and one
+        # distance row at a time: its traced peak (0.64 MB at nx64, 0.39 MB
+        # at L4) stays below 1.77 and 1.79 MB (the adjacency, which stays
         # on the mesh, is built first)
         mesh = generate_primitive(kind, **params)
         mesh.adjacency
-        V = mesh.vertex_count
         if smooth:
             x, y = mesh.aux["positions"][:, 0], mesh.aux["positions"][:, 1]
             f = np.sin(3 * x) + y**2
         else:
-            f = np.random.default_rng(39).normal(size=V)
-        block = max(1, calculus._PAIRWISE_BLOCK_ELEMENTS // V) * V * 8
+            f = np.random.default_rng(39).normal(size=mesh.vertex_count)
         tracemalloc.start()
         try:
             lip_constant(mesh, f, "pairwise_geodesic")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * block, peak / block
+        assert peak < bound, peak
 
     def test_axis_aligned_equality_on_flat_rect(self, flat4):
         f = 1.7 * flat4.aux["positions"][:, 0]

@@ -16,6 +16,7 @@ import pytest
 import freeflow
 from freeflow import cli, experiments, freenorm, primitives
 from freeflow import io as ffio
+from freeflow.calculus import gradient, l1_norm, linf_norm
 from freeflow.cli import main
 from freeflow.currents import classify, d0
 from freeflow.errors import InvalidParams, MeshError, ParseError
@@ -160,6 +161,9 @@ _FIELD_ERRORS = [
      "bad field JSON: int too large to convert to float"),
     ("two_scalar_str_then_big", {"scalar": ["x", BIG, 0.0]},
      "value 'x' is not a number"),
+    ("no_kind", {}, "field JSON must have exactly one of scalar/faces/edges"),
+    ("two_kinds", {"scalar": [0.0, 0.0, 0.0], "edges": [0.0, 0.0, 0.0]},
+     "field JSON must have exactly one of scalar/faces/edges"),
 ]
 
 _MOLECULE_ERRORS = [
@@ -473,6 +477,11 @@ class TestParseErrorsArePinned:
     def test_field(self, data, expected):
         mesh = ffio.mesh_from_dict(_mesh())
         _assert_raises_pinned(lambda d: ffio.field_from_dict(mesh, d), data, expected)
+
+    def test_field_of_another_kind(self):
+        mesh = ffio.mesh_from_dict(_mesh())
+        _assert_raises_pinned(lambda d: ffio.field_from_dict(mesh, d, expect="edges"),
+                              {"scalar": [0.0, 0.0, 0.0]}, "expected a edges field, found scalar")
 
     @pytest.mark.parametrize("data, expected", _params(_MOLECULE_ERRORS))
     def test_molecule(self, data, expected):
@@ -864,6 +873,55 @@ class TestCli:
                      str(grad_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["scalar"]) == flat4.vertex_count
+
+    @pytest.mark.parametrize("fixture", ["flat4", "interval10"])
+    def test_calc_norms_of_a_vector_field(self, tmp_path, capsys, request, fixture):
+        # a face field on a surface, an edge field on a metric graph
+        mesh = request.getfixturevalue(fixture)
+        mesh_path, field_path = tmp_path / "m.json", tmp_path / "g.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(mesh))
+        g = np.random.default_rng(21).standard_normal(mesh.field_shape)
+        ffio.write_json(field_path, ffio.face_field_to_dict(mesh, g) if mesh.dimension == 2
+                        else ffio.edge_values_to_dict(mesh, g))
+        assert main(["calc", "norms", "--mesh", str(mesh_path), "--field",
+                     str(field_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"l1_norm": l1_norm(mesh, g), "linf_norm": linf_norm(mesh, g)}
+
+    def test_calc_grad_on_a_metric_graph(self, tmp_path, capsys, interval10):
+        # the per-edge slopes, written as an edge field
+        mesh_path, field_path = tmp_path / "m.json", tmp_path / "f.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(interval10))
+        f = np.random.default_rng(22).standard_normal(interval10.vertex_count)
+        ffio.write_json(field_path, ffio.scalar_field_to_dict(interval10, f))
+        assert main(["calc", "grad", "--mesh", str(mesh_path), "--field",
+                     str(field_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == ffio.edge_values_to_dict(interval10, gradient(interval10, f))
+
+    @pytest.mark.parametrize("op, field, message", [
+        ("grad", lambda m: ffio.face_field_to_dict(m, np.zeros(m.field_shape)),
+         "grad needs a scalar field"),
+        ("div", lambda m: ffio.scalar_field_to_dict(m, np.zeros(m.vertex_count)),
+         "div needs a vector field"),
+    ], ids=["grad", "div"])
+    def test_calc_rejects_a_field_of_the_wrong_kind(self, tmp_path, capsys, flat4, op,
+                                                    field, message):
+        mesh_path, field_path = tmp_path / "m.json", tmp_path / "f.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        ffio.write_json(field_path, field(flat4))
+        assert main(["calc", op, "--mesh", str(mesh_path), "--field", str(field_path)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+        assert envelope["error"]["message"] == message
+
+    def test_experiment_config_of_another_kind_rejected(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"kind": "extension"}))
+        assert main(["experiment", "cutoff", "--config", str(config)]) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+        assert envelope["error"]["message"] == "config kind 'extension' does not match 'cutoff'"
 
     def test_experiment_extension_passes(self, tmp_path):
         config = tmp_path / "exp.json"
@@ -1259,6 +1317,28 @@ class TestBatch:
         assert row["status"] == "error"
         assert row["detail"].startswith("ParseError:")
         assert message in row["detail"]
+
+    def test_experiment_entries_pass_or_fail_by_their_criterion(self, tmp_path):
+        # reversed scales make the cutoff's measured column increase, which
+        # fails its criterion; each entry writes the report `experiment` writes
+        entries, direct = [], []
+        for name, config in [("pass", {"kind": "cutoff"}),
+                             ("fail", {"kind": "cutoff", "ks": [8, 4, 2, 1]})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            direct.append(tmp_path / f"{name}_direct.json")
+            main(["experiment", "cutoff", "--config", str(path), "--out", str(direct[-1])])
+            entries.append({"command": "experiment", "experiment": "cutoff",
+                            "config": config, "out": str(tmp_path / f"{name}_batch.json")})
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 2
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(row["status"], row["detail"]) for row in rows] == [
+            ("pass", "kind=cutoff"), ("fail", "kind=cutoff")]
+        for entry, report in zip(entries, direct):
+            assert Path(entry["out"]).read_bytes() == report.read_bytes()
 
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "batch.json"

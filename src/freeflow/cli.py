@@ -113,7 +113,7 @@ def _build_parser():
         default=FieldSolveParams.max_iter,
         help="cap on the field solver's interior-point Newton steps, each one "
         "sparse factorization (default %(default)s); certified 50-atom solves on "
-        "flat_rect nx16-128 and icosphere L3-L5 took at most 28",
+        "flat_rect nx16-128 and icosphere L3-L5 took at most 23",
     )
     p.add_argument(
         "--field-tol",

@@ -204,7 +204,7 @@ def transport_oracle(mesh, molecule):
 class FieldSolveParams:
     # caps the interior-point method's Newton steps, each one sparse
     # factorization; certified dipole, 6- and 50-atom solves on
-    # flat_rect nx16-128 and icosphere L3-L5 took 7 to 28
+    # flat_rect nx16-128 and icosphere L3-L5 took 6 to 23
     max_iter: int = 200
     # bounds the divergence residual max |A g - b| of the returned field,
     # relative to max(1, max |b|), and the certified gap upper - lower,
@@ -297,16 +297,22 @@ def _max_step(u, d, un):
     return float(1.0 / np.maximum(rate, 0.0))
 
 
-def _slope_lower_bound(mesh, AT, b, y):
-    """Weak-duality lower bound from a vertex potential y; AT is A^T.
+def _clamp_spectrum(v, low, high):
+    """v with its spectral values v_0 +- |v_bar| clamped into [low, high]
+    per face and its eigenvectors (1, +-v_bar / |v_bar|) / 2 kept; a face
+    whose values are inside the box is returned unchanged."""
+    rim = np.sqrt(v[1] * v[1] + v[2] * v[2])
+    up, down = (np.minimum(np.maximum(w, low), high) - w for w in (v[0] + rim, v[0] - rim))
+    turn = (up - down) / (2.0 * np.maximum(rim, np.finfo(float).tiny))
+    return v + np.concatenate(([(up + down) / 2.0], turn * v[1:]))
 
-    For every field g with A g = b,
-    b.y = g.A^T y <= max_T(|(A^T y)_T| / w_T) * sum_T w_T |g_T|, and
-    |(A^T y)_T| / w_T is the slope of y on face T, so |b.y| over the
-    steepest slope bounds the optimum from below for either sign of y.
+
+def _slope_lower_bound(b, y, slopes):
+    """Weak-duality lower bound from a vertex potential y of slope
+    slopes_T = |(A^T y)_T| / w_T on face T: for every field g with A g = b,
+    |b.y| = |g.A^T y| <= max_T slopes_T * sum_T w_T |g_T|.
     """
-    gx, gy = (AT @ y).reshape(-1, 2).T
-    steepest = float(np.max(np.sqrt(gx * gx + gy * gy) / mesh.cell_weights))
+    steepest = float(np.max(slopes))
     # elementwise sums here and in beckmann_field: a BLAS dot of this
     # length may wake numpy's own OpenBLAS threads (scipy's run the factor)
     return abs(float(np.sum(b * y))) / steepest if steepest > 0.0 else 0.0
@@ -328,21 +334,26 @@ def beckmann_field(mesh, molecule, params=None):
     D = I, lifted inside the cones as x_T = (|g0_T| + mu / w_T, g0_T) with
     mu = sum_T w_T |g0_T| / F, and s_T = (w_T, 0, 0), y = 0, so that
     x_T . s_T = w_T |g0_T| + mu; a non-positive pivot in that factor raises
-    :class:`SolverFailure`. Each Newton step computes its
-    per-face quantities once: :func:`_nt_scaling` gives the scaling W,
-    the lower 2 x 2 block D of W^2 and |lam|_J in closed form, and one
-    pinned V x V matrix A D A^T is factored and solved three times. As in
-    CVXOPT (Vandenberghe, 2010), the directions are kept scaled, W^-1 dx
-    and W ds at lam = W s: the Mehrotra cross term is their Jordan
-    product, one cone search at lam gives both step lengths, and W^-1 is
-    never applied. After the step, the field is projected onto A g = b
-    with the same factor, x_g + D A^T (A D A^T)^-1 (b - A x_g), so its
-    value is an upper bound, and b - A x_g is the next step's primal
-    residual; :func:`_slope_lower_bound` of y is a lower bound. The solve
-    stops once upper - lower is at most ``params.tol * max(1, upper)``,
-    after ``params.max_iter`` steps, or at a step that cannot move (a
-    non-finite scaling, a factor with a non-positive pivot, no step); it
-    returns the best projected field with the bracket in its
+    :class:`SolverFailure`. Each Newton step computes its per-face
+    quantities once: :func:`_nt_scaling` gives the scaling W, the lower
+    2 x 2 block D of W^2 and |lam|_J in closed form, and one pinned V x V
+    matrix A D A^T is factored and solved four times. As in CVXOPT
+    (Vandenberghe, 2010), the directions are kept scaled, W^-1 dx and W ds
+    at lam = W s: the Mehrotra cross term is their Jordan product, a cone
+    search at lam gives both step lengths, and W^-1 is never applied. A
+    centrality corrector (Gondzio, Comput. Optim. Appl. 6, 1996) clamps
+    the spectral values of the full Mehrotra step's cone products into
+    [0.1, 10] sigma mu; it is kept, and counted in ``correctors``, when it
+    steps 1.01 times as far, and a step goes 0.97 of the way to the cone
+    boundary. Then x_g, zeroed where y has slope below 0.99 (by
+    complementary slackness no optimal field lives there), is projected
+    onto A g = b with the same factor, g + D A^T (A D A^T)^-1 (b - A g),
+    so its value is an upper bound; b - A x_g is the next step's primal
+    residual, and :func:`_slope_lower_bound` of y is a lower bound. The
+    solve stops once upper - lower is at most ``params.tol * max(1,
+    upper)``, after ``params.max_iter`` steps, or at a step that cannot
+    move (a non-finite scaling, a factor with a non-positive pivot, no
+    step); it returns the best projected field with the bracket in its
     diagnostics, and ``certified`` says whether the bracket closed.
 
     The divergence residual max |A g - b| is measured once, on the field
@@ -359,8 +370,9 @@ def beckmann_field(mesh, molecule, params=None):
     factor = weighted_normal_factorizer(mesh)
     if not b.any():  # the zero field, with nothing to solve
         diagnostics = {
-            "iterations": 0, "complementarity": 0.0, "divergence_residual": 0.0,
-            "lower": 0.0, "upper": 0.0, "gap": 0.0, "certified": True,
+            "iterations": 0, "correctors": 0, "complementarity": 0.0,
+            "divergence_residual": 0.0, "lower": 0.0, "upper": 0.0, "gap": 0.0,
+            "certified": True,
         }
         return 0.0, np.zeros(mesh.field_shape), diagnostics
 
@@ -380,7 +392,7 @@ def beckmann_field(mesh, molecule, params=None):
     x[0] += float(np.sum(weights * x[0])) / F / weights
     s = e * weights
     y = np.zeros(mesh.vertex_count)
-    best_value, best_g, lower, certified = math.inf, None, 0.0, False
+    best_value, best_g, lower, certified, correctors = math.inf, None, 0.0, False, 0
 
     # past the attainable accuracy, roundoff puts iterates on or across
     # the cone boundaries, and the scaling or the step turns NaN: the stop
@@ -411,23 +423,34 @@ def beckmann_field(mesh, molecule, params=None):
             d, _, _ = newton(-lam)
             alpha = min(_max_step(lam, d, lam_norm), 1.0)  # a NaN stays NaN
             sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(_dot(lam, lam))) / F
-            rest = sigma_mu * e - _jordan(d[:, 0], d[:, 1])  # the corrector's rest of r_c
-            d, ds, dy = newton(_jordan_divide(lam, rest, lam_norm) - lam)
-            alpha = min(0.99 * _max_step(lam, d, lam_norm), 1.0)
+            rest = sigma_mu * e - _jordan(d[:, 0], d[:, 1])  # Mehrotra's rest of r_c
+            q = _jordan_divide(lam, rest, lam_norm) - lam
+            d, ds, dy = newton(q)
+            alpha = _max_step(lam, d, lam_norm)
+            v = _jordan(lam + d[:, 0], lam + d[:, 1])
+            target = _clamp_spectrum(v, 0.1 * sigma_mu, 10.0 * sigma_mu)
+            corrected = newton(q + _jordan_divide(lam, target - v, lam_norm))
+            step = _max_step(lam, corrected[0], lam_norm)
+            if step >= 1.01 * alpha:
+                (d, ds, dy), alpha, correctors = corrected, step, correctors + 1
+            alpha = min(0.97 * alpha, 1.0)
             if not alpha > 0.0:  # no step, or a NaN
                 break
             x += alpha * _apply(W, d[:, 0])
             s[1:] += alpha * ds
             y += alpha * dy
 
-            # the projected g rows x_g + D A^T z; their residual is the next r_p
+            # the upper bound projects x_g off the faces where y is not tight
+            gx, gy = (AT @ y).reshape(F, 2).T
+            slopes = np.sqrt(gx * gx + gy * gy) / weights
             r_p = b - A @ np.column_stack(x[1:]).ravel()
-            u = (AT @ solve(r_p)).reshape(F, 2).T
-            p = x[1:] + D[:2] * u[0] + D[1:] * u[1]
+            tight = x[1:] * (slopes >= 0.99)
+            u = (AT @ solve(b - A @ np.column_stack(tight).ravel())).reshape(F, 2).T
+            p = tight + D[:2] * u[0] + D[1:] * u[1]
             value = float(np.sum(weights * np.sqrt(p[0] * p[0] + p[1] * p[1])))
             if value < best_value:
                 best_value, best_g = value, np.column_stack(p)
-            lower = max(lower, _slope_lower_bound(mesh, AT, b, y))
+            lower = max(lower, _slope_lower_bound(b, y, slopes))
             certified = best_value - lower <= params.tol * max(1.0, best_value)
             if certified:
                 break
@@ -448,6 +471,7 @@ def beckmann_field(mesh, molecule, params=None):
         )
     diagnostics = {
         "iterations": it,
+        "correctors": correctors,
         "complementarity": complementarity,
         "divergence_residual": divergence,
         "lower": lower,

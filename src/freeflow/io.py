@@ -148,7 +148,7 @@ def field_from_dict(mesh, data, expect=None):
         raise ParseError(f"field JSON must have exactly one of scalar/faces/edges")
     kind = kinds[0]
     if expect is not None and kind != expect:
-        raise ParseError(f"expected a {expect} field, found {kind}")
+        raise ParseError(f"expected a field of kind {expect!r}, found {kind!r}")
     try:
         values = data[kind]
         if kind != "faces":

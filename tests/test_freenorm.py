@@ -1042,8 +1042,8 @@ class TestSolverRobustness:
 
 # the diagnostics of a field solve, in the order their reprs are pinned
 _FIELD_DIAGNOSTICS = (
-    "iterations", "complementarity", "divergence_residual", "lower", "upper",
-    "gap",
+    "iterations", "correctors", "complementarity", "divergence_residual", "lower",
+    "upper", "gap",
 )
 
 
@@ -1174,11 +1174,11 @@ class TestBeckmannField:
         [
             pytest.param(fixture, pin, id=fixture)
             for fixture, pin in (
-                ("flat4", "8fdba4c405447d122a28abeb7eaf9cceb231c2483407ecf51fbe15192c509ebd"),
-                ("ico1", "651fbcfe05e1075d1f4f1d8b71c037355261485dff6ff2377e23f79922d6428b"),
-                ("annulus", "d24c03d253e8e25f15eec316f0bab345083a52e0df583a929cf74eb81e67f5f4"),
-                ("torus", "99ac3655014d072fd8770dce76fee5f622b6079cc94ba8d3196d55dc982bda7e"),
-                ("poincare", "7b92ea588f49707586c1c471627763e38af455612cff0694859bd5424f93ed17"),
+                ("flat4", "97e50eeb371e04b55b9e94213f5fb3ff0410a862ba49d92f41da789e63234db9"),
+                ("ico1", "1e22d727130bbadfa152d7d2c17012e1c6c8c322ffdd6b7f4f58bb6311442004"),
+                ("annulus", "ddeff6ef2c899229bccddf219830884fa415094f93f1c2c6b53856464a5b3c29"),
+                ("torus", "d19cc2bedb637efb1b384cea15156f324d129db178bbb8d7bd429c08f6881d36"),
+                ("poincare", "8c3c5e74656ace5199d9c1f2215b1ce1751b8e2a1d7cfa65841ebd015e42c68a"),
             )
         ],
     )
@@ -1194,18 +1194,20 @@ class TestBeckmannField:
 
     def test_ladder_dipole_iterates_are_pinned(self):
         # the benchmark's flat_rect nx16 rung, uncapped: sha256 of the
-        # field bytes, the value's repr and the reprs of the six numeric
+        # field bytes, the value's repr and the reprs of the seven numeric
         # diagnostics, so every step's roundoff must repeat exactly
         mesh = generate_primitive("flat_rect", nx=16)
         value, g, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
-        assert diag["iterations"] == 15
+        assert (diag["iterations"], diag["correctors"]) == (9, 9)
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "bccb1a44f4fe46a214e55e52ecefc57f832c660c4183e1d6710e48af21c41492"
+            "57a10ce6c6eb5d7d6a99e7a5a812b756a08b90d0a317875e935204a8d4dd1e93"
         )
 
     def test_newton_matrix_is_ordered_once(self, monkeypatch):
-        # the ladder dipole's start and its 15 Newton steps make 16 factors,
-        # all in the one band order computed when the solve starts
+        # the ladder dipole's start and its 9 Newton steps make 10 factors,
+        # all in the one band order computed when the solve starts; the
+        # start solves once, and each step four times (predictor, Mehrotra
+        # corrector, centrality corrector, projection) with its own factor
         calls = []
 
         def recording(name, function):
@@ -1216,10 +1218,12 @@ class TestBeckmannField:
 
         recording("reverse_cuthill_mckee", calculus.reverse_cuthill_mckee)
         recording("dpbtrf", calculus.dpbtrf)
+        recording("dpbtrs", calculus.dpbtrs)
         mesh = generate_primitive("flat_rect", nx=16)
         _, _, diag = beckmann_field(mesh, Molecule(((140, 1.0), (148, -1.0))))
-        assert diag["iterations"] == 15
-        assert calls == ["reverse_cuthill_mckee"] + ["dpbtrf"] * 16
+        assert diag["iterations"] == 9
+        step = ["dpbtrf"] + ["dpbtrs"] * 4
+        assert calls == ["reverse_cuthill_mckee", "dpbtrf", "dpbtrs"] + step * 9
 
     def test_edge_on_no_face_moves_only_the_band_order(self):
         # the band is ordered from the mesh's edge graph, so a chord on no
@@ -1273,10 +1277,10 @@ class TestBeckmannField:
         mu = random_molecule(mesh, np.random.default_rng(41))
         assert len(mu.atoms) == 4
         value, g, diag = beckmann_field(mesh, mu, FieldSolveParams(max_iter=200))
-        assert diag["iterations"] == 12
+        assert (diag["iterations"], diag["correctors"]) == (9, 9)
         assert diag["certified"] is True
         assert hashlib.sha256(_field_payload(value, g, diag)).hexdigest() == (
-            "064cde3dd3708dce93fe06787a60cb24e9dcacf79c9917fc9b8f5c0dd6417e5e"
+            "90d0b5e4b71379e71f485e565e283c8bb4b10aa406a25902b1604520f468f5c3"
         )
 
     @pytest.mark.parametrize("fixture", ["flat4", "ico1", "annulus", "torus", "poincare"])
@@ -1309,26 +1313,51 @@ class TestBeckmannField:
         assert (np.abs(x[0] * s[0] - weights * rim - centre) <= 1e-12 * x[0] * s[0]).all()
 
     @pytest.mark.parametrize(
-        "kind, params, atoms, steps",
+        "kind, params, atoms, steps, correctors",
         [
-            ("flat_rect", {"nx": 16}, (140, 148), 15),
-            ("flat_rect", {"nx": 24}, (306, 318), 16),
-            ("flat_rect", {"nx": 32}, (536, 552), 18),
-            ("flat_rect", {"nx": 40}, (830, 850), 19),
-            ("icosphere", {"level": 3}, (1, 2), 7),
-            ("icosphere", {"level": 4}, (1, 2), 7),
+            ("flat_rect", {"nx": 16}, (140, 148), 9, 9),
+            ("flat_rect", {"nx": 24}, (306, 318), 9, 9),
+            ("flat_rect", {"nx": 32}, (536, 552), 10, 9),
+            ("flat_rect", {"nx": 40}, (830, 850), 10, 9),
+            ("icosphere", {"level": 3}, (1, 2), 6, 5),
+            ("icosphere", {"level": 4}, (1, 2), 6, 6),
         ],
         ids=["nx16", "nx24", "nx32", "nx40", "L3", "L4"],
     )
-    def test_ladder_step_counts_are_pinned(self, kind, params, atoms, steps):
+    def test_ladder_step_counts_are_pinned(self, kind, params, atoms, steps, correctors):
         # the field_ladder benchmark's dipoles, at the vertices nearest
         # (0.25, 0.5) and (0.75, 0.5), or at two antipodal icosahedron
         # corners; from the start (|b|_1 / sum w, 0, 0) they took
-        # 18/20/20/20/9/9 steps
+        # 18/20/20/20/9/9 steps, and from the least-norm field without the
+        # centrality corrector and the dual-tight upper bound 15/16/18/19/7/7
         mesh = generate_primitive(kind, **params)
         _, _, diag = beckmann_field(mesh, Molecule(((atoms[0], 1.0), (atoms[1], -1.0))))
         assert diag["certified"] is True
-        assert diag["iterations"] == steps
+        assert (diag["iterations"], diag["correctors"]) == (steps, correctors)
+
+    @pytest.mark.parametrize(
+        "kind, params, steps",
+        [
+            ("flat_rect", {"nx": 16}, [(10, 10), (10, 10), (9, 9), (9, 9)]),
+            ("icosphere", {"level": 2}, [(9, 8), (8, 8), (9, 9), (9, 8)]),
+            ("icosphere", {"level": 3}, [(11, 11), (14, 12), (12, 11), (10, 9)]),
+        ],
+        ids=["nx16", "L2", "L3"],
+    )
+    def test_sweep_step_counts_are_pinned(self, kind, params, steps):
+        # a light sweep drawn as tools/field_sweep.py draws: two 6-atom and
+        # two 12-atom molecules from default_rng(5) per mesh, each certified
+        # in its pinned (steps, correctors); without the centrality
+        # corrector and the dual-tight upper bound they took 14/14/12/10,
+        # 10/11/12/11 and 15/18/14/14 steps
+        mesh = generate_primitive(kind, **params)
+        rng = np.random.default_rng(5)
+        for n, pinned in zip((6, 6, 12, 12), steps, strict=True):
+            vertices = rng.choice(np.arange(1, mesh.vertex_count), n, replace=False)
+            mu = Molecule(tuple(zip(vertices.tolist(), rng.uniform(-3.0, 3.0, n).tolist())))
+            _, _, diag = beckmann_field(mesh, mu)
+            assert diag["certified"] is True
+            assert (diag["iterations"], diag["correctors"]) == pinned
 
     def test_failed_start_factor_raises(self, monkeypatch, flat4):
         # the start factors A A^T, which the support check makes definite,
@@ -1479,6 +1508,37 @@ class TestBeckmannField:
             bound = roundoff * np.linalg.norm(W, 2, axis=(1, 2)) ** 2
             blocks = np.stack([W2[:, 1, 1], W2[:, 1, 2], W2[:, 2, 2]])
             assert (np.abs(D - blocks).max(axis=0) <= bound).all()
+
+    def test_centrality_target_clamps_the_spectral_values(self):
+        # the Jordan products of random cone pairs, spread over six decades,
+        # and five with v_bar = 0: the target's spectral values
+        # t_0 +- |t_bar| are those of v clamped into the box, to roundoff,
+        # and its eigenvectors are v's, so t_bar is a non-negative multiple
+        # of v_bar; a face whose values are already inside the box gets
+        # exactly zero correction
+        rng = np.random.default_rng(29)
+
+        def inside(n):
+            u = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            u[0] = np.hypot(u[1], u[2]) * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0, n))
+            return u
+
+        v = freenorm._jordan(inside(4000), inside(4000))
+        v[:, :5] = [[1.0, 1e-9, 1e3, 0.5, 0.0]] + [[0.0] * 5] * 2  # v_bar = 0
+        low, high = np.quantile(v[0], [0.3, 0.7])
+        t = freenorm._clamp_spectrum(v, low, high)
+        rims = [np.hypot(u[1], u[2]) for u in (v, t)]
+        roundoff = 8 * np.finfo(float).eps * (np.abs(v[0]) + rims[0] + high)
+        for sign in (1.0, -1.0):
+            value = t[0] + sign * rims[1]
+            assert (np.abs(value - np.clip(v[0] + sign * rims[0], low, high)) <= roundoff).all()
+            assert (value >= low - roundoff).all() and (value <= high + roundoff).all()
+        assert (np.abs(v[1] * t[2] - v[2] * t[1]) <= roundoff * rims[0]).all()
+        assert (v[1] * t[1] + v[2] * t[2] >= -roundoff * rims[0]).all()
+        kept = (v[0] - rims[0] >= low) & (v[0] + rims[0] <= high)
+        assert 50 < kept.sum() < 3000
+        assert (t[:, kept] == v[:, kept]).all()
+        assert (t[1:, :5] == 0.0).all()
 
     def test_criterion_8_dipole_is_certified(self):
         mesh = generate_primitive("flat_rect", nx=52)

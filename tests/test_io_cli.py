@@ -219,7 +219,7 @@ _REPORT_DIGESTS = {
     "cutoff": "8afcaf6316c1da607e6257af213822e613f2da488f6847432f8ffcb10e00bd16",
     "extension": "eaf45dffbdc8509c422b6cce862709b11e176fab71d35a6c8aee212baefee6ef",
     "weakstar": "99e47f748dc467b8d0373d69b83d64fdaef15580b8ca1835304b8fff3942d984",
-    "refine": "a712ff338c91815cb65d5641aae3ef03c6aaa48274c4f5eaeb7c20ef03a7bbcc",
+    "refine": "47dbc7bea324d525e887ba3c997d5000cade4492c717c84ded92717190fcfef8",
 }
 
 
@@ -481,7 +481,8 @@ class TestParseErrorsArePinned:
     def test_field_of_another_kind(self):
         mesh = ffio.mesh_from_dict(_mesh())
         _assert_raises_pinned(lambda d: ffio.field_from_dict(mesh, d, expect="edges"),
-                              {"scalar": [0.0, 0.0, 0.0]}, "expected a edges field, found scalar")
+                              {"scalar": [0.0, 0.0, 0.0]},
+                              "expected a field of kind 'edges', found 'scalar'")
 
     @pytest.mark.parametrize("data, expected", _params(_MOLECULE_ERRORS))
     def test_molecule(self, data, expected):
@@ -604,8 +605,9 @@ class TestCli:
         # icosphere L5 (kd = 161): with the banded factor on the host's
         # OpenBLAS threads, this 6-atom solve read 4.786401762616393 at 2
         # threads and 4.786401762591899 at 1, in 24 steps each (from the
-        # start before the least-norm field); the factor runs on one
-        # thread, so the two processes must print the same bytes
+        # start before the least-norm field, and 21 steps from it without
+        # the centrality corrector); the factor runs on one thread, so the
+        # two processes must print the same bytes
         code = (
             "import hashlib; import numpy as np; import freeflow as ff\n"
             "mesh = ff.generate_primitive('icosphere', level=5)\n"
@@ -625,7 +627,7 @@ class TestCli:
         outputs = [run.communicate(timeout=300)[0] for run in runs]
         assert [run.returncode for run in runs] == [0, 0]
         assert outputs[0] == outputs[1]
-        assert outputs[0].split()[2] == "21"
+        assert outputs[0].split()[2] == "15"
 
     def test_non_finite_atom_error_envelope(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.json"

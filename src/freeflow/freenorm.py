@@ -23,6 +23,7 @@ field value converges to the continuum norm under mesh refinement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,6 +62,9 @@ class Molecule:
 
     def __post_init__(self):
         ids = _vertex_ids([v for v, _ in self.atoms], 1).ravel().tolist()
+        for _, c in self.atoms:  # as in errors.check_real: no bool, str or complex
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise MeshError(f"molecule coefficient {c!r} is not a real number")
         atoms = tuple(zip(ids, (float(c) for _, c in self.atoms)))
         if not np.all(np.isfinite([c for _, c in atoms])):
             raise MeshError("molecule has non-finite coefficients")
@@ -135,15 +139,25 @@ def certify_graph_optimum(mesh, b, flow, potential):
     # elementwise sums: a BLAS dot of this length may wake its thread pool
     dual = float(np.sum(b * potential))
     gap = (float(np.sum(mesh.edge_lengths * np.abs(flow))) - dual) / max(1.0, abs(dual))
-    numbers = {"residual": residual, "slack": slack, "gap": gap}
+    defects = {"residual": residual, "slack": slack, "gap": gap}
     # not max(...) > tol: the builtin max drops a NaN after its first argument
     if not all(x <= CERTIFICATE_TOL for x in (residual, slack, abs(gap))):
         raise SolverFailure(
             f"graph solution fails its certificate (tolerance {CERTIFICATE_TOL}): "
             f"residual {residual!r}, slack {slack!r}, gap {gap!r}",
-            diagnostics=numbers,
+            diagnostics=defects,
         )
-    return numbers
+    return defects
+
+
+def _certified_solve(mesh, molecule, min_cost_flow):
+    """The canonical molecule and ``min_cost_flow``'s (flow, potential)
+    for its vector, once they pass :func:`certify_graph_optimum`."""
+    molecule = canonicalize(molecule, mesh.base_vertex)
+    b = molecule_vector(mesh, molecule)
+    flow, potential = min_cost_flow(mesh, b)
+    certify_graph_optimum(mesh, b, flow, potential)
+    return molecule, flow, potential
 
 
 def dual_lp(mesh, molecule):
@@ -152,12 +166,8 @@ def dual_lp(mesh, molecule):
     Returns ``(value, potential)`` with potential[base] == 0. The value
     is the discrete free norm of the molecule.
     """
-    molecule = canonicalize(molecule, mesh.base_vertex)
-    b = molecule_vector(mesh, molecule)
-    flow, potential = ssp.min_cost_flow(mesh, b)
-    certify_graph_optimum(mesh, b, flow, potential)
-    value = float(sum(c * potential[v] for v, c in molecule.atoms))
-    return value, potential
+    molecule, _, potential = _certified_solve(mesh, molecule, ssp.min_cost_flow)
+    return float(sum(c * potential[v] for v, c in molecule.atoms)), potential
 
 
 def beckmann_graph(mesh, molecule):
@@ -168,12 +178,8 @@ def beckmann_graph(mesh, molecule):
     Optimal flows are not unique in general; only the value is
     contractual.
     """
-    molecule = canonicalize(molecule, mesh.base_vertex)
-    b = molecule_vector(mesh, molecule)
-    flow, potential = netsimplex.min_cost_flow(mesh, b)
-    certify_graph_optimum(mesh, b, flow, potential)
-    value = float(np.sum(mesh.edge_lengths * np.abs(flow)))
-    return value, flow
+    _, flow, _ = _certified_solve(mesh, molecule, netsimplex.min_cost_flow)
+    return float(np.sum(mesh.edge_lengths * np.abs(flow))), flow
 
 
 def transport_oracle(mesh, molecule):
@@ -351,10 +357,11 @@ def beckmann_field(mesh, molecule, params=None):
     so its value is an upper bound; b - A x_g is the next step's primal
     residual, and :func:`_slope_lower_bound` of y is a lower bound. The
     solve stops once upper - lower is at most ``params.tol * max(1,
-    upper)``, after ``params.max_iter`` steps, or at a step that cannot
-    move (a non-finite scaling, a factor with a non-positive pivot, no
-    step); it returns the best projected field with the bracket in its
-    diagnostics, and ``certified`` says whether the bracket closed.
+    upper)`` (an empty molecule's [0, 0] before the first step), after
+    ``params.max_iter`` steps, or at a step that cannot move (a non-finite
+    scaling, a factor with a non-positive pivot, no step); it returns the
+    best projected field with the bracket in its diagnostics, and
+    ``certified`` says whether the bracket closed.
 
     The divergence residual max |A g - b| is measured once, on the field
     returned, and a residual above ``params.tol * max(1, max |b|)`` (or
@@ -368,14 +375,6 @@ def beckmann_field(mesh, molecule, params=None):
     molecule = canonicalize(molecule, mesh.base_vertex)
     b = molecule_vector(mesh, molecule)
     factor = weighted_normal_factorizer(mesh)
-    if not b.any():  # the zero field, with nothing to solve
-        diagnostics = {
-            "iterations": 0, "correctors": 0, "complementarity": 0.0,
-            "divergence_residual": 0.0, "lower": 0.0, "upper": 0.0, "gap": 0.0,
-            "certified": True,
-        }
-        return 0.0, np.zeros(mesh.field_shape), diagnostics
-
     weights = mesh.cell_weights
     F = len(weights)
     A = divergence_matrix(mesh)
@@ -392,12 +391,16 @@ def beckmann_field(mesh, molecule, params=None):
     x[0] += float(np.sum(weights * x[0])) / F / weights
     s = e * weights
     y = np.zeros(mesh.vertex_count)
-    best_value, best_g, lower, certified, correctors = math.inf, None, 0.0, False, 0
+    it, lower, correctors = 0, 0.0, 0
+    # the empty molecule's bracket [0, 0] is closed before the first step
+    certified = not b.any()
+    best_value, best_g = (0.0, np.zeros(mesh.field_shape)) if certified else (math.inf, None)
 
     # past the attainable accuracy, roundoff puts iterates on or across
     # the cone boundaries, and the scaling or the step turns NaN: the stop
     with np.errstate(invalid="ignore", divide="ignore"):
-        for it in range(1, params.max_iter + 1):
+        while not certified and it < params.max_iter:
+            it += 1
             W, D, lam_norm = _nt_scaling(x, s)
             if not np.isfinite(D).all():
                 break
@@ -452,8 +455,6 @@ def beckmann_field(mesh, molecule, params=None):
                 best_value, best_g = value, np.column_stack(p)
             lower = max(lower, _slope_lower_bound(b, y, slopes))
             certified = best_value - lower <= params.tol * max(1.0, best_value)
-            if certified:
-                break
     complementarity = float(np.sum(x * s))
 
     if best_g is None:

@@ -17,13 +17,10 @@ Zero-flow tree arcs point at the root node, and the leaving arc is the
 last blocking arc along the pivot cycle from its apex, so the tree stays
 strongly feasible and pivots cannot cycle.
 
-The forest is rooted at the demand vertices. Where they outnumber the
-supply vertices (b < 0), the solve routes -b instead, from the smaller
-side, and returns ``0.0 - flow`` and ``0.0 - potential``: the negated
-pair is optimal for b, and subtracting from +0.0 keeps -0.0 out of the
-results. A tie keeps b. Over the 360 small solves of the benchmark's
-``exact_small`` seeds 3701 and 3801, this alone cuts the pivots from
-13,830 to 11,667.
+The forest is rooted at the demand vertices, and ``ssp.smaller_side``
+routes -b instead where they outnumber the supply vertices. Over the
+360 small solves of the benchmark's ``exact_small`` seeds 3701 and
+3801, this alone cuts the pivots from 13,830 to 11,667.
 
 Pricing takes the whole arc table at once: ``priced`` holds each arc's
 cost, or +inf on tree arcs, so a pass's reduced costs are one array sum.
@@ -70,7 +67,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import SolverFailure
-from .ssp import checked_imbalance
+from .ssp import smaller_side
 
 
 def min_cost_flow(mesh, b):
@@ -80,11 +77,7 @@ def min_cost_flow(mesh, b):
     signed along canonical edge orientations, and potential is the
     tree's optimal dual vertex field with potential[base_vertex] == 0.
     """
-    b = checked_imbalance(mesh, b)
-    if np.count_nonzero(b > 0) > np.count_nonzero(b < 0):
-        flow, potential = _min_cost_flow(mesh, 0.0 - b)
-        return 0.0 - flow, 0.0 - potential
-    return _min_cost_flow(mesh, b)
+    return smaller_side(_min_cost_flow, mesh, b, +1)
 
 
 def _min_cost_flow(mesh, b):

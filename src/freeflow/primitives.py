@@ -51,7 +51,13 @@ def _face_edge_pairs(triangles):
     return np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
 
 
-def _grid_mesh(width, height, nx, ny, wrap=False, base_vertex=0):
+def _grid_mesh(width, height, nx, ny, wrap, base_vertex):
+    """nx by ny grid cells (ny = nx if None), at least 3 each way if ``wrap``, else 1."""
+    width = float(check_real("width", width, positive=True, error=InvalidParams))
+    height = float(check_real("height", height, positive=True, error=InvalidParams))
+    least = 3 if wrap else 1
+    nx = check_integer("nx", nx, minimum=least, error=InvalidParams)
+    ny = nx if ny is None else check_integer("ny", ny, minimum=least, error=InvalidParams)
     dx, dy = width / nx, height / ny
     diag = math.hypot(dx, dy)
     ni, nj = (nx, ny) if wrap else (nx + 1, ny + 1)  # vertices per row and column
@@ -68,19 +74,11 @@ def _grid_mesh(width, height, nx, ny, wrap=False, base_vertex=0):
 
 
 def _flat_rect(width=1.0, height=1.0, nx=2, ny=None, base_vertex=0):
-    width = float(check_real("width", width, positive=True, error=InvalidParams))
-    height = float(check_real("height", height, positive=True, error=InvalidParams))
-    nx = check_integer("nx", nx, minimum=1, error=InvalidParams)
-    ny = nx if ny is None else check_integer("ny", ny, minimum=1, error=InvalidParams)
-    return _grid_mesh(width, height, nx, ny, wrap=False, base_vertex=base_vertex)
+    return _grid_mesh(width, height, nx, ny, False, base_vertex)
 
 
 def _torus(width=1.0, height=1.0, nx=8, ny=None, base_vertex=0):
-    width = float(check_real("width", width, positive=True, error=InvalidParams))
-    height = float(check_real("height", height, positive=True, error=InvalidParams))
-    nx = check_integer("nx", nx, minimum=3, error=InvalidParams)
-    ny = nx if ny is None else check_integer("ny", ny, minimum=3, error=InvalidParams)
-    return _grid_mesh(width, height, nx, ny, wrap=True, base_vertex=base_vertex)
+    return _grid_mesh(width, height, nx, ny, True, base_vertex)
 
 
 _ICOSA_FACES = (
@@ -188,20 +186,21 @@ def _poincare_disk_patch(radius=0.8, n_angular=12, n_radial=3, base_vertex=0):
                        base_vertex=base_vertex, center=True)
 
 
-def _circle_graph(n=4, total_length=2.0 * math.pi, base_vertex=0):
-    n = check_integer("n", n, minimum=3, error=InvalidParams)
+def _path_graph(n, total_length, cycle, base_vertex):
+    """n equal edges along a path, at least 3 closed into a ``cycle``, else 1."""
+    n = check_integer("n", n, minimum=3 if cycle else 1, error=InvalidParams)
     total_length = float(check_real("total_length", total_length, positive=True,
                                     error=InvalidParams))
-    edges = np.column_stack([np.arange(n), np.arange(1, n + 1) % n])
+    edges = np.column_stack([np.arange(n), np.arange(1, n + 1) % (n if cycle else n + 1)])
     return TriMesh([], edges, np.full(n, total_length / n), base_vertex)
+
+
+def _circle_graph(n=4, total_length=2.0 * math.pi, base_vertex=0):
+    return _path_graph(n, total_length, True, base_vertex)
 
 
 def _interval_graph(n=2, total_length=2.0, base_vertex=0):
-    n = check_integer("n", n, minimum=1, error=InvalidParams)
-    total_length = float(check_real("total_length", total_length, positive=True,
-                                    error=InvalidParams))
-    edges = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return TriMesh([], edges, np.full(n, total_length / n), base_vertex)
+    return _path_graph(n, total_length, False, base_vertex)
 
 
 _BUILDERS = {

@@ -16,13 +16,10 @@ accumulated node potentials are an optimal solution of the dual
 problem: they maximize sum_v b[v] * f[v] over all vertex fields with
 |f[u] - f[v]| <= length(u, v) on every edge.
 
-The searches start from the sources (b < 0). Where the sources
-outnumber the sinks (b > 0), the solve routes -b instead, from the
-smaller side, and returns ``0.0 - flow`` and ``0.0 - potential``: the
-negated pair is optimal for b, and subtracting from +0.0 keeps -0.0 out
-of the results. A tie keeps b. Over the 360 small solves of the
-benchmark's ``exact_small`` seeds 3701 and 3801, the phases fall from
-1,323 to 1,092.
+The searches start from the sources (b < 0), and :func:`smaller_side`
+routes -b instead where the sources outnumber the sinks. Over the 360
+small solves of the benchmark's ``exact_small`` seeds 3701 and 3801,
+the phases fall from 1,323 to 1,092.
 """
 
 from __future__ import annotations
@@ -52,6 +49,19 @@ def checked_imbalance(mesh, b):
     return b
 
 
+def smaller_side(solve, mesh, b, start):
+    """``solve(mesh, b)`` of the checked ``b`` from its smaller side. Where
+    more vertices have the sign ``start`` (+-1) that the searches start
+    from than the other, it solves -b and returns ``0.0 - flow`` and
+    ``0.0 - potential``, optimal for b; subtracting from +0.0 keeps -0.0
+    out of the results. A tie keeps b."""
+    b = checked_imbalance(mesh, b)
+    if np.count_nonzero(start * b > 0) > np.count_nonzero(start * b < 0):
+        flow, potential = solve(mesh, 0.0 - b)
+        return 0.0 - flow, 0.0 - potential
+    return solve(mesh, b)
+
+
 def min_cost_flow(mesh, b):
     """Route the imbalance ``b`` (net required inflow per vertex, summing
     to zero) at minimum length-weighted cost.
@@ -60,11 +70,7 @@ def min_cost_flow(mesh, b):
     canonical edge orientation and ``potential`` is an optimal dual
     vertex field with potential[base_vertex] == 0.
     """
-    b = checked_imbalance(mesh, b)
-    if np.count_nonzero(b < 0) > np.count_nonzero(b > 0):
-        flow, potential = _min_cost_flow(mesh, 0.0 - b)
-        return 0.0 - flow, 0.0 - potential
-    return _min_cost_flow(mesh, b)
+    return smaller_side(_min_cost_flow, mesh, b, -1)
 
 
 def _min_cost_flow(mesh, b):

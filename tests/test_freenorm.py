@@ -134,6 +134,16 @@ class TestCanonicalize:
         with pytest.raises(ParseError):
             molecule_from_dict({"atoms": [[2**70, 1.0]]})
 
+    @pytest.mark.parametrize("coeff", [True, "2.0", None, 1 + 2j, Decimal("2.5")],
+                             ids=["bool", "string", "none", "complex", "decimal"])
+    def test_non_real_coefficient_rejected(self, coeff):
+        # True used to be kept as 1.0, and "2.0" and Decimal("2.5") cast to
+        # floats; None and 1+2j escaped as a raw TypeError
+        with pytest.raises(MeshError) as info:
+            Molecule(((1, 1.0), (3, coeff)))
+        assert type(info.value) is MeshError
+        assert str(info.value) == f"molecule coefficient {coeff!r} is not a real number"
+
 
 class TestDualLP:
     def test_empty_molecule(self, flat4):
@@ -1060,6 +1070,16 @@ class TestBeckmannField:
         assert value == 0.0
         assert np.abs(g).max() == 0.0
         assert diag["lower"] == diag["upper"] == 0.0
+
+    def test_empty_molecule_diagnostics(self, flat4):
+        # the whole record, in report order, of a solve closed before its
+        # first step; reprs, so a -0.0 or a 0 for 0.0 fails
+        _, _, diag = beckmann_field(flat4, Molecule(((3, 0.0), (0, 2.0))))
+        assert [(key, repr(value)) for key, value in diag.items()] == [
+            ("iterations", "0"), ("correctors", "0"), ("complementarity", "0.0"),
+            ("divergence_residual", "0.0"), ("lower", "0.0"), ("upper", "0.0"),
+            ("gap", "0.0"), ("certified", "True"),
+        ]
 
     def test_requires_surface(self, interval10):
         with pytest.raises(MeshError):

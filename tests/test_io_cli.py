@@ -206,10 +206,15 @@ _MOLECULE_ERRORS = [
 
 
 
+def _readme_section(title):
+    """The text of README's section ``## title``, up to the next section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_experiment_configs():
     """The example configs of README's experiment section, as written there."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    section = _readme_section("Experiment configs")
     return [json.loads(text) for text in re.findall(r'`(\{"kind".*?\})`', section, re.S)]
 
 
@@ -833,6 +838,18 @@ class TestCli:
         assert payload["betti1"] == 1
         assert payload["exactness_residual"] >= 0.1
 
+    def test_check_currents_on_an_exact_form(self, tmp_path, capsys, flat4):
+        f = np.random.default_rng(46).normal(size=flat4.vertex_count)
+        mesh_path, form_path = tmp_path / "m.json", tmp_path / "omega.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        ffio.write_json(form_path, ffio.edge_values_to_dict(flat4, d0(flat4, f)))
+        assert main(["check-currents", "--mesh", str(mesh_path), "--form",
+                     str(form_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "exact"
+        witness = np.array(payload["witness_potential"])
+        assert np.abs(witness - (f - f[flat4.base_vertex])).max() <= 1e-12
+
     def test_cached_parser_keeps_each_calls_tolerance(self, tmp_path, capsys, annulus):
         # main reuses one parser per process; each call parses afresh
         assert cli._build_parser() is cli._build_parser()
@@ -1140,6 +1157,10 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_DIGESTS[config["kind"]]
 
+    def test_readme_library_sketch_runs(self):
+        (code,) = re.findall(r"```python\n(.*?)```", _readme_section("Library sketch"), re.S)
+        exec(compile(code, "README.md (Library sketch)", "exec"), {})
+
     def test_readme_gives_one_example_config_per_kind(self):
         kinds = [config["kind"] for config in _readme_experiment_configs()]
         assert kinds == ["cutoff", "extension", "weakstar", "refine"]
@@ -1270,6 +1291,15 @@ class TestBatch:
         assert main(["batch", str(path), "--out", str(tmp_path / "s.csv")]) == 1
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
+
+    def test_unknown_command_is_a_parse_error(self, tmp_path):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"entries": [{"command": "bogus"}]}))
+        out = tmp_path / "summary.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 2
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        assert (row["command"], row["status"], row["detail"]) == (
+            "bogus", "error", "ParseError: unsupported batch command 'bogus'")
 
     @pytest.mark.parametrize(
         "entry",

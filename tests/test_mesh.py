@@ -433,6 +433,11 @@ class TestPrimitives:
         assert len(m.edges) == 4
         assert np.allclose(m.edge_lengths, math.pi / 2)
 
+    def test_graph_boundary_vertices(self, interval10, circle32):
+        # a metric graph's boundary is its degree-1 vertices
+        assert interval10.boundary_vertices == {0, 10}
+        assert circle32.boundary_vertices == frozenset()
+
     def test_torus_is_closed(self, torus):
         assert not torus.boundary_edges
         assert torus.vertex_count - len(torus.edges) + len(torus.triangles) == 0
@@ -535,6 +540,23 @@ class TestPrimitives:
              "width_string", "radius_bool", "total_length_string"],
     )
     def test_real_sizes_are_checked(self, kind, params, message):
+        with pytest.raises(InvalidParams) as info:
+            generate_primitive(kind, **params)
+        assert type(info.value) is InvalidParams
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("annulus", {"r_inner": 1.0, "r_outer": 1.0}, "r_outer must exceed r_inner"),
+            ("annulus", {"r_inner": 2.0}, "r_outer must exceed r_inner"),
+            ("poincare_disk_patch", {"radius": 1.0}, "model radius must be < 1"),
+            ("poincare_disk_patch", {"radius": 1.5}, "model radius must be < 1"),
+        ],
+        ids=["annulus_equal_radii", "annulus_inner_beyond_outer",
+             "poincare_radius_one", "poincare_radius_beyond_one"],
+    )
+    def test_radii_out_of_range(self, kind, params, message):
         with pytest.raises(InvalidParams) as info:
             generate_primitive(kind, **params)
         assert type(info.value) is InvalidParams

@@ -131,7 +131,13 @@ def check_field_support(mesh):
     when the pinned A D A^T is nonsingular, for every choice of positive
     definite per-cell blocks D. A graph's cells are its edges, which
     join every vertex, so only a surface can fail. No matrix is factored.
+
+    A surface with ``mesh.spanning_faces`` passes at once: its faces are
+    one component holding every vertex. The star graph is built only for
+    graphs, several face components, or a vertex on no face.
     """
+    if mesh.spanning_faces:
+        return
     corners, _ = _cells(mesh)
     first, rest = np.broadcast_arrays(corners[:, :1], corners[:, 1:])
     star = coo_matrix(
@@ -186,6 +192,25 @@ def _one_blas_thread():
             put(saved)
 
 
+def _without_vertex(graph, v):
+    """The symmetric CSR ``graph`` with row and column v dropped, in one
+    pass: the arrays of ``graph[others][:, others]``, others every vertex
+    but v, without its two full-size copies. Each neighbour of v loses
+    its one entry at column v, and the later columns shift down by one."""
+    indptr, indices = graph.indptr, graph.indices
+    row = slice(indptr[v], indptr[v + 1])
+    keep = indices != v
+    keep[row] = False
+    kept = indices[keep]
+    kept -= kept > v
+    counts = np.diff(indptr)
+    counts[indices[row]] -= 1
+    starts = np.zeros(len(indptr) - 1, dtype=indptr.dtype)
+    np.cumsum(np.delete(counts, v), out=starts[1:])
+    n = graph.shape[0] - 1
+    return csr_matrix((graph.data[keep], kept, starts), shape=(n, n))
+
+
 def weighted_normal_factorizer(mesh):
     """``factor(blocks)``: the pinned solve of (A D A^T) y = r for
     symmetric positive definite per-cell m x m blocks D, given as an
@@ -220,7 +245,7 @@ def weighted_normal_factorizer(mesh):
     corners, a = _cells(mesh)
     n = mesh.vertex_count - 1
     others = np.delete(np.arange(mesh.vertex_count), mesh.base_vertex)
-    vertices = others[reverse_cuthill_mckee(mesh.adjacency[others][:, others],
+    vertices = others[reverse_cuthill_mckee(_without_vertex(mesh.adjacency, mesh.base_vertex),
                                             symmetric_mode=True)]
     rank = np.full(mesh.vertex_count, n)
     rank[vertices] = np.arange(n)

@@ -65,7 +65,10 @@ class Molecule:
         for _, c in self.atoms:  # as in errors.check_real: no bool, str or complex
             if isinstance(c, bool) or not isinstance(c, numbers.Real):
                 raise MeshError(f"molecule coefficient {c!r} is not a real number")
-        atoms = tuple(zip(ids, (float(c) for _, c in self.atoms)))
+        try:
+            atoms = tuple(zip(ids, (float(c) for _, c in self.atoms)))
+        except OverflowError:  # an int or a Fraction beyond the float range
+            raise MeshError("molecule coefficient beyond the float range") from None
         if not np.all(np.isfinite([c for _, c in atoms])):
             raise MeshError("molecule has non-finite coefficients")
         object.__setattr__(self, "atoms", atoms)
@@ -287,20 +290,35 @@ def _jordan_divide(lam, r, lam_norm):
     return np.concatenate(([q0], (r[1:] - q0 * lam[1:]) / lam[0]))
 
 
-def _max_step(u, d, un):
-    """Largest alpha with every u_T + alpha d_T in its cone, for u inside
-    the cones with Lorentz norms un and d of shape (3, F) or (3, k, F).
+def _cone_search(u, un):
+    """``max_step(d)``: the largest alpha with every u_T + alpha d_T in its
+    cone, for u inside the cones with Lorentz norms un and d of shape
+    (3, F) or (3, k, F). u / un and 1 + (u / un)_0 are worked out once,
+    for every direction searched from u.
 
     The Lorentz boost taking u_T / |u_T|_J to e maps d_T / |u_T|_J to p,
     linear in d, and e + alpha p stays in the cone while
     alpha (|p_bar| - p_0) <= 1. A NaN in u or d gives a NaN.
     """
     uh = u / un
-    bar = _dot(uh[1:], d[1:])
-    lift = bar / (1.0 + uh[0]) - d[0]
-    r1, r2 = d[1] + uh[1] * lift, d[2] + uh[2] * lift
-    rate = np.max((np.sqrt(r1 * r1 + r2 * r2) - (uh[0] * d[0] - bar)) / un)
-    return float(1.0 / np.maximum(rate, 0.0))
+    rise = 1.0 + uh[0]
+
+    def max_step(d):
+        bar = _dot(uh[1:], d[1:])
+        lift = bar / rise
+        lift -= d[0]
+        r1, r2 = uh[1] * lift, uh[2] * lift
+        r1 += d[1]
+        r2 += d[2]
+        r1 *= r1
+        r2 *= r2
+        r1 += r2
+        np.sqrt(r1, out=r1)
+        r1 -= np.subtract(np.multiply(uh[0], d[0], out=lift), bar, out=lift)
+        r1 /= un
+        return float(1.0 / np.maximum(np.max(r1), 0.0))
+
+    return max_step
 
 
 def _clamp_spectrum(v, low, high):
@@ -423,17 +441,18 @@ def beckmann_field(mesh, molecule, params=None):
             # W maps each cone onto itself: x + alpha dx and s + alpha ds stay
             # in their cones while lam + alpha W^-1 dx and lam + alpha W ds do.
             # Each r_c holds -lam o lam, whose part of q = lam \ r_c is -lam
+            max_step = _cone_search(lam, lam_norm)
             d, _, _ = newton(-lam)
-            alpha = min(_max_step(lam, d, lam_norm), 1.0)  # a NaN stays NaN
+            alpha = min(max_step(d), 1.0)  # a NaN stays NaN
             sigma_mu = (1.0 - alpha) ** 3 * float(np.sum(_dot(lam, lam))) / F
             rest = sigma_mu * e - _jordan(d[:, 0], d[:, 1])  # Mehrotra's rest of r_c
             q = _jordan_divide(lam, rest, lam_norm) - lam
             d, ds, dy = newton(q)
-            alpha = _max_step(lam, d, lam_norm)
+            alpha = max_step(d)
             v = _jordan(lam + d[:, 0], lam + d[:, 1])
             target = _clamp_spectrum(v, 0.1 * sigma_mu, 10.0 * sigma_mu)
             corrected = newton(q + _jordan_divide(lam, target - v, lam_norm))
-            step = _max_step(lam, corrected[0], lam_norm)
+            step = max_step(corrected[0])
             if step >= 1.01 * alpha:
                 (d, ds, dy), alpha, correctors = corrected, step, correctors + 1
             alpha = min(0.97 * alpha, 1.0)

@@ -177,7 +177,9 @@ def molecule_from_dict(data):
         # after every entry check, as for mesh ids, so that an id beyond
         # int64 is a parse error here rather than Molecule's MeshError
         np.array([v for v, _ in atoms], dtype=np.int64)
-        return Molecule(atoms)
+        # cast here, so a coefficient beyond the float range is this
+        # reader's OverflowError rather than Molecule's MeshError
+        return Molecule(tuple((v, float(c)) for v, c in atoms))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad molecule JSON: {exc}") from exc
 

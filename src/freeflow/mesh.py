@@ -71,6 +71,10 @@ class TriMesh:
     face_components : ndarray of shape (F,)
         The component of each face among faces joined by shared edges,
         labelled by its lowest face.
+    spanning_faces : bool
+        Whether the faces are one component (every label 0) with every
+        vertex on a face. Their edges then join every vertex, so the
+        orientation pass has proved the edge graph connected.
 
     Raises
     ------
@@ -103,7 +107,7 @@ class TriMesh:
 
         # the signed face->edge index: edge ids of v0->v1, v1->v2, v2->v0
         # and +1 where the face runs along the canonical u < v orientation
-        heads = np.roll(triangles, -1, axis=1)
+        heads = triangles[:, [1, 2, 0]]
         face_edges = self.edge_ids(triangles, heads)
         signs = np.where(triangles < heads, 1.0, -1.0)
         # ORs of the columns: any(axis=1) is far slower on rows of three
@@ -131,7 +135,13 @@ class TriMesh:
             self.face_signs,
             self.face_components,
         ) = self._orient(triangles, face_edges, signs)
-        self._check_connected()
+        self.spanning_faces = bool(
+            len(triangles)
+            and not self.face_components.any()
+            and np.bincount(triangles.ravel(), minlength=self.vertex_count).all()
+        )
+        if not self.spanning_faces:
+            self._check_connected()
 
         self.base_vertex = _vertex_id("base vertex", base_vertex, self.vertex_count)
 
@@ -212,6 +222,7 @@ class TriMesh:
     def _check_connected(self):
         """Raise :class:`Disconnected` unless the edges join every id in
         0..vertex_count-1; an id on no edge is a component of its own.
+        Not run when ``spanning_faces`` has already proved this.
 
         The used ids are relabelled 0..U-1 and their components counted
         on a U x U graph, then each unused id adds one, so the work is

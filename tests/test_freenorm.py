@@ -144,6 +144,16 @@ class TestCanonicalize:
         assert type(info.value) is MeshError
         assert str(info.value) == f"molecule coefficient {coeff!r} is not a real number"
 
+    @pytest.mark.parametrize("coeff", [10**400, Fraction(10**400, 3), -(10**400)],
+                             ids=["int", "fraction", "negative_int"])
+    def test_coefficient_beyond_float_range_rejected(self, coeff):
+        # float() used to escape as a raw OverflowError; the JSON reader
+        # casts first and keeps its ParseError, pinned in test_io_cli
+        with pytest.raises(MeshError) as info:
+            Molecule(((1, 1.0), (3, coeff)))
+        assert type(info.value) is MeshError
+        assert str(info.value) == "molecule coefficient beyond the float range"
+
 
 class TestDualLP:
     def test_empty_molecule(self, flat4):
@@ -1493,9 +1503,9 @@ class TestBeckmannField:
                 lam = ws[f, :, None]
                 for name, u in (("x", x), ("s", s)):
                     u_norm = freenorm._lorentz_norms(u[:, f, None])
-                    alpha = freenorm._max_step(u[:, f, None], d[:, f, None], u_norm)
-                    alpha_lam = freenorm._max_step(lam, scaled[name][:, f, None],
-                                                   lam_norm[f, None])
+                    alpha = freenorm._cone_search(u[:, f, None], u_norm)(d[:, f, None])
+                    alpha_lam = freenorm._cone_search(lam, lam_norm[f, None])(
+                        scaled[name][:, f, None])
                     assert np.isclose(alpha, alpha_lam, rtol=1e-6, atol=0.0), (f, name)
 
         # the start factors the identity blocks; after it, the factored

@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Delaunay
 
+from freeflow.calculus import check_field_support, l1_norm
 from freeflow.errors import (
     DegenerateFace,
     Disconnected,
@@ -16,7 +22,6 @@ from freeflow.errors import (
 )
 from freeflow.experiments import refinement_study
 from freeflow.mesh import TriMesh, geodesic_distances
-from freeflow.calculus import l1_norm
 from freeflow.io import mesh_from_dict, mesh_hash, mesh_to_dict
 from freeflow import primitives
 from freeflow.primitives import generate_primitive
@@ -312,6 +317,82 @@ class TestBuildMesh:
         assert mesh_hash(rebuilt) == scrambled_hash
         # the build flips its own copy, not the caller's array
         assert np.array_equal(triangles, given)
+
+
+def planar_surface(data):
+    """Triangles, 3F face edge pairs and their lengths of a random planar
+    mesh: a Delaunay triangulation of 4-40 uniform points in the unit
+    square, or a flat_rect grid of up to 6 x 6 cells whose vertices are
+    moved by up to 0.3 of a cell."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        points = rng.uniform(size=(data.draw(st.integers(4, 40)), 2))
+        triangles = Delaunay(points).simplices.astype(np.int64)
+    else:
+        nx, ny = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        grid = generate_primitive("flat_rect", nx=nx, ny=ny)
+        triangles = np.array(grid.triangles)
+        points = grid.aux["positions"] + rng.uniform(-0.3, 0.3, (grid.vertex_count, 2)) * (
+            np.array([1.0 / nx, 1.0 / ny]))
+    pairs = primitives._face_edge_pairs(triangles)
+    lengths = np.hypot(*(points[pairs[:, 0]] - points[pairs[:, 1]]).T)
+    return triangles, pairs, lengths
+
+
+def components(pairs, count):
+    """Connected components of ``pairs`` on the ids 0..count-1, as one COO
+    graph: the reference that TriMesh's verdicts are checked against."""
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(count, count))
+    return connected_components(graph, directed=False)[0]
+
+
+class TestConnectivityProof:
+    # the orientation pass proves the edge graph connected when one face
+    # component holds every vertex; on random planar meshes with extra
+    # parts, the verdicts must be those of a components pass over all ids
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_verdicts_match_a_components_pass(self, data):
+        triangles, pairs, lengths = planar_surface(data)
+        V = 1 + int(triangles.max())
+        second = data.draw(st.sampled_from([None, "disjoint", "pinched", "joined"]))
+        if second:  # a copy of the surface, alone, at one shared vertex or by one edge
+            shift = V - 1 if second == "pinched" else V
+            triangles = np.concatenate([triangles, triangles + shift])
+            pairs = np.concatenate([pairs, pairs + shift])
+            lengths = np.concatenate([lengths, lengths])
+            if second == "joined":
+                pairs, lengths = np.append(pairs, [[0, V]], axis=0), np.append(lengths, 1.0)
+        V = 1 + int(pairs.max())
+        if data.draw(st.booleans()):  # a pendant vertex on one edge
+            pairs = np.append(pairs, [[data.draw(st.integers(0, V - 1)), V]], axis=0)
+            lengths = np.append(lengths, 0.5)
+            V += 1
+        if data.draw(st.booleans()):  # an id on no edge: the ids from k on move up by one
+            k = data.draw(st.integers(0, V - 1))
+            triangles, pairs = triangles + (triangles >= k), pairs + (pairs >= k)
+            V += 1
+
+        n = components(pairs, V)
+        if n != 1:
+            with pytest.raises(Disconnected) as info:
+                TriMesh(triangles, pairs, lengths)
+            assert str(info.value) == f"edge graph has {n} components"
+            return
+        mesh = TriMesh(triangles, pairs, lengths)
+        mesh._check_connected()  # what the proof stood in for
+        on_faces = np.zeros(V, dtype=bool)
+        on_faces[triangles.ravel()] = True
+        assert mesh.spanning_faces == (
+            len(set(mesh.face_components.tolist())) == 1 and bool(on_faces.all()))
+        star = np.concatenate([triangles[:, [0, 1]], triangles[:, [0, 2]]])
+        n = components(star, V)
+        if n != 1:
+            with pytest.raises(MeshError, match=f"they leave {n} components"):
+                check_field_support(mesh)
+        else:
+            check_field_support(mesh)
 
 
 class TestArcTable:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SWEEP = Path(__file__).resolve().parents[1] / "tools" / "field_sweep.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SWEEP = TOOLS / "field_sweep.py"
 
 
 def test_field_sweep_prints_one_line_per_solve(capsys):
@@ -26,3 +27,17 @@ def test_field_sweep_rejects_an_unknown_mesh(capsys):
     with pytest.raises(SystemExit):
         sweep["main"](["--mesh", "nx256"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_mesh_build_prints_one_line_per_rung(capsys):
+    # the smallest rung, flat_rect nx16, timed once: its sizes, the median
+    # seconds and the traced MB of the build and of the field set-up
+    tool = runpy.run_path(str(TOOLS / "mesh_build.py"))
+    tool["main"](["--rung", "nx16", "--repeat", "1"])
+    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert set(row) == {"rung", "vertices", "faces"} | {
+        f"{name}_{key}" for name in ("build", "setup") for key in ("s", "peak_mb", "kept_mb")}
+    assert (row["rung"], row["vertices"], row["faces"]) == ("nx16", 289, 512)
+    for name in ("build", "setup"):
+        assert row[f"{name}_s"] > 0.0
+        assert 0.0 < row[f"{name}_kept_mb"] <= row[f"{name}_peak_mb"]

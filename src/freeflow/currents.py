@@ -106,7 +106,8 @@ class CurrentClass:
             "exactness_residual": self.exactness_residual,
         }
         if self.witness_potential is not None:
-            out["witness_potential"] = [float(x) for x in self.witness_potential]
+            out["witness_potential"] = np.asarray(
+                self.witness_potential, dtype=np.float64).tolist()
         return out
 
 

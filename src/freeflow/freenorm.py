@@ -536,14 +536,14 @@ class FreeNormReport:
             "duality_gap": self.duality_gap,
             "diagnostics": self.diagnostics,
         }
-        if self.optimal_potential is not None:
-            out["optimal_potential"] = [float(x) for x in self.optimal_potential]
-        if self.optimal_flow is not None:
-            out["optimal_flow"] = [float(x) for x in self.optimal_flow]
-        if self.optimal_field is not None:
-            out["optimal_field"] = [
-                [float(a), float(b)] for a, b in self.optimal_field
-            ]
+        witnesses = {
+            "optimal_potential": self.optimal_potential,
+            "optimal_flow": self.optimal_flow,
+            "optimal_field": self.optimal_field,
+        }
+        for key, value in witnesses.items():
+            if value is not None:
+                out[key] = np.asarray(value, dtype=np.float64).tolist()
         return out
 
 

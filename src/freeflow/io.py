@@ -1,15 +1,22 @@
 """JSON schemas for meshes, fields, molecules and reports.
 
-All writers emit a fixed key order and repr-exact floats, so identical
-inputs produce byte-identical files. Field files are keyed to their mesh
-by a content hash over the canonical mesh JSON.
+All payload builders emit a fixed key order and repr-exact floats, so
+identical inputs produce byte-identical files. Every JSON file is written
+by :func:`write_json`, whose bytes are exactly those of
+``json.dumps(obj, indent=2, ensure_ascii=False)`` and a newline: lists
+of plain ints and finite floats, flat or in equal-width rows, are laid
+out here as ``repr`` tokens joined with json's separators and written in
+blocks of a few thousand, and json encodes everything else. Field files
+are keyed to their mesh by a content hash over the canonical mesh JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
+import math
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -22,10 +29,7 @@ def mesh_to_dict(mesh):
     return {
         "dimension": mesh.dimension,
         "triangles": mesh.triangles.tolist(),
-        "edges": [
-            [u, v, l]
-            for (u, v), l in zip(mesh.edges.tolist(), mesh.edge_lengths.tolist())
-        ],
+        "edges": list(map(list, zip(*mesh.edges.T.tolist(), mesh.edge_lengths.tolist()))),
         "base_vertex": mesh.base_vertex,
     }
 
@@ -123,19 +127,24 @@ def mesh_hash(mesh):
     return hashlib.sha256(_canonical_json(mesh).encode()).hexdigest()
 
 
+def _floats(values):
+    """``values`` as (nested) lists of Python floats."""
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
 def scalar_field_to_dict(mesh, f):
-    return {"mesh_hash": mesh_hash(mesh), "scalar": [float(x) for x in f]}
+    return {"mesh_hash": mesh_hash(mesh), "scalar": _floats(f)}
 
 
 def face_field_to_dict(mesh, g):
     return {
         "mesh_hash": mesh_hash(mesh),
-        "faces": [[float(a), float(b)] for a, b in np.asarray(g)],
+        "faces": _floats(g),
     }
 
 
 def edge_values_to_dict(mesh, values):
-    return {"mesh_hash": mesh_hash(mesh), "edges": [float(x) for x in values]}
+    return {"mesh_hash": mesh_hash(mesh), "edges": _floats(values)}
 
 
 def field_from_dict(mesh, data, expect=None):
@@ -184,9 +193,84 @@ def molecule_from_dict(data):
         raise ParseError(f"bad molecule JSON: {exc}") from exc
 
 
+# Numbers or rows per joined block that ``write_json`` hands on: a few
+# thousand, so a large array is never held as one string.
+_BLOCK = 2048
+
+
+def _plain_numbers(entries):
+    """Whether every entry is a plain int or a finite float: the values
+    whose json text is their ``repr``. ``entries`` makes an iterator."""
+    kinds = set(map(type, entries()))
+    if kinds - {int, float}:
+        return False
+    try:
+        return float not in kinds or all(map(math.isfinite, entries()))
+    except OverflowError:  # an int beyond the float range, beside floats
+        return False
+
+
+def _number_rows(values):
+    """Whether ``values`` holds equal-width, non-empty rows of plain
+    numbers; a flat list of them is checked by ``_plain_numbers``."""
+    if set(map(type, values)) - {list, tuple}:
+        return False
+    widths = set(map(len, values))
+    return (len(widths) == 1 and 0 not in widths
+            and _plain_numbers(lambda: chain.from_iterable(values)))
+
+
+def _number_text(values, rows, nl):
+    """The indent-2 json text at the indent ``nl`` of a non-empty list of
+    plain numbers, or of rows of them: their ``repr`` tokens joined with
+    json's separators, in blocks of ``_BLOCK`` numbers or rows."""
+    inner = nl + "  "
+    if rows:
+        cell = inner + "  "
+        items = map(("," + cell).join, map(partial(map, repr), values))
+        head, tail = "[" + inner + "[" + cell, inner + "]" + nl + "]"
+        sep = inner + "]," + inner + "[" + cell
+    else:
+        items = map(repr, values)
+        head, sep, tail = "[" + inner, "," + inner, nl + "]"
+    yield head + sep.join(islice(items, _BLOCK))
+    for block in iter(lambda: sep.join(islice(items, _BLOCK)), ""):
+        yield sep + block
+    yield tail
+
+
+def _json_text(value, nl):
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` at the indent
+    ``nl`` (a newline and the value's indent), in pieces. Only the layout
+    of plain numbers is written here; json encodes everything else."""
+    inner = nl + "  "
+    if isinstance(value, dict) and value and not set(map(type, value)) - {str}:
+        sep = "{" + inner
+        for key, item in value.items():
+            yield sep + json.dumps(key, ensure_ascii=False) + ": "
+            yield from _json_text(item, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        rows = not _plain_numbers(lambda: value)
+        if not rows or _number_rows(value):
+            yield from _number_text(value, rows, nl)
+        else:
+            sep = "[" + inner
+            for item in value:
+                yield sep
+                yield from _json_text(item, inner)
+                sep = "," + inner
+            yield nl + "]"
+    else:
+        yield json.dumps(value, indent=2, ensure_ascii=False).replace("\n", nl)
+
+
 def write_json(path, obj):
+    """Write ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a
+    newline to ``path``, in pieces."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, ensure_ascii=False)
+        fh.writelines(_json_text(obj, "\n"))
         fh.write("\n")
 
 

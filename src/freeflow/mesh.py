@@ -394,7 +394,8 @@ def _unique_edges(edges, lengths):
     lo, hi, lengths = lo[order], hi[order], lengths[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    lead = lengths[first][np.cumsum(first) - 1]  # the length of the first copy
+    # the length of the first copy: the running maximum of first-copy indices
+    lead = lengths[np.maximum.accumulate(np.arange(len(order)) * first)]
     loop = lo == hi
     bad_length = ~((lengths > 0.0) & (lengths < inf))
     bad = loop | bad_length | (lengths != lead)
@@ -406,7 +407,10 @@ def _unique_edges(edges, lengths):
         if bad_length[j]:
             raise MeshError(f"edge {key} length {l} is not finite and positive")
         raise MeshError(f"edge {key} given two lengths {float(lead[j])} and {l}")
-    return np.column_stack([lo[first], hi[first]]), lengths[first]
+    keep = np.flatnonzero(first)
+    pairs = np.empty((len(keep), 2), dtype=lo.dtype)
+    np.take(lo, keep, out=pairs[:, 0]), np.take(hi, keep, out=pairs[:, 1])
+    return pairs, lengths[keep]
 
 
 def _sym2x2_cond(a, b, c):

@@ -1,17 +1,22 @@
 import argparse
+import ast
 import csv
 import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freeflow
 from freeflow import cli, experiments, freenorm, primitives
@@ -460,6 +465,92 @@ class TestMeshHashPayload:
              "base_vertex": 2})
         self.assert_reference(mesh)
         assert '"edges":[[0,1,3.0],[0,2,5.0],[1,2,4.0]]' in _reference_json(mesh)
+
+
+# JSON values of every kind the writer meets: ints beyond int64, floats at
+# the edges of the range (NaN, +-inf, -0.0, subnormal, 1e308), numpy
+# floats, bools, None and strings that json must escape
+_PLAIN = (st.integers() | st.sampled_from([2**63, -(2**63) - 1])
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308]))
+_NUMBERS = _PLAIN | st.sampled_from([10**400, math.nan, math.inf, -math.inf])
+_SCALARS = (_NUMBERS | _NUMBERS.filter(lambda x: abs(x) < 2**64).map(np.float64)
+            | st.booleans() | st.none()
+            | st.text(alphabet=st.sampled_from('a"\\\n\té€'), max_size=4))
+
+
+# json turns int, float, bool and None keys into strings
+_KEYS = (st.text(alphabet=st.sampled_from('k"\n é'), max_size=3)
+         | st.integers() | st.floats() | st.booleans() | st.none())
+
+
+@st.composite
+def _number_rows(draw):
+    """Equal-width rows of numbers, the writer's fast path; half of the
+    time one row is cut short, or one entry is a list, a bool, None, a
+    string, a numpy float, an int beyond the float range or not finite."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_PLAIN, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        odd = st.sampled_from([[], [1.5], True, None, "x", np.float64(1.5), 10**400, math.nan])
+        row[-1:] = draw(st.just([]) | odd.map(lambda x: [x]))
+    return rows
+
+
+_JSON = st.recursive(
+    _SCALARS | st.lists(_PLAIN, max_size=8) | st.lists(_NUMBERS, max_size=8) | _number_rows(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriteJson:
+    """``write_json`` writes exactly json's indent-2 text and a newline."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(obj=_JSON, block=st.sampled_from([1, 2, 3, 2048]))
+    @example(obj={"n": [1.5, -0.0, 5e-324, 1e308, math.nan, 2**63]}, block=2)
+    @example(obj=[[0, 1, 0.5], [1, 2, -math.inf], [2, 3, 1e-05]], block=2)
+    @example(obj=[[0, 1, 0.5], [1, 2, 10**400]], block=1)
+    @example(obj={1: [2.5], None: [[1, 2], [3]], "é\n": [[True, 1], [2, 3]], "": [[], []]},
+             block=1)
+    def test_text_is_json_indent_2(self, tmp_path_factory, obj, block):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        with mock.patch.object(ffio, "_BLOCK", block):  # blocks of 1 to 3 items, or one
+            ffio.write_json(path, obj)
+        expected = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("obj", [
+        [np.int64(3)], [1.5, np.int64(3)], {"a": [[1, 2], [3, np.int64(4)]]}, np.int64(3)],
+        ids=["list", "numbers", "rows", "bare"])
+    def test_numpy_int_raises_json_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            ffio.write_json(tmp_path / "out.json", obj)
+
+    def test_json_files_are_written_only_by_write_json(self):
+        # no json.dump( anywhere, and every other file a module opens for
+        # writing is a batch CSV summary
+        writers = set()
+        for source in sorted(Path(freeflow.__file__).parent.glob("*.py")):
+            text = source.read_text(encoding="utf-8")
+            assert "json.dump(" not in text, source.name
+            for function in ast.walk(ast.parse(text)):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for call in ast.walk(function):
+                    if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "open"):
+                        continue
+                    mode = call.args[1] if len(call.args) > 1 else None
+                    if isinstance(mode, ast.Constant) and "w" in str(mode.value):
+                        writers.add((source.name, function.name))
+        assert writers == {("io.py", "write_json"), ("cli.py", "_rows_to_csv"),
+                           ("cli.py", "cmd_batch")}
 
 
 def _params(table):

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import runpy
 from pathlib import Path
 
 import pytest
+
+from freeflow import generate_primitive
+from freeflow import io as ffio
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 SWEEP = TOOLS / "field_sweep.py"
@@ -41,3 +45,18 @@ def test_mesh_build_prints_one_line_per_rung(capsys):
     for name in ("build", "setup"):
         assert row[f"{name}_s"] > 0.0
         assert 0.0 < row[f"{name}_kept_mb"] <= row[f"{name}_peak_mb"]
+
+
+def test_json_io_prints_one_line_per_rung(capsys):
+    # the smallest rung, flat_rect nx16, written and read once: its sizes,
+    # the file's MB and digest, and the median seconds of each
+    tool = runpy.run_path(str(TOOLS / "json_io.py"))
+    tool["main"](["--rung", "nx16", "--repeat", "1"])
+    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert set(row) == {"rung", "vertices", "faces", "mb", "sha256", "write_s", "read_s"}
+    assert (row["rung"], row["vertices"], row["faces"]) == ("nx16", 289, 512)
+    mesh = generate_primitive("flat_rect", nx=16)
+    text = json.dumps(ffio.mesh_to_dict(mesh), indent=2, ensure_ascii=False) + "\n"
+    assert row["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert row["mb"] == round(len(text.encode()) / 2**20, 6)
+    assert row["write_s"] > 0.0 and row["read_s"] > 0.0

@@ -181,21 +181,21 @@ def _validate_mesh_payload(mesh, mesh_hash):
 
 
 def cmd_calc(args):
-    mesh = ffio.mesh_from_dict(ffio.read_json(args.mesh))
-    kind, values = ffio.field_from_dict(mesh, ffio.read_json(args.field))
+    mesh, mesh_hash = _load_mesh(args.mesh)
+    kind, values = ffio.field_from_dict(mesh, ffio.read_json(args.field), digest=mesh_hash)
     if args.op == "grad":
         if kind != "scalar":
             raise ParseError("grad needs a scalar field")
         out = gradient(mesh, values)
         payload = (
-            ffio.face_field_to_dict(mesh, out)
+            ffio.face_field_to_dict(mesh, out, mesh_hash)
             if mesh.dimension == 2
-            else ffio.edge_values_to_dict(mesh, out)
+            else ffio.edge_values_to_dict(mesh, out, mesh_hash)
         )
     elif args.op == "div":
         if kind == "scalar":
             raise ParseError("div needs a vector field")
-        payload = ffio.scalar_field_to_dict(mesh, divergence(mesh, values))
+        payload = ffio.scalar_field_to_dict(mesh, divergence(mesh, values), mesh_hash)
     else:
         if kind == "scalar":
             payload = {

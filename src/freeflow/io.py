@@ -132,25 +132,26 @@ def _floats(values):
     return np.asarray(values, dtype=np.float64).tolist()
 
 
-def scalar_field_to_dict(mesh, f):
-    return {"mesh_hash": mesh_hash(mesh), "scalar": _floats(f)}
+# Each field builder and ``field_from_dict`` take the mesh's hash as
+# ``digest`` when the caller has it, and compute it otherwise.
 
 
-def face_field_to_dict(mesh, g):
-    return {
-        "mesh_hash": mesh_hash(mesh),
-        "faces": _floats(g),
-    }
+def scalar_field_to_dict(mesh, f, digest=None):
+    return {"mesh_hash": digest or mesh_hash(mesh), "scalar": _floats(f)}
 
 
-def edge_values_to_dict(mesh, values):
-    return {"mesh_hash": mesh_hash(mesh), "edges": _floats(values)}
+def face_field_to_dict(mesh, g, digest=None):
+    return {"mesh_hash": digest or mesh_hash(mesh), "faces": _floats(g)}
 
 
-def field_from_dict(mesh, data, expect=None):
+def edge_values_to_dict(mesh, values, digest=None):
+    return {"mesh_hash": digest or mesh_hash(mesh), "edges": _floats(values)}
+
+
+def field_from_dict(mesh, data, expect=None, digest=None):
     """Load a field keyed by mesh hash; ``expect`` restricts the kind."""
     stored = data.get("mesh_hash")
-    if stored is not None and stored != mesh_hash(mesh):
+    if stored is not None and stored != (digest or mesh_hash(mesh)):
         raise ParseError("field file does not match the mesh (content hash)")
     kinds = [k for k in ("scalar", "faces", "edges") if k in data]
     if len(kinds) != 1:
@@ -275,11 +276,14 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    """Load a JSON input file; every input schema is a JSON object."""
+    """Load a JSON input file; every input schema is a JSON object. A file
+    that cannot be read or decoded is a ``ParseError`` naming the path:
+    bad JSON, bytes that are not UTF-8 (both ``ValueError``), nesting past
+    the recursion limit, or an integer past Python's digit limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object, found {type(data).__name__}")

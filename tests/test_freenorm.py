@@ -790,9 +790,11 @@ class TestSmallerSide:
                 assert _negative_zeros(report) == 0
 
 
-def _bump_one_flow_entry(flow, potential):
+def _bump_one_flow_entry(flow, potential, b, relative=5e-4):
+    """``flow`` with one entry raised by ``relative`` on the residual's
+    scale, max(1, max |b|)."""
     flow = flow.copy()
-    flow[3] += 1e-3
+    flow[3] += relative * max(1.0, np.abs(b).max())
     return flow, potential
 
 
@@ -838,16 +840,24 @@ class TestGraphCertificate:
         "defect, spoil",
         [
             ("residual", _bump_one_flow_entry),
-            ("slack", lambda flow, potential: (flow, 1.01 * potential)),
+            ("slack", lambda flow, potential, b: (flow, 1.01 * potential)),
             # feasible on both sides, but the zero potential attains nothing
-            ("gap", lambda flow, potential: (flow, np.zeros_like(potential))),
+            ("gap", lambda flow, potential, b: (flow, np.zeros_like(potential))),
+            # spoils of 1e-8 relative, ten times the tolerance, which pin its size
+            pytest.param("residual", lambda flow, potential, b: _bump_one_flow_entry(
+                flow, potential, b, 1e-8), id="residual-1e-8"),
+            pytest.param("slack", lambda flow, potential, b: (flow, (1 + 1e-8) * potential),
+                         id="slack-1e-8"),
+            pytest.param("gap", lambda flow, potential, b: (flow, (1 - 1e-8) * potential),
+                         id="gap-1e-8"),
         ],
     )
     def test_spoiled_solution_fails(self, flat4, monkeypatch, route, solver, defect,
                                     spoil):
         module = getattr(freenorm, solver)
         solve = module.min_cost_flow
-        monkeypatch.setattr(module, "min_cost_flow", lambda mesh, b: spoil(*solve(mesh, b)))
+        monkeypatch.setattr(module, "min_cost_flow",
+                            lambda mesh, b: spoil(*solve(mesh, b), b))
         with pytest.raises(SolverFailure, match="certificate") as info:
             route(flat4, Molecule(((7, 1.0), (19, -2.0))))
         assert abs(info.value.diagnostics[defect]) > CERTIFICATE_TOL

@@ -585,6 +585,26 @@ class TestParseErrorsArePinned:
         _assert_raises_pinned(ffio.molecule_from_dict, data, expected)
 
 
+# Every command that reads a JSON input file, as ``_argv_reading`` runs it
+_JSON_READERS = ["validate-mesh", "calc", "check-currents", "free-norm",
+                 "experiment", "batch"]
+
+
+def _argv_reading(command, path, tmp_path, mesh):
+    """The argv of ``command`` reading ``path``; its mesh file, where it
+    reads one besides, holds ``mesh``."""
+    mesh_path = tmp_path / "m.json"
+    ffio.write_json(mesh_path, ffio.mesh_to_dict(mesh))
+    return {
+        "validate-mesh": ["validate-mesh", str(path)],
+        "calc": ["calc", "norms", "--mesh", str(mesh_path), "--field", str(path)],
+        "check-currents": ["check-currents", "--mesh", str(mesh_path), "--form", str(path)],
+        "free-norm": ["free-norm", "--mesh", str(mesh_path), "--molecule", str(path)],
+        "experiment": ["experiment", "cutoff", "--config", str(path)],
+        "batch": ["batch", str(path), "--out", str(tmp_path / "s.csv")],
+    }[command]
+
+
 class TestCli:
     def test_defaults_and_choices_come_from_the_library(self):
         parser = cli._build_parser()
@@ -984,6 +1004,27 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["scalar"]) == flat4.vertex_count
 
+    @pytest.mark.parametrize("op, kind", [("grad", "scalar"), ("div", "faces"),
+                                          ("norms", "scalar"), ("norms", "faces")])
+    def test_calc_hashes_its_mesh_once(self, tmp_path, monkeypatch, flat4, op, kind):
+        # grad and div each used to hash the mesh twice: for the field's
+        # check and again for their output
+        mesh_path, field_path = tmp_path / "m.json", tmp_path / "f.json"
+        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
+        field = (ffio.scalar_field_to_dict(flat4, np.arange(flat4.vertex_count))
+                 if kind == "scalar" else ffio.face_field_to_dict(flat4, np.ones(flat4.field_shape)))
+        ffio.write_json(field_path, field)
+        hashed = []
+        mesh_hash = ffio.mesh_hash
+        monkeypatch.setattr(ffio, "mesh_hash",
+                            lambda mesh: hashed.append(1) or mesh_hash(mesh))
+        out = tmp_path / "out.json"
+        assert main(["calc", op, "--mesh", str(mesh_path), "--field", str(field_path),
+                     "--out", str(out)]) == 0
+        assert len(hashed) == 1
+        if op != "norms":
+            assert ffio.read_json(out)["mesh_hash"] == mesh_hash(flat4)
+
     @pytest.mark.parametrize("fixture", ["flat4", "interval10"])
     def test_calc_norms_of_a_vector_field(self, tmp_path, capsys, request, fixture):
         # a face field on a surface, an edge field on a metric graph
@@ -1150,25 +1191,34 @@ class TestCli:
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
 
-    @pytest.mark.parametrize("command", ["experiment", "batch", "calc", "check-currents"])
+    @pytest.mark.parametrize("command", _JSON_READERS)
     @pytest.mark.parametrize("document", [[1, 2], "text", 3, None])
     def test_non_object_json_rejected(self, tmp_path, capsys, flat4, command,
                                       document):
         # each used to escape as an AttributeError traceback
-        mesh_path = tmp_path / "m.json"
-        ffio.write_json(mesh_path, ffio.mesh_to_dict(flat4))
         path = tmp_path / "input.json"
         path.write_text(json.dumps(document))
-        argv = {
-            "experiment": ["experiment", "cutoff", "--config", str(path)],
-            "batch": ["batch", str(path), "--out", str(tmp_path / "s.csv")],
-            "calc": ["calc", "norms", "--mesh", str(mesh_path), "--field", str(path)],
-            "check-currents": ["check-currents", "--mesh", str(mesh_path),
-                               "--form", str(path)],
-        }[command]
-        assert main(argv) == 1
+        assert main(_argv_reading(command, path, tmp_path, flat4)) == 1
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("command", _JSON_READERS)
+    @pytest.mark.parametrize("data", [
+        # bytes that are not UTF-8: were a UnicodeDecodeError traceback
+        b"\xff",
+        b'{"a": "\xff\xfe"}',
+        # nesting past the recursion limit: was a RecursionError traceback
+        b"[" * 200_000,
+        # an integer past Python's 4300-digit limit: was a ValueError traceback
+        b'{"a": ' + b"1" * 5000 + b"}",
+    ], ids=["byte_ff", "string_ff_fe", "deep_nesting", "long_integer"])
+    def test_undecodable_json_rejected(self, tmp_path, capsys, flat4, command, data):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        assert main(_argv_reading(command, path, tmp_path, flat4)) == 1
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "ParseError"
+        assert envelope["error"]["message"].startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
         "kind, config",

@@ -33,30 +33,27 @@ def test_field_sweep_rejects_an_unknown_mesh(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_mesh_build_prints_one_line_per_rung(capsys):
-    # the smallest rung, flat_rect nx16, timed once: its sizes, the median
-    # seconds and the traced MB of the build and of the field set-up
-    tool = runpy.run_path(str(TOOLS / "mesh_build.py"))
+def test_ladder_prints_one_line_per_rung(capsys):
+    # the smallest rung, flat_rect nx16, timed once: its sizes, the mesh
+    # file's MB and digest, and each layer's seconds and traced MB
+    tool = runpy.run_path(str(TOOLS / "ladder.py"))
     tool["main"](["--rung", "nx16", "--repeat", "1"])
     (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert set(row) == {"rung", "vertices", "faces"} | {
-        f"{name}_{key}" for name in ("build", "setup") for key in ("s", "peak_mb", "kept_mb")}
-    assert (row["rung"], row["vertices"], row["faces"]) == ("nx16", 289, 512)
-    for name in ("build", "setup"):
-        assert row[f"{name}_s"] > 0.0
-        assert 0.0 < row[f"{name}_kept_mb"] <= row[f"{name}_peak_mb"]
-
-
-def test_json_io_prints_one_line_per_rung(capsys):
-    # the smallest rung, flat_rect nx16, written and read once: its sizes,
-    # the file's MB and digest, and the median seconds of each
-    tool = runpy.run_path(str(TOOLS / "json_io.py"))
-    tool["main"](["--rung", "nx16", "--repeat", "1"])
-    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert set(row) == {"rung", "vertices", "faces", "mb", "sha256", "write_s", "read_s"}
+    seconds = {f"{name}_s" for name in ("build", "setup", "write", "read", "load", "hash")}
+    traced = {f"{name}_{key}" for name in ("build", "setup") for key in ("peak_mb", "kept_mb")}
+    assert set(row) == {"rung", "vertices", "faces", "mb", "sha256"} | seconds | traced
     assert (row["rung"], row["vertices"], row["faces"]) == ("nx16", 289, 512)
     mesh = generate_primitive("flat_rect", nx=16)
     text = json.dumps(ffio.mesh_to_dict(mesh), indent=2, ensure_ascii=False) + "\n"
     assert row["sha256"] == hashlib.sha256(text.encode()).hexdigest()
     assert row["mb"] == round(len(text.encode()) / 2**20, 6)
-    assert row["write_s"] > 0.0 and row["read_s"] > 0.0
+    for name in ("build", "setup"):
+        assert 0.0 < row[f"{name}_kept_mb"] <= row[f"{name}_peak_mb"]
+    assert all(row[key] > 0.0 for key in seconds)
+
+
+def test_ladder_rejects_an_unknown_rung(capsys):
+    tool = runpy.run_path(str(TOOLS / "ladder.py"))
+    with pytest.raises(SystemExit):
+        tool["main"](["--rung", "nx512"])
+    assert "invalid choice" in capsys.readouterr().err

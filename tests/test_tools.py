@@ -33,9 +33,9 @@ def test_field_sweep_rejects_an_unknown_mesh(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_ladder_prints_one_line_per_rung(capsys):
-    # the smallest rung, flat_rect nx16, timed once: its sizes, the mesh
-    # file's MB and digest, and each layer's seconds and traced MB
+def _ladder_nx16(capsys):
+    # the smallest rung, flat_rect nx16, timed once: one JSON line with its
+    # sizes, the mesh file's MB and digest, and each layer's seconds and MB
     tool = runpy.run_path(str(TOOLS / "ladder.py"))
     tool["main"](["--rung", "nx16", "--repeat", "1"])
     (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -43,13 +43,27 @@ def test_ladder_prints_one_line_per_rung(capsys):
     traced = {f"{name}_{key}" for name in ("build", "setup") for key in ("peak_mb", "kept_mb")}
     assert set(row) == {"rung", "vertices", "faces", "mb", "sha256"} | seconds | traced
     assert (row["rung"], row["vertices"], row["faces"]) == ("nx16", 289, 512)
+    return row
+
+
+def test_mesh_build_prints_one_line_per_rung(capsys):
+    # the ladder's mesh-build columns: the build and field set-up seconds
+    # and traced MB
+    row = _ladder_nx16(capsys)
+    for name in ("build", "setup"):
+        assert row[f"{name}_s"] > 0.0
+        assert 0.0 < row[f"{name}_kept_mb"] <= row[f"{name}_peak_mb"]
+
+
+def test_json_io_prints_one_line_per_rung(capsys):
+    # the ladder's JSON-I/O columns: the mesh file's MB and digest, and the
+    # write, read, load and hash seconds
+    row = _ladder_nx16(capsys)
     mesh = generate_primitive("flat_rect", nx=16)
     text = json.dumps(ffio.mesh_to_dict(mesh), indent=2, ensure_ascii=False) + "\n"
     assert row["sha256"] == hashlib.sha256(text.encode()).hexdigest()
     assert row["mb"] == round(len(text.encode()) / 2**20, 6)
-    for name in ("build", "setup"):
-        assert 0.0 < row[f"{name}_kept_mb"] <= row[f"{name}_peak_mb"]
-    assert all(row[key] > 0.0 for key in seconds)
+    assert all(row[f"{name}_s"] > 0.0 for name in ("write", "read", "load", "hash"))
 
 
 def test_ladder_rejects_an_unknown_rung(capsys):
